@@ -29,7 +29,6 @@ from .dataset_io import (
 from .errors import (
     BackendUnavailable,
     MissingEvidence,
-    MissingFile,
     ProcessExited,
     ProtocolViolation,
     RuinscoreError,
@@ -66,20 +65,6 @@ class FileBackend:
     def __init__(self, manifest: DatasetManifest):
         self._manifest = manifest
 
-    def _read(self, relpath: str, kind: DetectionKind):
-        path = self._manifest.resolve(relpath)
-        if not path.is_file():
-            raise MissingFile(str(path))
-        text = path.read_text(encoding="utf-8")
-        if path.suffix == ".json":
-            return dataset_io.parse_json_detections(text, kind)
-        class_map = (
-            self._manifest.damage_class_map
-            if kind is DetectionKind.DAMAGE
-            else self._manifest.component_class_map
-        )
-        return dataset_io.parse_box_text(text, class_map, kind)
-
     def query(self, entry: ImageEntry, task: str):
         if task == "scene":
             raise MissingEvidence(
@@ -88,11 +73,19 @@ class FileBackend:
         if task == "components":
             if entry.components_file is None:
                 return []
-            return self._read(entry.components_file, DetectionKind.COMPONENT)
+            return dataset_io.read_detections(
+                self._manifest.resolve(entry.components_file),
+                self._manifest.component_class_map,
+                DetectionKind.COMPONENT,
+            )
         if task == "damage":
             if entry.damage_file is None:
                 raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
-            return self._read(entry.damage_file, DetectionKind.DAMAGE)
+            return dataset_io.read_detections(
+                self._manifest.resolve(entry.damage_file),
+                self._manifest.damage_class_map,
+                DetectionKind.DAMAGE,
+            )
         raise ValueError(f"unknown task {task!r}")
 
 
@@ -202,11 +195,6 @@ class ExternalBackend:
         self.close()
 
 
-def external_exchange(backend: ExternalBackend, request: dict) -> dict:
-    """One request line out, one validated response line back."""
-    return backend.exchange(request)
-
-
 def _scene_from_response(response: dict) -> SceneLabel:
     unknown = set(response) - {"scene", "confidence"}
     if unknown:
@@ -223,13 +211,12 @@ def _scene_from_response(response: dict) -> SceneLabel:
         raise ProtocolViolation(str(exc)) from None
 
 
-def run_cascade(entry: ImageEntry, backend: Backend, config=None) -> CascadeOutput:
+def run_cascade(entry: ImageEntry, backend: Backend) -> CascadeOutput:
     """Gather one image's evidence in cascade order: scene, components, damage.
 
     A manifest scene override replaces the backend's scene answer (the
     backend is then not asked for it; at most one request per task). The
     scene label never gates the later stages, it only conditions fusion.
-    `config` is accepted for interface stability; no current rule consults it.
     """
     if entry.scene_override is not None:
         scene = SceneLabel(entry.scene_override, 1.0)

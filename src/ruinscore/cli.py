@@ -38,7 +38,14 @@ from .errors import (
     RuinscoreError,
     SchemaViolation,
 )
-from .fusion import DecisionMode, FusionConfig, FusionVersion, meta_argmax, rule_fusion
+from .fusion import (
+    DecisionMode,
+    FusionConfig,
+    FusionVersion,
+    check_number,
+    meta_argmax,
+    rule_fusion,
+)
 
 CONFIG_ENV_VAR = "RUINSCORE_CONFIG"
 
@@ -80,7 +87,8 @@ def load_config_file(path: str | Path | None) -> tuple[FusionConfig, BackendSett
         ):
             raise SchemaViolation("backend.command", "must be a nonempty list of strings")
         timeout_s = section.get("timeout_s", DEFAULT_TIMEOUT_S)
-        if not isinstance(timeout_s, (int, float)) or isinstance(timeout_s, bool) or timeout_s <= 0:
+        check_number(timeout_s, "backend.timeout_s")
+        if timeout_s <= 0:
             raise SchemaViolation("backend.timeout_s", "must be a positive number")
         backend_cfg = BackendSettings(
             command=tuple(command) if command else None, timeout_s=float(timeout_s)
@@ -158,7 +166,7 @@ def _cmd_assess(args) -> int:
 
     def assess_one(entry) -> dict:
         try:
-            out = run_cascade(entry, get_backend(), config)
+            out = run_cascade(entry, get_backend())
             rule = rule_fusion(out, config)
             probs = predict(meta.extract_features(out, rule, config)) if predict else None
             final = fusion.final_decision(rule, probs, config)
@@ -258,7 +266,7 @@ def _cmd_train_meta(args) -> int:
             skipped += 1
             continue
         try:
-            out = run_cascade(entry, backend, config)
+            out = run_cascade(entry, backend)
         except RuinscoreError as exc:
             exc.image_id = entry.id
             raise
@@ -281,18 +289,16 @@ def _cmd_train_meta(args) -> int:
             min_leaf=args.min_leaf,
             lam=args.reg_lambda,
         ),
-        seed=args.seed,
     )
     if args.kind == "logreg":
         model = meta.train_logreg(X, y, hyper)
-        accuracy = meta.training_accuracy(model, X, y)
         final_loss = model.final_loss
     else:
         model = meta.train_gbdt(X, y, hyper)
-        accuracy = meta.gbdt_training_accuracy(model, X, y)
         final_loss = model.loss_trace[-1]
         if model.degenerate:
             print("warning: single-class training set, priors-only model", file=sys.stderr)
+    accuracy = meta.training_accuracy(model, X, y)
     meta.save_model(model, args.out)
     print(
         f"trained {args.kind}: n={len(y)} training_accuracy={accuracy:.4f} "
@@ -306,15 +312,9 @@ def _cmd_fuse(args) -> int:
     if args.version:
         config = config.with_version(FusionVersion(args.version))
     path = Path(args.detections)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        dets = dataset_io.parse_json_detections(text, DetectionKind.DAMAGE)
-    else:
-        dets = dataset_io.parse_box_text(
-            text, dataset_io.DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE
-        )
+    dets = dataset_io.read_detections(
+        path, dataset_io.DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE
+    )
     cascade = CascadeOutput(
         image_id=path.name,
         scene=SceneLabel(SceneClass(args.scene), 1.0),
@@ -357,6 +357,13 @@ def _cmd_gen_synthetic(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruinscore",
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["file", "external"], default="file")
     p.add_argument("--meta-model", dest="meta_model")
     p.add_argument("--out", help="write JSONL here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(func=_cmd_assess)
 
@@ -393,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--min-leaf", type=int, default=5)
     p.add_argument("--reg-lambda", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train_meta)
 
     p = sub.add_parser("fuse", help="fuse one detection file into a level with explanation")

@@ -407,6 +407,17 @@ def parse_json_detections(text: str, kind: DetectionKind):
     return detections_from_obj(raw, kind)
 
 
+def read_detections(path: Path, class_map: Mapping[int, object], kind: DetectionKind):
+    """Read one detection file: the JSON schema when its name ends in .json,
+    box text resolved through `class_map` otherwise."""
+    if not path.is_file():
+        raise MissingFile(str(path))
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return parse_json_detections(text, kind)
+    return parse_box_text(text, class_map, kind)
+
+
 def detections_to_json(detections: Iterable[DamageDetection | ComponentDetection]) -> str:
     """Serialize detections to the JSON schema; parse_json_detections inverts this."""
     items = [

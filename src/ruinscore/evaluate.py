@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dataset_io import LEVEL_BY_LABEL, DamageLevel
+from .dataset_io import DamageLevel
 from .errors import EmptyMatrix, SchemaViolation
 
 REPORT_FORMAT = "ruinscore-report-v1"
@@ -221,13 +221,3 @@ def parse_report(text: str) -> EvalReport:
         raise SchemaViolation("$", f"report is not valid JSON ({exc.msg})") from None
     return report_from_dict(raw)
 
-
-def pairs_from_labels(gt_labels, pred_labels) -> list[tuple[DamageLevel, DamageLevel]]:
-    """Convenience zip accepting ordinals or level names."""
-
-    def coerce(v) -> DamageLevel:
-        if isinstance(v, str):
-            return LEVEL_BY_LABEL[v]
-        return DamageLevel(int(v))
-
-    return [(coerce(g), coerce(p)) for g, p in zip(gt_labels, pred_labels)]

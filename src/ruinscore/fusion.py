@@ -11,10 +11,9 @@ toggle, serialized as a strict JSON file (unknown keys rejected).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 from .dataset_io import (
@@ -26,7 +25,7 @@ from .dataset_io import (
     SceneClass,
     SceneLabel,
 )
-from .errors import MissingFile, MissingMeta, SchemaViolation
+from .errors import MissingMeta, SchemaViolation
 
 # filter tags recorded on RuleDecision.applied_filters
 TAG_CONF_FLOOR = "conf-floor"
@@ -118,30 +117,15 @@ class FusionConfig:
             raise ValueError("hybrid_prob_gate must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version.value,
-            "weights": {
-                "w_crack": self.weights.w_crack,
-                "w_spall": self.weights.w_spall,
-                "w_rebar": self.weights.w_rebar,
-            },
-            "thresholds": {
-                "t_slight": self.thresholds.t_slight,
-                "t_medium": self.thresholds.t_medium,
-            },
-            "conf_floor": self.conf_floor,
-            "v2": {
-                "inside_conf_floor": self.v2.inside_conf_floor,
-                "min_box_area": self.v2.min_box_area,
-                "rebar_conf_min": self.v2.rebar_conf_min,
-                "rebar_iou_min": self.v2.rebar_iou_min,
-                "rebar_containment_min": self.v2.rebar_containment_min,
-                "component_conf_min": self.v2.component_conf_min,
-                "no_component_score_factor": self.v2.no_component_score_factor,
-            },
-            "decision_mode": self.decision_mode.value,
-            "hybrid_prob_gate": self.hybrid_prob_gate,
-        }
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Enum):
+                value = value.value
+            elif is_dataclass(value):
+                value = asdict(value)
+            out[f.name] = value
+        return out
 
     @staticmethod
     def from_dict(raw: dict) -> "FusionConfig":
@@ -149,90 +133,56 @@ class FusionConfig:
         unknown keys raise SchemaViolation."""
         if not isinstance(raw, dict):
             raise SchemaViolation("$", "config must be an object")
-
-        def section(key: str, allowed: set[str]) -> dict:
-            sub = raw.get(key, {})
-            if not isinstance(sub, dict):
-                raise SchemaViolation(key, "expected an object")
-            unknown = set(sub) - allowed
-            if unknown:
-                raise SchemaViolation(f"{key}.{sorted(unknown)[0]}", "unknown key")
-            for k, v in sub.items():
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise SchemaViolation(f"{key}.{k}", "must be a number")
-            return sub
-
-        top_allowed = {
-            "version",
-            "weights",
-            "thresholds",
-            "conf_floor",
-            "v2",
-            "decision_mode",
-            "hybrid_prob_gate",
-        }
-        unknown = set(raw) - top_allowed
+        unknown = set(raw) - {f.name for f in fields(FusionConfig)}
         if unknown:
             raise SchemaViolation(sorted(unknown)[0], "unknown key")
-
-        kwargs: dict = {}
-        if "version" in raw:
-            try:
-                kwargs["version"] = FusionVersion(raw["version"])
-            except ValueError:
-                raise SchemaViolation("version", "must be 'v1' or 'v2'") from None
-        if "decision_mode" in raw:
-            try:
-                kwargs["decision_mode"] = DecisionMode(raw["decision_mode"])
-            except ValueError:
-                raise SchemaViolation(
-                    "decision_mode", "must be 'rule_only', 'meta_only' or 'hybrid'"
-                ) from None
+        # enums first, then sections, then scalars: the order errors are reported in
+        order = sorted(
+            fields(FusionConfig),
+            key=lambda f: (not isinstance(f.default, Enum), not is_dataclass(f.default)),
+        )
         try:
-            if "weights" in raw:
-                kwargs["weights"] = Weights(**section("weights", {"w_crack", "w_spall", "w_rebar"}))
-            if "thresholds" in raw:
-                kwargs["thresholds"] = Thresholds(
-                    **section("thresholds", {"t_slight", "t_medium"})
-                )
-            if "v2" in raw:
-                kwargs["v2"] = V2Params(
-                    **section(
-                        "v2",
-                        {
-                            "inside_conf_floor",
-                            "min_box_area",
-                            "rebar_conf_min",
-                            "rebar_iou_min",
-                            "rebar_containment_min",
-                            "component_conf_min",
-                            "no_component_score_factor",
-                        },
-                    )
-                )
-            for key in ("conf_floor", "hybrid_prob_gate"):
-                if key in raw:
-                    v = raw[key]
-                    if not isinstance(v, (int, float)) or isinstance(v, bool):
-                        raise SchemaViolation(key, "must be a number")
-                    kwargs[key] = float(v)
+            kwargs = {
+                f.name: _parse_field(f.name, f.default, raw[f.name]) for f in order if f.name in raw
+            }
             return FusionConfig(**kwargs)
         except ValueError as exc:
             raise SchemaViolation("$", str(exc)) from None
 
-    @staticmethod
-    def from_file(path: str | Path) -> "FusionConfig":
-        p = Path(path)
-        if not p.is_file():
-            raise MissingFile(str(p))
-        try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation("$", f"not valid JSON ({exc.msg})") from None
-        return FusionConfig.from_dict(raw)
-
     def with_version(self, version: FusionVersion) -> "FusionConfig":
         return replace(self, version=version)
+
+
+def check_number(value: object, where: str) -> None:
+    """The one number check for config files: an int or float, not a bool,
+    and finite. Raises SchemaViolation at `where` otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaViolation(where, "must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaViolation(where, "must be finite")
+
+
+def _parse_field(name: str, default, value):
+    """One top-level config value, typed after the field's default."""
+    if isinstance(default, Enum):
+        try:
+            return type(default)(value)
+        except ValueError:
+            names = [repr(m.value) for m in type(default)]
+            raise SchemaViolation(
+                name, f"must be {', '.join(names[:-1])} or {names[-1]}"
+            ) from None
+    if is_dataclass(default):
+        if not isinstance(value, dict):
+            raise SchemaViolation(name, "expected an object")
+        unknown = set(value) - {f.name for f in fields(default)}
+        if unknown:
+            raise SchemaViolation(f"{name}.{sorted(unknown)[0]}", "unknown key")
+        for key, v in value.items():
+            check_number(v, f"{name}.{key}")
+        return type(default)(**value)
+    check_number(value, name)
+    return float(value)
 
 
 @dataclass(frozen=True)

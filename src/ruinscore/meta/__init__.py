@@ -8,7 +8,6 @@ from .features import FEATURE_DIM, FEATURE_LAYOUT, FEATURE_NAMES, extract_featur
 from .gbdt import (
     GBDT_FORMAT,
     GbdtModel,
-    gbdt_training_accuracy,
     predict_gbdt,
     predict_gbdt_batch,
     train_gbdt,
@@ -20,9 +19,8 @@ from .logreg import (
     predict_logreg,
     predict_logreg_batch,
     train_logreg,
-    training_accuracy,
 )
-from .serialize import load_model, model_to_json, save_model
+from .serialize import load_model, model_to_json, save_model, training_accuracy
 
 ClassProbs = tuple[float, float, float, float]
 
@@ -39,7 +37,6 @@ __all__ = [
     "LogRegModel",
     "TrainHyper",
     "extract_features",
-    "gbdt_training_accuracy",
     "load_model",
     "model_to_json",
     "predict_gbdt",

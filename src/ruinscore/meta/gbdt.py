@@ -4,8 +4,7 @@ Per round and per class a tree is fit to the negative gradient with Newton
 leaf values sum(g)/(sum(h)+lam). Splits are exact greedy over sorted unique
 feature values (no histogram binning), ties broken by lowest feature index
 then lowest threshold, which together with zero-randomness training makes
-serialized models bit-reproducible. The split scan runs in the compiled
-kernel when available (see _kernels).
+serialized models bit-reproducible.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateData, DimensionMismatch
-from . import _kernels
+from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
 from .features import FEATURE_LAYOUT
 from .hyper import TrainHyper
 from .logreg import _as_matrix, _one_hot, softmax_rows
@@ -23,6 +21,7 @@ from .logreg import _as_matrix, _one_hot, softmax_rows
 N_CLASSES = 4
 GBDT_FORMAT = "ruinscore-gbdt-v1"
 _PRIOR_FLOOR = 1e-12  # keeps log priors finite (and JSON-serializable) for absent classes
+NO_SPLIT = (-1, 0, 0.0, 0.0)
 
 
 @dataclass
@@ -41,6 +40,53 @@ class GbdtModel:
         return len(self.trees)
 
 
+def best_split(
+    x_sorted: np.ndarray,
+    g_sorted: np.ndarray,
+    h_sorted: np.ndarray,
+    lam: float,
+    min_leaf: int,
+) -> tuple[int, int, float, float]:
+    """Best axis-aligned split for one tree node.
+
+    Inputs are (n, d) float64 arrays whose columns were each sorted by
+    feature value (gradients and hessians gathered into the same order).
+    Candidate thresholds are the left-side values at boundaries between
+    distinct consecutive sorted values; x <= threshold routes left. Returns
+    (feature, n_left, threshold, gain), or NO_SPLIT when no candidate has
+    positive gain and min_leaf samples on both sides.
+
+    The result is deterministic: prefix sums accumulate sequentially left to
+    right (np.cumsum), and the argmax scans feature-major, so ties go to the
+    lowest feature, then the lowest threshold.
+    """
+    n = x_sorted.shape[0]
+    if n < 2 * min_leaf or n < 2:
+        return NO_SPLIT
+    csg = np.cumsum(g_sorted, axis=0)
+    csh = np.cumsum(h_sorted, axis=0)
+    g_total = csg[-1]
+    h_total = csh[-1]
+
+    gl = csg[:-1]
+    hl = csh[:-1]
+    gr = g_total - gl
+    hr = h_total - hl
+    gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_total * g_total / (h_total + lam)
+
+    n_left = np.arange(1, n)
+    valid = x_sorted[:-1] != x_sorted[1:]
+    valid &= ((n_left >= min_leaf) & (n_left <= n - min_leaf))[:, None]
+    gain = np.where(valid, gain, 0.0)
+
+    flat = np.argmax(gain.ravel(order="F"))
+    feat, row = divmod(int(flat), n - 1)
+    best = float(gain[row, feat])
+    if best <= 0.0:
+        return NO_SPLIT
+    return feat, row + 1, float(x_sorted[row, feat]), best
+
+
 def _leaf(g_sum: float, h_sum: float, lam: float) -> dict:
     return {"value": g_sum / (h_sum + lam)}
 
@@ -53,7 +99,7 @@ def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int, hp) -> 
     xs = np.ascontiguousarray(np.take_along_axis(X, order, axis=0))
     gs = np.ascontiguousarray(g[order])
     hs = np.ascontiguousarray(h[order])
-    feat, _, thr, _ = _kernels.best_split(xs, gs, hs, hp.lam, hp.min_leaf)
+    feat, _, thr, _ = best_split(xs, gs, hs, hp.lam, hp.min_leaf)
     if feat < 0:
         return _leaf(float(g.sum()), float(h.sum()), hp.lam)
     mask = X[:, feat] <= thr
@@ -177,7 +223,7 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
 
 
 def gbdt_from_dict(raw: dict) -> GbdtModel:
-    return GbdtModel(
+    model = GbdtModel(
         trees=raw["trees"],
         base_scores=np.asarray(raw["base_scores"], dtype=np.float64),
         learning_rate=float(raw["learning_rate"]),
@@ -186,9 +232,10 @@ def gbdt_from_dict(raw: dict) -> GbdtModel:
         degenerate=bool(raw["degenerate"]),
         feature_layout=str(raw["feature_layout"]),
     )
+    if not isinstance(model.trees, list) or not all(
+        isinstance(r, list) and len(r) == N_CLASSES and all(isinstance(t, dict) for t in r)
+        for r in model.trees
+    ):
+        raise SchemaViolation("trees", f"must be an array of rounds of {N_CLASSES} tree objects")
+    return model
 
-
-def gbdt_training_accuracy(model: GbdtModel, X, y) -> float:
-    P = predict_gbdt_batch(model, X)
-    labels = np.asarray([int(v) for v in y])
-    return float((P.argmax(axis=1) == labels).mean())

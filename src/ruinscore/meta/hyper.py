@@ -46,14 +46,12 @@ class TrainHyper:
     """Hyperparameters plus the optional class-imbalance knob.
 
     class_weights, when set, scales each sample's loss contribution by the
-    weight of its class (default uniform). `seed` is recorded for
-    reproducibility bookkeeping; both trainers are fully deterministic and
-    draw no random numbers.
+    weight of its class (default uniform). Both trainers are fully
+    deterministic and draw no random numbers.
     """
 
     logreg: LogRegHyper = LogRegHyper()
     gbdt: GbdtHyper = GbdtHyper()
-    seed: int = 0
     class_weights: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:

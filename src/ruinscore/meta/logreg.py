@@ -172,9 +172,3 @@ def logreg_from_dict(raw: dict) -> LogRegModel:
         feature_layout=str(raw["feature_layout"]),
     )
 
-
-def training_accuracy(model: LogRegModel, X, y) -> float:
-    P = predict_logreg_batch(model, X)
-    pred = P.argmax(axis=1)
-    labels = np.asarray([int(v) for v in y])
-    return float((pred == labels).mean())

@@ -1,14 +1,22 @@
-"""Versioned JSON model files and the format dispatch loader."""
+"""Versioned JSON model files, the format dispatch loader and training accuracy."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import IoFailure, SchemaViolation
 from .features import FEATURE_LAYOUT
-from .gbdt import GBDT_FORMAT, GbdtModel, gbdt_from_dict, gbdt_to_dict
-from .logreg import LOGREG_FORMAT, LogRegModel, logreg_from_dict, logreg_to_dict
+from .gbdt import GBDT_FORMAT, GbdtModel, gbdt_from_dict, gbdt_to_dict, predict_gbdt_batch
+from .logreg import (
+    LOGREG_FORMAT,
+    LogRegModel,
+    logreg_from_dict,
+    logreg_to_dict,
+    predict_logreg_batch,
+)
 
 
 def model_to_json(model: LogRegModel | GbdtModel) -> str:
@@ -21,6 +29,13 @@ def model_to_json(model: LogRegModel | GbdtModel) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def training_accuracy(model: LogRegModel | GbdtModel, X, y) -> float:
+    """Share of rows whose most probable class equals the label."""
+    predict = predict_logreg_batch if isinstance(model, LogRegModel) else predict_gbdt_batch
+    labels = np.asarray([int(v) for v in y])
+    return float((predict(model, X).argmax(axis=1) == labels).mean())
+
+
 def save_model(model: LogRegModel | GbdtModel, path: str | Path) -> None:
     try:
         Path(path).write_text(model_to_json(model), encoding="utf-8")
@@ -29,7 +44,8 @@ def save_model(model: LogRegModel | GbdtModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LogRegModel | GbdtModel:
-    """Load either model kind; rejects unknown formats and layout mismatches."""
+    """Load either model kind; rejects unknown formats, missing or mistyped
+    keys and layout mismatches with SchemaViolation."""
     p = Path(path)
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
@@ -37,13 +53,21 @@ def load_model(path: str | Path) -> LogRegModel | GbdtModel:
         raise IoFailure(f"cannot read model file {p}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaViolation("$", f"model file is not valid JSON ({exc.msg})") from None
+    if not isinstance(raw, dict):
+        raise SchemaViolation("$", "model file must be an object")
     fmt = raw.get("format")
     if fmt == LOGREG_FORMAT:
-        model = logreg_from_dict(raw)
+        from_dict = logreg_from_dict
     elif fmt == GBDT_FORMAT:
-        model = gbdt_from_dict(raw)
+        from_dict = gbdt_from_dict
     else:
         raise SchemaViolation("format", f"unknown model format {fmt!r}")
+    try:
+        model = from_dict(raw)
+    except KeyError as exc:
+        raise SchemaViolation(str(exc.args[0]), "missing key") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaViolation("$", f"malformed model file ({exc})") from None
     if model.feature_layout != FEATURE_LAYOUT:
         raise SchemaViolation(
             "feature_layout",

@@ -32,7 +32,6 @@ from ruinscore.fusion import (
 )
 from ruinscore.meta import (
     TrainHyper,
-    gbdt_training_accuracy,
     model_to_json,
     train_gbdt,
     train_logreg,
@@ -176,7 +175,7 @@ def test_criterion_5_gbdt_fit_and_determinism():
     gb = train_gbdt(X, y, TrainHyper())
     trace = gb.loss_trace
     assert all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
-    assert gbdt_training_accuracy(gb, X, y) >= 0.95
+    assert training_accuracy(gb, X, y) >= 0.95
     lr = train_logreg(X, y, TrainHyper())
     assert training_accuracy(lr, X, y) <= 0.65
     again = train_gbdt(X, y, TrainHyper())

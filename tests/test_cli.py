@@ -111,6 +111,26 @@ class TestAssess:
         assert record["scene"]["class"] == "outside"
         assert record["counts"]["n_crack"] == 1
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ([], "$"),
+            ({"format": "ruinscore-gbdt-v1", "feature_layout": "v1", "dim": 18,
+              "learning_rate": 0.1, "max_depth": 3, "degenerate": False,
+              "base_scores": [0.0, 0.0, 0.0, 0.0]}, "trees"),
+        ],
+    )
+    def test_malformed_model_file_is_schema_error(self, fixture3, tmp_path, capsys, payload, field):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "assess", "--manifest", str(fixture3), "--meta-model", str(model)
+        )
+        assert code == 1
+        error = json.loads(err.strip())
+        assert error["error"] == "SchemaViolation"
+        assert error["detail"].startswith(f"schema violation at {field}:")
+
     def test_meta_mode_without_model_fails(self, fixture3, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"decision_mode": "meta_only"}))
@@ -276,6 +296,24 @@ class TestFuse:
         assert first.startswith("slight")
         assert "rebar-demoted" in out
 
+    def test_json_detections(self, tmp_path, capsys):
+        f = tmp_path / "d.json"
+        f.write_text(
+            json.dumps(
+                {
+                    "detections": [
+                        {"class": "crack", "box": [0.3, 0.3, 0.1, 0.1], "confidence": 0.8},
+                        {"class": "spalling", "box": [0.5, 0.5, 0.1, 0.1], "confidence": 0.8},
+                        {"class": "spalling", "box": [0.7, 0.7, 0.1, 0.1]},
+                    ]
+                }
+            )
+        )
+        code, out, _ = run(capsys, "fuse", "--detections", str(f))
+        assert code == 0
+        assert out.splitlines()[0] == "medium (S=5.0)"
+        assert "counts: crack=1 spall=2" in out
+
     def test_parse_error_propagates(self, tmp_path, capsys):
         f = tmp_path / "d.txt"
         f.write_text("0 0.5 0.5 0.0 0.1\n")
@@ -314,6 +352,26 @@ class TestConfigHandling:
         with pytest.raises(SchemaViolation):
             load_config_file(p)
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"backend": {"command": ["prog"], "timeout_s": NaN}}', "backend.timeout_s"),
+            ('{"backend": {"command": ["prog"], "timeout_s": Infinity}}', "backend.timeout_s"),
+            ('{"weights": {"w_crack": NaN}}', "weights.w_crack"),
+        ],
+    )
+    def test_non_finite_number_is_structured_error(self, fixture3, tmp_path, capsys, text, field):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, _, err = run(
+            capsys, "assess", "--manifest", str(fixture3), "--config", str(config)
+        )
+        assert code == 1
+        assert json.loads(err.strip()) == {
+            "error": "SchemaViolation",
+            "detail": f"schema violation at {field}: must be finite",
+        }
+
     def test_decision_mode_parsed(self, tmp_path):
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"decision_mode": "hybrid", "hybrid_prob_gate": 0.8}))
@@ -349,3 +407,5 @@ class TestGenSynthetic:
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "gen-synthetic", "--seed", "1")[0] == 2
         assert run(capsys, "no-such-command")[0] == 2
+        for jobs in ("0", "-3"):
+            assert run(capsys, "assess", "--manifest", "m.json", "--jobs", jobs)[0] == 2

@@ -24,6 +24,9 @@ from ruinscore.fusion import (
     FusionConfig,
     FusionVersion,
     RuleDecision,
+    Thresholds,
+    V2Params,
+    Weights,
     containment_ratio,
     filter_detections,
     final_decision,
@@ -276,6 +279,33 @@ class TestFinalDecision:
 class TestFusionConfigIo:
     def test_defaults_round_trip(self):
         assert FusionConfig.from_dict(DEFAULT_CONFIG.to_dict()) == DEFAULT_CONFIG
+        # a config with every field changed keeps the field-derived keys complete
+        config = FusionConfig(
+            version=FusionVersion.V2,
+            weights=Weights(w_crack=1.5, w_spall=2.5, w_rebar=3.5),
+            thresholds=Thresholds(t_slight=0.5, t_medium=6.0),
+            conf_floor=0.3,
+            v2=V2Params(
+                inside_conf_floor=0.45,
+                min_box_area=0.001,
+                rebar_conf_min=0.55,
+                rebar_iou_min=0.15,
+                rebar_containment_min=0.6,
+                component_conf_min=0.35,
+                no_component_score_factor=0.75,
+            ),
+            decision_mode=DecisionMode.HYBRID,
+            hybrid_prob_gate=0.7,
+        )
+        raw = config.to_dict()
+        assert FusionConfig.from_dict(raw) == config
+        # every field, nested ones included, differs from its default
+        defaults = DEFAULT_CONFIG.to_dict()
+        for key, value in raw.items():
+            if isinstance(value, dict):
+                assert all(value[k] != defaults[key][k] for k in value), key
+            else:
+                assert value != defaults[key], key
 
     def test_unknown_key_rejected(self):
         with pytest.raises(SchemaViolation):
@@ -293,6 +323,20 @@ class TestFusionConfigIo:
             FusionConfig.from_dict({"thresholds": {"t_slight": 5.0, "t_medium": 1.0}})
         with pytest.raises(SchemaViolation):
             FusionConfig.from_dict({"weights": {"w_crack": -1.0}})
+        non_finite = [
+            {"weights": {"w_crack": float("nan")}},
+            {"weights": {"w_spall": float("inf")}},
+            {"thresholds": {"t_medium": float("inf")}},
+            {"v2": {"min_box_area": float("nan")}},
+            {"conf_floor": float("nan")},
+            {"hybrid_prob_gate": float("inf")},
+            {"hybrid_prob_gate": float("-inf")},
+        ]
+        for raw in non_finite:
+            with pytest.raises(SchemaViolation, match="must be finite"):
+                FusionConfig.from_dict(raw)
+        # a finite gate above 1 still disables the hybrid override
+        assert FusionConfig.from_dict({"hybrid_prob_gate": 1.01}).hybrid_prob_gate == 1.01
 
 
 # quantified properties over generated evidence

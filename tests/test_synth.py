@@ -14,7 +14,7 @@ from ruinscore.synth import NoiseSpec, SynthSpec, XorShift64Star, gen_synthetic
 def assess_levels(manifest) -> list[DamageLevel]:
     backend = FileBackend(manifest)
     return [
-        rule_fusion(run_cascade(entry, backend, DEFAULT_CONFIG), DEFAULT_CONFIG).level
+        rule_fusion(run_cascade(entry, backend), DEFAULT_CONFIG).level
         for entry in manifest.images
     ]
 
