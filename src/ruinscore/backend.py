@@ -14,6 +14,7 @@ import queue
 import subprocess
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Protocol, Sequence
 
 from . import dataset_io
@@ -92,22 +93,36 @@ class FileBackend:
 class ExternalBackend:
     """Child-process backend speaking one JSON line per request and response.
 
-    Requests look like {"image": path, "task": "scene"|"components"|"damage"}.
-    Responses are either {"scene": name, "confidence": float} or the
-    detection JSON schema; an echoed "task" key is accepted and, when
+    Requests look like {"image": path, "task": "scene"|"components"|"damage"},
+    with a relative image_path resolved against `root` (the manifest's
+    directory). Responses are either {"scene": name, "confidence": float} or
+    the detection JSON schema; an echoed "task" key is accepted and, when
     present, must match the request. stderr passes through for logs.
 
     A handle is a serial channel: exchanges are serialized by an internal
-    lock. Run several handles for parallelism, never interleave one.
+    lock. Run several handles for parallelism, never interleave one. After a
+    Timeout or ProtocolViolation the child is killed and a fresh one starts
+    on the next request, so a late or stray reply is never read as the
+    answer to a later request.
     """
 
     _EOF = object()
 
-    def __init__(self, command: Sequence[str], timeout_s: float = DEFAULT_TIMEOUT_S):
+    def __init__(
+        self,
+        command: Sequence[str],
+        timeout_s: float = DEFAULT_TIMEOUT_S,
+        root: Path = Path("."),
+    ):
         if not command:
             raise BackendUnavailable("external backend command is empty")
         self.command = list(command)
         self.timeout_s = timeout_s
+        self.root = Path(root)
+        self._lock = threading.Lock()
+        self._spawn()
+
+    def _spawn(self) -> None:
         try:
             self._proc = subprocess.Popen(
                 self.command,
@@ -119,36 +134,58 @@ class ExternalBackend:
             )
         except OSError as exc:
             raise BackendUnavailable(f"cannot start {self.command[0]!r}: {exc}") from None
+        # each child gets its own queue, so a killed child's reader can only
+        # ever feed a queue nobody reads again
         self._lines: queue.Queue = queue.Queue()
-        self._lock = threading.Lock()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        threading.Thread(target=self._pump, args=(self._proc, self._lines), daemon=True).start()
 
-    def _pump(self) -> None:
+    @classmethod
+    def _pump(cls, proc: subprocess.Popen, lines: queue.Queue) -> None:
         try:
-            for line in self._proc.stdout:
-                self._lines.put(line)
+            for line in proc.stdout:
+                lines.put(line)
         finally:
-            self._lines.put(self._EOF)
+            proc.stdout.close()
+            lines.put(cls._EOF)
+
+    def _kill(self) -> None:
+        """Drop the current child; the next exchange starts a new one."""
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            proc.kill()
+            proc.wait()
+            try:
+                proc.stdin.close()
+            except OSError:
+                pass
 
     def exchange(self, request: dict) -> dict:
         """Send one request line, read and decode one response line."""
         with self._lock:
-            if self._proc.poll() is not None:
-                raise ProcessExited(self._proc.returncode)
+            if self._proc is None:
+                self._spawn()
             try:
-                self._proc.stdin.write(json.dumps(request) + "\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError):
-                self._proc.wait()
-                raise ProcessExited(self._proc.returncode) from None
-            try:
-                line = self._lines.get(timeout=self.timeout_s)
-            except queue.Empty:
-                raise Timeout(self.timeout_s) from None
-            if line is self._EOF:
-                self._proc.wait()
-                raise ProcessExited(self._proc.returncode)
+                return self._exchange(request)
+            except (Timeout, ProtocolViolation):
+                self._kill()
+                raise
+
+    def _exchange(self, request: dict) -> dict:
+        if self._proc.poll() is not None:
+            raise ProcessExited(self._proc.returncode)
+        try:
+            self._proc.stdin.write(json.dumps(request) + "\n")
+            self._proc.stdin.flush()
+        except (BrokenPipeError, OSError):
+            self._proc.wait()
+            raise ProcessExited(self._proc.returncode) from None
+        try:
+            line = self._lines.get(timeout=self.timeout_s)
+        except queue.Empty:
+            raise Timeout(self.timeout_s) from None
+        if line is self._EOF:
+            self._proc.wait()
+            raise ProcessExited(self._proc.returncode)
         try:
             response = json.loads(line)
         except json.JSONDecodeError:
@@ -165,28 +202,34 @@ class ExternalBackend:
     def query(self, entry: ImageEntry, task: str):
         if entry.image_path is None:
             raise MissingEvidence(task, f"entry {entry.id!r} has no image_path")
-        response = self.exchange({"image": entry.image_path, "task": task})
+        image = self.root / entry.image_path
+        response = self.exchange({"image": str(image), "task": task})
         try:
             if task == "scene":
                 return _scene_from_response(response)
             kind = DetectionKind.DAMAGE if task == "damage" else DetectionKind.COMPONENT
             return dataset_io.detections_from_obj(response, kind)
         except RuinscoreError as exc:
-            if isinstance(exc, (ProtocolViolation,)):
+            with self._lock:
+                self._kill()
+            if isinstance(exc, ProtocolViolation):
                 raise
             raise ProtocolViolation(f"bad {task} response: {exc}") from None
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        with self._lock:
+            proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=2.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
     def __enter__(self) -> "ExternalBackend":
         return self

@@ -1,7 +1,8 @@
 """Command-line entry point: assess, evaluate, train-meta, fuse, gen-synthetic.
 
-assess streams one JSON record per image (JSONL) so corpora of any size
-process with bounded memory. Exit codes: 0 success, 1 runtime failure
+assess streams one JSON record per image (JSONL), working through the
+manifest in fixed-size chunks, so corpora of any size process with bounded
+memory whatever --jobs is. Exit codes: 0 success, 1 runtime failure
 (structured JSON error on stderr), 2 usage error.
 """
 
@@ -15,6 +16,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import dataset_io, evaluate as evaluate_mod, fusion, meta, synth
 from .backend import (
@@ -32,6 +35,7 @@ from .dataset_io import (
 )
 from .errors import (
     DegenerateData,
+    DimensionMismatch,
     MissingFile,
     MissingMeta,
     NoGroundTruth,
@@ -48,6 +52,10 @@ from .fusion import (
 )
 
 CONFIG_ENV_VAR = "RUINSCORE_CONFIG"
+# entries per assess chunk: the most a run holds in flight, for any --jobs,
+# and the row count of one batched meta predict. Throughput is flat from 16
+# to 256 entries while peak memory grows with the chunk.
+CHUNK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -128,10 +136,13 @@ def _assessment_record(out, rule, probs, final) -> dict:
     return rec
 
 
-def _predictor(model):
+def _chunk_probs(model, rows: list) -> list[tuple[float, float, float, float]]:
+    """Meta probabilities of one chunk's feature vectors, in row order."""
     if isinstance(model, meta.LogRegModel):
-        return lambda x: meta.predict_logreg(model, x)
-    return lambda x: meta.predict_gbdt(model, x)
+        # per row: predict_logreg_batch can round the last bit differently,
+        # which would change assess output bytes
+        return [meta.predict_logreg(model, x) for x in rows]
+    return [tuple(p) for p in meta.predict_gbdt_batch(model, np.stack(rows)).tolist()]
 
 
 def _cmd_assess(args) -> int:
@@ -140,7 +151,8 @@ def _cmd_assess(args) -> int:
     model = meta.load_model(args.meta_model) if args.meta_model else None
     if config.decision_mode is not DecisionMode.RULE_ONLY and model is None:
         raise MissingMeta(config.decision_mode.value)
-    predict = _predictor(model) if model is not None else None
+    if model is not None and model.dim != meta.FEATURE_DIM:
+        raise DimensionMismatch(meta.FEATURE_DIM, model.dim)
 
     handles: list[ExternalBackend] = []
     handle_lock = threading.Lock()
@@ -158,40 +170,54 @@ def _cmd_assess(args) -> int:
         def get_backend():
             handle = getattr(local, "handle", None)
             if handle is None:
-                handle = ExternalBackend(backend_cfg.command, backend_cfg.timeout_s)
+                handle = ExternalBackend(backend_cfg.command, backend_cfg.timeout_s, manifest.root)
                 local.handle = handle
                 with handle_lock:
                     handles.append(handle)
             return handle
 
-    def assess_one(entry) -> dict:
+    def stage(entry):
+        """Cascade, rule fusion and features of one entry, or its failure."""
         try:
             out = run_cascade(entry, get_backend())
             rule = rule_fusion(out, config)
-            probs = predict(meta.extract_features(out, rule, config)) if predict else None
-            final = fusion.final_decision(rule, probs, config)
-            return _assessment_record(out, rule, probs, final)
+            x = meta.extract_features(out, rule, config) if model is not None else None
         except RuinscoreError as exc:
             exc.image_id = entry.id
-            raise
+            return exc
+        return out, rule, x
 
-    def worker(entry):
-        if not args.keep_going:
-            return ("ok", assess_one(entry))
-        try:
-            return ("ok", assess_one(entry))
-        except RuinscoreError as exc:
-            return ("err", entry.id, type(exc).__name__, str(exc))
+    def finish(staged: list, out_stream) -> None:
+        """Predict the chunk's staged rows in one call, then write records and
+        skip lines in manifest order; re-raise a failure without --keep-going."""
+        rows = [item[2] for item in staged if not isinstance(item, RuinscoreError)]
+        probs = iter(_chunk_probs(model, rows) if model is not None and rows else ())
+        for item in staged:
+            if isinstance(item, RuinscoreError):
+                if not args.keep_going:
+                    raise item
+                print(f"skip {item.image_id}: {type(item).__name__}: {item}", file=sys.stderr)
+                continue
+            out, rule, _ = item
+            p = next(probs) if model is not None else None
+            final = fusion.final_decision(rule, p, config)
+            out_stream.write(json.dumps(_assessment_record(out, rule, p, final)) + "\n")
 
+    pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    run_stage = pool.map if pool is not None else map
     out_stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = pool.map(worker, manifest.images)
-                _write_results(results, out_stream)
-        else:
-            _write_results(map(worker, manifest.images), out_stream)
+        images = manifest.images
+        for start in range(0, len(images), CHUNK_SIZE):
+            staged = []
+            for item in run_stage(stage, images[start : start + CHUNK_SIZE]):
+                staged.append(item)
+                if isinstance(item, RuinscoreError) and not args.keep_going:
+                    break
+            finish(staged, out_stream)
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if args.out:
             out_stream.close()
         for handle in handles:
@@ -199,20 +225,12 @@ def _cmd_assess(args) -> int:
     return 0
 
 
-def _write_results(results, out_stream) -> None:
-    for item in results:
-        if item[0] == "ok":
-            out_stream.write(json.dumps(item[1]) + "\n")
-        else:
-            _, image_id, err_name, detail = item
-            print(f"skip {image_id}: {err_name}: {detail}", file=sys.stderr)
-
-
 def read_assessments(path: str | Path) -> list[dict]:
     p = Path(path)
     if not p.is_file():
         raise MissingFile(str(p))
     records = []
+    seen: set = set()
     for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -223,6 +241,12 @@ def read_assessments(path: str | Path) -> list[dict]:
             raise SchemaViolation(f"line {line_no}", f"not valid JSON ({exc.msg})") from None
         if not isinstance(rec, dict) or "image_id" not in rec or "final" not in rec:
             raise SchemaViolation(f"line {line_no}", "record needs image_id and final")
+        image_id = rec["image_id"]
+        if not isinstance(image_id, str):
+            raise SchemaViolation(f"line {line_no}", "image_id must be a string")
+        if image_id in seen:
+            raise SchemaViolation(f"line {line_no}", f"duplicate image_id {image_id!r}")
+        seen.add(image_id)
         records.append(rec)
     return records
 

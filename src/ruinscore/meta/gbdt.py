@@ -14,14 +14,103 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
+from ..fusion import check_number
 from .features import FEATURE_LAYOUT
 from .hyper import TrainHyper
-from .logreg import _as_matrix, _one_hot, softmax_rows
+from .logreg import _as_matrix, _finite_array, _one_hot, softmax_rows
 
 N_CLASSES = 4
 GBDT_FORMAT = "ruinscore-gbdt-v1"
 _PRIOR_FLOOR = 1e-12  # keeps log priors finite (and JSON-serializable) for absent classes
 NO_SPLIT = (-1, 0, 0.0, 0.0)
+# rows walked through the forest at once: bounds predict's (rows, trees)
+# temporaries whatever the batch size
+_ROWS_PER_WALK = 64
+
+
+@dataclass(frozen=True)
+class Forest:
+    """Trees flattened into node arrays and walked one level at a time for
+    every row and tree at once (the node layout idea of QuickScorer,
+    Lucchese et al., SIGIR 2015).
+
+    Node i splits on feature[i] at threshold[i]: x <= threshold goes to
+    child[2i], anything else (NaN included) to child[2i + 1]. A leaf is both
+    of its own children, so after `depth` levels every row rests on its leaf
+    however shallow that leaf is.
+    """
+
+    feature: np.ndarray  # (nodes,) intp; 0 at leaves
+    threshold: np.ndarray  # (nodes,) float64; 0.0 at leaves
+    child: np.ndarray  # (2 * nodes,) intp
+    value: np.ndarray  # (nodes,) float64 leaf values; 0.0 at split nodes
+    roots: np.ndarray  # (trees,) intp, round-major
+    depth: int  # deepest leaf of any tree
+
+    @classmethod
+    def from_trees(cls, trees: list[list[dict]], max_depth: int, dim: int) -> "Forest":
+        """Flatten rounds of nested-dict trees. A malformed node raises
+        SchemaViolation at its path, e.g. trees[3][1].left.threshold."""
+        feature: list[int] = []
+        threshold: list[float] = []
+        value: list[float] = []
+        child: list[int] = []
+        roots: list[int] = []
+        pending: list[tuple[int, object, str, int]] = []
+        depth = 0
+
+        def add(node: object, where: str, level: int) -> int:
+            idx = len(feature)
+            feature.append(0)
+            threshold.append(0.0)
+            value.append(0.0)
+            child.extend((idx, idx))
+            pending.append((idx, node, where, level))
+            return idx
+
+        for r, round_trees in enumerate(trees):
+            for c, tree in enumerate(round_trees):
+                roots.append(add(tree, f"trees[{r}][{c}]", 0))
+                while pending:
+                    idx, node, where, level = pending.pop()
+                    if not isinstance(node, dict):
+                        raise SchemaViolation(where, "tree node must be an object")
+                    if level > max_depth:
+                        raise SchemaViolation(where, f"node deeper than max_depth {max_depth}")
+                    depth = max(depth, level)
+                    if "value" in node:
+                        check_number(node["value"], f"{where}.value")
+                        value[idx] = float(node["value"])
+                        continue
+                    feat = node.get("feature")
+                    if not isinstance(feat, int) or isinstance(feat, bool) or not 0 <= feat < dim:
+                        raise SchemaViolation(
+                            f"{where}.feature", f"must be an integer in [0, {dim})"
+                        )
+                    check_number(node.get("threshold"), f"{where}.threshold")
+                    feature[idx] = feat
+                    threshold[idx] = float(node["threshold"])
+                    for slot, side in enumerate(("left", "right")):
+                        if side not in node:
+                            raise SchemaViolation(f"{where}.{side}", "missing child")
+                        child[2 * idx + slot] = add(node[side], f"{where}.{side}", level + 1)
+        return cls(
+            feature=np.asarray(feature, dtype=np.intp),
+            threshold=np.asarray(threshold, dtype=np.float64),
+            child=np.asarray(child, dtype=np.intp),
+            value=np.asarray(value, dtype=np.float64),
+            roots=np.asarray(roots, dtype=np.intp),
+            depth=depth,
+        )
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(rows, trees) value of the leaf each row reaches in each tree."""
+        rows = np.arange(X.shape[0])[:, None]
+        node = np.tile(self.roots, (X.shape[0], 1))
+        for _ in range(self.depth):
+            right = ~(X[rows, self.feature[node]] <= self.threshold[node])
+            node = self.child[2 * node + right]
+        return self.value[node]
 
 
 @dataclass
@@ -34,6 +123,14 @@ class GbdtModel:
     degenerate: bool = False
     feature_layout: str = FEATURE_LAYOUT
     loss_trace: list[float] = field(default_factory=list, repr=False)  # not serialized
+    forest: Forest = field(init=False, repr=False, compare=False)  # `trees`, flattened
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.trees, list) or not all(
+            isinstance(r, list) and len(r) == N_CLASSES for r in self.trees
+        ):
+            raise SchemaViolation("trees", f"must be an array of rounds of {N_CLASSES} tree objects")
+        self.forest = Forest.from_trees(self.trees, self.max_depth, self.dim)
 
     @property
     def rounds(self) -> int:
@@ -111,22 +208,6 @@ def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int, hp) -> 
     }
 
 
-def _eval_tree(tree: dict, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack = [(tree, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if "value" in node:
-            out[idx] = node["value"]
-        else:
-            left = X[idx, node["feature"]] <= node["threshold"]
-            stack.append((node["left"], idx[left]))
-            stack.append((node["right"], idx[~left]))
-    return out
-
-
 def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
     """Boost hyper.gbdt.rounds rounds of 4 per-class trees.
 
@@ -170,7 +251,8 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
             h = (P[:, c] * (1.0 - P[:, c])) * sw
             tree = _build_tree(X, g, h, 0, hp)
             round_trees.append(tree)
-            F[:, c] += hp.learning_rate * _eval_tree(tree, X)
+            leaves = Forest.from_trees([[tree]], hp.max_depth, d).leaf_values(X)
+            F[:, c] += hp.learning_rate * leaves[:, 0]
         trees.append(round_trees)
         trace.append(current_loss())
 
@@ -185,28 +267,27 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
     )
 
 
-def _margins(model: GbdtModel, X: np.ndarray) -> np.ndarray:
-    F = np.tile(model.base_scores, (X.shape[0], 1))
-    for round_trees in model.trees:
-        for c, tree in enumerate(round_trees):
-            F[:, c] += model.learning_rate * _eval_tree(tree, X)
-    return F
-
-
-def predict_gbdt(model: GbdtModel, x) -> tuple[float, float, float, float]:
-    """Class probabilities: softmax over base score plus scaled tree outputs."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != model.dim:
-        raise DimensionMismatch(model.dim, x.shape[0])
-    p = softmax_rows(_margins(model, x.reshape(1, -1)))[0]
-    return (float(p[0]), float(p[1]), float(p[2]), float(p[3]))
-
-
 def predict_gbdt_batch(model: GbdtModel, X) -> np.ndarray:
+    """(rows, 4) class probabilities: softmax over the base scores plus the
+    scaled outputs of every tree, added round by round so each margin sums
+    in the same order as when the model was trained."""
     X = _as_matrix(X)
     if X.shape[1] != model.dim:
         raise DimensionMismatch(model.dim, X.shape[1])
-    return softmax_rows(_margins(model, X))
+    F = np.tile(model.base_scores, (X.shape[0], 1))
+    for start in range(0, X.shape[0], _ROWS_PER_WALK):
+        block = F[start : start + _ROWS_PER_WALK]
+        leaves = model.forest.leaf_values(X[start : start + _ROWS_PER_WALK])
+        leaves = leaves.reshape(block.shape[0], model.rounds, N_CLASSES)
+        for r in range(model.rounds):
+            block += model.learning_rate * leaves[:, r, :]
+    return softmax_rows(F)
+
+
+def predict_gbdt(model: GbdtModel, x) -> tuple[float, float, float, float]:
+    """Class probabilities of one feature vector: one row of predict_gbdt_batch."""
+    p = predict_gbdt_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
+    return (float(p[0]), float(p[1]), float(p[2]), float(p[3]))
 
 
 def gbdt_to_dict(model: GbdtModel) -> dict:
@@ -223,19 +304,14 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
 
 
 def gbdt_from_dict(raw: dict) -> GbdtModel:
-    model = GbdtModel(
+    check_number(raw["learning_rate"], "learning_rate")
+    return GbdtModel(
         trees=raw["trees"],
-        base_scores=np.asarray(raw["base_scores"], dtype=np.float64),
+        base_scores=_finite_array(raw, "base_scores", (N_CLASSES,)),
         learning_rate=float(raw["learning_rate"]),
         max_depth=int(raw["max_depth"]),
         dim=int(raw["dim"]),
         degenerate=bool(raw["degenerate"]),
         feature_layout=str(raw["feature_layout"]),
     )
-    if not isinstance(model.trees, list) or not all(
-        isinstance(r, list) and len(r) == N_CLASSES and all(isinstance(t, dict) for t in r)
-        for r in model.trees
-    ):
-        raise SchemaViolation("trees", f"must be an array of rounds of {N_CLASSES} tree objects")
-    return model
 

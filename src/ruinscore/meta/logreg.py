@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionMismatch, NonFiniteLoss
+from ..errors import DimensionMismatch, NonFiniteLoss, SchemaViolation
 from .features import FEATURE_LAYOUT
 from .hyper import TrainHyper
 
@@ -39,6 +39,16 @@ def _as_matrix(X) -> np.ndarray:
     if X.ndim != 2:
         raise DimensionMismatch(2, X.ndim)
     return X
+
+
+def _finite_array(raw: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """raw[key] as a float64 array of exactly `shape` with finite entries."""
+    arr = np.asarray(raw[key], dtype=np.float64)
+    if arr.shape != shape:
+        raise SchemaViolation(key, f"must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise SchemaViolation(key, "must be finite")
+    return arr
 
 
 def _one_hot(y, n: int) -> np.ndarray:
@@ -162,13 +172,15 @@ def logreg_to_dict(model: LogRegModel) -> dict:
 
 
 def logreg_from_dict(raw: dict) -> LogRegModel:
-    W = np.asarray(raw["weights"], dtype=np.float64)
-    return LogRegModel(
-        weights=W,
-        mean=np.asarray(raw["mean"], dtype=np.float64),
-        std=np.asarray(raw["std"], dtype=np.float64),
+    dim = int(raw["dim"])
+    model = LogRegModel(
+        weights=_finite_array(raw, "weights", (N_CLASSES, dim + 1)),
+        mean=_finite_array(raw, "mean", (dim,)),
+        std=_finite_array(raw, "std", (dim,)),
         iterations=int(raw["trained"]["iterations"]),
         final_loss=float(raw["trained"]["final_loss"]),
         feature_layout=str(raw["feature_layout"]),
     )
-
+    if not (model.std > 0.0).all():
+        raise SchemaViolation("std", "must be positive")
+    return model

@@ -53,6 +53,8 @@ def load_model(path: str | Path) -> LogRegModel | GbdtModel:
         raise IoFailure(f"cannot read model file {p}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaViolation("$", f"model file is not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise SchemaViolation("$", "model file nests too deeply") from None
     if not isinstance(raw, dict):
         raise SchemaViolation("$", "model file must be an object")
     fmt = raw.get("format")
@@ -66,7 +68,7 @@ def load_model(path: str | Path) -> LogRegModel | GbdtModel:
         model = from_dict(raw)
     except KeyError as exc:
         raise SchemaViolation(str(exc.args[0]), "missing key") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaViolation("$", f"malformed model file ({exc})") from None
     if model.feature_layout != FEATURE_LAYOUT:
         raise SchemaViolation(

@@ -174,6 +174,48 @@ class TestExternalBackend:
         with pytest.raises(BackendUnavailable):
             ExternalBackend(["/no/such/binary/anywhere"])
 
+    def test_timeout_restarts_the_child(self, stub, tmp_path):
+        command = [sys.executable, stub("stall_first_backend"), str(tmp_path / "stalled")]
+        with ExternalBackend(command, timeout_s=2.0) as backend:
+            with pytest.raises(Timeout):
+                backend.exchange({"image": "a.jpg", "task": "damage"})
+            # a fresh child answers; the stalled one can no longer reply
+            assert len(backend.exchange({"image": "bb.jpg", "task": "damage"})["detections"]) == 2
+            assert len(backend.exchange({"image": "c.jpg", "task": "damage"})["detections"]) == 1
+
+    def test_protocol_violation_restarts_the_child(self, tmp_path):
+        marker = tmp_path / "warmed"
+        script = tmp_path / "stray_line.py"
+        # the first request ever gets a stray log line before its reply;
+        # scene replies name the image they answer: inside for b, else outside
+        script.write_text(
+            "import json, os, sys\n"
+            "for line in sys.stdin:\n"
+            "    image = json.loads(line)['image']\n"
+            f"    if not os.path.exists({str(marker)!r}):\n"
+            f"        open({str(marker)!r}, 'w').close()\n"
+            "        print('log: warming up', flush=True)\n"
+            "    scene = 'inside' if image.startswith('b') else 'outside'\n"
+            "    print(json.dumps({'scene': scene, 'confidence': 1.0}), flush=True)\n"
+        )
+        with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
+            with pytest.raises(ProtocolViolation):
+                backend.exchange({"image": "a.jpg", "task": "scene"})
+            # the reply queued behind the stray line died with its child
+            assert backend.exchange({"image": "b.jpg", "task": "scene"})["scene"] == "inside"
+            assert backend.exchange({"image": "c.jpg", "task": "scene"})["scene"] == "outside"
+
+    def test_relative_image_path_resolves_against_root(self, stub, tmp_path):
+        (tmp_path / "frames").mkdir()
+        (tmp_path / "frames" / "x.jpg").write_bytes(b"")
+        command = [sys.executable, stub("stall_first_backend"), str(tmp_path / "stall-never")]
+        (tmp_path / "stall-never").touch()
+        entry = ImageEntry(id="x", image_path="frames/x.jpg")
+        with ExternalBackend(command, timeout_s=10, root=tmp_path) as backend:
+            assert backend.query(entry, "scene").cls is SceneClass.INSIDE
+        with ExternalBackend(command, timeout_s=10) as backend:
+            assert backend.query(entry, "scene").cls is SceneClass.OUTSIDE
+
     def test_missing_image_path(self, stub):
         entry = ImageEntry(id="x")
         with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import io
 import json
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ruinscore import cli, meta
+from ruinscore.backend import FileBackend, run_cascade
 from ruinscore.cli import load_config_file, main
 from ruinscore.dataset_io import LEVEL_BY_LABEL, load_manifest
 from ruinscore.errors import SchemaViolation
 from ruinscore.evaluate import compute_metrics, confusion_matrix
-from ruinscore.fusion import DecisionMode
+from ruinscore.fusion import DecisionMode, FusionConfig, final_decision, rule_fusion
 
 from helpers import write_dataset
 
@@ -111,6 +116,29 @@ class TestAssess:
         assert record["scene"]["class"] == "outside"
         assert record["counts"]["n_crack"] == 1
 
+    def test_external_timeout_does_not_shift_replies(self, tmp_path, stub, capsys):
+        images = [{"id": i, "image_path": f"frames/{i}.jpg"} for i in ("a", "bb", "ccc")]
+        path = write_dataset(tmp_path / "d", images)
+        (tmp_path / "d" / "frames").mkdir()
+        for img in images:
+            (tmp_path / "d" / img["image_path"]).write_bytes(b"")
+        command = [sys.executable, stub("stall_first_backend"), str(tmp_path / "stalled")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"command": command, "timeout_s": 2.0}}))
+        code, out, err = run(
+            capsys, "assess", "--manifest", str(path), "--backend", "external",
+            "--config", str(config), "--keep-going",
+        )
+        assert code == 0
+        assert err.splitlines() == ["skip a: Timeout: backend did not answer within 2.0 s"]
+        records = [json.loads(line) for line in out.splitlines()]
+        # each reply names its image: one crack per letter of the stem, and the
+        # scene is inside only if the path resolved against the manifest dir
+        assert [(r["image_id"], r["counts"]["n_crack"], r["scene"]["class"]) for r in records] == [
+            ("bb", 2, "inside"),
+            ("ccc", 3, "inside"),
+        ]
+
     @pytest.mark.parametrize(
         "payload, field",
         [
@@ -131,6 +159,21 @@ class TestAssess:
         assert error["error"] == "SchemaViolation"
         assert error["detail"].startswith(f"schema violation at {field}:")
 
+    def test_model_dimension_checked_before_any_image(self, fixture3, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        meta.save_model(
+            meta.GbdtModel(trees=[], base_scores=np.zeros(4), learning_rate=0.1,
+                           max_depth=3, dim=2),
+            model,
+        )
+        code, out, err = run(
+            capsys, "assess", "--manifest", str(fixture3), "--meta-model", str(model),
+            "--keep-going",
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip())["error"] == "DimensionMismatch"
+
     def test_meta_mode_without_model_fails(self, fixture3, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"decision_mode": "meta_only"}))
@@ -139,6 +182,111 @@ class TestAssess:
         )
         assert code == 1
         assert json.loads(err.strip())["error"] == "MissingMeta"
+
+
+@pytest.fixture(scope="module")
+def chunked_corpus(tmp_path_factory):
+    """A hybrid config, a gbdt model, and a synthetic manifest of a bit over
+    two chunks whose damage files are missing at the chunk edges."""
+    root = tmp_path_factory.mktemp("chunked")
+    assert main(["gen-synthetic", "--seed", "3", "--n", "200", "--out", str(root / "train")]) == 0
+    model = root / "gb.json"
+    assert main(
+        ["train-meta", "--manifest", str(root / "train" / "manifest.json"), "--kind", "gbdt",
+         "--rounds", "10", "--out", str(model)]
+    ) == 0
+    n = 2 * cli.CHUNK_SIZE + 10
+    assert main(["gen-synthetic", "--seed", "5", "--n", str(n), "--out", str(root / "data"),
+                 "--false-positive-rate", "0.2"]) == 0
+    manifest = root / "data" / "manifest.json"
+    entries = json.loads(manifest.read_text())["images"]
+    broken = [cli.CHUNK_SIZE - 1, cli.CHUNK_SIZE, 2 * cli.CHUNK_SIZE - 1, 2 * cli.CHUNK_SIZE]
+    for i in broken:
+        (root / "data" / entries[i]["damage_file"]).unlink()
+    config = root / "config.json"
+    config.write_text(json.dumps({"version": "v2", "decision_mode": "hybrid"}))
+    ids = [e["id"] for e in entries]
+    return {"manifest": manifest, "model": model, "config": config, "ids": ids,
+            "broken": [ids[i] for i in broken]}
+
+
+def assess_chunked(capsys, corpus, *extra) -> tuple[int, str, str]:
+    return run(
+        capsys, "assess", "--manifest", str(corpus["manifest"]), "--config", str(corpus["config"]),
+        "--meta-model", str(corpus["model"]), *extra,
+    )
+
+
+class TestChunkedAssess:
+    def test_jobs_byte_identical_with_skips_at_chunk_edges(self, chunked_corpus, capsys):
+        runs = [
+            assess_chunked(capsys, chunked_corpus, "--keep-going", "--jobs", jobs)
+            for jobs in ("1", "3")
+        ]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 0
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            f"skip {i}" for i in chunked_corpus["broken"]
+        ]
+        ids = [json.loads(line)["image_id"] for line in out.splitlines()]
+        assert ids == [i for i in chunked_corpus["ids"] if i not in chunked_corpus["broken"]]
+
+    def test_batched_probs_equal_one_row_predict(self, chunked_corpus, capsys):
+        code, out, _ = assess_chunked(capsys, chunked_corpus, "--keep-going")
+        assert code == 0
+        manifest = load_manifest(chunked_corpus["manifest"])
+        entries = {e.id: e for e in manifest.images}
+        model = meta.load_model(chunked_corpus["model"])
+        config = FusionConfig.from_dict({"version": "v2", "decision_mode": "hybrid"})
+        backend = FileBackend(manifest)
+        for line in out.splitlines():
+            record = json.loads(line)
+            cascade = run_cascade(entries[record["image_id"]], backend)
+            rule = rule_fusion(cascade, config)
+            probs = meta.predict_gbdt(model, meta.extract_features(cascade, rule, config))
+            assert record["meta"]["probs"] == list(probs)
+            assert record["final"] == final_decision(rule, probs, config).label
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_failure_writes_earlier_records_then_error(self, chunked_corpus, capsys, jobs):
+        code, out, err = assess_chunked(capsys, chunked_corpus, "--jobs", jobs)
+        assert code == 1
+        first_broken = chunked_corpus["ids"].index(chunked_corpus["broken"][0])
+        ids = [json.loads(line)["image_id"] for line in out.splitlines()]
+        assert ids == chunked_corpus["ids"][:first_broken]
+        error = json.loads(err.strip())
+        assert (error["error"], error["image_id"]) == ("MissingFile", chunked_corpus["broken"][0])
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "4"])
+    def test_in_flight_entries_bounded_by_one_chunk(self, tmp_path, monkeypatch, jobs):
+        images = [
+            {"id": f"img{i:03d}", "scene": "outside", "damage": "0 0.5 0.5 0.1 0.1 0.9\n"}
+            for i in range(2 * cli.CHUNK_SIZE + 5)
+        ]
+        path = write_dataset(tmp_path / "d", images)
+        lock = threading.Lock()
+        counts = {"started": 0, "written": 0, "max_in_flight": 0}
+
+        class CountingStream(io.StringIO):
+            def write(self, text):
+                with lock:
+                    counts["written"] += text.count("\n")
+                return super().write(text)
+
+        def counting_cascade(entry, backend):
+            with lock:
+                counts["started"] += 1
+                in_flight = counts["started"] - counts["written"]
+                counts["max_in_flight"] = max(counts["max_in_flight"], in_flight)
+            return run_cascade(entry, backend)
+
+        monkeypatch.setattr(cli, "run_cascade", counting_cascade)
+        stream = CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["assess", "--manifest", str(path), "--jobs", jobs]) == 0
+        assert counts["written"] == len(images)
+        assert 1 <= counts["max_in_flight"] <= cli.CHUNK_SIZE
 
 
 class TestEvaluate:
@@ -168,6 +316,25 @@ class TestEvaluate:
         assert code == 0
         assert "Accuracy (%): 75.00" in out
         assert "± 1 Accuracy: 100.00" in out
+
+    @pytest.mark.parametrize("image_id, detail", [
+        ("i1", "duplicate image_id 'i1'"),
+        (1, "image_id must be a string"),
+    ])
+    def test_duplicate_or_non_string_image_id_rejected(self, tmp_path, capsys, image_id, detail):
+        images = [{"id": f"i{k}", "gt": k, "scene": "outside", "damage": ""} for k in range(3)]
+        path = write_dataset(tmp_path / "d", images)
+        a = tmp_path / "a.jsonl"
+        lines = [{"image_id": "i0", "final": "zero"}, {"image_id": "i1", "final": "slight"},
+                 {"image_id": image_id, "final": "slight"}]
+        a.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        code, out, err = run(capsys, "evaluate", "--assessments", str(a), "--manifest", str(path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip()) == {
+            "error": "SchemaViolation",
+            "detail": f"schema violation at line 3: {detail}",
+        }
 
     def test_no_ground_truth_anywhere(self, tmp_path, capsys):
         path = write_dataset(tmp_path / "d", [{"id": "a", "scene": "outside", "damage": ""}])

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ruinscore.dataset_io import DamageLevel
-from ruinscore.errors import DegenerateData, DimensionMismatch
+from ruinscore.errors import DegenerateData, DimensionMismatch, SchemaViolation
 from ruinscore.meta import (
     GbdtHyper,
     GbdtModel,
@@ -12,12 +16,14 @@ from ruinscore.meta import (
     load_model,
     model_to_json,
     predict_gbdt,
+    predict_gbdt_batch,
     save_model,
     train_gbdt,
     train_logreg,
     training_accuracy,
 )
 from ruinscore.meta.gbdt import best_split
+from ruinscore.meta.logreg import softmax_rows
 
 from helpers import xor_fixture
 
@@ -143,3 +149,151 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         predict_gbdt(model, np.zeros(X.shape[1] + 1))
 
+
+
+DIM = 3
+finite = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+def trees_of(max_depth: int):
+    """Uneven nested-dict trees no deeper than max_depth."""
+    leaf = st.builds(lambda v: {"value": v}, finite)
+    if max_depth == 0:
+        return leaf
+    split = st.builds(
+        lambda f, t, left, right: {"feature": f, "threshold": t, "left": left, "right": right},
+        st.integers(0, DIM - 1),
+        finite,
+        trees_of(max_depth - 1),
+        trees_of(max_depth - 1),
+    )
+    return st.one_of(leaf, split)
+
+
+def reference_leaf(node: dict, x) -> float:
+    """Recursive walk: x <= threshold goes left, anything else (NaN too) right."""
+    while "value" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["value"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rounds=st.lists(st.lists(trees_of(3), min_size=4, max_size=4), max_size=4),
+    rows=st.lists(
+        st.lists(st.one_of(finite, st.just(float("nan"))), min_size=DIM, max_size=DIM),
+        min_size=1,
+        max_size=12,
+    ),
+    learning_rate=st.floats(0.01, 1.0),
+)
+def test_flat_forest_equals_recursive_walk(rounds, rows, learning_rate):
+    model = GbdtModel(
+        trees=rounds,
+        base_scores=np.log([0.1, 0.2, 0.3, 0.4]),
+        learning_rate=learning_rate,
+        max_depth=3,
+        dim=DIM,
+    )
+    X = np.array(rows)
+    leaves = model.forest.leaf_values(X)
+    F = np.tile(model.base_scores, (len(rows), 1))
+    for r, round_trees in enumerate(rounds):
+        for c, tree in enumerate(round_trees):
+            expected = np.array([reference_leaf(tree, x) for x in X])
+            assert np.array_equal(leaves[:, 4 * r + c], expected)
+            F[:, c] += learning_rate * expected
+    assert np.array_equal(predict_gbdt_batch(model, X), softmax_rows(F))
+
+
+def test_one_row_predict_is_a_view_of_the_batch():
+    X, y = xor_fixture(n_per_cluster=30)
+    model = train_gbdt(X, y, TrainHyper())
+    X[::7, 0] = np.nan
+    batch = predict_gbdt_batch(model, X)
+    for i, x in enumerate(X):
+        assert predict_gbdt(model, x) == tuple(predict_gbdt_batch(model, x[None])[0])
+        assert predict_gbdt(model, x) == tuple(batch[i])
+
+
+def _model_file(tmp_path, mutate) -> str:
+    raw = {
+        "format": "ruinscore-gbdt-v1",
+        "feature_layout": "v1",
+        "dim": 2,
+        "learning_rate": 0.1,
+        "max_depth": 2,
+        "degenerate": False,
+        "base_scores": [0.0, 0.0, 0.0, 0.0],
+        "trees": [
+            [{"value": 0.0}] * 4,
+            [
+                {"value": 0.1},
+                {"value": 0.2},
+                {
+                    "feature": 1,
+                    "threshold": 0.5,
+                    "left": {"value": -0.1},
+                    "right": {"feature": 0, "threshold": 0.0, "left": {"value": 0.3},
+                              "right": {"value": 0.4}},
+                },
+                {"value": 0.0},
+            ],
+        ],
+    }
+    mutate(raw)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _node(raw) -> dict:
+    return raw["trees"][1][2]
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda raw: _node(raw).update(feature=2), "trees[1][2].feature"),
+        (lambda raw: _node(raw).update(feature=-1), "trees[1][2].feature"),
+        (lambda raw: _node(raw).update(feature=1.0), "trees[1][2].feature"),
+        (lambda raw: _node(raw).update(feature=True), "trees[1][2].feature"),
+        (lambda raw: _node(raw).pop("feature"), "trees[1][2].feature"),
+        (lambda raw: _node(raw).update(threshold=float("nan")), "trees[1][2].threshold"),
+        (lambda raw: _node(raw).update(threshold="0.5"), "trees[1][2].threshold"),
+        (lambda raw: _node(raw)["right"].update(left={"value": float("inf")}),
+         "trees[1][2].right.left.value"),
+        (lambda raw: _node(raw)["right"].update(right={"value": None}),
+         "trees[1][2].right.right.value"),
+        (lambda raw: _node(raw).pop("right"), "trees[1][2].right"),
+        (lambda raw: _node(raw).update(left=[]), "trees[1][2].left"),
+        (lambda raw: raw.update(max_depth=1), "trees[1][2].right.right"),
+        (lambda raw: raw["trees"][0].__setitem__(3, "leaf"), "trees[0][3]"),
+        (lambda raw: raw.update(base_scores=[0.0, 0.0, 0.0]), "base_scores"),
+        (lambda raw: raw.update(base_scores=[0.0, 0.0, float("nan"), 0.0]), "base_scores"),
+        (lambda raw: raw.update(learning_rate=float("inf")), "learning_rate"),
+    ],
+)
+def test_malformed_tree_rejected_at_load(tmp_path, mutate, field):
+    with pytest.raises(SchemaViolation) as exc:
+        load_model(_model_file(tmp_path, mutate))
+    assert exc.value.field == field
+
+
+def test_deeply_nested_model_file_rejected(tmp_path):
+    deep = '{"left": ' * 5000 + '{"value": 0}' + "}" * 5000
+    path = _model_file(tmp_path, lambda raw: None)
+    text = Path(path).read_text().replace('{"value": 0.1}', deep, 1)
+    Path(path).write_text(text)
+    with pytest.raises(SchemaViolation) as exc:
+        load_model(path)
+    assert exc.value.field == "$"
+
+
+def test_well_formed_model_file_loads(tmp_path):
+    model = load_model(_model_file(tmp_path, lambda raw: None))
+    assert model.forest.depth == 2
+    # x[1] > 0.5 and x[0] <= 0.0 reach the 0.3 leaf of class 2
+    probs = predict_gbdt(model, np.array([0.0, 1.0]))
+    margins = 0.1 * np.array([[0.0, 0.0, 0.0, 0.0]]) + 0.1 * np.array([[0.1, 0.2, 0.3, 0.0]])
+    assert probs == tuple(softmax_rows(margins)[0])

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from ruinscore.dataset_io import DamageLevel
-from ruinscore.errors import DimensionMismatch, NonFiniteLoss
+from ruinscore.errors import DimensionMismatch, NonFiniteLoss, SchemaViolation
 from ruinscore.meta import (
     LogRegHyper,
     TrainHyper,
@@ -144,3 +146,27 @@ def test_levels_accepted_as_labels():
 def test_softmax_rows_stable_for_large_logits():
     P = softmax_rows(np.array([[1000.0, 0.0, 0.0, 0.0]]))
     assert np.isfinite(P).all() and P[0, 0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("weights", [[0.0] * 6] * 4),
+        ("weights", [[0.0] * 7] * 3),
+        ("weights", [[0.0] * 7] * 3 + [[0.0] * 6 + [float("nan")]]),
+        ("mean", [0.0] * 5),
+        ("std", [[1.0] * 6]),
+        ("std", [1.0] * 5 + [0.0]),
+        ("std", [1.0] * 5 + [-2.0]),
+        ("std", [1.0] * 5 + [float("inf")]),
+    ],
+)
+def test_malformed_arrays_rejected_at_load(tmp_path, key, value):
+    X, y = small_fixture()
+    raw = json.loads(model_to_json(train_logreg(X, y, hyper(iterations=5))))
+    raw[key] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SchemaViolation) as exc:
+        load_model(path)
+    assert exc.value.field == key
