@@ -33,6 +33,7 @@ from .errors import (
     ProcessExited,
     ProtocolViolation,
     RuinscoreError,
+    SchemaViolation,
     Timeout,
 )
 
@@ -101,9 +102,10 @@ class ExternalBackend:
 
     A handle is a serial channel: exchanges are serialized by an internal
     lock. Run several handles for parallelism, never interleave one. After a
-    Timeout or ProtocolViolation the child is killed and a fresh one starts
-    on the next request, so a late or stray reply is never read as the
-    answer to a later request.
+    Timeout, ProtocolViolation or ProcessExited the child is killed (or
+    reaped) and a fresh one starts on the next request, so a late or stray
+    reply is never read as the answer to a later request, and one crash
+    fails only the request it hit.
     """
 
     _EOF = object()
@@ -166,7 +168,7 @@ class ExternalBackend:
                 self._spawn()
             try:
                 return self._exchange(request)
-            except (Timeout, ProtocolViolation):
+            except (Timeout, ProtocolViolation, ProcessExited):
                 self._kill()
                 raise
 
@@ -187,9 +189,9 @@ class ExternalBackend:
             self._proc.wait()
             raise ProcessExited(self._proc.returncode)
         try:
-            response = json.loads(line)
-        except json.JSONDecodeError:
-            raise ProtocolViolation(f"response is not JSON: {line.strip()!r}") from None
+            response = dataset_io.decode_json(line)
+        except SchemaViolation:
+            raise ProtocolViolation(f"response is not JSON: {line.strip()[:200]!r}") from None
         if not isinstance(response, dict):
             raise ProtocolViolation("response is not a JSON object")
         echoed = response.pop("task", None)

@@ -72,10 +72,7 @@ def load_config_file(path: str | Path | None) -> tuple[FusionConfig, BackendSett
     p = Path(path)
     if not p.is_file():
         raise MissingFile(str(p))
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("$", f"not valid JSON ({exc.msg})") from None
+    raw = dataset_io.decode_json(p.read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise SchemaViolation("$", "config must be an object")
 
@@ -235,10 +232,7 @@ def read_assessments(path: str | Path) -> list[dict]:
         line = line.strip()
         if not line:
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"line {line_no}", f"not valid JSON ({exc.msg})") from None
+        rec = dataset_io.decode_json(line, f"line {line_no}")
         if not isinstance(rec, dict) or "image_id" not in rec or "final" not in rec:
             raise SchemaViolation(f"line {line_no}", "record needs image_id and final")
         image_id = rec["image_id"]

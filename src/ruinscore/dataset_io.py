@@ -195,6 +195,18 @@ _ENTRY_KEYS = {
 }
 
 
+def decode_json(text: str, field: str = "$", invalid: str = "not valid JSON") -> object:
+    """json.loads for untrusted text. Text that is not JSON, and JSON nested
+    deeper than the decoder's recursion limit, raise SchemaViolation at
+    `field`: "<invalid> (<reason>)"."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(field, f"{invalid} ({exc.msg})") from None
+    except RecursionError:
+        raise SchemaViolation(field, f"{invalid} (nested too deeply)") from None
+
+
 def _parse_class_map(raw: object, kind: DetectionKind, where: str) -> dict:
     enum_cls = _KIND_ENUM[kind]
     if not isinstance(raw, dict):
@@ -274,11 +286,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     p = Path(path)
     if not p.is_file():
         raise MissingFile(str(p))
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("$", f"not valid JSON ({exc.msg})") from None
-
+    raw = decode_json(p.read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise SchemaViolation("$", "top level must be an object")
     unknown = set(raw) - _MANIFEST_KEYS
@@ -400,11 +408,7 @@ def detections_from_obj(obj: object, kind: DetectionKind):
 
 def parse_json_detections(text: str, kind: DetectionKind):
     """Parse the JSON detection schema; classes are given by name, not id."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("$", f"not valid JSON ({exc.msg})") from None
-    return detections_from_obj(raw, kind)
+    return detections_from_obj(decode_json(text), kind)
 
 
 def read_detections(path: Path, class_map: Mapping[int, object], kind: DetectionKind):

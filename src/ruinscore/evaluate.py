@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dataset_io import DamageLevel
+from .dataset_io import DamageLevel, decode_json
 from .errors import EmptyMatrix, SchemaViolation
 
 REPORT_FORMAT = "ruinscore-report-v1"
@@ -215,9 +215,5 @@ def report_from_dict(raw: dict) -> EvalReport:
 
 
 def parse_report(text: str) -> EvalReport:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("$", f"report is not valid JSON ({exc.msg})") from None
-    return report_from_dict(raw)
+    return report_from_dict(decode_json(text, invalid="report is not valid JSON"))
 

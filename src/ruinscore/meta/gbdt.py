@@ -17,7 +17,7 @@ from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
 from ..fusion import check_number
 from .features import FEATURE_LAYOUT
 from .hyper import TrainHyper
-from .logreg import _as_matrix, _finite_array, _one_hot, softmax_rows
+from .logreg import _as_matrix, _finite_array, _one_hot, _training_matrix, softmax_rows
 
 N_CLASSES = 4
 GBDT_FORMAT = "ruinscore-gbdt-v1"
@@ -138,84 +138,130 @@ class GbdtModel:
 
 
 def best_split(
-    x_sorted: np.ndarray,
-    g_sorted: np.ndarray,
-    h_sorted: np.ndarray,
+    xs: np.ndarray,
+    gs: np.ndarray,
+    hs: np.ndarray,
     lam: float,
     min_leaf: int,
 ) -> tuple[int, int, float, float]:
     """Best axis-aligned split for one tree node.
 
-    Inputs are (n, d) float64 arrays whose columns were each sorted by
-    feature value (gradients and hessians gathered into the same order).
-    Candidate thresholds are the left-side values at boundaries between
-    distinct consecutive sorted values; x <= threshold routes left. Returns
-    (feature, n_left, threshold, gain), or NO_SPLIT when no candidate has
-    positive gain and min_leaf samples on both sides.
+    Inputs are (d, n) float64 arrays: row j holds the node's values of
+    feature j in ascending order, with the gradients and hessians of the
+    same samples in the same order. Candidate thresholds are the left-side
+    values at boundaries between distinct consecutive sorted values;
+    x <= threshold routes left. Returns (feature, n_left, threshold, gain),
+    or NO_SPLIT when no candidate has positive gain and min_leaf samples on
+    both sides.
 
     The result is deterministic: prefix sums accumulate sequentially left to
     right (np.cumsum), and the argmax scans feature-major, so ties go to the
-    lowest feature, then the lowest threshold.
+    lowest feature, then the lowest threshold. Gains are computed at the
+    candidate boundaries only; every other position would count as 0.0.
     """
-    n = x_sorted.shape[0]
+    n = xs.shape[1]
     if n < 2 * min_leaf or n < 2:
         return NO_SPLIT
-    csg = np.cumsum(g_sorted, axis=0)
-    csh = np.cumsum(h_sorted, axis=0)
-    g_total = csg[-1]
-    h_total = csh[-1]
+    csg = np.cumsum(gs, axis=1)
+    csh = np.cumsum(hs, axis=1)
+    g_total = csg[:, -1]
+    h_total = csh[:, -1]
 
-    gl = csg[:-1]
-    hl = csh[:-1]
-    gr = g_total - gl
-    hr = h_total - hl
-    gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_total * g_total / (h_total + lam)
-
-    n_left = np.arange(1, n)
-    valid = x_sorted[:-1] != x_sorted[1:]
-    valid &= ((n_left >= min_leaf) & (n_left <= n - min_leaf))[:, None]
-    gain = np.where(valid, gain, 0.0)
-
-    flat = np.argmax(gain.ravel(order="F"))
-    feat, row = divmod(int(flat), n - 1)
-    best = float(gain[row, feat])
-    if best <= 0.0:
+    # the boundary after sorted position k sends k + 1 samples left
+    lo, hi = min_leaf - 1, n - min_leaf
+    cand = np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1])  # feature-major
+    if cand.size == 0:
         return NO_SPLIT
-    return feat, row + 1, float(x_sorted[row, feat]), best
+    width = hi - lo
+    feat = cand // width
+    at = cand + feat * (n - width) + lo  # flat index of (feature, k) in the (d, n) sums
+    gl = csg.ravel()[at]
+    hl = csh.ravel()[at]
+    gt = g_total[feat]
+    ht = h_total[feat]
+    gr = gt - gl
+    hr = ht - hl
+    gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - gt * gt / (ht + lam)
+
+    best = int(np.argmax(gain))
+    if gain[best] <= 0.0:
+        return NO_SPLIT
+    f = int(feat[best])
+    k = int(at[best]) - f * n
+    return f, k + 1, float(xs[f, k]), float(gain[best])
 
 
 def _leaf(g_sum: float, h_sum: float, lam: float) -> dict:
     return {"value": g_sum / (h_sum + lam)}
 
 
-def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int, hp) -> dict:
-    n = X.shape[0]
-    if depth >= hp.max_depth or n < 2 * hp.min_leaf:
-        return _leaf(float(g.sum()), float(h.sum()), hp.lam)
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.ascontiguousarray(np.take_along_axis(X, order, axis=0))
-    gs = np.ascontiguousarray(g[order])
-    hs = np.ascontiguousarray(h[order])
-    feat, _, thr, _ = best_split(xs, gs, hs, hp.lam, hp.min_leaf)
-    if feat < 0:
-        return _leaf(float(g.sum()), float(h.sum()), hp.lam)
-    mask = X[:, feat] <= thr
-    return {
-        "feature": int(feat),
-        "threshold": float(thr),
-        "left": _build_tree(X[mask], g[mask], h[mask], depth + 1, hp),
-        "right": _build_tree(X[~mask], g[~mask], h[~mask], depth + 1, hp),
-    }
+def _cells(xs: np.ndarray, order: np.ndarray, keep: np.ndarray | None) -> tuple:
+    """The kept cells of each feature row, in their sorted order (a stable
+    partition); (None, None) when no child scans them."""
+    if keep is None:
+        return None, None
+    at = np.flatnonzero(keep)  # row-major: each row's kept cells in their order
+    d = xs.shape[0]
+    return xs.take(at).reshape(d, -1), order.take(at).reshape(d, -1)
+
+
+def _build_tree(
+    xs: np.ndarray | None,
+    order: np.ndarray | None,
+    rows: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    depth: int,
+    hp,
+    leaf_of_row: np.ndarray,
+) -> dict:
+    """Grow the subtree over one node's samples.
+
+    rows: (m,) the node's sample indices in ascending order. order, xs: (d, m)
+    the same samples per feature, sorted by value with ties in sample order,
+    and their values; None at max_depth, where only rows are read. A split
+    partitions both stably, so each child's rows are what a fresh stable
+    argsort of its samples would give. Each leaf's value is written to
+    leaf_of_row at its samples.
+    """
+    if depth < hp.max_depth and rows.size >= 2 * hp.min_leaf:
+        feat, n_left, thr, _ = best_split(xs, g[order], h[order], hp.lam, hp.min_leaf)
+        if feat >= 0:
+            goes_left = np.zeros(leaf_of_row.size, dtype=bool)
+            goes_left[order[feat, :n_left]] = True
+            in_left = goes_left[rows]
+            left = right = None  # children at max_depth are leaves: they need their rows only
+            if depth + 1 < hp.max_depth:
+                left = goes_left[order]
+                right = ~left
+            return {
+                "feature": feat,
+                "threshold": thr,
+                "left": _build_tree(
+                    *_cells(xs, order, left), rows[in_left], g, h, depth + 1, hp, leaf_of_row
+                ),
+                "right": _build_tree(
+                    *_cells(xs, order, right), rows[~in_left], g, h, depth + 1, hp, leaf_of_row
+                ),
+            }
+    # summed over the samples in their original order
+    leaf = _leaf(float(g[rows].sum()), float(h[rows].sum()), hp.lam)
+    leaf_of_row[rows] = leaf["value"]
+    return leaf
 
 
 def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
     """Boost hyper.gbdt.rounds rounds of 4 per-class trees.
 
+    Each feature column is sorted once per fit (the pre-sorted column blocks
+    of XGBoost's exact greedy method, Chen & Guestrin 2016); nodes partition
+    those orders instead of sorting again.
+
     A training set with every label identical yields a flagged priors-only
-    model (nothing to split on). Fewer than 2*min_leaf samples raises
-    DegenerateData outright.
+    model (nothing to split on). Fewer than 2*min_leaf samples, or a
+    non-finite feature, raises DegenerateData outright.
     """
-    X = _as_matrix(X)
+    X = _training_matrix(X)
     n, d = X.shape
     hp = hyper.gbdt
     if n < 2 * hp.min_leaf:
@@ -241,6 +287,12 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
         ll = -np.log(np.clip((P * Y).sum(axis=1), 1e-300, None))
         return float((sw * ll).sum() / w_total)
 
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
+    xs = np.take_along_axis(XT, order, axis=1)
+    rows = np.arange(n)
+    leaf_of_row = np.empty(n, dtype=np.float64)
+
     rounds = 0 if degenerate else hp.rounds
     trace.append(current_loss())
     for _ in range(rounds):
@@ -249,10 +301,8 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
         for c in range(N_CLASSES):
             g = (Y[:, c] - P[:, c]) * sw
             h = (P[:, c] * (1.0 - P[:, c])) * sw
-            tree = _build_tree(X, g, h, 0, hp)
-            round_trees.append(tree)
-            leaves = Forest.from_trees([[tree]], hp.max_depth, d).leaf_values(X)
-            F[:, c] += hp.learning_rate * leaves[:, 0]
+            round_trees.append(_build_tree(xs, order, rows, g, h, 0, hp, leaf_of_row))
+            F[:, c] += hp.learning_rate * leaf_of_row
         trees.append(round_trees)
         trace.append(current_loss())
 

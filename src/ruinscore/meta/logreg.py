@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionMismatch, NonFiniteLoss, SchemaViolation
+from ..errors import DegenerateData, DimensionMismatch, NonFiniteLoss, SchemaViolation
 from .features import FEATURE_LAYOUT
 from .hyper import TrainHyper
 
@@ -38,6 +38,18 @@ def _as_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(2, X.ndim)
+    return X
+
+
+def _training_matrix(X) -> np.ndarray:
+    """X as a float64 matrix of finite training features; the first
+    non-finite entry in row-major order raises DegenerateData."""
+    X = _as_matrix(X)
+    if not np.isfinite(X).all():
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(X))[0])
+        raise DegenerateData(
+            f"training feature at row {row}, column {col} is {X[row, col]}; must be finite"
+        )
     return X
 
 
@@ -92,10 +104,11 @@ def _loss_and_grad(
 def train_logreg(X, y, hyper: TrainHyper) -> LogRegModel:
     """Fit the model with exactly hyper.logreg.iterations gradient steps.
 
-    Raises NonFiniteLoss as soon as the loss stops being finite (the usual
-    cause is a too-large learning rate).
+    A non-finite feature raises DegenerateData up front. Raises
+    NonFiniteLoss as soon as the loss stops being finite (the usual cause is
+    a too-large learning rate).
     """
-    X = _as_matrix(X)
+    X = _training_matrix(X)
     n, d = X.shape
     if n < 1:
         raise ValueError("need at least one sample")

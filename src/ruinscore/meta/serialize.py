@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..dataset_io import decode_json
 from ..errors import IoFailure, SchemaViolation
 from .features import FEATURE_LAYOUT
 from .gbdt import GBDT_FORMAT, GbdtModel, gbdt_from_dict, gbdt_to_dict, predict_gbdt_batch
@@ -48,13 +49,10 @@ def load_model(path: str | Path) -> LogRegModel | GbdtModel:
     keys and layout mismatches with SchemaViolation."""
     p = Path(path)
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read model file {p}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("$", f"model file is not valid JSON ({exc.msg})") from None
-    except RecursionError:
-        raise SchemaViolation("$", "model file nests too deeply") from None
+    raw = decode_json(text, invalid="model file is not valid JSON")
     if not isinstance(raw, dict):
         raise SchemaViolation("$", "model file must be an object")
     fmt = raw.get("format")

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ruinscore
 from ruinscore.backend import CascadeOutput, ExternalBackend, run_cascade
 from ruinscore.cli import main
 from ruinscore.dataset_io import BoundingBox, DamageClass, DamageDetection, DamageLevel
@@ -195,10 +198,15 @@ def test_criterion_6_end_to_end_golden_run(tmp_path):
         ["assess", "--manifest", str(data / "manifest.json"), "--out", str(assessments)],
         ["evaluate", "--assessments", str(assessments), "--manifest", str(data / "manifest.json")],
     ]
+    # the child imports the same ruinscore package as this test, installed or not
+    package_root = str(Path(ruinscore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        entry for entry in (package_root, os.environ.get("PYTHONPATH")) if entry
+    )}
     outputs = []
     for cmd in cmds:
         proc = subprocess.run(
-            [sys.executable, "-m", "ruinscore", *cmd], capture_output=True, text=True
+            [sys.executable, "-m", "ruinscore", *cmd], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)

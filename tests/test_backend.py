@@ -205,6 +205,18 @@ class TestExternalBackend:
             assert backend.exchange({"image": "b.jpg", "task": "scene"})["scene"] == "inside"
             assert backend.exchange({"image": "c.jpg", "task": "scene"})["scene"] == "outside"
 
+    @pytest.mark.parametrize("mode, error", [("exit", ProcessExited), ("deep", ProtocolViolation)])
+    def test_exit_or_deep_reply_restarts_the_child(self, stub, tmp_path, mode, error):
+        command = [sys.executable, stub("misbehave_once_backend"), mode, str(tmp_path / "seen")]
+        with ExternalBackend(command, timeout_s=10) as backend:
+            if mode == "exit":  # the first request is answered, then the child is gone
+                assert len(backend.exchange({"image": "a.jpg", "task": "damage"})["detections"]) == 1
+            with pytest.raises(error):
+                backend.exchange({"image": "bb.jpg", "task": "damage"})
+            # a fresh child answers each later request with its own reply
+            assert len(backend.exchange({"image": "ccc.jpg", "task": "damage"})["detections"]) == 3
+            assert len(backend.exchange({"image": "d.jpg", "task": "damage"})["detections"]) == 1
+
     def test_relative_image_path_resolves_against_root(self, stub, tmp_path):
         (tmp_path / "frames").mkdir()
         (tmp_path / "frames" / "x.jpg").write_bytes(b"")

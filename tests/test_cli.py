@@ -14,7 +14,7 @@ from ruinscore.backend import FileBackend, run_cascade
 from ruinscore.cli import load_config_file, main
 from ruinscore.dataset_io import LEVEL_BY_LABEL, load_manifest
 from ruinscore.errors import SchemaViolation
-from ruinscore.evaluate import compute_metrics, confusion_matrix
+from ruinscore.evaluate import compute_metrics, confusion_matrix, parse_report
 from ruinscore.fusion import DecisionMode, FusionConfig, final_decision, rule_fusion
 
 from helpers import write_dataset
@@ -138,6 +138,22 @@ class TestAssess:
             ("bb", 2, "inside"),
             ("ccc", 3, "inside"),
         ]
+
+    def test_external_exit_restarts_the_child(self, tmp_path, stub, capsys):
+        images = [{"id": i, "image_path": f"{i}.jpg"} for i in ("a", "bb", "ccc")]
+        path = write_dataset(tmp_path / "d", images)
+        command = [sys.executable, stub("misbehave_once_backend"), "exit", str(tmp_path / "seen")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"command": command, "timeout_s": 10.0}}))
+        code, out, err = run(
+            capsys, "assess", "--manifest", str(path), "--backend", "external",
+            "--config", str(config), "--keep-going",
+        )
+        assert code == 0
+        # the child exits after a's scene reply; only a's next request hits the exit
+        assert err.splitlines() == ["skip a: ProcessExited: backend process exited with code 0"]
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["image_id"], r["counts"]["n_crack"]) for r in records] == [("bb", 2), ("ccc", 3)]
 
     @pytest.mark.parametrize(
         "payload, field",
@@ -545,6 +561,91 @@ class TestConfigHandling:
         config, _ = load_config_file(p)
         assert config.decision_mode is DecisionMode.HYBRID
         assert config.hybrid_prob_gate == 0.8
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the decoder follows ends in one structured
+    error line and exit 1 for every loader, never in a traceback."""
+
+    @staticmethod
+    def error_of(capsys, *argv) -> dict:
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        return json.loads(line)
+
+    @staticmethod
+    def deep_file(tmp_path, name, head="") -> str:
+        path = tmp_path / name
+        path.write_text(head + DEEP + "\n")
+        return str(path)
+
+    def test_config(self, fixture3, tmp_path, capsys):
+        config = self.deep_file(tmp_path, "config.json")
+        assert self.error_of(capsys, "assess", "--manifest", str(fixture3), "--config", config) == {
+            "error": "SchemaViolation",
+            "detail": "schema violation at $: not valid JSON (nested too deeply)",
+        }
+
+    def test_manifest(self, tmp_path, capsys):
+        manifest = self.deep_file(tmp_path, "manifest.json")
+        assert self.error_of(capsys, "assess", "--manifest", manifest) == {
+            "error": "SchemaViolation",
+            "detail": "schema violation at $: not valid JSON (nested too deeply)",
+        }
+
+    def test_assessments(self, fixture3, tmp_path, capsys):
+        record = json.dumps({"image_id": "img_a", "final": "zero"}) + "\n"
+        stream = self.deep_file(tmp_path, "a.jsonl", head=record)
+        error = self.error_of(
+            capsys, "evaluate", "--assessments", stream, "--manifest", str(fixture3)
+        )
+        assert error == {
+            "error": "SchemaViolation",
+            "detail": "schema violation at line 2: not valid JSON (nested too deeply)",
+        }
+
+    def test_json_detections(self, tmp_path, capsys):
+        detections = self.deep_file(tmp_path, "d.json")
+        assert self.error_of(capsys, "fuse", "--detections", detections) == {
+            "error": "SchemaViolation",
+            "detail": "schema violation at $: not valid JSON (nested too deeply)",
+        }
+
+    def test_model_file(self, fixture3, tmp_path, capsys):
+        model = self.deep_file(tmp_path, "model.json")
+        error = self.error_of(
+            capsys, "assess", "--manifest", str(fixture3), "--meta-model", model
+        )
+        assert error == {
+            "error": "SchemaViolation",
+            "detail": "schema violation at $: model file is not valid JSON (nested too deeply)",
+        }
+
+    def test_backend_reply(self, tmp_path, stub, capsys):
+        path = write_dataset(tmp_path / "d", [{"id": "a", "image_path": "a.jpg"}])
+        command = [sys.executable, stub("misbehave_once_backend"), "deep", str(tmp_path / "seen")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"command": command}}))
+        error = self.error_of(
+            capsys, "assess", "--manifest", str(path), "--backend", "external",
+            "--config", str(config),
+        )
+        assert error["error"] == "ProtocolViolation"
+        assert error["image_id"] == "a"
+        assert error["detail"].startswith("wire protocol violation: response is not JSON: '[[[")
+
+    def test_report(self):
+        # evaluate writes reports but never reads one, so parse_report is called directly
+        with pytest.raises(SchemaViolation) as exc:
+            parse_report(DEEP)
+        assert str(exc.value) == (
+            "schema violation at $: report is not valid JSON (nested too deeply)"
+        )
 
 
 class TestGenSynthetic:

@@ -22,6 +22,7 @@ from ruinscore.meta import (
     train_logreg,
     training_accuracy,
 )
+from ruinscore.meta import gbdt as gbdt_module
 from ruinscore.meta.gbdt import best_split
 from ruinscore.meta.logreg import softmax_rows
 
@@ -104,11 +105,10 @@ def test_split_tie_breaks_lowest_feature_and_threshold():
     X = np.stack([x0, x0], axis=1)
     g = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     h = np.ones(6)
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.ascontiguousarray(np.take_along_axis(X, order, axis=0))
-    gs = np.ascontiguousarray(g[order])
-    hs = np.ascontiguousarray(h[order])
-    feat, n_left, thr, gain = best_split(xs, gs, hs, 1.0, 1)
+    # best_split takes (d, n): one sorted row per feature
+    order = np.argsort(X, axis=0, kind="stable").T
+    xs = np.take_along_axis(X.T, order, axis=1)
+    feat, n_left, thr, gain = best_split(xs, g[order], h[order], 1.0, 1)
     assert feat == 0
     # the splits after x=0 and after x=1 have equal gain; the lower threshold wins
     assert (n_left, thr) == (2, 0.0)
@@ -297,3 +297,153 @@ def test_well_formed_model_file_loads(tmp_path):
     probs = predict_gbdt(model, np.array([0.0, 1.0]))
     margins = 0.1 * np.array([[0.0, 0.0, 0.0, 0.0]]) + 0.1 * np.array([[0.1, 0.2, 0.3, 0.0]])
     assert probs == tuple(softmax_rows(margins)[0])
+
+
+# --- the presorted builder against the per-node argsort builder it replaced ---
+
+
+def reference_best_split(xs, gs, hs, lam, min_leaf):
+    """The (n, d) scan: full gain matrix, invalid cells zeroed, F-order argmax."""
+    n = xs.shape[0]
+    if n < 2 * min_leaf or n < 2:
+        return (-1, 0, 0.0, 0.0)
+    csg = np.cumsum(gs, axis=0)
+    csh = np.cumsum(hs, axis=0)
+    g_total = csg[-1]
+    h_total = csh[-1]
+    gl, hl = csg[:-1], csh[:-1]
+    gr, hr = g_total - gl, h_total - hl
+    gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_total * g_total / (h_total + lam)
+    n_left = np.arange(1, n)
+    valid = xs[:-1] != xs[1:]
+    valid &= ((n_left >= min_leaf) & (n_left <= n - min_leaf))[:, None]
+    gain = np.where(valid, gain, 0.0)
+    flat = np.argmax(gain.ravel(order="F"))
+    feat, row = divmod(int(flat), n - 1)
+    best = float(gain[row, feat])
+    if best <= 0.0:
+        return (-1, 0, 0.0, 0.0)
+    return feat, row + 1, float(xs[row, feat]), best
+
+
+def reference_build_tree(X, g, h, depth, hp) -> dict:
+    """Stable argsort of the node's samples at every node; leaf sums over the
+    node's samples in their original order."""
+    n = X.shape[0]
+    leaf = {"value": float(g.sum()) / (float(h.sum()) + hp.lam)}
+    if depth >= hp.max_depth or n < 2 * hp.min_leaf:
+        return leaf
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.ascontiguousarray(np.take_along_axis(X, order, axis=0))
+    feat, _, thr, _ = reference_best_split(
+        xs, np.ascontiguousarray(g[order]), np.ascontiguousarray(h[order]), hp.lam, hp.min_leaf
+    )
+    if feat < 0:
+        return leaf
+    mask = X[:, feat] <= thr
+    return {
+        "feature": int(feat),
+        "threshold": float(thr),
+        "left": reference_build_tree(X[mask], g[mask], h[mask], depth + 1, hp),
+        "right": reference_build_tree(X[~mask], g[~mask], h[~mask], depth + 1, hp),
+    }
+
+
+def reference_train(X, y, hyper: TrainHyper) -> GbdtModel:
+    """train_gbdt with the per-node argsort builder, margins updated by
+    walking each finished tree."""
+    n, d = X.shape
+    hp = hyper.gbdt
+    Y = np.zeros((n, 4))
+    Y[np.arange(n), y] = 1.0
+    sw = np.ones(n) if hyper.class_weights is None else np.asarray(hyper.class_weights)[y]
+    base = np.log(np.maximum((Y * sw[:, None]).sum(axis=0) / sw.sum(), 1e-12))
+    degenerate = bool((Y.sum(axis=0) > 0).sum() == 1)
+    F = np.tile(base, (n, 1))
+    trees = []
+    for _ in range(0 if degenerate else hp.rounds):
+        P = softmax_rows(F)
+        round_trees = []
+        for c in range(4):
+            g = (Y[:, c] - P[:, c]) * sw
+            h = (P[:, c] * (1.0 - P[:, c])) * sw
+            tree = reference_build_tree(X, g, h, 0, hp)
+            round_trees.append(tree)
+            F[:, c] += hp.learning_rate * reference_leaves(tree, X)
+        trees.append(round_trees)
+    return GbdtModel(
+        trees=trees, base_scores=base, learning_rate=hp.learning_rate,
+        max_depth=hp.max_depth, dim=d, degenerate=degenerate,
+    )
+
+
+def reference_leaves(tree: dict, X: np.ndarray) -> np.ndarray:
+    return np.array([reference_leaf(tree, x) for x in X])
+
+
+# few distinct values, -0.0 beside 0.0: most candidate boundaries are ties
+grid_value = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def tied_training_sets(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 40))
+    X = np.array(draw(st.lists(st.lists(grid_value, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    if draw(st.booleans()):  # a duplicated column: equal gains on two features
+        j = draw(st.integers(0, d - 1))
+        X = np.hstack([X, X[:, j : j + 1]])
+    y = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    weights = draw(st.one_of(
+        st.none(), st.tuples(*[st.sampled_from([0.5, 1.0, 3.0])] * 4)
+    ))
+    gbdt = GbdtHyper(
+        rounds=draw(st.integers(1, 4)),
+        max_depth=draw(st.integers(1, 4)),
+        min_leaf=draw(st.integers(1, max(1, n // 2))),
+        lam=draw(st.sampled_from([0.5, 1.0])),
+        learning_rate=draw(st.sampled_from([0.1, 0.5])),
+    )
+    return X, y, TrainHyper(gbdt=gbdt, class_weights=weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=tied_training_sets())
+def test_presorted_builder_matches_per_node_argsort(data):
+    X, y, hyper = data
+    assert model_to_json(train_gbdt(X, y, hyper)) == model_to_json(reference_train(X, y, hyper))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=tied_training_sets())
+def test_recorded_leaves_equal_forest_walk(data):
+    X, y, hyper = data
+    built = []
+    build = gbdt_module._build_tree
+
+    def recording(xs, order, rows, g, h, depth, hp, leaf_of_row):
+        tree = build(xs, order, rows, g, h, depth, hp, leaf_of_row)
+        if depth == 0:
+            built.append((tree, leaf_of_row.copy()))
+        return tree
+
+    gbdt_module._build_tree = recording
+    try:
+        model = train_gbdt(X, y, hyper)
+    finally:
+        gbdt_module._build_tree = build
+    assert len(built) == 4 * model.rounds
+    for tree, leaves in built:
+        walked = gbdt_module.Forest.from_trees([[tree]], hyper.gbdt.max_depth, X.shape[1])
+        assert np.array_equal(leaves, walked.leaf_values(X)[:, 0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("train", [train_gbdt, train_logreg])
+def test_non_finite_training_feature_rejected(train, bad):
+    X, y = xor_fixture(n_per_cluster=10)
+    X[7, 1] = bad
+    X[9, 0] = bad
+    with pytest.raises(DegenerateData, match=r"row 7, column 1 is (nan|-?inf)"):
+        train(X, y, TrainHyper())
