@@ -1,10 +1,11 @@
 """Evidence sources for the cascade: scene label, components, damage boxes.
 
-Two backends implement the same `query(entry, task)` contract. FileBackend
-reads detection files named in the manifest and never touches image bytes.
-ExternalBackend talks newline-delimited JSON to a child process (one request
-line, one response line), keeping the engine agnostic of whatever model the
-child runs.
+Two backends implement the same `query(entry, tasks)` contract: one call per
+image, answers in task order. FileBackend reads detection files named in the
+manifest and never touches image bytes. ExternalBackend talks
+newline-delimited JSON to a child process (one request line per task, one
+response line per request), keeping the engine agnostic of whatever model
+the child runs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class CascadeOutput:
 
 
 class Backend(Protocol):
-    def query(self, entry: ImageEntry, task: str): ...
+    def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list: ...
 
 
 class FileBackend:
@@ -67,7 +68,10 @@ class FileBackend:
     def __init__(self, manifest: DatasetManifest):
         self._manifest = manifest
 
-    def query(self, entry: ImageEntry, task: str):
+    def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list:
+        return [self._read(entry, task) for task in tasks]
+
+    def _read(self, entry: ImageEntry, task: str):
         if task == "scene":
             raise MissingEvidence(
                 "scene", f"entry {entry.id!r} has no 'scene' key in the manifest"
@@ -97,15 +101,21 @@ class ExternalBackend:
     Requests look like {"image": path, "task": "scene"|"components"|"damage"},
     with a relative image_path resolved against `root` (the manifest's
     directory). Responses are either {"scene": name, "confidence": float} or
-    the detection JSON schema; an echoed "task" key is accepted and, when
-    present, must match the request. stderr passes through for logs.
+    the detection JSON schema, one UTF-8 line per request and in request
+    order; an echoed "task" key is accepted and, when present, must match the
+    request. stderr passes through for logs.
+
+    One image's requests (up to three) are written together, before the
+    first reply is read, so an image costs one round trip. Each reply is
+    decoded and checked before the next is read, and `timeout_s` applies to
+    each reply.
 
     A handle is a serial channel: exchanges are serialized by an internal
     lock. Run several handles for parallelism, never interleave one. After a
     Timeout, ProtocolViolation or ProcessExited the child is killed (or
-    reaped) and a fresh one starts on the next request, so a late or stray
-    reply is never read as the answer to a later request, and one crash
-    fails only the request it hit.
+    reaped) and a fresh one starts on the next exchange, so a late or stray
+    reply is never read as the answer to a later image, and one crash fails
+    only the image it hit.
     """
 
     _EOF = object()
@@ -131,8 +141,6 @@ class ExternalBackend:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=None,
-                text=True,
-                bufsize=1,
             )
         except OSError as exc:
             raise BackendUnavailable(f"cannot start {self.command[0]!r}: {exc}") from None
@@ -161,62 +169,74 @@ class ExternalBackend:
             except OSError:
                 pass
 
-    def exchange(self, request: dict) -> dict:
-        """Send one request line, read and decode one response line."""
+    def _exited(self) -> ProcessExited:
+        """The child closed a pipe: give it `timeout_s` to exit, else kill it."""
+        try:
+            self._proc.wait(timeout=self.timeout_s)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        return ProcessExited(self._proc.returncode)
+
+    def exchange(self, requests: Sequence[dict], convert=None) -> list:
+        """Send all request lines in one write, then read one reply per request.
+
+        Replies are read in request order. Each is decoded and checked, and
+        passed through `convert(task, reply)` when given, before the next is
+        read, so the error raised is the first failing request's.
+        """
         with self._lock:
             if self._proc is None:
                 self._spawn()
             try:
-                return self._exchange(request)
+                self._send(requests)
+                replies = []
+                for request in requests:
+                    task = request.get("task")
+                    reply = self._receive(task)
+                    replies.append(reply if convert is None else convert(task, reply))
+                return replies
             except (Timeout, ProtocolViolation, ProcessExited):
                 self._kill()
                 raise
 
-    def _exchange(self, request: dict) -> dict:
+    def _send(self, requests: Sequence[dict]) -> None:
         if self._proc.poll() is not None:
             raise ProcessExited(self._proc.returncode)
+        payload = "".join(json.dumps(request) + "\n" for request in requests)
         try:
-            self._proc.stdin.write(json.dumps(request) + "\n")
+            self._proc.stdin.write(payload.encode("utf-8"))
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            self._proc.wait()
-            raise ProcessExited(self._proc.returncode) from None
+        except OSError:  # BrokenPipeError included
+            raise self._exited() from None
+
+    def _receive(self, task: str | None) -> dict:
         try:
             line = self._lines.get(timeout=self.timeout_s)
         except queue.Empty:
             raise Timeout(self.timeout_s) from None
         if line is self._EOF:
-            self._proc.wait()
-            raise ProcessExited(self._proc.returncode)
+            raise self._exited()
         try:
-            response = dataset_io.decode_json(line)
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ProtocolViolation(f"response is not UTF-8: {line.strip()[:200]!r}") from None
+        try:
+            response = dataset_io.decode_json(text)
         except SchemaViolation:
-            raise ProtocolViolation(f"response is not JSON: {line.strip()[:200]!r}") from None
+            raise ProtocolViolation(f"response is not JSON: {text.strip()[:200]!r}") from None
         if not isinstance(response, dict):
             raise ProtocolViolation("response is not a JSON object")
         echoed = response.pop("task", None)
-        if echoed is not None and echoed != request.get("task"):
-            raise ProtocolViolation(
-                f"task echo mismatch: sent {request.get('task')!r}, got {echoed!r}"
-            )
+        if echoed is not None and echoed != task:
+            raise ProtocolViolation(f"task echo mismatch: sent {task!r}, got {echoed!r}")
         return response
 
-    def query(self, entry: ImageEntry, task: str):
+    def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list:
         if entry.image_path is None:
-            raise MissingEvidence(task, f"entry {entry.id!r} has no image_path")
-        image = self.root / entry.image_path
-        response = self.exchange({"image": str(image), "task": task})
-        try:
-            if task == "scene":
-                return _scene_from_response(response)
-            kind = DetectionKind.DAMAGE if task == "damage" else DetectionKind.COMPONENT
-            return dataset_io.detections_from_obj(response, kind)
-        except RuinscoreError as exc:
-            with self._lock:
-                self._kill()
-            if isinstance(exc, ProtocolViolation):
-                raise
-            raise ProtocolViolation(f"bad {task} response: {exc}") from None
+            raise MissingEvidence(tasks[0], f"entry {entry.id!r} has no image_path")
+        image = str(self.root / entry.image_path)
+        return self.exchange([{"image": image, "task": task} for task in tasks], _evidence)
 
     def close(self) -> None:
         with self._lock:
@@ -240,6 +260,19 @@ class ExternalBackend:
         self.close()
 
 
+def _evidence(task: str, response: dict):
+    """One decoded reply as the cascade's evidence for `task`."""
+    try:
+        if task == "scene":
+            return _scene_from_response(response)
+        kind = DetectionKind.DAMAGE if task == "damage" else DetectionKind.COMPONENT
+        return dataset_io.detections_from_obj(response, kind)
+    except ProtocolViolation:
+        raise
+    except RuinscoreError as exc:
+        raise ProtocolViolation(f"bad {task} response: {exc}") from None
+
+
 def _scene_from_response(response: dict) -> SceneLabel:
     unknown = set(response) - {"scene", "confidence"}
     if unknown:
@@ -259,16 +292,17 @@ def _scene_from_response(response: dict) -> SceneLabel:
 def run_cascade(entry: ImageEntry, backend: Backend) -> CascadeOutput:
     """Gather one image's evidence in cascade order: scene, components, damage.
 
-    A manifest scene override replaces the backend's scene answer (the
-    backend is then not asked for it; at most one request per task). The
-    scene label never gates the later stages, it only conditions fusion.
+    The backend is asked once per image for every task it must answer. A
+    manifest scene override replaces the backend's scene answer (the backend
+    is then not asked for it; at most one request per task). The scene label
+    never gates the later stages, it only conditions fusion, so the requests
+    do not depend on each other.
     """
     if entry.scene_override is not None:
         scene = SceneLabel(entry.scene_override, 1.0)
+        components, damages = backend.query(entry, TASKS[1:])
     else:
-        scene = backend.query(entry, "scene")
-    components = backend.query(entry, "components")
-    damages = backend.query(entry, "damage")
+        scene, components, damages = backend.query(entry, TASKS)
     return CascadeOutput(
         image_id=entry.id,
         scene=scene,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import threading
@@ -382,6 +383,27 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruinscore",
@@ -411,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=f"JSON config (fallback: ${CONFIG_ENV_VAR})")
     p.add_argument("--kind", choices=["logreg", "gbdt"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-3)
-    p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--rounds", type=int, default=50)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--min-leaf", type=int, default=5)
-    p.add_argument("--reg-lambda", type=float, default=1.0)
+    p.add_argument("--learning-rate", type=positive_float, default=0.1)
+    p.add_argument("--l2", type=non_negative_float, default=1e-3)
+    p.add_argument("--iterations", type=non_negative_int, default=500)
+    p.add_argument("--rounds", type=non_negative_int, default=50)
+    p.add_argument("--max-depth", type=positive_int, default=3)
+    p.add_argument("--min-leaf", type=positive_int, default=5)
+    p.add_argument("--reg-lambda", type=positive_float, default=1.0)
     p.set_defaults(func=_cmd_train_meta)
 
     p = sub.add_parser("fuse", help="fuse one detection file into a level with explanation")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -12,12 +13,13 @@ class LogRegHyper:
     iterations: int = 500
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        # chained comparisons, so NaN and infinities fail them
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError("l2 must be finite and >= 0")
+        if not 0 <= self.iterations < math.inf:
+            raise ValueError("iterations must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -29,16 +31,16 @@ class GbdtHyper:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        if not 0 <= self.rounds < math.inf:
+            raise ValueError("rounds must be finite and >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 1 <= self.max_depth < math.inf:
+            raise ValueError("max_depth must be finite and >= 1")
+        if not 1 <= self.min_leaf < math.inf:
+            raise ValueError("min_leaf must be finite and >= 1")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -56,5 +58,6 @@ class TrainHyper:
 
     def __post_init__(self) -> None:
         if self.class_weights is not None:
-            if len(self.class_weights) != 4 or any(w <= 0 for w in self.class_weights):
-                raise ValueError("class_weights must be 4 positive numbers")
+            weights = self.class_weights
+            if len(weights) != 4 or any(not 0 < w < math.inf for w in weights):
+                raise ValueError("class_weights must be 4 finite positive numbers")

@@ -429,6 +429,41 @@ class TestTrainMeta:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--min-leaf", "0"),
+            ("--min-leaf", "1.5"),
+            ("--max-depth", "0"),
+            ("--rounds", "-1"),
+            ("--iterations", "-1"),
+            ("--learning-rate", "0"),
+            ("--learning-rate", "nan"),
+            ("--learning-rate", "inf"),
+            ("--l2", "-0.5"),
+            ("--l2", "nan"),
+            ("--reg-lambda", "0"),
+            ("--reg-lambda", "-inf"),
+        ],
+    )
+    def test_bad_hyperparameter_is_usage_error(self, fixture3, tmp_path, capsys, flag, value):
+        code, _, err = run(
+            capsys, "train-meta", "--manifest", str(fixture3), "--kind", "gbdt",
+            "--out", str(tmp_path / "m.json"), flag, value,
+        )
+        assert code == 2
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_hyperparameter_bounds_are_accepted(self):
+        args = cli.build_parser().parse_args(
+            ["train-meta", "--manifest", "m", "--kind", "gbdt", "--out", "x", "--rounds", "0",
+             "--iterations", "0", "--l2", "0", "--max-depth", "1", "--min-leaf", "1"]
+        )
+        assert (args.rounds, args.iterations, args.l2, args.max_depth, args.min_leaf) == (
+            0, 0, 0.0, 1, 1
+        )
+
     def test_no_labels_degenerate(self, tmp_path, capsys):
         path = write_dataset(tmp_path / "d", [{"id": "a", "scene": "outside", "damage": ""}])
         code, _, err = run(

@@ -12,6 +12,7 @@ from ruinscore.errors import DegenerateData, DimensionMismatch, SchemaViolation
 from ruinscore.meta import (
     GbdtHyper,
     GbdtModel,
+    LogRegHyper,
     TrainHyper,
     load_model,
     model_to_json,
@@ -31,6 +32,26 @@ from helpers import xor_fixture
 
 def hyper(**kw) -> TrainHyper:
     return TrainHyper(gbdt=GbdtHyper(**kw))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: GbdtHyper(learning_rate=v),
+        lambda v: GbdtHyper(lam=v),
+        lambda v: GbdtHyper(rounds=v),
+        lambda v: GbdtHyper(max_depth=v),
+        lambda v: GbdtHyper(min_leaf=v),
+        lambda v: LogRegHyper(learning_rate=v),
+        lambda v: LogRegHyper(l2=v),
+        lambda v: LogRegHyper(iterations=v),
+        lambda v: TrainHyper(class_weights=(1.0, 1.0, 1.0, v)),
+    ],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1])
+def test_hyperparameters_reject_non_finite_and_out_of_range(make, value):
+    with pytest.raises(ValueError):
+        make(value)
 
 
 def test_all_labels_identical_gives_flagged_priors_model():

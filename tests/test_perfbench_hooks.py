@@ -1,0 +1,43 @@
+"""The benchmark's trace hooks must name functions that still exist.
+
+perfbench/trace.py reports a hook whose target is gone as "absent" and reads
+its per-layer metric as 0, so a rename would silently blank a metric. This
+test reads the hook table and resolves each target with trace.py's own
+`resolve`, leaving perfbench/ untouched.
+"""
+
+from __future__ import annotations
+
+import types
+from pathlib import Path
+
+import pytest
+
+TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+# removed with the compiled split kernel; the hook moves at the next benchmark change
+KNOWN_ABSENT = {("ruinscore.meta._kernels", "best_split")}
+
+
+def load_trace() -> types.ModuleType:
+    """trace.py as a module, compiled from its text so no bytecode is written."""
+    module = types.ModuleType("perfbench_trace")
+    module.__file__ = str(TRACE)
+    exec(compile(TRACE.read_text(encoding="utf-8"), str(TRACE), "exec"), module.__dict__)
+    return module
+
+
+trace = load_trace()
+
+
+@pytest.mark.parametrize(
+    "span, module_name, attr_path",
+    [hook for hook in trace.HOOKS if hook[1:] not in KNOWN_ABSENT],
+    ids=str,
+)
+def test_hook_target_resolves(span, module_name, attr_path):
+    assert trace.resolve(module_name, attr_path) is not None, f"{span}: {module_name}.{attr_path}"
+
+
+def test_known_absent_hooks_are_still_listed():
+    # once the benchmark re-points a hook, drop it from KNOWN_ABSENT
+    assert KNOWN_ABSENT <= {hook[1:] for hook in trace.HOOKS}
