@@ -4,6 +4,9 @@ assess streams one JSON record per image (JSONL), working through the
 manifest in fixed-size chunks, so corpora of any size process with bounded
 memory whatever --jobs is. Exit codes: 0 success, 1 runtime failure
 (structured JSON error on stderr), 2 usage error.
+
+numpy and the meta package load only in the commands that load or train a
+meta-model, so rule-only assess, evaluate and fuse start without them.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import dataset_io, evaluate as evaluate_mod, fusion, meta, synth
+from . import dataset_io, evaluate as evaluate_mod, fusion, synth
 from .backend import (
     DEFAULT_TIMEOUT_S,
     CascadeOutput,
@@ -37,7 +38,6 @@ from .dataset_io import (
 from .errors import (
     DegenerateData,
     DimensionMismatch,
-    MissingFile,
     MissingMeta,
     NoGroundTruth,
     RuinscoreError,
@@ -65,15 +65,12 @@ class BackendSettings:
     timeout_s: float = DEFAULT_TIMEOUT_S
 
 
-def load_config_file(path: str | Path | None) -> tuple[FusionConfig, BackendSettings]:
+def load_config_file(path: str | os.PathLike | None) -> tuple[FusionConfig, BackendSettings]:
     """Load the JSON config; the optional top-level "backend" section is split
     off here so FusionConfig keeps its strict unknown-key rejection."""
     if path is None:
         return FusionConfig(), BackendSettings()
-    p = Path(path)
-    if not p.is_file():
-        raise MissingFile(str(p))
-    raw = dataset_io.decode_json(p.read_text(encoding="utf-8"))
+    raw = dataset_io.decode_json(dataset_io.read_text(path))
     if not isinstance(raw, dict):
         raise SchemaViolation("$", "config must be an object")
 
@@ -136,6 +133,10 @@ def _assessment_record(out, rule, probs, final) -> dict:
 
 def _chunk_probs(model, rows: list) -> list[tuple[float, float, float, float]]:
     """Meta probabilities of one chunk's feature vectors, in row order."""
+    import numpy as np
+
+    from . import meta
+
     if isinstance(model, meta.LogRegModel):
         # per row: predict_logreg_batch can round the last bit differently,
         # which would change assess output bytes
@@ -146,11 +147,16 @@ def _chunk_probs(model, rows: list) -> list[tuple[float, float, float, float]]:
 def _cmd_assess(args) -> int:
     manifest = dataset_io.load_manifest(args.manifest)
     config, backend_cfg = load_config_file(_config_path(args))
-    model = meta.load_model(args.meta_model) if args.meta_model else None
+    model = features = None
+    if args.meta_model:
+        from . import meta
+
+        model = meta.load_model(args.meta_model)
+        if model.dim != meta.FEATURE_DIM:
+            raise DimensionMismatch(meta.FEATURE_DIM, model.dim)
+        features = meta.extract_features
     if config.decision_mode is not DecisionMode.RULE_ONLY and model is None:
         raise MissingMeta(config.decision_mode.value)
-    if model is not None and model.dim != meta.FEATURE_DIM:
-        raise DimensionMismatch(meta.FEATURE_DIM, model.dim)
 
     handles: list[ExternalBackend] = []
     handle_lock = threading.Lock()
@@ -179,7 +185,7 @@ def _cmd_assess(args) -> int:
         try:
             out = run_cascade(entry, get_backend())
             rule = rule_fusion(out, config)
-            x = meta.extract_features(out, rule, config) if model is not None else None
+            x = features(out, rule, config) if model is not None else None
         except RuinscoreError as exc:
             exc.image_id = entry.id
             return exc
@@ -201,7 +207,10 @@ def _cmd_assess(args) -> int:
             final = fusion.final_decision(rule, p, config)
             out_stream.write(json.dumps(_assessment_record(out, rule, p, final)) + "\n")
 
-    pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    # file reads and parsing hold the GIL, so threads only pay off while
+    # they wait on external children
+    parallel = args.jobs > 1 and args.backend == "external"
+    pool = ThreadPoolExecutor(max_workers=args.jobs) if parallel else None
     run_stage = pool.map if pool is not None else map
     out_stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -223,13 +232,10 @@ def _cmd_assess(args) -> int:
     return 0
 
 
-def read_assessments(path: str | Path) -> list[dict]:
-    p = Path(path)
-    if not p.is_file():
-        raise MissingFile(str(p))
+def read_assessments(path: str | os.PathLike) -> list[dict]:
     records = []
     seen: set = set()
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(dataset_io.read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -275,6 +281,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_meta(args) -> int:
+    from . import meta
+
     manifest = dataset_io.load_manifest(args.manifest)
     config, _ = load_config_file(_config_path(args))
     backend = FileBackend(manifest)

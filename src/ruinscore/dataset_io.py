@@ -9,14 +9,15 @@ class names. All values are immutable and safe to share across threads.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadLine,
     DuplicateImageId,
+    IoFailure,
     MissingFile,
     SchemaViolation,
     UnknownClass,
@@ -158,8 +159,8 @@ class ImageEntry:
 class DatasetManifest:
     """Ordered image entries plus the integer-to-class maps for box text files.
 
-    `root` is the directory the manifest was loaded from; relative detection
-    file paths are resolved against it.
+    `root` is the directory the manifest was loaded from ("" for the working
+    directory); relative detection file paths are resolved against it.
     """
 
     images: tuple[ImageEntry, ...]
@@ -169,11 +170,11 @@ class DatasetManifest:
     component_class_map: Mapping[int, ComponentClass] = field(
         default_factory=lambda: dict(DEFAULT_COMPONENT_CLASS_MAP)
     )
-    root: Path = Path(".")
+    root: str = ""
 
-    def resolve(self, relpath: str) -> Path:
-        p = Path(relpath)
-        return p if p.is_absolute() else self.root / p
+    def resolve(self, relpath: str) -> str:
+        # os.path.join keeps an absolute relpath as it is
+        return os.path.join(self.root, relpath)
 
 
 class DetectionKind(Enum):
@@ -195,16 +196,39 @@ _ENTRY_KEYS = {
 }
 
 
+def read_text(path: str | os.PathLike) -> str:
+    """The text of one UTF-8 input file, read with a single open().
+
+    A path that does not exist, is a directory or runs through a file raises
+    MissingFile; any other OSError raises IoFailure; bytes that are not UTF-8
+    raise SchemaViolation at the path.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise MissingFile(str(path)) from None
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(str(path), f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def decode_json(text: str, field: str = "$", invalid: str = "not valid JSON") -> object:
     """json.loads for untrusted text. Text that is not JSON, and JSON nested
-    deeper than the decoder's recursion limit, raise SchemaViolation at
-    `field`: "<invalid> (<reason>)"."""
+    deeper than the decoder's recursion limit or holding an integer longer
+    than int() converts, raise SchemaViolation at `field`:
+    "<invalid> (<reason>)"."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(field, f"{invalid} ({exc.msg})") from None
     except RecursionError:
         raise SchemaViolation(field, f"{invalid} (nested too deeply)") from None
+    except ValueError:  # sys.get_int_max_str_digits() exceeded
+        raise SchemaViolation(field, f"{invalid} (integer too long)") from None
 
 
 def _parse_class_map(raw: object, kind: DetectionKind, where: str) -> dict:
@@ -277,16 +301,13 @@ def _parse_entry(raw: object, index: int) -> ImageEntry:
     )
 
 
-def load_manifest(path: str | Path) -> DatasetManifest:
+def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     """Load a dataset manifest; entries keep file order.
 
     Raises MissingFile, SchemaViolation (with a field path) or
     DuplicateImageId. Absent class_maps take the default integer mappings.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise MissingFile(str(p))
-    raw = decode_json(p.read_text(encoding="utf-8"))
+    raw = decode_json(read_text(path))
     if not isinstance(raw, dict):
         raise SchemaViolation("$", "top level must be an object")
     unknown = set(raw) - _MANIFEST_KEYS
@@ -324,7 +345,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         images=tuple(entries),
         damage_class_map=damage_map,
         component_class_map=component_map,
-        root=p.parent,
+        root=os.path.dirname(path),
     )
 
 
@@ -389,7 +410,7 @@ def _detection_from_obj(obj: object, kind: DetectionKind, where: str):
             raise SchemaViolation(f"{where}.box[{i}]", "must be a number")
     try:
         return det_type(cls, BoundingBox(*(float(v) for v in box)), float(conf))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for float
         raise SchemaViolation(where, str(exc)) from None
 
 
@@ -411,13 +432,11 @@ def parse_json_detections(text: str, kind: DetectionKind):
     return detections_from_obj(decode_json(text), kind)
 
 
-def read_detections(path: Path, class_map: Mapping[int, object], kind: DetectionKind):
+def read_detections(path: str | os.PathLike, class_map: Mapping[int, object], kind: DetectionKind):
     """Read one detection file: the JSON schema when its name ends in .json,
     box text resolved through `class_map` otherwise."""
-    if not path.is_file():
-        raise MissingFile(str(path))
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
+    text = read_text(path)
+    if os.fspath(path).endswith(".json"):
         return parse_json_detections(text, kind)
     return parse_box_text(text, class_map, kind)
 

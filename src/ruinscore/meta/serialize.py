@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataset_io import decode_json
+from ..dataset_io import decode_json, read_text
 from ..errors import IoFailure, SchemaViolation
 from .features import FEATURE_LAYOUT
 from .gbdt import GBDT_FORMAT, GbdtModel, gbdt_from_dict, gbdt_to_dict, predict_gbdt_batch
@@ -46,13 +46,9 @@ def save_model(model: LogRegModel | GbdtModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> LogRegModel | GbdtModel:
     """Load either model kind; rejects unknown formats, missing or mistyped
-    keys and layout mismatches with SchemaViolation."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read model file {p}: {exc}") from None
-    raw = decode_json(text, invalid="model file is not valid JSON")
+    keys and layout mismatches with SchemaViolation. Read failures are
+    dataset_io.read_text's: MissingFile, IoFailure or SchemaViolation."""
+    raw = decode_json(read_text(path), invalid="model file is not valid JSON")
     if not isinstance(raw, dict):
         raise SchemaViolation("$", "model file must be an object")
     fmt = raw.get("format")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -92,6 +94,19 @@ class TestAssess:
         assert code == 0
         ids = [json.loads(line)["image_id"] for line in out.splitlines()]
         assert ids == [img["id"] for img in images]
+
+    def test_file_backend_runs_serially_whatever_jobs(self, tmp_path, monkeypatch, capsys):
+        images = [{"id": f"img{i}", "scene": "outside", "damage": ""} for i in range(5)]
+        path = write_dataset(tmp_path / "d", images)
+        threads = set()
+
+        def recording_cascade(entry, backend):
+            threads.add(threading.current_thread())
+            return run_cascade(entry, backend)
+
+        monkeypatch.setattr(cli, "run_cascade", recording_cascade)
+        assert run(capsys, "assess", "--manifest", str(path), "--jobs", "4")[0] == 0
+        assert threads == {threading.main_thread()}
 
     def test_external_backend_through_cli(self, tmp_path, stub, capsys):
         path = write_dataset(
@@ -681,6 +696,124 @@ class TestDeeplyNestedJson:
         assert str(exc.value) == (
             "schema violation at $: report is not valid JSON (nested too deeply)"
         )
+
+
+NOT_UTF8 = b"\xff\n"
+
+
+class TestNonUtf8Input:
+    """Every input file that is not UTF-8 ends in one structured
+    SchemaViolation naming the file and exit 1, never in a traceback."""
+
+    @staticmethod
+    def bad_file(tmp_path, name) -> str:
+        path = tmp_path / name
+        path.write_bytes(NOT_UTF8)
+        return str(path)
+
+    @staticmethod
+    def assert_names(capsys, path, *argv) -> dict:
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "SchemaViolation"
+        assert error["detail"] == (
+            f"schema violation at {path}: not UTF-8 (invalid start byte at byte 0)"
+        )
+        return error
+
+    def test_damage_file(self, tmp_path, capsys):
+        manifest = write_dataset(
+            tmp_path / "d", [{"id": "bad", "scene": "outside", "damage": ""}]
+        )
+        damage = tmp_path / "d" / "labels" / "bad.txt"
+        damage.write_bytes(NOT_UTF8)
+        error = self.assert_names(capsys, damage, "assess", "--manifest", str(manifest))
+        assert error["image_id"] == "bad"
+
+    @pytest.mark.parametrize("name", ["d.txt", "d.json"])
+    def test_fuse_detections(self, tmp_path, capsys, name):
+        path = self.bad_file(tmp_path, name)
+        self.assert_names(capsys, path, "fuse", "--detections", path)
+
+    def test_manifest(self, tmp_path, capsys):
+        path = self.bad_file(tmp_path, "manifest.json")
+        self.assert_names(capsys, path, "assess", "--manifest", path)
+
+    def test_config(self, fixture3, tmp_path, capsys):
+        path = self.bad_file(tmp_path, "config.json")
+        self.assert_names(capsys, path, "assess", "--manifest", str(fixture3), "--config", path)
+
+    def test_meta_model(self, fixture3, tmp_path, capsys):
+        path = self.bad_file(tmp_path, "model.json")
+        self.assert_names(
+            capsys, path, "assess", "--manifest", str(fixture3), "--meta-model", path
+        )
+
+    def test_assessments(self, fixture3, tmp_path, capsys):
+        path = self.bad_file(tmp_path, "a.jsonl")
+        self.assert_names(
+            capsys, path, "evaluate", "--assessments", path, "--manifest", str(fixture3)
+        )
+
+    def test_keep_going_skips_only_the_bad_image(self, tmp_path, capsys):
+        box = "0 0.5 0.5 0.1 0.1 0.9\n"
+        manifest = write_dataset(
+            tmp_path / "d",
+            [{"id": i, "scene": "outside", "damage": box} for i in ("ok1", "bad", "ok2")],
+        )
+        (tmp_path / "d" / "labels" / "bad.txt").write_bytes(NOT_UTF8)
+        code, out, err = run(capsys, "assess", "--manifest", str(manifest), "--keep-going")
+        assert code == 0
+        assert [json.loads(line)["image_id"] for line in out.splitlines()] == ["ok1", "ok2"]
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("skip bad: SchemaViolation: ")
+
+
+NUMPY_PROBE = """\
+import json, sys
+from ruinscore.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def numpy_probe(*commands: list[str]) -> dict:
+    """Run `commands` through cli.main in one fresh interpreter; report their
+    exit codes and whether numpy was imported."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        entry for entry in (package_root, os.environ.get("PYTHONPATH")) if entry
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestNumpyImport:
+    def test_rule_only_commands_do_not_import_numpy(self, fixture3, fixtures_dir, tmp_path):
+        out = str(tmp_path / "a.jsonl")
+        result = numpy_probe(
+            ["assess", "--manifest", str(fixture3), "--out", out],
+            ["evaluate", "--assessments", out, "--manifest", str(fixture3)],
+            ["fuse", "--detections", str(fixtures_dir / "fixture3" / "labels" / "img_c.txt")],
+        )
+        assert result == {"codes": [0, 0, 0], "numpy": False}
+
+    def test_meta_model_commands_import_numpy(self, fixture3, tmp_path):
+        model, out = str(tmp_path / "m.json"), tmp_path / "a.jsonl"
+        train = ["train-meta", "--manifest", str(fixture3), "--kind", "gbdt", "--out", model,
+                 "--rounds", "3", "--min-leaf", "1"]
+        assert numpy_probe(train) == {"codes": [0], "numpy": True}
+        assess = ["assess", "--manifest", str(fixture3), "--meta-model", model, "--out", str(out)]
+        assert numpy_probe(assess) == {"codes": [0], "numpy": True}
+        assert all(record["meta"] is not None for record in jsonl(out))
 
 
 class TestGenSynthetic:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ruinscore.dataset_io import (
     DEFAULT_COMPONENT_CLASS_MAP,
@@ -18,11 +18,14 @@ from ruinscore.dataset_io import (
     load_manifest,
     parse_box_text,
     parse_json_detections,
+    read_detections,
 )
 from ruinscore.errors import (
     BadLine,
     DuplicateImageId,
+    IoFailure,
     MissingFile,
+    RuinscoreError,
     SchemaViolation,
     UnknownClass,
 )
@@ -188,3 +191,57 @@ damage_detections = st.builds(
 def test_json_round_trip(dets):
     reparsed = parse_json_detections(detections_to_json(dets), DetectionKind.DAMAGE)
     assert reparsed == dets
+
+
+class TestReadDetections:
+    def test_not_a_file_is_missing_file(self, tmp_path):
+        (tmp_path / "plain.txt").write_text("")
+        for path in (tmp_path / "nope.txt", tmp_path, tmp_path / "plain.txt" / "d.txt"):
+            with pytest.raises(MissingFile) as exc:
+                read_detections(str(path), DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+            assert str(exc.value) == f"file not found: {path}"
+
+    def test_other_os_error_is_io_failure(self, tmp_path):
+        path = str(tmp_path / ("x" * 300))  # longer than a file name may be
+        with pytest.raises(IoFailure, match="cannot read"):
+            read_detections(path, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+
+
+# near-miss box text: tokens that parse, tokens that do not, and out-of-range values
+BOX_TOKENS = ["0", "1", "2", "7", "-1", "0.5", "1.5", "-0.1", "nan", "inf", "1e999", "x",
+              "#", "\u00e9", "\u0661"]
+near_box_text = st.lists(
+    st.lists(st.sampled_from(BOX_TOKENS), max_size=7).map(" ".join), max_size=4
+).map("\n".join).map(str.encode)
+# near-miss JSON: detection objects with arbitrary JSON scalars in their fields
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+near_json = st.lists(
+    st.fixed_dictionaries(
+        {"class": st.sampled_from(["crack", "rebar", "beam"]) | json_scalars},
+        optional={"box": st.lists(st.floats(0, 1) | json_scalars, max_size=5),
+                  "confidence": json_scalars},
+    ),
+    max_size=3,
+).map(lambda dets: json.dumps({"detections": dets}).encode())
+
+
+@given(
+    data=st.binary(max_size=200) | near_box_text | near_json,
+    name=st.sampled_from(["d.txt", "d.json"]),
+)
+@example(data=b"\xff\n", name="d.txt")
+@example(data=b"\xff\n", name="d.json")
+@example(data=b"9" * 5000 + b" 0.5 0.5 0.1 0.1", name="d.txt")
+@example(data=b"1" * 5000, name="d.json")
+@example(
+    data=b'{"detections": [{"class": "crack", "box": [' + b"1" * 400 + b', 0.5, 0.1, 0.1]}]}',
+    name="d.json",
+)
+def test_any_bytes_give_detections_or_a_ruinscore_error(tmp_path_factory, data, name):
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(data)
+    try:
+        dets = read_detections(str(path), DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+    except RuinscoreError:
+        return
+    assert all(isinstance(d, DamageDetection) for d in dets)
