@@ -3,17 +3,20 @@
 Two backends implement the same `query(entry, tasks)` contract: one call per
 image, answers in task order. FileBackend reads detection files named in the
 manifest and never touches image bytes. ExternalBackend talks
-newline-delimited JSON to a child process (one request line per task, one
+newline-delimited JSON to child processes (one request line per task, one
 response line per request), keeping the engine agnostic of whatever model
-the child runs.
+the children run; its `exchange` asks for a whole chunk of images at once
+and its `query` serves the answers one image at a time.
 """
 
 from __future__ import annotations
 
 import json
-import queue
+import os
+import selectors
 import subprocess
-import threading
+import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -95,163 +98,191 @@ class FileBackend:
         raise ValueError(f"unknown task {task!r}")
 
 
+class _Child:
+    """A child process, the replies it owes as (image index, task) in request
+    order, its request bytes not yet written, its output after the last
+    newline, and the time by which it must reply next."""
+
+    def __init__(self, proc: subprocess.Popen):
+        self.proc = proc
+        self.owed: deque = deque()
+        self.unsent = self.partial = b""
+        self.deadline = 0.0
+
+
 class ExternalBackend:
-    """Child-process backend speaking one JSON line per request and response.
+    """`jobs` child processes speaking the README's wire protocol: per task a
+    request line {"image": path, "task": task}, a relative image_path
+    resolved against `root`; per request one UTF-8 reply line in order,
+    {"scene": name, "confidence": float} or the detection JSON schema, whose
+    optional "task" echo must match. stderr passes through.
 
-    Requests look like {"image": path, "task": "scene"|"components"|"damage"},
-    with a relative image_path resolved against `root` (the manifest's
-    directory). Responses are either {"scene": name, "confidence": float} or
-    the detection JSON schema, one UTF-8 line per request and in request
-    order; an echoed "task" key is accepted and, when present, must match the
-    request. stderr passes through for logs.
-
-    One image's requests (up to three) are written together, before the
-    first reply is read, so an image costs one round trip. Each reply is
-    decoded and checked before the next is read, and `timeout_s` applies to
-    each reply.
-
-    A handle is a serial channel: exchanges are serialized by an internal
-    lock. Run several handles for parallelism, never interleave one. After a
-    Timeout, ProtocolViolation or ProcessExited the child is killed (or
-    reaped) and a fresh one starts on the next exchange, so a late or stray
-    reply is never read as the answer to a later image, and one crash fails
-    only the image it hit.
+    `exchange` asks for a chunk of images from one `selectors` loop in the
+    calling thread: image i goes to child i mod jobs, requests are written
+    without blocking and replies read as they arrive, so a child may read
+    ahead or answer one line at a time and no pipe size can deadlock it.
+    Replies are checked in order, so an image fails on its first failing
+    task, and a child that owes a reply times out `timeout_s` after its last
+    one. After a Timeout, ProtocolViolation or ProcessExited the image gets
+    that error, the child is killed (or reaped) and its later images are
+    re-sent to a fresh child, so no reply is ever read as another image's.
+    Child 0 starts with the backend, the others with their first image.
     """
-
-    _EOF = object()
 
     def __init__(
         self,
         command: Sequence[str],
         timeout_s: float = DEFAULT_TIMEOUT_S,
         root: Path = Path("."),
+        jobs: int = 1,
     ):
         if not command:
             raise BackendUnavailable("external backend command is empty")
         self.command = list(command)
         self.timeout_s = timeout_s
         self.root = Path(root)
-        self._lock = threading.Lock()
-        self._spawn()
+        self._children: list[_Child | None] = [self._spawn()] + [None] * (jobs - 1)
+        self._served: dict = {}
 
-    def _spawn(self) -> None:
+    def _spawn(self) -> _Child:
         try:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=None,
+            proc = subprocess.Popen(
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
         except OSError as exc:
             raise BackendUnavailable(f"cannot start {self.command[0]!r}: {exc}") from None
-        # each child gets its own queue, so a killed child's reader can only
-        # ever feed a queue nobody reads again
-        self._lines: queue.Queue = queue.Queue()
-        threading.Thread(target=self._pump, args=(self._proc, self._lines), daemon=True).start()
+        os.set_blocking(proc.stdin.fileno(), False)
+        return _Child(proc)
 
-    @classmethod
-    def _pump(cls, proc: subprocess.Popen, lines: queue.Queue) -> None:
+    def _kill(self, child: _Child) -> None:
+        """Drop a child; its slot starts a new one when next dealt an image."""
+        self._children[self._children.index(child)] = None
+        child.proc.kill()
+        child.proc.wait()
+        child.proc.stdin.close()
+        child.proc.stdout.close()
+
+    def exchange(self, batch: Sequence[tuple[ImageEntry, Sequence[str]]]) -> None:
+        """Ask for each (entry, tasks) of a chunk; `query` then serves each
+        image its evidence in task order, or the error it failed on."""
+        results: list = [[] for _ in batch]
+        requests: dict[int, bytes] = {}
+        for i, (entry, tasks) in enumerate(batch):
+            if entry.image_path is None:
+                results[i] = MissingEvidence(tasks[0], f"entry {entry.id!r} has no image_path")
+                continue
+            image = str(self.root / entry.image_path)
+            lines = "".join(json.dumps({"image": image, "task": task}) + "\n" for task in tasks)
+            requests[i] = lines.encode("utf-8")
+        sel = selectors.DefaultSelector()
+
+        def send(slot: int, images: list[int]) -> None:
+            child = self._children[slot] = self._children[slot] or self._spawn()
+            child.owed.extend((i, task) for i in images for task in batch[i][1])
+            child.unsent = b"".join(requests[i] for i in images)
+            child.deadline = time.monotonic() + self.timeout_s
+            sel.register(child.proc.stdout, selectors.EVENT_READ, child)
+            sel.register(child.proc.stdin, selectors.EVENT_WRITE, child)
+
+        def fail(child: _Child, error: RuinscoreError) -> None:
+            failed = child.owed[0][0]
+            results[failed] = error
+            later = list(dict.fromkeys(i for i, _ in child.owed if i != failed))
+            sel.unregister(child.proc.stdout)
+            if child.unsent:
+                sel.unregister(child.proc.stdin)
+            slot = self._children.index(child)
+            self._kill(child)
+            if later:
+                send(slot, later)
+
+        def read(child: _Child) -> None:
+            data = os.read(child.proc.stdout.fileno(), 1 << 16)
+            *lines, child.partial = (child.partial + data).split(b"\n")
+            if not data and child.partial:  # end of output: a last line may lack its newline
+                lines.append(child.partial)
+                child.partial = b""
+            for n, line in enumerate(lines):
+                if not child.owed:  # unasked lines wait for the next exchange
+                    child.partial = b"".join(rest + b"\n" for rest in lines[n:]) + child.partial
+                    break
+                i, task = child.owed[0]
+                try:
+                    results[i].append(_evidence(task, _receive(line, task)))
+                except ProtocolViolation as exc:
+                    return fail(child, exc)
+                child.owed.popleft()
+                child.deadline = time.monotonic() + self.timeout_s
+            if not child.owed:
+                sel.unregister(child.proc.stdout)
+            elif not data:  # stdout closed: give the child timeout_s to exit, else kill it
+                try:
+                    child.proc.wait(timeout=self.timeout_s)
+                except subprocess.TimeoutExpired:
+                    child.proc.kill()
+                fail(child, ProcessExited(child.proc.wait()))
+
         try:
-            for line in proc.stdout:
-                lines.put(line)
-        finally:
-            proc.stdout.close()
-            lines.put(cls._EOF)
-
-    def _kill(self) -> None:
-        """Drop the current child; the next exchange starts a new one."""
-        proc, self._proc = self._proc, None
-        if proc is not None:
-            proc.kill()
-            proc.wait()
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
-
-    def _exited(self) -> ProcessExited:
-        """The child closed a pipe: give it `timeout_s` to exit, else kill it."""
-        try:
-            self._proc.wait(timeout=self.timeout_s)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
-        return ProcessExited(self._proc.returncode)
-
-    def exchange(self, requests: Sequence[dict], convert=None) -> list:
-        """Send all request lines in one write, then read one reply per request.
-
-        Replies are read in request order. Each is decoded and checked, and
-        passed through `convert(task, reply)` when given, before the next is
-        read, so the error raised is the first failing request's.
-        """
-        with self._lock:
-            if self._proc is None:
-                self._spawn()
-            try:
-                self._send(requests)
-                replies = []
-                for request in requests:
-                    task = request.get("task")
-                    reply = self._receive(task)
-                    replies.append(reply if convert is None else convert(task, reply))
-                return replies
-            except (Timeout, ProtocolViolation, ProcessExited):
-                self._kill()
-                raise
-
-    def _send(self, requests: Sequence[dict]) -> None:
-        if self._proc.poll() is not None:
-            raise ProcessExited(self._proc.returncode)
-        payload = "".join(json.dumps(request) + "\n" for request in requests)
-        try:
-            self._proc.stdin.write(payload.encode("utf-8"))
-            self._proc.stdin.flush()
-        except OSError:  # BrokenPipeError included
-            raise self._exited() from None
-
-    def _receive(self, task: str | None) -> dict:
-        try:
-            line = self._lines.get(timeout=self.timeout_s)
-        except queue.Empty:
-            raise Timeout(self.timeout_s) from None
-        if line is self._EOF:
-            raise self._exited()
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ProtocolViolation(f"response is not UTF-8: {line.strip()[:200]!r}") from None
-        try:
-            response = dataset_io.decode_json(text)
-        except SchemaViolation:
-            raise ProtocolViolation(f"response is not JSON: {text.strip()[:200]!r}") from None
-        if not isinstance(response, dict):
-            raise ProtocolViolation("response is not a JSON object")
-        echoed = response.pop("task", None)
-        if echoed is not None and echoed != task:
-            raise ProtocolViolation(f"task echo mismatch: sent {task!r}, got {echoed!r}")
-        return response
+            jobs = len(self._children)
+            for slot, images in enumerate(list(requests)[s::jobs] for s in range(jobs)):
+                if images:
+                    send(slot, images)
+            while busy := [c for c in self._children if c is not None and c.owed]:
+                events = sel.select(max(min(c.deadline for c in busy) - time.monotonic(), 0.0))
+                for key, mask in events:
+                    child = key.data
+                    if child not in self._children:
+                        continue  # killed earlier in this round
+                    if mask & selectors.EVENT_WRITE:
+                        try:
+                            child.unsent = child.unsent[os.write(key.fd, child.unsent) :]
+                        except BlockingIOError:
+                            pass
+                        except OSError:  # BrokenPipeError: the child's exit shows on stdout
+                            child.unsent = b""
+                        if not child.unsent:
+                            sel.unregister(child.proc.stdin)
+                    else:
+                        read(child)
+                # a child times out only while no child has output to read,
+                # so time spent on others' replies never counts against it
+                if not events:
+                    now = time.monotonic()
+                    for child in busy:
+                        if child.deadline <= now:
+                            fail(child, Timeout(self.timeout_s))
+        finally:  # left by an exception: no later exchange may read these replies
+            sel.close()
+            for child in self._children:
+                if child is not None and child.owed:
+                    self._kill(child)
+        self._served = {
+            (entry.id, tuple(tasks)): result for (entry, tasks), result in zip(batch, results)
+        }
 
     def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list:
-        if entry.image_path is None:
-            raise MissingEvidence(tasks[0], f"entry {entry.id!r} has no image_path")
-        image = str(self.root / entry.image_path)
-        return self.exchange([{"image": image, "task": task} for task in tasks], _evidence)
+        """The evidence for `tasks` of an image the last exchange asked for
+        (an image it did not ask for is exchanged alone)."""
+        key = (entry.id, tuple(tasks))
+        if key not in self._served:
+            self.exchange([(entry, tasks)])
+        result = self._served.pop(key)
+        if isinstance(result, RuinscoreError):
+            raise result
+        return result
 
     def close(self) -> None:
-        with self._lock:
-            proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        try:
-            proc.stdin.close()
-        except OSError:
-            pass
-        try:
-            proc.wait(timeout=2.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+        children = [c for c in self._children if c is not None]
+        self._children = [None] * len(self._children)
+        for child in children:
+            child.proc.stdin.close()
+        for child in children:
+            try:
+                child.proc.wait(timeout=2.0)
+            except subprocess.TimeoutExpired:
+                child.proc.kill()
+                child.proc.wait()
+            child.proc.stdout.close()
 
     def __enter__(self) -> "ExternalBackend":
         return self
@@ -260,15 +291,31 @@ class ExternalBackend:
         self.close()
 
 
+def _receive(line: bytes, task: str | None) -> dict:
+    """One reply line as a JSON object, its optional task echo checked."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ProtocolViolation(f"response is not UTF-8: {line.strip()[:200]!r}") from None
+    try:
+        response = dataset_io.decode_json(text)
+    except SchemaViolation:
+        raise ProtocolViolation(f"response is not JSON: {text.strip()[:200]!r}") from None
+    if not isinstance(response, dict):
+        raise ProtocolViolation("response is not a JSON object")
+    echoed = response.pop("task", None)
+    if echoed is not None and echoed != task:
+        raise ProtocolViolation(f"task echo mismatch: sent {task!r}, got {echoed!r}")
+    return response
+
+
 def _evidence(task: str, response: dict):
     """One decoded reply as the cascade's evidence for `task`."""
+    if task == "scene":
+        return _scene_from_response(response)
+    kind = DetectionKind.DAMAGE if task == "damage" else DetectionKind.COMPONENT
     try:
-        if task == "scene":
-            return _scene_from_response(response)
-        kind = DetectionKind.DAMAGE if task == "damage" else DetectionKind.COMPONENT
         return dataset_io.detections_from_obj(response, kind)
-    except ProtocolViolation:
-        raise
     except RuinscoreError as exc:
         raise ProtocolViolation(f"bad {task} response: {exc}") from None
 
@@ -285,24 +332,29 @@ def _scene_from_response(response: dict) -> SceneLabel:
         raise ProtocolViolation("scene response misses a numeric 'confidence'")
     try:
         return SceneLabel(SceneClass(name), float(conf))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for float
         raise ProtocolViolation(str(exc)) from None
+
+
+def cascade_tasks(entry: ImageEntry) -> tuple[str, ...]:
+    """The tasks a backend answers for `entry`, each once, in cascade order:
+    a manifest scene override replaces the scene answer."""
+    return TASKS if entry.scene_override is None else TASKS[1:]
 
 
 def run_cascade(entry: ImageEntry, backend: Backend) -> CascadeOutput:
     """Gather one image's evidence in cascade order: scene, components, damage.
 
-    The backend is asked once per image for every task it must answer. A
-    manifest scene override replaces the backend's scene answer (the backend
-    is then not asked for it; at most one request per task). The scene label
-    never gates the later stages, it only conditions fusion, so the requests
-    do not depend on each other.
+    The backend is asked once per image for its `cascade_tasks`. The scene
+    label never gates the later stages, it only conditions fusion, so the
+    requests do not depend on each other.
     """
-    if entry.scene_override is not None:
-        scene = SceneLabel(entry.scene_override, 1.0)
-        components, damages = backend.query(entry, TASKS[1:])
+    answers = backend.query(entry, cascade_tasks(entry))
+    if entry.scene_override is None:
+        scene, components, damages = answers
     else:
-        scene, components, damages = backend.query(entry, TASKS)
+        scene = SceneLabel(entry.scene_override, 1.0)
+        components, damages = answers
     return CascadeOutput(
         image_id=entry.id,
         scene=scene,

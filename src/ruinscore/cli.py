@@ -2,8 +2,10 @@
 
 assess streams one JSON record per image (JSONL), working through the
 manifest in fixed-size chunks, so corpora of any size process with bounded
-memory whatever --jobs is. Exit codes: 0 success, 1 runtime failure
-(structured JSON error on stderr), 2 usage error.
+memory whatever --jobs is. Everything runs in the calling thread; --jobs N
+is the number of external backend children, each chunk one exchange with
+them. Exit codes: 0 success, 1 runtime failure (structured JSON error on
+stderr), 2 usage error.
 
 numpy and the meta package load only in the commands that load or train a
 meta-model, so rule-only assess, evaluate and fuse start without them.
@@ -16,8 +18,6 @@ import json
 import math
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from .backend import (
     CascadeOutput,
     ExternalBackend,
     FileBackend,
+    cascade_tasks,
     run_cascade,
 )
 from .dataset_io import (
@@ -106,7 +107,7 @@ def _config_path(args) -> str | None:
 
 
 def _assessment_record(out, rule, probs, final) -> dict:
-    rec = {
+    return {
         "image_id": out.image_id,
         "scene": {"class": out.scene.cls.value, "confidence": out.scene.confidence},
         "counts": {
@@ -128,7 +129,6 @@ def _assessment_record(out, rule, probs, final) -> dict:
         ),
         "final": final.label,
     }
-    return rec
 
 
 def _chunk_probs(model, rows: list) -> list[tuple[float, float, float, float]]:
@@ -158,32 +158,16 @@ def _cmd_assess(args) -> int:
     if config.decision_mode is not DecisionMode.RULE_ONLY and model is None:
         raise MissingMeta(config.decision_mode.value)
 
-    handles: list[ExternalBackend] = []
-    handle_lock = threading.Lock()
-    local = threading.local()
-    if args.backend == "file":
-        shared = FileBackend(manifest)
-
-        def get_backend():
-            return shared
-
-    else:
-        if backend_cfg.command is None:
-            raise SchemaViolation("backend.command", "external backend selected but no command configured")
-
-        def get_backend():
-            handle = getattr(local, "handle", None)
-            if handle is None:
-                handle = ExternalBackend(backend_cfg.command, backend_cfg.timeout_s, manifest.root)
-                local.handle = handle
-                with handle_lock:
-                    handles.append(handle)
-            return handle
+    external = args.backend == "external"
+    if external and backend_cfg.command is None:
+        raise SchemaViolation("backend.command", "external backend selected but no command configured")
+    images = manifest.images
+    backend = None if external else FileBackend(manifest)
 
     def stage(entry):
         """Cascade, rule fusion and features of one entry, or its failure."""
         try:
-            out = run_cascade(entry, get_backend())
+            out = run_cascade(entry, backend)
             rule = rule_fusion(out, config)
             x = features(out, rule, config) if model is not None else None
         except RuinscoreError as exc:
@@ -207,28 +191,27 @@ def _cmd_assess(args) -> int:
             final = fusion.final_decision(rule, p, config)
             out_stream.write(json.dumps(_assessment_record(out, rule, p, final)) + "\n")
 
-    # file reads and parsing hold the GIL, so threads only pay off while
-    # they wait on external children
-    parallel = args.jobs > 1 and args.backend == "external"
-    pool = ThreadPoolExecutor(max_workers=args.jobs) if parallel else None
-    run_stage = pool.map if pool is not None else map
     out_stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        images = manifest.images
+        if external and images:  # children start only for images that exist
+            backend = ExternalBackend(
+                backend_cfg.command, backend_cfg.timeout_s, manifest.root, args.jobs
+            )
         for start in range(0, len(images), CHUNK_SIZE):
+            chunk = images[start : start + CHUNK_SIZE]
+            if external:
+                backend.exchange([(entry, cascade_tasks(entry)) for entry in chunk])
             staged = []
-            for item in run_stage(stage, images[start : start + CHUNK_SIZE]):
-                staged.append(item)
-                if isinstance(item, RuinscoreError) and not args.keep_going:
+            for entry in chunk:
+                staged.append(stage(entry))
+                if isinstance(staged[-1], RuinscoreError) and not args.keep_going:
                     break
             finish(staged, out_stream)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
         if args.out:
             out_stream.close()
-        for handle in handles:
-            handle.close()
+        if external and backend is not None:
+            backend.close()
     return 0
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Backend stub whose every reply names the image and task it answers.
 
-    keyed_backend.py MARKER
+    keyed_backend.py [MARKER]
 
 Replies carry no task echo. For an image whose stem has n characters the
 scene is "inside" when n is odd, else "outside"; the components reply holds
@@ -10,14 +10,15 @@ damage request fails on the column class, and a detection reply read for a
 scene request fails the scene schema, so a reply shifted by one request
 shows. While the file MARKER does not exist, the child creates it and exits
 right after answering its 4th request, mid-way through the second image.
+Without MARKER every child exits after its 4th request.
 """
 
 import json
 import os
 import sys
 
-marker = sys.argv[1]
-exit_after = None if os.path.exists(marker) else 4
+marker = sys.argv[1] if len(sys.argv) > 1 else None
+exit_after = None if marker and os.path.exists(marker) else 4
 for count, line in enumerate(sys.stdin, 1):
     request = json.loads(line)
     n = len(os.path.splitext(os.path.basename(request["image"]))[0])
@@ -31,5 +32,6 @@ for count, line in enumerate(sys.stdin, 1):
         response = {"detections": [crack] * n}
     print(json.dumps(response), flush=True)
     if count == exit_after:
-        open(marker, "w").close()
+        if marker:
+            open(marker, "w").close()
         sys.exit(0)

@@ -293,9 +293,9 @@ def test_criterion_8_external_backend_protocol(stub, tmp_path):
 
     with ExternalBackend([sys.executable, stub("malformed_backend")], timeout_s=10) as backend:
         with pytest.raises(ProtocolViolation):
-            backend.exchange([{"image": "/fake.jpg", "task": "scene"}])[0]
+            backend.query(entry, ["scene"])
 
     with ExternalBackend([sys.executable, stub("sleepy_backend")], timeout_s=2.0) as backend:
         with pytest.raises(Timeout) as exc:
-            backend.exchange([{"image": "/fake.jpg", "task": "scene"}])[0]
+            backend.query(entry, ["scene"])
         assert exc.value.seconds == 2.0

@@ -1,13 +1,25 @@
 from __future__ import annotations
 
+import json
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ruinscore.backend import ExternalBackend, FileBackend, run_cascade
+from ruinscore.backend import (
+    TASKS,
+    ExternalBackend,
+    FileBackend,
+    _evidence,
+    _receive,
+    cascade_tasks,
+    run_cascade,
+)
 from ruinscore.dataset_io import (
+    ComponentDetection,
     DamageClass,
+    DamageDetection,
     DamageLevel,
     ImageEntry,
     SceneClass,
@@ -27,6 +39,11 @@ from helpers import write_dataset
 
 def manifest_from(tmp_path, images):
     return load_manifest(write_dataset(tmp_path / "data", images))
+
+
+def ask(backend, image: str, task: str):
+    """The backend's evidence for one task of the image at path `image`."""
+    return backend.query(ImageEntry(id=image, image_path=image), [task])[0]
 
 
 class TestFileBackend:
@@ -153,24 +170,23 @@ class TestExternalBackend:
     def test_malformed_json_is_protocol_violation(self, stub):
         with ExternalBackend([sys.executable, stub("malformed_backend")], timeout_s=10) as backend:
             with pytest.raises(ProtocolViolation):
-                backend.exchange([{"image": "x", "task": "scene"}])[0]
+                ask(backend, "x", "scene")
 
     def test_wrong_task_echo_is_protocol_violation(self, stub):
         with ExternalBackend([sys.executable, stub("wrong_task_backend")], timeout_s=10) as backend:
             with pytest.raises(ProtocolViolation, match="echo"):
-                backend.exchange([{"image": "x", "task": "scene"}])[0]
+                ask(backend, "x", "scene")
 
     def test_timeout(self, stub):
         with ExternalBackend([sys.executable, stub("sleepy_backend")], timeout_s=2.0) as backend:
             with pytest.raises(Timeout) as exc:
-                backend.exchange([{"image": "x", "task": "scene"}])[0]
+                ask(backend, "x", "scene")
         assert exc.value.seconds == 2.0
 
     def test_process_exit_detected(self, stub):
         backend = ExternalBackend([sys.executable, "-c", "pass"], timeout_s=5)
         with pytest.raises(ProcessExited):
-            backend.exchange([{"image": "x", "task": "scene"}])[0]
-            backend.exchange([{"image": "x", "task": "scene"}])[0]
+            ask(backend, "x", "scene")
         backend.close()
 
     def test_unknown_command_unavailable(self):
@@ -181,10 +197,10 @@ class TestExternalBackend:
         command = [sys.executable, stub("stall_first_backend"), str(tmp_path / "stalled")]
         with ExternalBackend(command, timeout_s=2.0) as backend:
             with pytest.raises(Timeout):
-                backend.exchange([{"image": "a.jpg", "task": "damage"}])[0]
+                ask(backend, "a.jpg", "damage")
             # a fresh child answers; the stalled one can no longer reply
-            assert len(backend.exchange([{"image": "bb.jpg", "task": "damage"}])[0]["detections"]) == 2
-            assert len(backend.exchange([{"image": "c.jpg", "task": "damage"}])[0]["detections"]) == 1
+            assert len(ask(backend, "bb.jpg", "damage")) == 2
+            assert len(ask(backend, "c.jpg", "damage")) == 1
 
     def test_protocol_violation_restarts_the_child(self, tmp_path):
         marker = tmp_path / "warmed"
@@ -203,22 +219,22 @@ class TestExternalBackend:
         )
         with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
             with pytest.raises(ProtocolViolation):
-                backend.exchange([{"image": "a.jpg", "task": "scene"}])[0]
+                ask(backend, "a.jpg", "scene")
             # the reply queued behind the stray line died with its child
-            assert backend.exchange([{"image": "b.jpg", "task": "scene"}])[0]["scene"] == "inside"
-            assert backend.exchange([{"image": "c.jpg", "task": "scene"}])[0]["scene"] == "outside"
+            assert ask(backend, "b.jpg", "scene").cls is SceneClass.INSIDE
+            assert ask(backend, "c.jpg", "scene").cls is SceneClass.OUTSIDE
 
     @pytest.mark.parametrize("mode, error", [("exit", ProcessExited), ("deep", ProtocolViolation)])
     def test_exit_or_deep_reply_restarts_the_child(self, stub, tmp_path, mode, error):
         command = [sys.executable, stub("misbehave_once_backend"), mode, str(tmp_path / "seen")]
         with ExternalBackend(command, timeout_s=10) as backend:
             if mode == "exit":  # the first request is answered, then the child is gone
-                assert len(backend.exchange([{"image": "a.jpg", "task": "damage"}])[0]["detections"]) == 1
+                assert len(ask(backend, "a.jpg", "damage")) == 1
             with pytest.raises(error):
-                backend.exchange([{"image": "bb.jpg", "task": "damage"}])[0]
+                ask(backend, "bb.jpg", "damage")
             # a fresh child answers each later request with its own reply
-            assert len(backend.exchange([{"image": "ccc.jpg", "task": "damage"}])[0]["detections"]) == 3
-            assert len(backend.exchange([{"image": "d.jpg", "task": "damage"}])[0]["detections"]) == 1
+            assert len(ask(backend, "ccc.jpg", "damage")) == 3
+            assert len(ask(backend, "d.jpg", "damage")) == 1
 
     def test_relative_image_path_resolves_against_root(self, stub, tmp_path):
         (tmp_path / "frames").mkdir()
@@ -248,7 +264,66 @@ def cascade_outcome(entry, backend):
 
 
 class TestPipelinedExchange:
-    """One write of all of an image's requests, then one reply per request."""
+    """A chunk's requests in flight at once, its replies checked in order."""
+
+    @pytest.mark.parametrize(
+        "jobs, failed", [(1, {"bb", "dddd"}), (2, {"ccc", "dddd"})], ids=["jobs1", "jobs2"]
+    )
+    def test_one_exchange_per_chunk_lands_replies_on_their_image(self, stub, jobs, failed):
+        # every child exits after answering its 4th request, and the images
+        # dealt to it after the one that request belongs to go to a fresh
+        # child. One child fails bb, then its successor fails dddd (its 2nd
+        # image). With two, child 0 (a, ccc, eeeee) fails ccc and child 1
+        # (bb, dddd) fails dddd.
+        entries = [
+            ImageEntry(id="a", image_path="a.jpg"),
+            ImageEntry(id="bb", image_path="bb.jpg"),
+            ImageEntry(id="ccc", image_path="ccc.jpg"),
+            ImageEntry(id="dddd", image_path="dddd.jpg", scene_override=SceneClass.INSIDE),
+            ImageEntry(id="eeeee", image_path="eeeee.jpg"),
+        ]
+        expected = {
+            "a": ("a", "inside", 1, 1),
+            "bb": ("bb", "outside", 2, 2),
+            "ccc": ("ccc", "inside", 0, 3),
+            "dddd": ("dddd", "inside", 1, 4),
+            "eeeee": ("eeeee", "inside", 2, 5),
+        }
+        with ExternalBackend([sys.executable, stub("keyed_backend")], timeout_s=10, jobs=jobs) as backend:
+            backend.exchange([(entry, cascade_tasks(entry)) for entry in entries])
+            outcomes = [cascade_outcome(entry, backend) for entry in entries]
+        assert outcomes == [
+            (entry.id, "ProcessExited") if entry.id in failed else expected[entry.id]
+            for entry in entries
+        ]
+
+    @pytest.mark.parametrize(
+        "requests",
+        [
+            "[sys.stdin.readline() for _ in range(32)]",  # reads all before it answers
+            "sys.stdin",  # answers each request as it reads it
+        ],
+        ids=["read-ahead", "one-at-a-time"],
+    )
+    def test_requests_and_replies_overflowing_the_pipes(self, tmp_path, requests):
+        # 64 requests of ~3 KiB and replies of ~30 KiB each overflow a 64 KiB
+        # pipe in both directions, so the loop must keep writing while a
+        # child reads ahead and keep reading while it answers
+        script = tmp_path / "big.py"
+        script.write_text(
+            "import json, os, sys\n"
+            "crack = {'class': 'crack', 'box': [0.5, 0.5, 0.2, 0.2], 'confidence': 0.9}\n"
+            f"for line in {requests}:\n"
+            "    n = int(os.path.basename(json.loads(line)['image']))\n"
+            "    print(json.dumps({'detections': [crack] * n}), flush=True)\n"
+        )
+        entries = [ImageEntry(id=str(i), image_path=f"{'d' * 3000}/{400 + i}") for i in range(64)]
+        start = time.monotonic()
+        with ExternalBackend([sys.executable, str(script)], timeout_s=20.0, jobs=2) as backend:
+            backend.exchange([(entry, ["damage"]) for entry in entries])
+            counts = [len(backend.query(entry, ["damage"])[0]) for entry in entries]
+        assert counts == [400 + i for i in range(64)]
+        assert time.monotonic() - start < 10.0
 
     def test_replies_land_on_their_image_and_task(self, stub, tmp_path):
         # the first child exits after answering bb's scene request; the
@@ -327,8 +402,8 @@ class TestPipelinedExchange:
         )
         with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
             with pytest.raises(ProtocolViolation, match="UTF-8"):
-                backend.exchange([{"image": "a.jpg", "task": "scene"}])
-            assert backend.exchange([{"image": "b.jpg", "task": "scene"}])[0]["scene"] == "inside"
+                ask(backend, "a.jpg", "scene")
+            assert ask(backend, "b.jpg", "scene").cls is SceneClass.INSIDE
 
     def test_child_closing_stdout_but_alive_is_killed_after_timeout(self):
         command = [
@@ -339,5 +414,93 @@ class TestPipelinedExchange:
         start = time.monotonic()
         with ExternalBackend(command, timeout_s=2.0) as backend:
             with pytest.raises(ProcessExited):
-                backend.exchange([{"image": "x", "task": "scene"}])
+                ask(backend, "x", "scene")
         assert time.monotonic() - start < 10.0
+
+
+def decoded(line: bytes, task: str):
+    """A reply line as evidence, or None for a ProtocolViolation; any other
+    exception fails the caller."""
+    try:
+        evidence = _evidence(task, _receive(line, task))
+    except ProtocolViolation:
+        return None
+    if task == "scene":
+        assert isinstance(evidence, SceneLabel)
+    else:
+        kind = DamageDetection if task == "damage" else ComponentDetection
+        assert all(isinstance(d, kind) for d in evidence)
+    return evidence
+
+
+DEEP = b"[" * 100_000 + b"]" * 100_000
+HUGE_INTS = st.sampled_from([10**400, -(10**400), 2**1024, 10**4000])
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | HUGE_INTS | st.floats() | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+numbers = st.floats(0, 1) | json_scalars
+scene_replies = st.fixed_dictionaries(
+    {},
+    optional={
+        "scene": st.sampled_from(["inside", "outside"]) | json_values,
+        "confidence": numbers,
+        "task": st.sampled_from(TASKS) | json_values,
+        "extra": json_values,
+    },
+)
+detection_replies = st.fixed_dictionaries(
+    {},
+    optional={
+        "detections": st.lists(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "class": st.sampled_from(["crack", "spalling", "rebar", "beam", "column"])
+                    | json_values,
+                    "box": st.lists(numbers, max_size=5) | json_values,
+                    "confidence": numbers,
+                },
+            ),
+            max_size=3,
+        )
+        | json_values,
+        "task": st.sampled_from(TASKS) | json_values,
+    },
+)
+
+
+class TestReplyDecoding:
+    """Whatever a child writes becomes evidence or a ProtocolViolation."""
+
+    def test_scene_confidence_too_large_for_a_float(self):
+        with pytest.raises(ProtocolViolation):
+            _evidence("scene", {"scene": "outside", "confidence": 10**400})
+
+    @settings(deadline=None)
+    @given(line=st.binary(max_size=300), task=st.sampled_from(TASKS))
+    @example(line=b"\xff\n", task="scene")
+    @example(line=b'{"scene": "outside", "confidence": NaN}\n', task="scene")
+    @example(line=b'{"scene": "outside", "confidence": Infinity}\n', task="scene")
+    @example(line=b'{"scene": "outside", "confidence": ' + b"1" * 400 + b"}\n", task="scene")
+    @example(line=b"1" * 5000 + b"\n", task="damage")
+    @example(line=DEEP + b"\n", task="scene")
+    @example(line=b'{"detections": ' + DEEP + b"}\n", task="damage")
+    def test_any_line(self, line, task):
+        decoded(line, task)
+
+    @settings(deadline=None)
+    @given(reply=scene_replies | detection_replies, task=st.sampled_from(TASKS))
+    @example(reply={"scene": "outside", "confidence": 10**400}, task="scene")
+    @example(reply={"detections": [{"class": "crack", "box": [2**1024] * 4}]}, task="damage")
+    def test_any_reply_object(self, reply, task):
+        decoded(json.dumps(reply).encode() + b"\n", task)  # NaN, Infinity go out as text
+        reply.pop("task", None)
+        try:
+            _evidence(task, reply)
+        except ProtocolViolation:
+            pass

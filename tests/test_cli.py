@@ -296,28 +296,84 @@ class TestChunkedAssess:
             for i in range(2 * cli.CHUNK_SIZE + 5)
         ]
         path = write_dataset(tmp_path / "d", images)
-        lock = threading.Lock()
-        counts = {"started": 0, "written": 0, "max_in_flight": 0}
-
-        class CountingStream(io.StringIO):
-            def write(self, text):
-                with lock:
-                    counts["written"] += text.count("\n")
-                return super().write(text)
+        counts = count_in_flight(monkeypatch)
 
         def counting_cascade(entry, backend):
-            with lock:
-                counts["started"] += 1
-                in_flight = counts["started"] - counts["written"]
-                counts["max_in_flight"] = max(counts["max_in_flight"], in_flight)
+            counts["started"] += 1
+            counts["max_in_flight"] = max(
+                counts["max_in_flight"], counts["started"] - counts["written"]
+            )
             return run_cascade(entry, backend)
 
         monkeypatch.setattr(cli, "run_cascade", counting_cascade)
-        stream = CountingStream()
-        monkeypatch.setattr(sys, "stdout", stream)
         assert main(["assess", "--manifest", str(path), "--jobs", jobs]) == 0
         assert counts["written"] == len(images)
         assert 1 <= counts["max_in_flight"] <= cli.CHUNK_SIZE
+
+    def test_external_requests_bounded_by_one_chunk(self, tmp_path, stub, monkeypatch):
+        images = [{"id": f"img{i:03d}", "image_path": f"img{i:03d}.jpg"}
+                  for i in range(2 * cli.CHUNK_SIZE + 5)]
+        path = write_dataset(tmp_path / "d", images)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"command": [sys.executable, stub("echo_backend")]}}))
+        counts = count_in_flight(monkeypatch)
+        exchange = cli.ExternalBackend.exchange
+
+        def counting_exchange(backend, batch):
+            counts["started"] += len(batch)
+            counts["max_in_flight"] = max(
+                counts["max_in_flight"], counts["started"] - counts["written"]
+            )
+            return exchange(backend, batch)
+
+        monkeypatch.setattr(cli.ExternalBackend, "exchange", counting_exchange)
+        argv = ["assess", "--manifest", str(path), "--backend", "external", "--config",
+                str(config), "--jobs", "2"]
+        assert main(argv) == 0
+        assert counts["written"] == len(images)
+        assert counts["max_in_flight"] == cli.CHUNK_SIZE
+
+    def test_external_child_dying_mid_chunk_fails_only_its_image(self, tmp_path, stub, capsys):
+        n = 2 * cli.CHUNK_SIZE + 5
+        assert run(capsys, "gen-synthetic", "--seed", "4", "--n", str(n), "--out",
+                   str(tmp_path / "d"), "--false-positive-rate", "0.2")[0] == 0
+        file_manifest = tmp_path / "d" / "manifest.json"
+        raw = json.loads(file_manifest.read_text())
+        # the child answers the scenes, and finds each image by its stem
+        raw["images"] = [
+            {**{k: v for k, v in e.items() if k != "scene"}, "image_path": f"{e['id']}.jpg"}
+            for e in raw["images"]
+        ]
+        external_manifest = tmp_path / "d" / "external.json"
+        external_manifest.write_text(json.dumps(raw))
+        dead = raw["images"][cli.CHUNK_SIZE + 6]["id"]  # mid-way through the second chunk
+        command = [sys.executable, stub("files_backend"), str(file_manifest), dead]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"command": command}}))
+        code, out, err = run(
+            capsys, "assess", "--manifest", str(external_manifest), "--backend", "external",
+            "--config", str(config), "--jobs", "2", "--keep-going",
+        )
+        assert code == 0
+        assert err.splitlines() == [f"skip {dead}: ProcessExited: backend process exited with code 3"]
+        code, file_out, _ = run(capsys, "assess", "--manifest", str(file_manifest))
+        assert code == 0
+        assert out.splitlines() == [
+            line for line in file_out.splitlines() if json.loads(line)["image_id"] != dead
+        ]
+
+
+def count_in_flight(monkeypatch) -> dict:
+    """Counters of images started and records written to a patched stdout."""
+    counts = {"started": 0, "written": 0, "max_in_flight": 0}
+
+    class CountingStream(io.StringIO):
+        def write(self, text):
+            counts["written"] += text.count("\n")
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", CountingStream())
+    return counts
 
 
 class TestEvaluate:
@@ -774,16 +830,19 @@ class TestNonUtf8Input:
 
 
 NUMPY_PROBE = """\
-import json, sys
+import json, sys, threading
 from ruinscore.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "threads": threading.active_count(),
+                  "futures": "concurrent.futures" in sys.modules}))
 """
 
 
 def numpy_probe(*commands: list[str]) -> dict:
     """Run `commands` through cli.main in one fresh interpreter; report their
-    exit codes and whether numpy was imported."""
+    exit codes, whether numpy and concurrent.futures were imported, and how
+    many threads are alive afterwards."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         entry for entry in (package_root, os.environ.get("PYTHONPATH")) if entry
@@ -804,16 +863,26 @@ class TestNumpyImport:
             ["evaluate", "--assessments", out, "--manifest", str(fixture3)],
             ["fuse", "--detections", str(fixtures_dir / "fixture3" / "labels" / "img_c.txt")],
         )
-        assert result == {"codes": [0, 0, 0], "numpy": False}
+        assert result == {"codes": [0, 0, 0], "numpy": False, "threads": 1, "futures": False}
 
     def test_meta_model_commands_import_numpy(self, fixture3, tmp_path):
         model, out = str(tmp_path / "m.json"), tmp_path / "a.jsonl"
         train = ["train-meta", "--manifest", str(fixture3), "--kind", "gbdt", "--out", model,
                  "--rounds", "3", "--min-leaf", "1"]
-        assert numpy_probe(train) == {"codes": [0], "numpy": True}
+        assert numpy_probe(train) == {"codes": [0], "numpy": True, "threads": 1, "futures": False}
         assess = ["assess", "--manifest", str(fixture3), "--meta-model", model, "--out", str(out)]
-        assert numpy_probe(assess) == {"codes": [0], "numpy": True}
+        assert numpy_probe(assess) == {"codes": [0], "numpy": True, "threads": 1, "futures": False}
         assert all(record["meta"] is not None for record in jsonl(out))
+
+    def test_external_jobs_start_children_not_threads(self, tmp_path, stub):
+        images = [{"id": f"img{i}", "image_path": f"img{i}.jpg"} for i in range(5)]
+        path = write_dataset(tmp_path / "d", images)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"command": [sys.executable, stub("echo_backend")]}}))
+        assess = ["assess", "--manifest", str(path), "--backend", "external", "--config",
+                  str(config), "--jobs", "2", "--out", str(tmp_path / "a.jsonl")]
+        assert numpy_probe(assess) == {"codes": [0], "numpy": False, "threads": 1, "futures": False}
+        assert len(jsonl(tmp_path / "a.jsonl")) == 5
 
 
 class TestGenSynthetic:
