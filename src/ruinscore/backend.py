@@ -3,10 +3,9 @@
 Two backends implement the same `query(entry, tasks)` contract: one call per
 image, answers in task order. FileBackend reads detection files named in the
 manifest and never touches image bytes. ExternalBackend talks
-newline-delimited JSON to child processes (one request line per task, one
-response line per request), keeping the engine agnostic of whatever model
-the children run; its `exchange` asks for a whole chunk of images at once
-and its `query` serves the answers one image at a time.
+newline-delimited JSON to child processes, keeping the engine agnostic of
+whatever model they run: `exchange` asks for a chunk of images at once and
+`query` serves the answers one image at a time.
 """
 
 from __future__ import annotations
@@ -117,16 +116,14 @@ class ExternalBackend:
     {"scene": name, "confidence": float} or the detection JSON schema, whose
     optional "task" echo must match. stderr passes through.
 
-    `exchange` asks for a chunk of images from one `selectors` loop in the
-    calling thread: image i goes to child i mod jobs, requests are written
-    without blocking and replies read as they arrive, so a child may read
-    ahead or answer one line at a time and no pipe size can deadlock it.
-    Replies are checked in order, so an image fails on its first failing
-    task, and a child that owes a reply times out `timeout_s` after its last
-    one. After a Timeout, ProtocolViolation or ProcessExited the image gets
-    that error, the child is killed (or reaped) and its later images are
-    re-sent to a fresh child, so no reply is ever read as another image's.
-    Child 0 starts with the backend, the others with their first image.
+    `exchange` drives the children from one `selectors` loop in the calling
+    thread: image i goes to child i mod jobs, and requests are written and
+    replies read as the pipes allow, so no pipe size can deadlock a child
+    that reads ahead. Replies are checked in order, so an image fails on its
+    first failing task. A child silent for `timeout_s`, or sending a bad or
+    unasked line, or closing its output is killed: the image it owed a reply
+    gets the error and its later images are left for `query` to ask again,
+    so no reply is read as another image's. Child 0 starts with the backend.
     """
 
     def __init__(
@@ -154,18 +151,22 @@ class ExternalBackend:
         os.set_blocking(proc.stdin.fileno(), False)
         return _Child(proc)
 
-    def _kill(self, child: _Child) -> None:
-        """Drop a child; its slot starts a new one when next dealt an image."""
+    def _drop(self, child: _Child, grace_s: float = 0.0) -> None:
+        """Close the child's input and give it `grace_s` to exit, else kill it;
+        its slot starts a new child when next dealt an image."""
         self._children[self._children.index(child)] = None
-        child.proc.kill()
-        child.proc.wait()
         child.proc.stdin.close()
+        try:
+            child.proc.wait(timeout=grace_s)
+        except subprocess.TimeoutExpired:
+            child.proc.kill()
+            child.proc.wait()
         child.proc.stdout.close()
 
     def exchange(self, batch: Sequence[tuple[ImageEntry, Sequence[str]]]) -> None:
         """Ask for each (entry, tasks) of a chunk; `query` then serves each
         image its evidence in task order, or the error it failed on."""
-        results: list = [[] for _ in batch]
+        results: dict[int, list | RuinscoreError] = {}  # by batch index; unserved: absent
         requests: dict[int, bytes] = {}
         for i, (entry, tasks) in enumerate(batch):
             if entry.image_path is None:
@@ -176,25 +177,15 @@ class ExternalBackend:
             requests[i] = lines.encode("utf-8")
         sel = selectors.DefaultSelector()
 
-        def send(slot: int, images: list[int]) -> None:
-            child = self._children[slot] = self._children[slot] or self._spawn()
-            child.owed.extend((i, task) for i in images for task in batch[i][1])
-            child.unsent = b"".join(requests[i] for i in images)
-            child.deadline = time.monotonic() + self.timeout_s
-            sel.register(child.proc.stdout, selectors.EVENT_READ, child)
-            sel.register(child.proc.stdin, selectors.EVENT_WRITE, child)
-
-        def fail(child: _Child, error: RuinscoreError) -> None:
-            failed = child.owed[0][0]
-            results[failed] = error
-            later = list(dict.fromkeys(i for i, _ in child.owed if i != failed))
+        def fail(child: _Child, error: RuinscoreError | None) -> None:
+            """Kill the child; the image it owes a reply gets `error`."""
+            if child.owed:
+                results[child.owed[0][0]] = error
+                child.owed.clear()
             sel.unregister(child.proc.stdout)
             if child.unsent:
                 sel.unregister(child.proc.stdin)
-            slot = self._children.index(child)
-            self._kill(child)
-            if later:
-                send(slot, later)
+            self._drop(child)
 
         def read(child: _Child) -> None:
             data = os.read(child.proc.stdout.fileno(), 1 << 16)
@@ -202,31 +193,39 @@ class ExternalBackend:
             if not data and child.partial:  # end of output: a last line may lack its newline
                 lines.append(child.partial)
                 child.partial = b""
-            for n, line in enumerate(lines):
-                if not child.owed:  # unasked lines wait for the next exchange
-                    child.partial = b"".join(rest + b"\n" for rest in lines[n:]) + child.partial
-                    break
+            for line in lines:
+                if not child.owed:  # a line nobody asked for: the child is out of step
+                    return fail(child, None)
                 i, task = child.owed[0]
                 try:
-                    results[i].append(_evidence(task, _receive(line, task)))
+                    results.setdefault(i, []).append(_evidence(task, _receive(line, task)))
                 except ProtocolViolation as exc:
                     return fail(child, exc)
                 child.owed.popleft()
                 child.deadline = time.monotonic() + self.timeout_s
-            if not child.owed:
-                sel.unregister(child.proc.stdout)
-            elif not data:  # stdout closed: give the child timeout_s to exit, else kill it
-                try:
-                    child.proc.wait(timeout=self.timeout_s)
-                except subprocess.TimeoutExpired:
-                    child.proc.kill()
+            if child.owed and not data:  # output closed while a reply is owed: none can come
+                child.proc.kill()  # a child that exited on its own keeps its exit code
                 fail(child, ProcessExited(child.proc.wait()))
+            elif not child.owed and child.partial:  # the start of a line nobody asked for
+                fail(child, None)
+            elif not child.owed:
+                sel.unregister(child.proc.stdout)
 
         try:
             jobs = len(self._children)
-            for slot, images in enumerate(list(requests)[s::jobs] for s in range(jobs)):
-                if images:
-                    send(slot, images)
+            for slot in range(jobs):
+                if not (images := list(requests)[slot::jobs]):
+                    continue
+                try:
+                    child = self._children[slot] = self._children[slot] or self._spawn()
+                except BackendUnavailable as exc:
+                    results[images[0]] = exc
+                    continue
+                child.owed.extend((i, task) for i in images for task in batch[i][1])
+                child.unsent = b"".join(requests[i] for i in images)
+                child.deadline = time.monotonic() + self.timeout_s
+                sel.register(child.proc.stdout, selectors.EVENT_READ, child)
+                sel.register(child.proc.stdin, selectors.EVENT_WRITE, child)
             while busy := [c for c in self._children if c is not None and c.owed]:
                 events = sel.select(max(min(c.deadline for c in busy) - time.monotonic(), 0.0))
                 for key, mask in events:
@@ -244,25 +243,21 @@ class ExternalBackend:
                             sel.unregister(child.proc.stdin)
                     else:
                         read(child)
-                # a child times out only while no child has output to read,
-                # so time spent on others' replies never counts against it
-                if not events:
-                    now = time.monotonic()
-                    for child in busy:
-                        if child.deadline <= now:
-                            fail(child, Timeout(self.timeout_s))
+                now = time.monotonic()
+                for child in busy:
+                    if child.owed and child.deadline <= now:
+                        fail(child, Timeout(self.timeout_s))
         finally:  # left by an exception: no later exchange may read these replies
             sel.close()
             for child in self._children:
                 if child is not None and child.owed:
-                    self._kill(child)
-        self._served = {
-            (entry.id, tuple(tasks)): result for (entry, tasks), result in zip(batch, results)
-        }
+                    self._drop(child)
+        for i, result in results.items():
+            self._served[batch[i][0].id, tuple(batch[i][1])] = result
 
     def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list:
-        """The evidence for `tasks` of an image the last exchange asked for
-        (an image it did not ask for is exchanged alone)."""
+        """The evidence for `tasks` of an image an exchange has served; any
+        other image, such as one a failed child left, is exchanged alone."""
         key = (entry.id, tuple(tasks))
         if key not in self._served:
             self.exchange([(entry, tasks)])
@@ -272,17 +267,11 @@ class ExternalBackend:
         return result
 
     def close(self) -> None:
-        children = [c for c in self._children if c is not None]
-        self._children = [None] * len(self._children)
-        for child in children:
-            child.proc.stdin.close()
-        for child in children:
-            try:
-                child.proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                child.proc.kill()
-                child.proc.wait()
-            child.proc.stdout.close()
+        for child in self._children:  # all see the end of input before any is waited on
+            if child is not None:
+                child.proc.stdin.close()
+        for child in [c for c in self._children if c is not None]:
+            self._drop(child, grace_s=2.0)
 
     def __enter__(self) -> "ExternalBackend":
         return self

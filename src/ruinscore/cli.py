@@ -101,9 +101,7 @@ def load_config_file(path: str | os.PathLike | None) -> tuple[FusionConfig, Back
 
 
 def _config_path(args) -> str | None:
-    if getattr(args, "config", None):
-        return args.config
-    return os.environ.get(CONFIG_ENV_VAR) or None
+    return getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR) or None
 
 
 def _assessment_record(out, rule, probs, final) -> dict:
@@ -163,34 +161,6 @@ def _cmd_assess(args) -> int:
         raise SchemaViolation("backend.command", "external backend selected but no command configured")
     images = manifest.images
     backend = None if external else FileBackend(manifest)
-
-    def stage(entry):
-        """Cascade, rule fusion and features of one entry, or its failure."""
-        try:
-            out = run_cascade(entry, backend)
-            rule = rule_fusion(out, config)
-            x = features(out, rule, config) if model is not None else None
-        except RuinscoreError as exc:
-            exc.image_id = entry.id
-            return exc
-        return out, rule, x
-
-    def finish(staged: list, out_stream) -> None:
-        """Predict the chunk's staged rows in one call, then write records and
-        skip lines in manifest order; re-raise a failure without --keep-going."""
-        rows = [item[2] for item in staged if not isinstance(item, RuinscoreError)]
-        probs = iter(_chunk_probs(model, rows) if model is not None and rows else ())
-        for item in staged:
-            if isinstance(item, RuinscoreError):
-                if not args.keep_going:
-                    raise item
-                print(f"skip {item.image_id}: {type(item).__name__}: {item}", file=sys.stderr)
-                continue
-            out, rule, _ = item
-            p = next(probs) if model is not None else None
-            final = fusion.final_decision(rule, p, config)
-            out_stream.write(json.dumps(_assessment_record(out, rule, p, final)) + "\n")
-
     out_stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         if external and images:  # children start only for images that exist
@@ -201,12 +171,31 @@ def _cmd_assess(args) -> int:
             chunk = images[start : start + CHUNK_SIZE]
             if external:
                 backend.exchange([(entry, cascade_tasks(entry)) for entry in chunk])
-            staged = []
+            staged = []  # per entry: cascade, rule fusion and features, or its failure
             for entry in chunk:
-                staged.append(stage(entry))
-                if isinstance(staged[-1], RuinscoreError) and not args.keep_going:
-                    break
-            finish(staged, out_stream)
+                try:
+                    out = run_cascade(entry, backend)
+                    rule = rule_fusion(out, config)
+                    staged.append((out, rule, features(out, rule, config) if features else None))
+                except RuinscoreError as exc:
+                    exc.image_id = entry.id
+                    staged.append(exc)
+                    if not args.keep_going:
+                        break
+            # one predict for the chunk's rows, then records and skip lines in
+            # manifest order; a failure is re-raised without --keep-going
+            rows = [item[2] for item in staged if not isinstance(item, RuinscoreError)]
+            probs = iter(_chunk_probs(model, rows) if model is not None and rows else ())
+            for item in staged:
+                if isinstance(item, RuinscoreError):
+                    if not args.keep_going:
+                        raise item
+                    print(f"skip {item.image_id}: {type(item).__name__}: {item}", file=sys.stderr)
+                    continue
+                out, rule, _ = item
+                p = next(probs) if model is not None else None
+                final = fusion.final_decision(rule, p, config)
+                out_stream.write(json.dumps(_assessment_record(out, rule, p, final)) + "\n")
     finally:
         if args.out:
             out_stream.close()
@@ -367,32 +356,19 @@ def _cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def bounded(cast, low: float, strict: bool = False):
+    """An argparse type: a finite `cast` number >= `low`, or > `low` if `strict`."""
 
+    def parse(text: str):
+        value = cast(text)
+        if not (value > low if strict else value >= low) or value == math.inf:  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low}, got {value}"
+            )
+        return value
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
-
-
-def non_negative_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
+    parse.__name__ = cast.__name__  # argparse names the type when `cast` fails
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["file", "external"], default="file")
     p.add_argument("--meta-model", dest="meta_model")
     p.add_argument("--out", help="write JSONL here instead of stdout")
-    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--jobs", type=bounded(int, 1), default=1)
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(func=_cmd_assess)
 
@@ -424,13 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=f"JSON config (fallback: ${CONFIG_ENV_VAR})")
     p.add_argument("--kind", choices=["logreg", "gbdt"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--learning-rate", type=positive_float, default=0.1)
-    p.add_argument("--l2", type=non_negative_float, default=1e-3)
-    p.add_argument("--iterations", type=non_negative_int, default=500)
-    p.add_argument("--rounds", type=non_negative_int, default=50)
-    p.add_argument("--max-depth", type=positive_int, default=3)
-    p.add_argument("--min-leaf", type=positive_int, default=5)
-    p.add_argument("--reg-lambda", type=positive_float, default=1.0)
+    p.add_argument("--learning-rate", type=bounded(float, 0, strict=True), default=0.1)
+    p.add_argument("--l2", type=bounded(float, 0), default=1e-3)
+    p.add_argument("--iterations", type=bounded(int, 0), default=500)
+    p.add_argument("--rounds", type=bounded(int, 0), default=50)
+    p.add_argument("--max-depth", type=bounded(int, 1), default=3)
+    p.add_argument("--min-leaf", type=bounded(int, 1), default=5)
+    p.add_argument("--reg-lambda", type=bounded(float, 0, strict=True), default=1.0)
     p.set_defaults(func=_cmd_train_meta)
 
     p = sub.add_parser("fuse", help="fuse one detection file into a level with explanation")

@@ -270,11 +270,12 @@ class TestPipelinedExchange:
         "jobs, failed", [(1, {"bb", "dddd"}), (2, {"ccc", "dddd"})], ids=["jobs1", "jobs2"]
     )
     def test_one_exchange_per_chunk_lands_replies_on_their_image(self, stub, jobs, failed):
-        # every child exits after answering its 4th request, and the images
-        # dealt to it after the one that request belongs to go to a fresh
-        # child. One child fails bb, then its successor fails dddd (its 2nd
-        # image). With two, child 0 (a, ccc, eeeee) fails ccc and child 1
-        # (bb, dddd) fails dddd.
+        # every child exits after answering its 4th request; the images dealt
+        # to it after the one that request belongs to are left unserved, and
+        # query asks for each alone from child 0's slot. One child fails bb,
+        # then its successor, asked for ccc and then dddd, fails dddd. With
+        # two, child 0 (a, ccc, eeeee) fails ccc and child 1 (bb, dddd) fails
+        # dddd; eeeee then goes to a fresh child 0.
         entries = [
             ImageEntry(id="a", image_path="a.jpg"),
             ImageEntry(id="bb", image_path="bb.jpg"),
@@ -406,16 +407,74 @@ class TestPipelinedExchange:
             assert ask(backend, "b.jpg", "scene").cls is SceneClass.INSIDE
 
     def test_child_closing_stdout_but_alive_is_killed_after_timeout(self):
+        # a child whose output is closed can never reply, so it is killed at
+        # once rather than waited on, and the loop never stalls on it
         command = [
             sys.executable,
             "-c",
             "import os, sys, time; sys.stdin.readline(); os.close(1); time.sleep(30)",
         ]
         start = time.monotonic()
-        with ExternalBackend(command, timeout_s=2.0) as backend:
+        with ExternalBackend(command, timeout_s=5.0) as backend:
             with pytest.raises(ProcessExited):
                 ask(backend, "x", "scene")
-        assert time.monotonic() - start < 10.0
+        assert time.monotonic() - start < 4.0
+
+    def test_child_writing_without_newline_times_out(self, tmp_path):
+        # output that never completes a line is no reply: the deadline runs
+        # although the child is readable in every round of the loop
+        script = tmp_path / "dots.py"
+        script.write_text(
+            "import os, sys\n"
+            "sys.stdin.readline()\n"
+            "while True:\n"
+            "    os.write(1, b'.' * 1024)\n"
+        )
+        start = time.monotonic()
+        with ExternalBackend([sys.executable, str(script)], timeout_s=1.0) as backend:
+            with pytest.raises(Timeout):
+                ask(backend, "x", "scene")
+        assert time.monotonic() - start < 4.0
+
+    @pytest.mark.parametrize("stray", [b"log: done\n", b"log: do"], ids=["line", "partial"])
+    def test_output_nobody_asked_for_kills_the_child(self, tmp_path, stray):
+        # each reply comes with output after it in the same write; were it
+        # kept, it would be read as the start of the next image's reply
+        script = tmp_path / "chatty.py"
+        script.write_text(
+            "import json, os, sys\n"
+            "for line in sys.stdin:\n"
+            "    scene = 'inside' if json.loads(line)['image'].startswith('b') else 'outside'\n"
+            "    reply = json.dumps({'scene': scene, 'confidence': 1.0}).encode()\n"
+            f"    os.write(1, reply + b'\\n' + {stray!r})\n"
+        )
+        with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
+            assert ask(backend, "a.jpg", "scene").cls is SceneClass.OUTSIDE
+            assert ask(backend, "b.jpg", "scene").cls is SceneClass.INSIDE
+            assert ask(backend, "c.jpg", "scene").cls is SceneClass.OUTSIDE
+
+    def test_child_that_cannot_start_fails_its_first_image(self, tmp_path):
+        # child 1 cannot start: its first image gets BackendUnavailable and
+        # its other image is asked for again from child 0
+        script = tmp_path / "echo_damage"
+        script.write_text(
+            f"#!{sys.executable}\n"
+            "import json, os, sys\n"
+            "for line in sys.stdin:\n"
+            "    stem = os.path.basename(json.loads(line)['image'])\n"
+            "    crack = {'class': 'crack', 'box': [0.5, 0.5, 0.2, 0.2], 'confidence': 0.9}\n"
+            "    print(json.dumps({'detections': [crack] * len(stem)}), flush=True)\n"
+        )
+        script.chmod(0o755)
+        entries = [ImageEntry(id=name, image_path=name) for name in ("a", "bb", "ccc", "dddd")]
+        with ExternalBackend([str(script)], timeout_s=10, jobs=2) as backend:
+            assert len(ask(backend, "zz", "damage")) == 2  # child 0 has read its script
+            script.unlink()
+            backend.exchange([(entry, ["damage"]) for entry in entries])
+            with pytest.raises(BackendUnavailable):
+                backend.query(entries[1], ["damage"])
+            counts = [len(backend.query(entries[i], ["damage"])[0]) for i in (0, 2, 3)]
+        assert counts == [1, 3, 4]
 
 
 def decoded(line: bytes, task: str):

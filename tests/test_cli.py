@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,25 @@ class TestAssess:
             ("bb", 2, "inside"),
             ("ccc", 3, "inside"),
         ]
+
+    def test_external_timeout_without_keep_going_stops_at_once(self, tmp_path, stub, capsys):
+        # the first image's timeout ends the run: the images after it are not
+        # asked for again, so the error comes after one timeout, not three
+        images = [{"id": i, "image_path": f"{i}.jpg"} for i in ("a", "bb", "ccc")]
+        path = write_dataset(tmp_path / "d", images)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"backend": {"command": [sys.executable, stub("sleepy_backend")], "timeout_s": 2.0}}
+        ))
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "assess", "--manifest", str(path), "--backend", "external",
+            "--config", str(config), "--jobs", "1",
+        )
+        assert time.monotonic() - start < 3.5
+        assert (code, out) == (1, "")
+        error = json.loads(err.strip())
+        assert (error["error"], error["image_id"]) == ("Timeout", "a")
 
     def test_external_exit_restarts_the_child(self, tmp_path, stub, capsys):
         images = [{"id": i, "image_path": f"{i}.jpg"} for i in ("a", "bb", "ccc")]
