@@ -42,6 +42,9 @@ from .errors import (
 
 TASKS = ("scene", "components", "damage")
 DEFAULT_TIMEOUT_S = 30.0
+# bytes of one unfinished reply line past which a child is no longer read, so
+# a child writing without a newline holds this much memory until its deadline
+MAX_REPLY_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class _Child:
     def __init__(self, proc: subprocess.Popen):
         self.proc = proc
         self.owed: deque = deque()
-        self.unsent = self.partial = b""
+        self.unsent, self.partial = b"", bytearray()
         self.deadline = 0.0
 
 
@@ -182,17 +185,20 @@ class ExternalBackend:
             if child.owed:
                 results[child.owed[0][0]] = error
                 child.owed.clear()
-            sel.unregister(child.proc.stdout)
-            if child.unsent:
-                sel.unregister(child.proc.stdin)
+            for key in [k for k in sel.get_map().values() if k.data is child]:
+                sel.unregister(key.fileobj)
             self._drop(child)
 
         def read(child: _Child) -> None:
             data = os.read(child.proc.stdout.fileno(), 1 << 16)
-            *lines, child.partial = (child.partial + data).split(b"\n")
-            if not data and child.partial:  # end of output: a last line may lack its newline
-                lines.append(child.partial)
-                child.partial = b""
+            child.partial += data  # in place: an unfinished line is not copied per read
+            lines = []
+            if b"\n" in data:
+                *lines, rest = bytes(child.partial).split(b"\n")
+                child.partial = bytearray(rest)
+            elif not data and child.partial:  # end of output: a last line may lack its newline
+                lines.append(bytes(child.partial))
+                child.partial.clear()
             for line in lines:
                 if not child.owed:  # a line nobody asked for: the child is out of step
                     return fail(child, None)
@@ -208,7 +214,8 @@ class ExternalBackend:
                 fail(child, ProcessExited(child.proc.wait()))
             elif not child.owed and child.partial:  # the start of a line nobody asked for
                 fail(child, None)
-            elif not child.owed:
+            elif not child.owed or len(child.partial) > MAX_REPLY_BYTES:
+                # read no more; a reply still owed now can only time out
                 sel.unregister(child.proc.stdout)
 
         try:

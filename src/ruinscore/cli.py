@@ -4,8 +4,10 @@ assess streams one JSON record per image (JSONL), working through the
 manifest in fixed-size chunks, so corpora of any size process with bounded
 memory whatever --jobs is. Everything runs in the calling thread; --jobs N
 is the number of external backend children, each chunk one exchange with
-them. Exit codes: 0 success, 1 runtime failure (structured JSON error on
-stderr), 2 usage error.
+them. Per chunk, each image runs the cascade, rule fusion and feature
+extraction, then one batch meta predict grades all its rows, for either
+model kind. Exit codes: 0 success, 1 runtime failure (structured JSON error
+on stderr), 2 usage error.
 
 numpy and the meta package load only in the commands that load or train a
 meta-model, so rule-only assess, evaluate and fuse start without them.
@@ -130,16 +132,11 @@ def _assessment_record(out, rule, probs, final) -> dict:
 
 
 def _chunk_probs(model, rows: list) -> list[tuple[float, float, float, float]]:
-    """Meta probabilities of one chunk's feature vectors, in row order."""
-    import numpy as np
-
+    """Meta probabilities of one chunk's feature vectors, in row order, from
+    one batch predict; each row equals its one-row predict bit for bit."""
     from . import meta
 
-    if isinstance(model, meta.LogRegModel):
-        # per row: predict_logreg_batch can round the last bit differently,
-        # which would change assess output bytes
-        return [meta.predict_logreg(model, x) for x in rows]
-    return [tuple(p) for p in meta.predict_gbdt_batch(model, np.stack(rows)).tolist()]
+    return [tuple(p) for p in meta.predict_batch(model, rows).tolist()]
 
 
 def _cmd_assess(args) -> int:
@@ -176,7 +173,7 @@ def _cmd_assess(args) -> int:
                 try:
                     out = run_cascade(entry, backend)
                     rule = rule_fusion(out, config)
-                    staged.append((out, rule, features(out, rule, config) if features else None))
+                    staged.append((out, rule, features(out, rule) if features else None))
                 except RuinscoreError as exc:
                     exc.image_id = entry.id
                     staged.append(exc)
@@ -270,7 +267,7 @@ def _cmd_train_meta(args) -> int:
             exc.image_id = entry.id
             raise
         rule = rule_fusion(out, config)
-        X.append(meta.extract_features(out, rule, config))
+        X.append(meta.extract_features(out, rule))
         y.append(entry.ground_truth_level)
     if not X:
         raise DegenerateData("no manifest entry carries ground_truth_level")

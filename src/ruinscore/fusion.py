@@ -203,6 +203,8 @@ class RuleDecision:
     weighted_score(n_crack, n_spall, n_rebar_raw - n_rebar_valid) times the
     no-component factor when (and only when) the "ambiguity-bias" tag is
     present, so the decision can be audited from its counts alone.
+    `survivors` are the damage detections the filters kept, in input order:
+    the meta features are taken over them, and no record writes them.
     """
 
     level: DamageLevel
@@ -210,6 +212,7 @@ class RuleDecision:
     counts: RuleCounts = RuleCounts()
     rebar_forced: bool = False
     applied_filters: tuple[str, ...] = ()
+    survivors: tuple[DamageDetection, ...] = ()
 
     def __post_init__(self) -> None:
         if self.rebar_forced and self.level is not DamageLevel.HEAVY:
@@ -355,32 +358,26 @@ def rule_fusion(out, config: FusionConfig) -> RuleDecision:
     )
 
     if valid_rebars:
-        return RuleDecision(
-            level=DamageLevel.HEAVY,
-            score=score,
-            counts=counts,
-            rebar_forced=True,
-            applied_filters=tuple(tags),
-        )
-
-    if config.version is FusionVersion.V2 and not any(
-        c.confidence >= config.v2.component_conf_min for c in out.components
-    ):
-        score *= config.v2.no_component_score_factor
-        tags.append(TAG_AMBIGUITY_BIAS)
-
-    if score < config.thresholds.t_slight:
-        level = DamageLevel.ZERO
-    elif score < config.thresholds.t_medium:
-        level = DamageLevel.SLIGHT
+        level = DamageLevel.HEAVY
     else:
-        level = DamageLevel.MEDIUM
+        if config.version is FusionVersion.V2 and not any(
+            c.confidence >= config.v2.component_conf_min for c in out.components
+        ):
+            score *= config.v2.no_component_score_factor
+            tags.append(TAG_AMBIGUITY_BIAS)
+        if score < config.thresholds.t_slight:
+            level = DamageLevel.ZERO
+        elif score < config.thresholds.t_medium:
+            level = DamageLevel.SLIGHT
+        else:
+            level = DamageLevel.MEDIUM
     return RuleDecision(
         level=level,
         score=score,
         counts=counts,
-        rebar_forced=False,
+        rebar_forced=bool(valid_rebars),
         applied_filters=tuple(tags),
+        survivors=tuple(filtered),
     )
 
 

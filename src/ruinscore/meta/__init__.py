@@ -20,7 +20,7 @@ from .logreg import (
     predict_logreg_batch,
     train_logreg,
 )
-from .serialize import load_model, model_to_json, save_model, training_accuracy
+from .serialize import load_model, model_to_json, predict_batch, save_model, training_accuracy
 
 ClassProbs = tuple[float, float, float, float]
 
@@ -39,6 +39,7 @@ __all__ = [
     "extract_features",
     "load_model",
     "model_to_json",
+    "predict_batch",
     "predict_gbdt",
     "predict_gbdt_batch",
     "predict_logreg",

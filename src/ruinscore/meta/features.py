@@ -3,7 +3,7 @@
 Layout version "v1"; model files record it and loading rejects mismatches.
 Counts and the score are taken from the rule decision so features stay
 consistent with the explanation the rule stage already produced; sums, maxima
-and areas are recomputed over the same post-filter detections.
+and areas are taken over the detections its filters kept (`rule.survivors`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from ..backend import CascadeOutput
 from ..dataset_io import ComponentClass, DamageClass, SceneClass
-from ..fusion import FusionConfig, RuleDecision, filter_detections
+from ..fusion import RuleDecision
 
 FEATURE_DIM = 18
 FEATURE_LAYOUT = "v1"
@@ -42,19 +42,16 @@ _DAMAGE_ORDER = (DamageClass.CRACK, DamageClass.SPALLING, DamageClass.EXPOSED_RE
 _COMPONENT_ORDER = (ComponentClass.BEAM, ComponentClass.COLUMN, ComponentClass.WALL)
 
 
-def extract_features(
-    out: CascadeOutput, rule: RuleDecision, config: FusionConfig
-) -> np.ndarray:
-    """Assemble the feature vector for one image (rule computed under config)."""
+def extract_features(out: CascadeOutput, rule: RuleDecision) -> np.ndarray:
+    """Assemble the feature vector for one image from its rule decision."""
     x = np.zeros(FEATURE_DIM, dtype=np.float64)
     x[0] = rule.counts.n_crack
     x[1] = rule.counts.n_spall
     x[2] = rule.counts.n_rebar_raw
     x[3] = rule.counts.n_rebar_valid
 
-    filtered = filter_detections(out.damages, out.scene, config)
     area = 0.0
-    for det in filtered:
+    for det in rule.survivors:
         slot = _DAMAGE_ORDER.index(det.cls)
         x[4 + slot] += det.confidence
         if det.confidence > x[7 + slot]:

@@ -17,7 +17,8 @@ from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
 from ..fusion import check_number
 from .features import FEATURE_LAYOUT
 from .hyper import TrainHyper
-from .logreg import _as_matrix, _finite_array, _one_hot, _training_matrix, softmax_rows
+from .logreg import _as_matrix, _finite_array, _log_loss, _one_hot, _sample_weights
+from .logreg import _training_matrix, softmax_rows
 
 N_CLASSES = 4
 GBDT_FORMAT = "ruinscore-gbdt-v1"
@@ -268,11 +269,7 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
         raise DegenerateData(f"need at least {2 * hp.min_leaf} samples, got {n}")
     Y = _one_hot(y, n)
 
-    if hyper.class_weights is None:
-        sw = np.ones(n, dtype=np.float64)
-    else:
-        sw = np.asarray(hyper.class_weights, dtype=np.float64)[Y.argmax(axis=1)]
-
+    sw = _sample_weights(Y, hyper.class_weights)
     priors = (Y * sw[:, None]).sum(axis=0) / sw.sum()
     base = np.log(np.maximum(priors, _PRIOR_FLOOR))
     degenerate = bool((Y.sum(axis=0) > 0).sum() == 1)
@@ -280,12 +277,6 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
     F = np.tile(base, (n, 1))
     trace: list[float] = []
     trees: list[list[dict]] = []
-    w_total = sw.sum()
-
-    def current_loss() -> float:
-        P = softmax_rows(F)
-        ll = -np.log(np.clip((P * Y).sum(axis=1), 1e-300, None))
-        return float((sw * ll).sum() / w_total)
 
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")
@@ -294,9 +285,9 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
     leaf_of_row = np.empty(n, dtype=np.float64)
 
     rounds = 0 if degenerate else hp.rounds
-    trace.append(current_loss())
+    P = softmax_rows(F)  # of the margins a round starts from
+    trace.append(_log_loss(P, Y, sw))
     for _ in range(rounds):
-        P = softmax_rows(F)
         round_trees = []
         for c in range(N_CLASSES):
             g = (Y[:, c] - P[:, c]) * sw
@@ -304,7 +295,8 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
             round_trees.append(_build_tree(xs, order, rows, g, h, 0, hp, leaf_of_row))
             F[:, c] += hp.learning_rate * leaf_of_row
         trees.append(round_trees)
-        trace.append(current_loss())
+        P = softmax_rows(F)
+        trace.append(_log_loss(P, Y, sw))
 
     return GbdtModel(
         trees=trees,

@@ -74,6 +74,19 @@ def _one_hot(y, n: int) -> np.ndarray:
     return Y
 
 
+def _sample_weights(Y: np.ndarray, class_weights) -> np.ndarray:
+    """Each row's weight: the class weight of its label, or 1 without weights."""
+    if class_weights is None:
+        return np.ones(Y.shape[0], dtype=np.float64)
+    return np.asarray(class_weights, dtype=np.float64)[Y.argmax(axis=1)]
+
+
+def _log_loss(P: np.ndarray, Y: np.ndarray, sw: np.ndarray) -> float:
+    """Sample-weighted mean log-loss, probabilities clipped only inside the log."""
+    ll = -np.log(np.clip((P * Y).sum(axis=1), 1e-300, None))
+    return float((sw * ll).sum() / sw.sum())
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -91,12 +104,9 @@ def _loss_and_grad(
     # non-finite loss and reports the offending iteration
     with np.errstate(over="ignore", invalid="ignore"):
         P = softmax_rows(Xb @ W.T)
-        w_total = sw.sum()
-        # clip only inside the log; the gradient uses the exact probabilities
-        ll = -np.log(np.clip((P * Y).sum(axis=1), 1e-300, None))
         penalty = 0.5 * l2 * float(np.square(W[:, :-1]).sum())
-        loss = float((sw * ll).sum() / w_total) + penalty
-        G = ((P - Y) * sw[:, None]).T @ Xb / w_total
+        loss = _log_loss(P, Y, sw) + penalty  # the gradient uses the unclipped P
+        G = ((P - Y) * sw[:, None]).T @ Xb / sw.sum()
         G[:, :-1] += l2 * W[:, :-1]
     return loss, G
 
@@ -121,11 +131,7 @@ def train_logreg(X, y, hyper: TrainHyper) -> LogRegModel:
     Z = _standardize(X, mean, std)
     Xb = np.hstack([Z, np.ones((n, 1))])
 
-    if hyper.class_weights is None:
-        sw = np.ones(n, dtype=np.float64)
-    else:
-        cw = np.asarray(hyper.class_weights, dtype=np.float64)
-        sw = cw[Y.argmax(axis=1)]
+    sw = _sample_weights(Y, hyper.class_weights)
 
     W = np.zeros((N_CLASSES, d + 1), dtype=np.float64)
     trace: list[float] = []
@@ -150,26 +156,21 @@ def train_logreg(X, y, hyper: TrainHyper) -> LogRegModel:
     )
 
 
-def predict_logreg(model: LogRegModel, x) -> tuple[float, float, float, float]:
-    """Class probabilities for one feature vector (softmax, max-subtracted)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != model.dim:
-        raise DimensionMismatch(model.dim, x.shape[0])
-    z = (x - model.mean) / model.std
-    logits = model.weights[:, :-1] @ z + model.weights[:, -1]
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    p = e / e.sum()
-    return (float(p[0]), float(p[1]), float(p[2]), float(p[3]))
-
-
 def predict_logreg_batch(model: LogRegModel, X) -> np.ndarray:
+    """(rows, 4) class probabilities: softmax of one matrix-vector product per
+    row plus the bias, so a row rounds the same alone as in any batch."""
     X = _as_matrix(X)
     if X.shape[1] != model.dim:
         raise DimensionMismatch(model.dim, X.shape[1])
     Z = _standardize(X, model.mean, model.std)
-    Xb = np.hstack([Z, np.ones((X.shape[0], 1))])
-    return softmax_rows(Xb @ model.weights.T)
+    W = model.weights
+    return softmax_rows(np.matmul(W[:, :-1], Z[:, :, None])[:, :, 0] + W[:, -1])
+
+
+def predict_logreg(model: LogRegModel, x) -> tuple[float, float, float, float]:
+    """Class probabilities of one feature vector: one row of predict_logreg_batch."""
+    p = predict_logreg_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
+    return (float(p[0]), float(p[1]), float(p[2]), float(p[3]))
 
 
 def logreg_to_dict(model: LogRegModel) -> dict:

@@ -1,4 +1,5 @@
-"""Versioned JSON model files, the format dispatch loader and training accuracy."""
+"""Versioned JSON model files, the format dispatch loader, and the one batch
+predict and training accuracy for either model kind."""
 
 from __future__ import annotations
 
@@ -30,11 +31,16 @@ def model_to_json(model: LogRegModel | GbdtModel) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def predict_batch(model: LogRegModel | GbdtModel, X) -> np.ndarray:
+    """(rows, 4) class probabilities of either model kind."""
+    predict = predict_logreg_batch if isinstance(model, LogRegModel) else predict_gbdt_batch
+    return predict(model, X)
+
+
 def training_accuracy(model: LogRegModel | GbdtModel, X, y) -> float:
     """Share of rows whose most probable class equals the label."""
-    predict = predict_logreg_batch if isinstance(model, LogRegModel) else predict_gbdt_batch
     labels = np.asarray([int(v) for v in y])
-    return float((predict(model, X).argmax(axis=1) == labels).mean())
+    return float((predict_batch(model, X).argmax(axis=1) == labels).mean())
 
 
 def save_model(model: LogRegModel | GbdtModel, path: str | Path) -> None:

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset_io import (
+    DEFAULT_COMPONENT_CLASS_MAP,
+    DEFAULT_DAMAGE_CLASS_MAP,
     BoundingBox,
     DamageClass,
     DamageDetection,
-    ComponentClass,
     ComponentDetection,
     DamageLevel,
     DatasetManifest,
@@ -36,10 +37,6 @@ from .dataset_io import (
 from .errors import IoFailure
 
 _MASK64 = (1 << 64) - 1
-
-_DAMAGE_IDS = {DamageClass.CRACK: 0, DamageClass.SPALLING: 1, DamageClass.EXPOSED_REBAR: 2}
-_DAMAGE_BY_ID = {v: k for k, v in _DAMAGE_IDS.items()}
-_COMPONENT_BY_ID = {0: ComponentClass.BEAM, 1: ComponentClass.COLUMN, 2: ComponentClass.WALL}
 
 # (n_crack, n_spall) combinations that score into each band under the
 # default v1 weights (1, 2) and thresholds (1, 4)
@@ -179,7 +176,7 @@ def _apply_noise(
             det = DamageDetection(det.cls, det.box, min(1.0, max(0.01, conf)))
         out.append(det)
     if noise.false_positive_rate > 0.0 and rng.random() < noise.false_positive_rate:
-        cls = _DAMAGE_BY_ID[rng.randint(3)]
+        cls = DEFAULT_DAMAGE_CLASS_MAP[rng.randint(3)]
         out.append(_damage(rng, cls, 0.3, 0.9))
     return out
 
@@ -202,13 +199,12 @@ def gen_synthetic(spec: SynthSpec, out_dir: str | Path) -> DatasetManifest:
         level = _draw_level(rng, spec.level_priors)
         scene = "inside" if rng.random() < 0.5 else "outside"
 
-        components = []
-        for _ in range(rng.randint(3)):
-            components.append(
-                ComponentDetection(
-                    _COMPONENT_BY_ID[rng.randint(3)], _random_box(rng), rng.uniform(0.5, 1.0)
-                )
+        components = [
+            ComponentDetection(
+                DEFAULT_COMPONENT_CLASS_MAP[rng.randint(3)], _random_box(rng), rng.uniform(0.5, 1.0)
             )
+            for _ in range(rng.randint(3))
+        ]
         damages = _apply_noise(rng, _clean_damages(rng, level), spec.noise)
 
         damage_rel = f"labels/{image_id}.txt"
@@ -220,12 +216,13 @@ def gen_synthetic(spec: SynthSpec, out_dir: str | Path) -> DatasetManifest:
         }
         try:
             (root / damage_rel).write_text(
-                detections_to_box_text(damages, _DAMAGE_BY_ID), encoding="utf-8"
+                detections_to_box_text(damages, DEFAULT_DAMAGE_CLASS_MAP), encoding="utf-8"
             )
             if components:
                 comp_rel = f"components/{image_id}.txt"
                 (root / comp_rel).write_text(
-                    detections_to_box_text(components, _COMPONENT_BY_ID), encoding="utf-8"
+                    detections_to_box_text(components, DEFAULT_COMPONENT_CLASS_MAP),
+                    encoding="utf-8",
                 )
                 entry["components_file"] = comp_rel
         except OSError as exc:
@@ -234,8 +231,8 @@ def gen_synthetic(spec: SynthSpec, out_dir: str | Path) -> DatasetManifest:
 
     manifest = {
         "class_maps": {
-            "damage": {str(i): cls.value for i, cls in _DAMAGE_BY_ID.items()},
-            "component": {str(i): cls.value for i, cls in _COMPONENT_BY_ID.items()},
+            "damage": {str(i): cls.value for i, cls in DEFAULT_DAMAGE_CLASS_MAP.items()},
+            "component": {str(i): cls.value for i, cls in DEFAULT_COMPONENT_CLASS_MAP.items()},
         },
         "images": entries,
     }

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import resource
 import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ruinscore import backend as backend_module
 from ruinscore.backend import (
     TASKS,
     ExternalBackend,
@@ -435,6 +437,56 @@ class TestPipelinedExchange:
             with pytest.raises(Timeout):
                 ask(backend, "x", "scene")
         assert time.monotonic() - start < 4.0
+
+    def test_flood_without_newline_costs_little_cpu_and_memory(self, tmp_path):
+        # 64 KiB blocks with no newline until the deadline: the unfinished
+        # line grows in place, and past MAX_REPLY_BYTES the child is not read
+        script = tmp_path / "flood.py"
+        script.write_text(
+            "import os, sys\n"
+            "sys.stdin.readline()\n"
+            "while True:\n"
+            "    os.write(1, b'.' * 65536)\n"
+        )
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        with ExternalBackend([sys.executable, str(script)], timeout_s=2.0) as backend:
+            with pytest.raises(Timeout):
+                ask(backend, "x", "scene")
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+        assert cpu_s < 0.5
+
+    def test_long_reply_line_read_across_many_reads(self, tmp_path):
+        n = 40_000  # a reply of about 3 MiB, written in small pieces
+        script = tmp_path / "long.py"
+        script.write_text(
+            "import json, os, sys\n"
+            "sys.stdin.readline()\n"
+            "det = {'class': 'crack', 'box': [0.5, 0.5, 0.1, 0.1], 'confidence': 0.9}\n"
+            f"reply = json.dumps({{'detections': [det] * {n}}}).encode() + b'\\n'\n"
+            "for i in range(0, len(reply), 1000):\n"
+            "    os.write(1, reply[i : i + 1000])\n"
+            "sys.stdin.read()\n"
+        )
+        with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
+            assert len(ask(backend, "x", "damage")) == n
+
+    def test_line_past_the_bound_is_not_read_and_times_out(self, tmp_path, monkeypatch):
+        script = tmp_path / "long.py"
+        script.write_text(
+            "import os, sys, time\n"
+            "sys.stdin.readline()\n"
+            "os.write(1, b'{\"scene\": \"outside\",' + b' ' * 5000)\n"
+            "time.sleep(0.1)\n"
+            "os.write(1, b'\"confidence\": 1.0}\\n')\n"
+            "sys.stdin.read()\n"
+        )
+        with ExternalBackend([sys.executable, str(script)], timeout_s=0.5) as backend:
+            assert ask(backend, "x", "scene").cls is SceneClass.OUTSIDE
+        monkeypatch.setattr(backend_module, "MAX_REPLY_BYTES", 1000)
+        with ExternalBackend([sys.executable, str(script)], timeout_s=0.5) as backend:
+            with pytest.raises(Timeout):
+                ask(backend, "x", "scene")
 
     @pytest.mark.parametrize("stray", [b"log: done\n", b"log: do"], ids=["line", "partial"])
     def test_output_nobody_asked_for_kills_the_child(self, tmp_path, stray):

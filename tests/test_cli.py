@@ -237,14 +237,19 @@ class TestAssess:
 
 @pytest.fixture(scope="module")
 def chunked_corpus(tmp_path_factory):
-    """A hybrid config, a gbdt model, and a synthetic manifest of a bit over
-    two chunks whose damage files are missing at the chunk edges."""
+    """A hybrid config, a gbdt model (and a logreg one), and a synthetic
+    manifest of a bit over two chunks whose damage files are missing at the
+    chunk edges."""
     root = tmp_path_factory.mktemp("chunked")
     assert main(["gen-synthetic", "--seed", "3", "--n", "200", "--out", str(root / "train")]) == 0
-    model = root / "gb.json"
+    model, logreg_model = root / "gb.json", root / "lr.json"
     assert main(
         ["train-meta", "--manifest", str(root / "train" / "manifest.json"), "--kind", "gbdt",
          "--rounds", "10", "--out", str(model)]
+    ) == 0
+    assert main(
+        ["train-meta", "--manifest", str(root / "train" / "manifest.json"), "--kind", "logreg",
+         "--iterations", "100", "--out", str(logreg_model)]
     ) == 0
     n = 2 * cli.CHUNK_SIZE + 10
     assert main(["gen-synthetic", "--seed", "5", "--n", str(n), "--out", str(root / "data"),
@@ -258,7 +263,7 @@ def chunked_corpus(tmp_path_factory):
     config.write_text(json.dumps({"version": "v2", "decision_mode": "hybrid"}))
     ids = [e["id"] for e in entries]
     return {"manifest": manifest, "model": model, "config": config, "ids": ids,
-            "broken": [ids[i] for i in broken]}
+            "broken": [ids[i] for i in broken], "models": {"gbdt": model, "logreg": logreg_model}}
 
 
 def assess_chunked(capsys, corpus, *extra) -> tuple[int, str, str]:
@@ -283,21 +288,48 @@ class TestChunkedAssess:
         ids = [json.loads(line)["image_id"] for line in out.splitlines()]
         assert ids == [i for i in chunked_corpus["ids"] if i not in chunked_corpus["broken"]]
 
-    def test_batched_probs_equal_one_row_predict(self, chunked_corpus, capsys):
-        code, out, _ = assess_chunked(capsys, chunked_corpus, "--keep-going")
+    @pytest.mark.parametrize("kind", ["gbdt", "logreg"])
+    def test_batched_probs_equal_one_row_predict(self, chunked_corpus, capsys, kind):
+        corpus = {**chunked_corpus, "model": chunked_corpus["models"][kind]}
+        code, out, _ = assess_chunked(capsys, corpus, "--keep-going")
         assert code == 0
         manifest = load_manifest(chunked_corpus["manifest"])
         entries = {e.id: e for e in manifest.images}
-        model = meta.load_model(chunked_corpus["model"])
+        model = meta.load_model(corpus["model"])
+        predict = meta.predict_gbdt if kind == "gbdt" else meta.predict_logreg
         config = FusionConfig.from_dict({"version": "v2", "decision_mode": "hybrid"})
         backend = FileBackend(manifest)
         for line in out.splitlines():
             record = json.loads(line)
             cascade = run_cascade(entries[record["image_id"]], backend)
             rule = rule_fusion(cascade, config)
-            probs = meta.predict_gbdt(model, meta.extract_features(cascade, rule, config))
+            probs = predict(model, meta.extract_features(cascade, rule))
             assert record["meta"]["probs"] == list(probs)
             assert record["final"] == final_decision(rule, probs, config).label
+
+    @pytest.mark.parametrize("kind", ["gbdt", "logreg"])
+    def test_one_batch_predict_per_chunk(self, chunked_corpus, capsys, monkeypatch, kind):
+        batch_name = f"predict_{kind}_batch"
+        batch = getattr(meta.serialize, batch_name)
+        rows_per_call = []
+
+        def counting(model, X):
+            rows_per_call.append(len(X))
+            return batch(model, X)
+
+        def per_row(model, x):
+            raise AssertionError("assess made a one-row predict")
+
+        monkeypatch.setattr(meta.serialize, batch_name, counting)
+        for module, name in ((meta, "predict_logreg"), (meta, "predict_gbdt"),
+                             (meta.logreg, "predict_logreg"), (meta.gbdt, "predict_gbdt")):
+            monkeypatch.setattr(module, name, per_row)
+        corpus = {**chunked_corpus, "model": chunked_corpus["models"][kind]}
+        code, out, _ = assess_chunked(capsys, corpus, "--keep-going")
+        assert code == 0
+        # 3 chunks, each with entries left after the skips at the chunk edges
+        assert rows_per_call == [cli.CHUNK_SIZE - 1, cli.CHUNK_SIZE - 2, 9]
+        assert sum(rows_per_call) == len(out.splitlines())
 
     @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_failure_writes_earlier_records_then_error(self, chunked_corpus, capsys, jobs):

@@ -26,7 +26,7 @@ OUTSIDE = SceneLabel(SceneClass.OUTSIDE, 1.0)
 
 def features_for(out, config=DEFAULT_CONFIG):
     rule = rule_fusion(out, config)
-    return extract_features(out, rule, config), rule
+    return extract_features(out, rule), rule
 
 
 def test_layout_names_match_dim():
@@ -77,7 +77,7 @@ def test_consistency_with_rule_decision(config):
     for _ in range(200):
         out = rand_cascade(rng)
         rule = rule_fusion(out, config)
-        x = extract_features(out, rule, config)
+        x = extract_features(out, rule)
         assert x[0] == rule.counts.n_crack
         assert x[1] == rule.counts.n_spall
         assert x[2] == rule.counts.n_rebar_raw

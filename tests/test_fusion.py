@@ -365,6 +365,13 @@ def test_property_rebar_dominance(out, config):
 
 
 @settings(max_examples=150, deadline=None)
+@given(cascades(), st.sampled_from([DEFAULT_CONFIG, V2_CONFIG]))
+def test_property_survivors_are_the_filtered_detections(out, config):
+    decision = rule_fusion(out, config)
+    assert decision.survivors == tuple(filter_detections(out.damages, out.scene, config))
+
+
+@settings(max_examples=150, deadline=None)
 @given(cascades(), st.sampled_from([DEFAULT_CONFIG, V2_CONFIG]), st.integers(0, 2**32 - 1))
 def test_property_monotone_under_added_detection(out, config, seed):
     rng = random.Random(seed)

@@ -1,0 +1,186 @@
+"""Fuzzing of the model-file and manifest loaders through `cli.main`.
+
+Valid documents get up to three mutations: a value replaced by an arbitrary
+JSON value, a key or item deleted, or one added. Whatever comes out, assess
+must end in exit 0, 1 or 2, and exit 1 must print exactly one JSON error
+line and no traceback.
+"""
+
+from __future__ import annotations
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from ruinscore.cli import main
+from ruinscore.dataset_io import DEFAULT_COMPONENT_CLASS_MAP, DEFAULT_DAMAGE_CLASS_MAP
+from ruinscore.meta import FEATURE_DIM
+
+from helpers import write_dataset
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _leaf(value: float) -> dict:
+    return {"value": value}
+
+
+LOGREG = {
+    "format": "ruinscore-logreg-v1",
+    "feature_layout": "v1",
+    "dim": FEATURE_DIM,
+    "weights": [[0.1 * (c - i % 3) for i in range(FEATURE_DIM + 1)] for c in range(4)],
+    "mean": [0.5] * FEATURE_DIM,
+    "std": [2.0] * FEATURE_DIM,
+    "trained": {"iterations": 10, "final_loss": 1.2},
+}
+GBDT = {
+    "format": "ruinscore-gbdt-v1",
+    "feature_layout": "v1",
+    "dim": FEATURE_DIM,
+    "learning_rate": 0.1,
+    "max_depth": 2,
+    "degenerate": False,
+    "base_scores": [-1.0, -1.5, -2.0, -1.2],
+    "trees": [
+        [
+            _leaf(0.1),
+            {"feature": 16, "threshold": 1.5, "left": _leaf(-0.2), "right": _leaf(0.3)},
+            {
+                "feature": 0,
+                "threshold": 0.5,
+                "left": _leaf(0.0),
+                "right": {"feature": 11, "threshold": 0.5, "left": _leaf(0.2), "right": _leaf(0.4)},
+            },
+            _leaf(-0.1),
+        ]
+    ],
+}
+MANIFEST_IMAGES = [
+    {"id": "a", "gt": 1, "scene": "inside", "damage": "0 0.5 0.5 0.2 0.2 0.9\n",
+     "components": "1 0.5 0.5 0.6 0.8 0.8\n"},
+    {"id": "b", "gt": 3, "scene": "outside", "damage": "2 0.4 0.4 0.1 0.1 0.8\n"
+     "1 0.4 0.4 0.2 0.2 0.7\n"},
+]
+CLASS_MAPS = {
+    "damage": {str(i): cls.value for i, cls in DEFAULT_DAMAGE_CLASS_MAP.items()},
+    "component": {str(i): cls.value for i, cls in DEFAULT_COMPONENT_CLASS_MAP.items()},
+}
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` after one to three mutations, each at a drawn object or array."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        places = []
+
+        def walk(node):
+            if isinstance(node, (dict, list)):
+                places.append(node)
+                for child in node.values() if isinstance(node, dict) else node:
+                    walk(child)
+
+        walk(doc)
+        node = draw(st.sampled_from(places))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if keys and action == "replace":
+            node[draw(st.sampled_from(keys))] = draw(json_values)
+        elif keys and action == "delete":
+            del node[draw(st.sampled_from(keys))]
+        elif isinstance(node, dict):
+            node[draw(st.text(max_size=6))] = draw(json_values)
+        else:
+            node.append(draw(json_values))
+    return doc
+
+
+def run_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert set(json.loads(lines[0])) >= {"error", "detail"}
+
+
+FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@FUZZ
+@given(model=mutated(LOGREG) | mutated(GBDT))
+@example(model={**LOGREG, "dim": 10**400})
+@example(model={**GBDT, "learning_rate": 10**400})
+@example(model={**GBDT, "trees": [[{"value": 10**400}] * 4]})
+def test_mutated_model_file_ends_in_a_clean_exit(tmp_path_factory, model):
+    root = tmp_path_factory.getbasetemp() / "model_fuzz"
+    manifest = root / "manifest.json"
+    if not manifest.exists():
+        write_dataset(root, MANIFEST_IMAGES, CLASS_MAPS)
+        (root / "hybrid.json").write_text(json.dumps({"decision_mode": "hybrid"}))
+    path = root / "model.json"
+    path.write_text(json.dumps(model))
+    code, err = run_main(["assess", "--manifest", str(manifest), "--config",
+                          str(root / "hybrid.json"), "--meta-model", str(path)])
+    assert_clean_exit(code, err)
+
+
+@FUZZ
+@given(data=st.data())
+def test_valid_model_files_assess(tmp_path_factory, data):
+    # the fuzz bases themselves: exit 0, so mutations start from a working file
+    model = data.draw(st.sampled_from([LOGREG, GBDT]))
+    root = tmp_path_factory.getbasetemp() / "model_base"
+    if not (root / "manifest.json").exists():
+        write_dataset(root, MANIFEST_IMAGES, CLASS_MAPS)
+    (root / "model.json").write_text(json.dumps(model))
+    code, err = run_main(["assess", "--manifest", str(root / "manifest.json"),
+                          "--meta-model", str(root / "model.json")])
+    assert (code, err) == (0, "")
+
+
+@st.composite
+def manifest_documents(draw):
+    entries = [
+        {"id": img["id"], "ground_truth_level": img["gt"], "scene": img["scene"],
+         "damage_file": f"labels/{img['id']}.txt"}
+        for img in MANIFEST_IMAGES
+    ]
+    entries[0]["components_file"] = "components/a.txt"
+    return draw(mutated({"class_maps": CLASS_MAPS, "images": entries}))
+
+
+@FUZZ
+@given(manifest=manifest_documents() | st.binary(max_size=60))
+@example(manifest=b"\xff")
+@example(manifest={"images": [{"id": "a", "ground_truth_level": 10**400}]})
+@example(manifest={"class_maps": {"damage": {"1" * 400: "crack"}}, "images": []})
+def test_mutated_manifest_ends_in_a_clean_exit(tmp_path_factory, manifest):
+    root = tmp_path_factory.getbasetemp() / "manifest_fuzz"
+    if not root.exists():
+        write_dataset(root, MANIFEST_IMAGES, CLASS_MAPS)
+    path = root / "manifest.json"
+    if isinstance(manifest, bytes):
+        path.write_bytes(manifest)
+    else:
+        path.write_text(json.dumps(manifest))
+    for argv in (["assess", "--manifest", str(path), "--keep-going"],
+                 ["assess", "--manifest", str(path)]):
+        assert_clean_exit(*run_main(argv))

@@ -4,15 +4,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ruinscore.dataset_io import DamageLevel
 from ruinscore.errors import DimensionMismatch, NonFiniteLoss, SchemaViolation
 from ruinscore.meta import (
     LogRegHyper,
+    LogRegModel,
     TrainHyper,
     load_model,
     model_to_json,
     predict_logreg,
+    predict_logreg_batch,
     save_model,
     train_logreg,
     training_accuracy,
@@ -170,3 +174,51 @@ def test_malformed_arrays_rejected_at_load(tmp_path, key, value):
     with pytest.raises(SchemaViolation) as exc:
         load_model(path)
     assert exc.value.field == key
+
+
+def reference_predict(model: LogRegModel, x) -> np.ndarray:
+    """The per-row formula assess output was first recorded with: logits
+    W[:, :-1] @ z + W[:, -1], max-subtracted softmax."""
+    z = (np.asarray(x, dtype=np.float64) - model.mean) / model.std
+    logits = model.weights[:, :-1] @ z + model.weights[:, -1]
+    logits = logits - logits.max()
+    e = np.exp(logits)
+    return e / e.sum()
+
+
+finite_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def models_and_rows(draw):
+    d = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 70))
+    std = draw(arrays(np.float64, d, elements=st.floats(1e-3, 1e3)))
+    model = LogRegModel(
+        weights=draw(arrays(np.float64, (4, d + 1), elements=finite_values)),
+        mean=draw(arrays(np.float64, d, elements=finite_values)),
+        std=std,
+        iterations=0,
+        final_loss=0.0,
+    )
+    return model, draw(arrays(np.float64, (n, d), elements=finite_values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=models_and_rows())
+def test_batch_rows_equal_the_per_row_formula_bit_for_bit(data):
+    model, X = data
+    batch = predict_logreg_batch(model, X)
+    for i, x in enumerate(X):
+        assert batch[i].tobytes() == reference_predict(model, x).tobytes()
+
+
+def test_one_row_predict_is_a_view_of_the_batch():
+    X, y = small_fixture(n=90, d=18)
+    model = train_logreg(X, y, hyper(iterations=80))
+    X = X * np.geomspace(1e-3, 1e3, X.shape[1])  # rows far from the training scale
+    batch = predict_logreg_batch(model, X)
+    for i, x in enumerate(X):
+        assert predict_logreg(model, x) == tuple(predict_logreg_batch(model, x[None])[0])
+        assert predict_logreg(model, x) == tuple(batch[i])
+        assert tuple(predict_logreg_batch(model, X[i : i + 5])[0]) == tuple(batch[i])
