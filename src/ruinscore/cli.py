@@ -214,6 +214,8 @@ def read_assessments(path: str | os.PathLike) -> list[dict]:
         image_id = rec["image_id"]
         if not isinstance(image_id, str):
             raise SchemaViolation(f"line {line_no}", "image_id must be a string")
+        if not isinstance(rec["final"], str):
+            raise SchemaViolation(f"line {line_no}", "final must be a string")
         if image_id in seen:
             raise SchemaViolation(f"line {line_no}", f"duplicate image_id {image_id!r}")
         seen.add(image_id)

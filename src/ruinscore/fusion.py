@@ -11,7 +11,7 @@ toggle, serialized as a strict JSON file (unknown keys rejected).
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -155,10 +155,11 @@ class FusionConfig:
 
 def check_number(value: object, where: str) -> None:
     """The one number check for config files: an int or float, not a bool,
-    and finite. Raises SchemaViolation at `where` otherwise."""
+    and finite as a float (an int beyond the float range is not). Raises
+    SchemaViolation at `where` otherwise."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaViolation(where, "must be a number")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN compares false
         raise SchemaViolation(where, "must be finite")
 
 

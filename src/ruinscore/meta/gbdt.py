@@ -140,16 +140,16 @@ class GbdtModel:
 
 def best_split(
     xs: np.ndarray,
-    gs: np.ndarray,
-    hs: np.ndarray,
+    ghs: np.ndarray,
     lam: float,
     min_leaf: int,
 ) -> tuple[int, int, float, float]:
     """Best axis-aligned split for one tree node.
 
-    Inputs are (d, n) float64 arrays: row j holds the node's values of
-    feature j in ascending order, with the gradients and hessians of the
-    same samples in the same order. Candidate thresholds are the left-side
+    xs is a (d, n) float64 array: row j holds the node's values of feature j
+    in ascending order. ghs is the (d, n) complex128 array of the same
+    samples in the same order, each packing a gradient (real part) and a
+    hessian (imaginary part). Candidate thresholds are the left-side
     values at boundaries between distinct consecutive sorted values;
     x <= threshold routes left. Returns (feature, n_left, threshold, gain),
     or NO_SPLIT when no candidate has positive gain and min_leaf samples on
@@ -157,16 +157,15 @@ def best_split(
 
     The result is deterministic: prefix sums accumulate sequentially left to
     right (np.cumsum), and the argmax scans feature-major, so ties go to the
-    lowest feature, then the lowest threshold. Gains are computed at the
+    lowest feature, then the lowest threshold. One complex cumsum advances
+    the gradient and hessian sums together; its real and imaginary parts
+    are bit for bit the two float cumsums. Gains are computed at the
     candidate boundaries only; every other position would count as 0.0.
     """
     n = xs.shape[1]
     if n < 2 * min_leaf or n < 2:
         return NO_SPLIT
-    csg = np.cumsum(gs, axis=1)
-    csh = np.cumsum(hs, axis=1)
-    g_total = csg[:, -1]
-    h_total = csh[:, -1]
+    cs = np.cumsum(ghs, axis=1)
 
     # the boundary after sorted position k sends k + 1 samples left
     lo, hi = min_leaf - 1, n - min_leaf
@@ -176,10 +175,9 @@ def best_split(
     width = hi - lo
     feat = cand // width
     at = cand + feat * (n - width) + lo  # flat index of (feature, k) in the (d, n) sums
-    gl = csg.ravel()[at]
-    hl = csh.ravel()[at]
-    gt = g_total[feat]
-    ht = h_total[feat]
+    left, total = cs.ravel()[at], cs[feat, -1]
+    gl, hl = left.real, left.imag
+    gt, ht = total.real, total.imag
     gr = gt - gl
     hr = ht - hl
     gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - gt * gt / (ht + lam)
@@ -210,8 +208,7 @@ def _build_tree(
     xs: np.ndarray | None,
     order: np.ndarray | None,
     rows: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
+    gh: np.ndarray,
     depth: int,
     hp,
     leaf_of_row: np.ndarray,
@@ -222,11 +219,12 @@ def _build_tree(
     the same samples per feature, sorted by value with ties in sample order,
     and their values; None at max_depth, where only rows are read. A split
     partitions both stably, so each child's rows are what a fresh stable
-    argsort of its samples would give. Each leaf's value is written to
-    leaf_of_row at its samples.
+    argsort of its samples would give. gh: (n,) every sample's gradient
+    (real part) and hessian (imaginary part). Each leaf's value is written
+    to leaf_of_row at its samples.
     """
     if depth < hp.max_depth and rows.size >= 2 * hp.min_leaf:
-        feat, n_left, thr, _ = best_split(xs, g[order], h[order], hp.lam, hp.min_leaf)
+        feat, n_left, thr, _ = best_split(xs, gh[order], hp.lam, hp.min_leaf)
         if feat >= 0:
             goes_left = np.zeros(leaf_of_row.size, dtype=bool)
             goes_left[order[feat, :n_left]] = True
@@ -239,14 +237,15 @@ def _build_tree(
                 "feature": feat,
                 "threshold": thr,
                 "left": _build_tree(
-                    *_cells(xs, order, left), rows[in_left], g, h, depth + 1, hp, leaf_of_row
+                    *_cells(xs, order, left), rows[in_left], gh, depth + 1, hp, leaf_of_row
                 ),
                 "right": _build_tree(
-                    *_cells(xs, order, right), rows[~in_left], g, h, depth + 1, hp, leaf_of_row
+                    *_cells(xs, order, right), rows[~in_left], gh, depth + 1, hp, leaf_of_row
                 ),
             }
-    # summed over the samples in their original order
-    leaf = _leaf(float(g[rows].sum()), float(h[rows].sum()), hp.lam)
+    # float sums over the samples in their original order: a complex sum
+    # would group the additions differently
+    leaf = _leaf(float(gh.real[rows].sum()), float(gh.imag[rows].sum()), hp.lam)
     leaf_of_row[rows] = leaf["value"]
     return leaf
 
@@ -283,6 +282,7 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
     xs = np.take_along_axis(XT, order, axis=1)
     rows = np.arange(n)
     leaf_of_row = np.empty(n, dtype=np.float64)
+    gh = np.empty(n, dtype=np.complex128)
 
     rounds = 0 if degenerate else hp.rounds
     P = softmax_rows(F)  # of the margins a round starts from
@@ -290,9 +290,10 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
     for _ in range(rounds):
         round_trees = []
         for c in range(N_CLASSES):
-            g = (Y[:, c] - P[:, c]) * sw
-            h = (P[:, c] * (1.0 - P[:, c])) * sw
-            round_trees.append(_build_tree(xs, order, rows, g, h, 0, hp, leaf_of_row))
+            # assigned, not g + 1j * h, which can flip the sign of a zero
+            gh.real = (Y[:, c] - P[:, c]) * sw
+            gh.imag = (P[:, c] * (1.0 - P[:, c])) * sw
+            round_trees.append(_build_tree(xs, order, rows, gh, 0, hp, leaf_of_row))
             F[:, c] += hp.learning_rate * leaf_of_row
         trees.append(round_trees)
         P = softmax_rows(F)

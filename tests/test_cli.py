@@ -475,6 +475,21 @@ class TestEvaluate:
             "detail": f"schema violation at line 3: {detail}",
         }
 
+    @pytest.mark.parametrize("final", [["heavy"], {"level": "heavy"}, 3, None])
+    def test_non_string_final_rejected(self, tmp_path, capsys, final):
+        images = [{"id": f"i{k}", "gt": k, "scene": "outside", "damage": ""} for k in range(2)]
+        path = write_dataset(tmp_path / "d", images)
+        a = tmp_path / "a.jsonl"
+        lines = [{"image_id": "i0", "final": "zero"}, {"image_id": "i1", "final": final}]
+        a.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        code, out, err = run(capsys, "evaluate", "--assessments", str(a), "--manifest", str(path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip()) == {
+            "error": "SchemaViolation",
+            "detail": "schema violation at line 2: final must be a string",
+        }
+
     def test_no_ground_truth_anywhere(self, tmp_path, capsys):
         path = write_dataset(tmp_path / "d", [{"id": "a", "scene": "outside", "damage": ""}])
         a = tmp_path / "a.jsonl"
@@ -699,6 +714,11 @@ class TestConfigHandling:
             ('{"backend": {"command": ["prog"], "timeout_s": NaN}}', "backend.timeout_s"),
             ('{"backend": {"command": ["prog"], "timeout_s": Infinity}}', "backend.timeout_s"),
             ('{"weights": {"w_crack": NaN}}', "weights.w_crack"),
+            # integers beyond the float range
+            (json.dumps({"conf_floor": 10**400}), "conf_floor"),
+            (json.dumps({"weights": {"w_crack": -(10**400)}}), "weights.w_crack"),
+            (json.dumps({"v2": {"min_box_area": 10**400}}), "v2.min_box_area"),
+            (json.dumps({"backend": {"timeout_s": 10**400}}), "backend.timeout_s"),
         ],
     )
     def test_non_finite_number_is_structured_error(self, fixture3, tmp_path, capsys, text, field):

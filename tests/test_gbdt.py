@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ruinscore.dataset_io import DamageLevel
 from ruinscore.errors import DegenerateData, DimensionMismatch, SchemaViolation
@@ -126,10 +127,12 @@ def test_split_tie_breaks_lowest_feature_and_threshold():
     X = np.stack([x0, x0], axis=1)
     g = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     h = np.ones(6)
-    # best_split takes (d, n): one sorted row per feature
+    # best_split takes (d, n): one sorted row per feature, g and h packed
     order = np.argsort(X, axis=0, kind="stable").T
     xs = np.take_along_axis(X.T, order, axis=1)
-    feat, n_left, thr, gain = best_split(xs, g[order], h[order], 1.0, 1)
+    gh = np.empty(6, dtype=np.complex128)
+    gh.real, gh.imag = g, h
+    feat, n_left, thr, gain = best_split(xs, gh[order], 1.0, 1)
     assert feat == 0
     # the splits after x=0 and after x=1 have equal gain; the lower threshold wins
     assert (n_left, thr) == (2, 0.0)
@@ -293,6 +296,9 @@ def _node(raw) -> dict:
         (lambda raw: raw.update(base_scores=[0.0, 0.0, 0.0]), "base_scores"),
         (lambda raw: raw.update(base_scores=[0.0, 0.0, float("nan"), 0.0]), "base_scores"),
         (lambda raw: raw.update(learning_rate=float("inf")), "learning_rate"),
+        # integers beyond the float range fail at their node too
+        (lambda raw: _node(raw).update(threshold=-(10**400)), "trees[1][2].threshold"),
+        (lambda raw: _node(raw)["left"].update(value=10**400), "trees[1][2].left.value"),
     ],
 )
 def test_malformed_tree_rejected_at_load(tmp_path, mutate, field):
@@ -436,6 +442,43 @@ def test_presorted_builder_matches_per_node_argsort(data):
     assert model_to_json(train_gbdt(X, y, hyper)) == model_to_json(reference_train(X, y, hyper))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_deep_fit_on_many_rows_matches_per_node_argsort(seed):
+    # depth 5 with min_leaf 2 reaches small nodes; a 0.1 grid on half the
+    # columns gives ties, the other half are continuous
+    rng = np.random.default_rng(seed)
+    n, d = 600, 6
+    X = rng.normal(size=(n, d))
+    X[:, ::2] = np.round(X[:, ::2], 1)
+    y = np.clip(np.round(X[:, 0] + X[:, 1] * X[:, 3] + rng.normal(scale=0.5, size=n)) + 1, 0, 3)
+    y = y.astype(np.intp)
+    hyper = TrainHyper(
+        gbdt=GbdtHyper(rounds=3, max_depth=5, min_leaf=2), class_weights=(1.0, 2.0, 0.5, 3.0)
+    )
+    assert model_to_json(train_gbdt(X, y, hyper)) == model_to_json(reference_train(X, y, hyper))
+
+
+# mixed magnitudes, signed zeros and subnormals; bounded so no sum overflows
+packable = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e16, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 30)),
+    data=st.data(),
+)
+def test_packed_cumsum_parts_equal_float_cumsums_bit_for_bit(shape, data):
+    g, h = (data.draw(arrays(np.float64, shape, elements=packable)) for _ in range(2))
+    gh = np.empty(shape, dtype=np.complex128)
+    gh.real, gh.imag = g, h
+    cs = np.cumsum(gh, axis=1)
+    assert np.array_equal(cs.real.view(np.uint64), np.cumsum(g, axis=1).view(np.uint64))
+    assert np.array_equal(cs.imag.view(np.uint64), np.cumsum(h, axis=1).view(np.uint64))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=tied_training_sets())
 def test_recorded_leaves_equal_forest_walk(data):
@@ -443,8 +486,8 @@ def test_recorded_leaves_equal_forest_walk(data):
     built = []
     build = gbdt_module._build_tree
 
-    def recording(xs, order, rows, g, h, depth, hp, leaf_of_row):
-        tree = build(xs, order, rows, g, h, depth, hp, leaf_of_row)
+    def recording(xs, order, rows, gh, depth, hp, leaf_of_row):
+        tree = build(xs, order, rows, gh, depth, hp, leaf_of_row)
         if depth == 0:
             built.append((tree, leaf_of_row.copy()))
         return tree

@@ -1,9 +1,10 @@
-"""Fuzzing of the model-file and manifest loaders through `cli.main`.
+"""Fuzzing of the input loaders through `cli.main`: model files, manifests,
+config files and evaluate's assessment records.
 
 Valid documents get up to three mutations: a value replaced by an arbitrary
-JSON value, a key or item deleted, or one added. Whatever comes out, assess
-must end in exit 0, 1 or 2, and exit 1 must print exactly one JSON error
-line and no traceback.
+JSON value, a key or item deleted, or one added. Whatever comes out, the
+command must end in exit 0, 1 or 2, and exit 1 must print exactly one JSON
+error line and no traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ruinscore.cli import main
 from ruinscore.dataset_io import DEFAULT_COMPONENT_CLASS_MAP, DEFAULT_DAMAGE_CLASS_MAP
+from ruinscore.fusion import FusionConfig, FusionVersion
 from ruinscore.meta import FEATURE_DIM
 
 from helpers import write_dataset
@@ -184,3 +186,72 @@ def test_mutated_manifest_ends_in_a_clean_exit(tmp_path_factory, manifest):
     for argv in (["assess", "--manifest", str(path), "--keep-going"],
                  ["assess", "--manifest", str(path)]):
         assert_clean_exit(*run_main(argv))
+
+
+# every config key, backend section included; assess runs on the file backend
+CONFIG = {
+    **FusionConfig(version=FusionVersion.V2).to_dict(),
+    "backend": {"command": ["detector"], "timeout_s": 5},
+}
+
+
+@FUZZ
+@given(config=mutated(CONFIG) | st.binary(max_size=60))
+@example(config={"conf_floor": 10**400})
+@example(config={"v2": {"min_box_area": 10**400}})
+@example(config={"backend": {"timeout_s": 10**400}})
+def test_mutated_config_ends_in_a_clean_exit(tmp_path_factory, config):
+    root = tmp_path_factory.getbasetemp() / "config_fuzz"
+    manifest = root / "manifest.json"
+    if not manifest.exists():
+        write_dataset(root, MANIFEST_IMAGES, CLASS_MAPS)
+    path = root / "config.json"
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps(config))
+    assert_clean_exit(*run_main(["assess", "--manifest", str(manifest), "--config", str(path)]))
+
+
+def test_valid_config_assesses(tmp_path):
+    # the fuzz base itself: exit 0, so mutations start from a working file
+    write_dataset(tmp_path, MANIFEST_IMAGES, CLASS_MAPS)
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    code, err = run_main(["assess", "--manifest", str(tmp_path / "manifest.json"),
+                          "--config", str(tmp_path / "config.json")])
+    assert (code, err) == (0, "")
+
+
+# one assessment record per manifest image, as `assess` writes them
+RECORDS = [
+    {"image_id": "a", "final": "slight", "rule_level": "slight", "score": 1.5},
+    {"image_id": "b", "final": "heavy", "rule_level": "heavy", "score": 6.0},
+]
+
+
+@FUZZ
+@given(records=mutated(RECORDS) | st.binary(max_size=60))
+@example(records=[{"image_id": "a", "final": ["heavy"]}])
+@example(records=[{"image_id": "b", "final": {"level": "heavy"}}])
+def test_mutated_assessments_end_in_a_clean_exit(tmp_path_factory, records):
+    root = tmp_path_factory.getbasetemp() / "assessments_fuzz"
+    manifest = root / "manifest.json"
+    if not manifest.exists():
+        write_dataset(root, MANIFEST_IMAGES, CLASS_MAPS)
+    path = root / "assessments.jsonl"
+    if isinstance(records, bytes):
+        path.write_bytes(records)
+    else:
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    for argv in (["evaluate", "--manifest", str(manifest), "--assessments", str(path)],
+                 ["evaluate", "--manifest", str(manifest), "--assessments", str(path), "--json"]):
+        assert_clean_exit(*run_main(argv))
+
+
+def test_valid_assessments_evaluate(tmp_path):
+    write_dataset(tmp_path, MANIFEST_IMAGES, CLASS_MAPS)
+    path = tmp_path / "assessments.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in RECORDS))
+    code, err = run_main(["evaluate", "--manifest", str(tmp_path / "manifest.json"),
+                          "--assessments", str(path)])
+    assert (code, err) == (0, "")
