@@ -47,7 +47,7 @@ DEFAULT_TIMEOUT_S = 30.0
 MAX_REPLY_BYTES = 1 << 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CascadeOutput:
     """Per-image bundle of everything the fusion stage consumes."""
 

@@ -214,8 +214,11 @@ def read_assessments(path: str | os.PathLike) -> list[dict]:
         image_id = rec["image_id"]
         if not isinstance(image_id, str):
             raise SchemaViolation(f"line {line_no}", "image_id must be a string")
-        if not isinstance(rec["final"], str):
+        final = rec["final"]
+        if not isinstance(final, str):
             raise SchemaViolation(f"line {line_no}", "final must be a string")
+        if final not in LEVEL_BY_LABEL:
+            raise SchemaViolation(f"line {line_no}", f"unknown level name {final!r}")
         if image_id in seen:
             raise SchemaViolation(f"line {line_no}", f"duplicate image_id {image_id!r}")
         seen.add(image_id)
@@ -236,10 +239,7 @@ def _cmd_evaluate(args) -> int:
         gt = truth.get(rec["image_id"])
         if gt is None:
             continue
-        final = rec["final"]
-        if final not in LEVEL_BY_LABEL:
-            raise SchemaViolation("final", f"unknown level name {final!r}")
-        pairs.append((gt, LEVEL_BY_LABEL[final]))
+        pairs.append((gt, LEVEL_BY_LABEL[rec["final"]]))
     if not pairs:
         raise NoGroundTruth()
     report = evaluate_mod.compute_metrics(

@@ -68,7 +68,7 @@ DEFAULT_COMPONENT_CLASS_MAP = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Normalized center-format box. Degenerate boxes are rejected, not clamped."""
 
@@ -78,22 +78,16 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
-        for name in ("cx", "cy", "w", "h"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or v != v:
-                raise ValueError(f"{name} must be a finite number")
-        if not 0.0 <= self.cx <= 1.0:
-            raise ValueError("cx must be in [0, 1]")
-        if not 0.0 <= self.cy <= 1.0:
-            raise ValueError("cy must be in [0, 1]")
-        if self.w <= 0.0:
-            raise ValueError("w must be > 0")
-        if self.w > 1.0:
-            raise ValueError("w must be <= 1")
-        if self.h <= 0.0:
-            raise ValueError("h must be > 0")
-        if self.h > 1.0:
-            raise ValueError("h must be <= 1")
+        cx, cy, w, h = self.cx, self.cy, self.w, self.h
+        # one comparison passes every valid float box; the rest words the error
+        if not (
+            type(cx) is type(cy) is type(w) is type(h) is float
+            and 0.0 <= cx <= 1.0
+            and 0.0 <= cy <= 1.0
+            and 0.0 < w <= 1.0
+            and 0.0 < h <= 1.0
+        ):
+            _check_box(self)
 
     def area(self) -> float:
         return self.w * self.h
@@ -108,44 +102,70 @@ class BoundingBox:
         )
 
 
-def _check_confidence(value: float) -> float:
+def _check_box(box: BoundingBox) -> None:
+    """The box checks in full, in the order that words the first error."""
+    for name in ("cx", "cy", "w", "h"):
+        v = getattr(box, name)
+        if not isinstance(v, (int, float)) or v != v:
+            raise ValueError(f"{name} must be a finite number")
+    if not 0.0 <= box.cx <= 1.0:
+        raise ValueError("cx must be in [0, 1]")
+    if not 0.0 <= box.cy <= 1.0:
+        raise ValueError("cy must be in [0, 1]")
+    if box.w <= 0.0:
+        raise ValueError("w must be > 0")
+    if box.w > 1.0:
+        raise ValueError("w must be <= 1")
+    if box.h <= 0.0:
+        raise ValueError("h must be > 0")
+    if box.h > 1.0:
+        raise ValueError("h must be <= 1")
+
+
+def _check_confidence(value: float) -> None:
+    """The confidence checks in full, for a value the range comparison failed."""
     if not isinstance(value, (int, float)) or value != value:
         raise ValueError("confidence must be a finite number")
     if not 0.0 <= value <= 1.0:
         raise ValueError("confidence must be in [0, 1]")
-    return float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DamageDetection:
     cls: DamageClass
     box: BoundingBox
     confidence: float
 
     def __post_init__(self) -> None:
-        _check_confidence(self.confidence)
+        c = self.confidence
+        if not (type(c) is float and 0.0 <= c <= 1.0):
+            _check_confidence(c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentDetection:
     cls: ComponentClass
     box: BoundingBox
     confidence: float
 
     def __post_init__(self) -> None:
-        _check_confidence(self.confidence)
+        c = self.confidence
+        if not (type(c) is float and 0.0 <= c <= 1.0):
+            _check_confidence(c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneLabel:
     cls: SceneClass
     confidence: float
 
     def __post_init__(self) -> None:
-        _check_confidence(self.confidence)
+        c = self.confidence
+        if not (type(c) is float and 0.0 <= c <= 1.0):
+            _check_confidence(c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageEntry:
     id: str
     image_path: str | None = None
@@ -185,31 +205,37 @@ class DetectionKind(Enum):
 _KIND_ENUM = {DetectionKind.DAMAGE: DamageClass, DetectionKind.COMPONENT: ComponentClass}
 _KIND_TYPE = {DetectionKind.DAMAGE: DamageDetection, DetectionKind.COMPONENT: ComponentDetection}
 
+# bytes asked of one os.read: a detection file fits in one, a manifest in a few
+_READ_SIZE = 1 << 16
+
 _MANIFEST_KEYS = {"class_maps", "images"}
-_ENTRY_KEYS = {
-    "id",
-    "image_path",
-    "ground_truth_level",
-    "scene",
-    "damage_file",
-    "components_file",
-}
+_PATH_KEYS = ("image_path", "damage_file", "components_file")
+_ENTRY_KEYS = {"id", "ground_truth_level", "scene", *_PATH_KEYS}
+_OPT_STR = (str, type(None))
+_LEVELS = tuple(DamageLevel)  # indexed by value, without the enum call
+_SCENE_BY_NAME = {c.value: c for c in SceneClass}
 
 
 def read_text(path: str | os.PathLike) -> str:
-    """The text of one UTF-8 input file, read with a single open().
+    """The text of one UTF-8 input file, read with os.open/os.read to its end.
 
     A path that does not exist, is a directory or runs through a file raises
     MissingFile; any other OSError raises IoFailure; bytes that are not UTF-8
     raise SchemaViolation at the path.
     """
     try:
-        with open(path, "rb") as f:
-            data = f.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:  # a directory opens and fails at its first read
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise MissingFile(str(path)) from None
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
+    data = b"".join(chunks)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -254,51 +280,44 @@ def _parse_class_map(raw: object, kind: DetectionKind, where: str) -> dict:
 
 
 def _parse_entry(raw: object, index: int) -> ImageEntry:
-    where = f"images[{index}]"
+    """One manifest entry; its field path images[index] is formatted only for an error."""
     if not isinstance(raw, dict):
-        raise SchemaViolation(where, "expected an object")
-    unknown = set(raw) - _ENTRY_KEYS
-    if unknown:
-        raise SchemaViolation(f"{where}.{sorted(unknown)[0]}", "unknown key")
-    if "id" not in raw:
-        raise SchemaViolation(f"{where}.id")
-    image_id = raw["id"]
+        raise SchemaViolation(f"images[{index}]", "expected an object")
+    if not raw.keys() <= _ENTRY_KEYS:
+        unknown = sorted(set(raw) - _ENTRY_KEYS)[0]
+        raise SchemaViolation(f"images[{index}].{unknown}", "unknown key")
+    image_id = raw.get("id")
     if not isinstance(image_id, str) or not image_id:
-        raise SchemaViolation(f"{where}.id", "must be a nonempty string")
+        if "id" not in raw:
+            raise SchemaViolation(f"images[{index}].id")
+        raise SchemaViolation(f"images[{index}].id", "must be a nonempty string")
 
-    def opt_str(key: str) -> str | None:
-        v = raw.get(key)
-        if v is None:
-            return None
-        if not isinstance(v, str):
-            raise SchemaViolation(f"{where}.{key}", "must be a string")
-        return v
+    level = raw.get("ground_truth_level")
+    if level is not None:
+        if not isinstance(level, int) or isinstance(level, bool) or level not in (0, 1, 2, 3):
+            raise SchemaViolation(
+                f"images[{index}].ground_truth_level", "must be an integer in 0..3"
+            )
+        level = _LEVELS[level]
 
-    level = None
-    if raw.get("ground_truth_level") is not None:
-        v = raw["ground_truth_level"]
-        if not isinstance(v, int) or isinstance(v, bool) or v not in (0, 1, 2, 3):
-            raise SchemaViolation(f"{where}.ground_truth_level", "must be an integer in 0..3")
-        level = DamageLevel(v)
+    scene = raw.get("scene")
+    if scene is not None:
+        scene = _SCENE_BY_NAME.get(scene) if isinstance(scene, str) else None
+        if scene is None:
+            raise SchemaViolation(f"images[{index}].scene", "must be 'inside' or 'outside'")
 
-    scene = None
-    if raw.get("scene") is not None:
-        v = raw["scene"]
-        if not isinstance(v, str):
-            raise SchemaViolation(f"{where}.scene", "must be 'inside' or 'outside'")
-        try:
-            scene = SceneClass(v)
-        except ValueError:
-            raise SchemaViolation(f"{where}.scene", "must be 'inside' or 'outside'") from None
+    image_path = raw.get("image_path")
+    damage_file = raw.get("damage_file")
+    components_file = raw.get("components_file")
+    if not (
+        isinstance(image_path, _OPT_STR)
+        and isinstance(damage_file, _OPT_STR)
+        and isinstance(components_file, _OPT_STR)
+    ):
+        key = next(k for k in _PATH_KEYS if not isinstance(raw.get(k), _OPT_STR))
+        raise SchemaViolation(f"images[{index}].{key}", "must be a string")
 
-    return ImageEntry(
-        id=image_id,
-        image_path=opt_str("image_path"),
-        ground_truth_level=level,
-        scene_override=scene,
-        damage_file=opt_str("damage_file"),
-        components_file=opt_str("components_file"),
-    )
+    return ImageEntry(image_id, image_path, level, scene, damage_file, components_file)
 
 
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
@@ -358,29 +377,29 @@ def parse_box_text(text: str, class_map: Mapping[int, object], kind: DetectionKi
     """
     det_type = _KIND_TYPE[kind]
     out = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
-        if len(fields) not in (5, 6):
-            raise BadLine(line_no, f"expected 5 or 6 fields, got {len(fields)}")
+        if not fields or fields[0][0] == "#":
+            continue
+        n = len(fields)
+        if n not in (5, 6):
+            raise BadLine(line_no, f"expected 5 or 6 fields, got {n}")
         try:
             class_id = int(fields[0])
         except ValueError:
             raise BadLine(line_no, f"class_id {fields[0]!r} is not an integer") from None
-        if class_id not in class_map:
+        cls = class_map.get(class_id)
+        if cls is None:
             raise BadLine(line_no, f"class_id {class_id} not in class map")
         try:
-            numbers = [float(f) for f in fields[1:]]
+            cx, cy, w, h = float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
+            conf = float(fields[5]) if n == 6 else 1.0
         except ValueError:
             raise BadLine(line_no, "non-numeric field") from None
-        conf = numbers[4] if len(numbers) == 5 else 1.0
         try:
-            det = det_type(class_map[class_id], BoundingBox(*numbers[:4]), conf)
+            out.append(det_type(cls, BoundingBox(cx, cy, w, h), conf))
         except ValueError as exc:
             raise BadLine(line_no, str(exc)) from None
-        out.append(det)
     return out
 
 

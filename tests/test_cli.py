@@ -490,6 +490,21 @@ class TestEvaluate:
             "detail": "schema violation at line 2: final must be a string",
         }
 
+    @pytest.mark.parametrize("image_id", ["x", "i1"])  # without and with ground truth
+    def test_unknown_level_name_rejected_at_its_line(self, tmp_path, capsys, image_id):
+        images = [{"id": f"i{k}", "gt": k, "scene": "outside", "damage": ""} for k in range(2)]
+        path = write_dataset(tmp_path / "d", images)
+        a = tmp_path / "a.jsonl"
+        lines = [{"image_id": "i0", "final": "zero"}, {"image_id": image_id, "final": "bogus"}]
+        a.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        code, out, err = run(capsys, "evaluate", "--assessments", str(a), "--manifest", str(path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip()) == {
+            "error": "SchemaViolation",
+            "detail": "schema violation at line 2: unknown level name 'bogus'",
+        }
+
     def test_no_ground_truth_anywhere(self, tmp_path, capsys):
         path = write_dataset(tmp_path / "d", [{"id": "a", "scene": "outside", "damage": ""}])
         a = tmp_path / "a.jsonl"

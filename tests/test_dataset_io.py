@@ -1,24 +1,33 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ruinscore import dataset_io
+from ruinscore.backend import CascadeOutput
 from ruinscore.dataset_io import (
     DEFAULT_COMPONENT_CLASS_MAP,
     DEFAULT_DAMAGE_CLASS_MAP,
     BoundingBox,
     ComponentClass,
+    ComponentDetection,
     DamageClass,
     DamageDetection,
     DamageLevel,
     DetectionKind,
+    ImageEntry,
+    SceneClass,
+    SceneLabel,
     detections_to_json,
     load_manifest,
     parse_box_text,
     parse_json_detections,
     read_detections,
+    read_text,
 )
 from ruinscore.errors import (
     BadLine,
@@ -29,6 +38,7 @@ from ruinscore.errors import (
     SchemaViolation,
     UnknownClass,
 )
+from ruinscore.fusion import RuleCounts, RuleDecision
 
 from helpers import write_dataset
 
@@ -44,6 +54,74 @@ class TestBoundingBox:
 
     def test_area(self):
         assert BoundingBox(0.5, 0.5, 0.25, 0.5).area() == pytest.approx(0.125)
+
+    def test_int_fields_pass_the_full_checks(self):
+        box = BoundingBox(0, 1, 1, 1)
+        assert DamageDetection(DamageClass.CRACK, box, 1).confidence == 1
+        with pytest.raises(ValueError, match="cx must be a finite number"):
+            BoundingBox("0.5", 0.5, 0.1, 0.1)
+
+
+def _values():
+    """One maker per slotted type, then RuleDecision: each call builds a new,
+    equal value."""
+    box = lambda: BoundingBox(0.5, 0.5, 0.25, 0.5)
+    crack = lambda: DamageDetection(DamageClass.CRACK, box(), 0.75)
+    beam = lambda: ComponentDetection(ComponentClass.BEAM, box(), 0.5)
+    scene = lambda: SceneLabel(SceneClass.INSIDE, 0.9)
+    return [
+        box,
+        crack,
+        beam,
+        scene,
+        lambda: ImageEntry("a", None, DamageLevel.SLIGHT, SceneClass.OUTSIDE, "d.txt", None),
+        lambda: CascadeOutput("a", scene(), (beam(),), (crack(), crack())),
+        lambda: RuleDecision(DamageLevel.SLIGHT, 2.0, RuleCounts(n_crack=2), False,
+                             ("conf-floor",), (crack(),)),
+    ]
+
+
+class TestValueTypes:
+    """The values parsing builds are immutable and safe to share: no field can
+    be assigned, and equal values hash equal."""
+
+    @pytest.mark.parametrize("make", _values(), ids=lambda make: type(make()).__name__)
+    def test_fields_cannot_be_assigned_and_equal_values_hash_equal(self, make):
+        value = make()
+        for f in dataclasses.fields(value):
+            with pytest.raises(AttributeError):
+                setattr(value, f.name, getattr(value, f.name))
+        assert make() == value and make() is not value
+        assert hash(make()) == hash(value)
+
+    @pytest.mark.parametrize("make", _values()[:-1], ids=lambda make: type(make()).__name__)
+    def test_slotted_values_take_no_new_attribute(self, make):
+        value = make()
+        assert not hasattr(value, "__dict__")
+        # CPython 3.11's frozen slotted __setattr__ raises TypeError for a
+        # name that is not a field; later versions raise FrozenInstanceError
+        with pytest.raises((AttributeError, TypeError)):
+            value.note = "x"
+
+
+class TestReadText:
+    def test_descriptors_closed_whatever_the_outcome(self, tmp_path):
+        fds = "/proc/self/fd"
+        if not os.path.isdir(fds):
+            pytest.skip("no /proc/self/fd to count descriptors in")
+        text = "0 0.5 0.5 0.1 0.1 0.9\n" * (3 * dataset_io._READ_SIZE // 22)  # several reads
+        regular = tmp_path / "d.txt"
+        regular.write_text(text)
+        binary = tmp_path / "bad.txt"
+        binary.write_bytes(b"0 0.5 \xff\n")
+        before = len(os.listdir(fds))
+        for _ in range(200):
+            assert read_text(regular) == text
+            for path, error in ((tmp_path, MissingFile), (binary, SchemaViolation),
+                                (tmp_path / "nope.txt", MissingFile)):
+                with pytest.raises(error):
+                    read_text(path)
+        assert len(os.listdir(fds)) == before
 
 
 class TestLoadManifest:
@@ -148,6 +226,47 @@ class TestParseBoxText:
             "1 0.5 0.5 0.4 0.8 0.9", DEFAULT_COMPONENT_CLASS_MAP, DetectionKind.COMPONENT
         )
         assert det.cls is ComponentClass.COLUMN
+
+    @pytest.mark.parametrize("text, line_no, reason", [
+        ("0 0.5 0.5 0.1", 1, "expected 5 or 6 fields, got 4"),
+        ("0 0.5 0.5 0.1 0.1 0.9 7", 1, "expected 5 or 6 fields, got 7"),
+        ("x 0.5 0.5 0.1 0.1", 1, "class_id 'x' is not an integer"),
+        ("1.0 0.5 0.5 0.1 0.1", 1, "class_id '1.0' is not an integer"),
+        ("7 0.5 0.5 0.1 0.1", 1, "class_id 7 not in class map"),
+        ("-1 0.5 0.5 0.1 0.1", 1, "class_id -1 not in class map"),
+        ("0 0.5 0.5 0.1 0.1\n\n007 0.5 0.5 0.1 0.1", 3, "class_id 7 not in class map"),
+        ("0 0.5 abc 0.1 0.1", 1, "non-numeric field"),
+        ("0 0.5 0.5 0.1 0.1 high", 1, "non-numeric field"),
+        ("0 1.5 0.5 0.1 0.1 high", 1, "non-numeric field"),
+        ("0 -0.1 0.5 0.1 0.1", 1, "cx must be in [0, 1]"),
+        ("0 1.1 0.5 0.1 0.1", 1, "cx must be in [0, 1]"),
+        ("0 0.5 -0.1 0.1 0.1", 1, "cy must be in [0, 1]"),
+        ("0 0.5 1.1 0.1 0.1", 1, "cy must be in [0, 1]"),
+        ("0 0.5 0.5 0 0.1", 1, "w must be > 0"),
+        ("0 0.5 0.5 -0.1 0.1", 1, "w must be > 0"),
+        ("0 0.5 0.5 1.1 0.1", 1, "w must be <= 1"),
+        ("0 0.5 0.5 0.1 0", 1, "h must be > 0"),
+        ("0 0.5 0.5 0.1 1.1", 1, "h must be <= 1"),
+        ("0 nan 0.5 0.1 0.1", 1, "cx must be a finite number"),
+        ("0 0.5 0.5 0.1 nan", 1, "h must be a finite number"),
+        ("0 2.0 0.5 nan 0.1", 1, "w must be a finite number"),
+        ("0 inf 0.5 0.1 0.1", 1, "cx must be in [0, 1]"),
+        ("0 0.5 0.5 inf 0.1", 1, "w must be <= 1"),
+        ("0 0.5 0.5 0.1 -inf", 1, "h must be > 0"),
+        ("0 0.5 0.5 0.1 1e999", 1, "h must be <= 1"),
+        ("0 0.5 0.5 0.1 0.1 1.5", 1, "confidence must be in [0, 1]"),
+        ("0 0.5 0.5 0.1 0.1 -0.1", 1, "confidence must be in [0, 1]"),
+        ("0 0.5 0.5 0.1 0.1 inf", 1, "confidence must be in [0, 1]"),
+        ("0 0.5 0.5 0.1 0.1 nan", 1, "confidence must be a finite number"),
+        ("0 1.5 0.5 0.1 0.1 nan", 1, "cx must be in [0, 1]"),
+        ("   # note\n0 0.5 0.5 0.1", 2, "expected 5 or 6 fields, got 4"),
+        ("\t#0 0.5 0.5 0.1 0.1 0.9 x\n  \n7 0.5 0.5 0.1 0.1", 3, "class_id 7 not in class map"),
+        ("0 0.5 0.5 0.1 0.1 # note", 1, "expected 5 or 6 fields, got 7"),
+    ])
+    def test_bad_line_reports_its_line_and_reason(self, text, line_no, reason):
+        with pytest.raises(BadLine) as exc:
+            parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+        assert (exc.value.line_no, exc.value.reason) == (line_no, reason)
 
 
 class TestParseJsonDetections:
