@@ -1,71 +1,9 @@
 """ruinscore: decision fusion and meta-model grading of earthquake damage
 evidence (scene labels, component boxes, crack/spalling/rebar detections)
-into four ordinal damage levels, with the matching evaluation metrics."""
+into four ordinal damage levels, with the matching evaluation metrics.
 
-from .backend import CascadeOutput, ExternalBackend, FileBackend, run_cascade
-from .dataset_io import (
-    BoundingBox,
-    ComponentClass,
-    ComponentDetection,
-    DamageClass,
-    DamageDetection,
-    DamageLevel,
-    DatasetManifest,
-    ImageEntry,
-    SceneClass,
-    SceneLabel,
-    load_manifest,
-)
-from .evaluate import ConfusionMatrix, EvalReport, compute_metrics, confusion_matrix
-from .fusion import (
-    DecisionMode,
-    FusionConfig,
-    FusionVersion,
-    RuleCounts,
-    RuleDecision,
-    final_decision,
-    filter_detections,
-    iou,
-    rule_fusion,
-    validate_rebar,
-    weighted_score,
-)
-from .synth import NoiseSpec, SynthSpec, gen_synthetic
+Importing the package loads no submodule: import the one you use, e.g.
+`from ruinscore.fusion import rule_fusion`, so each command loads only what
+it runs."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundingBox",
-    "CascadeOutput",
-    "ComponentClass",
-    "ComponentDetection",
-    "ConfusionMatrix",
-    "DamageClass",
-    "DamageDetection",
-    "DamageLevel",
-    "DatasetManifest",
-    "DecisionMode",
-    "EvalReport",
-    "ExternalBackend",
-    "FileBackend",
-    "FusionConfig",
-    "FusionVersion",
-    "ImageEntry",
-    "NoiseSpec",
-    "RuleCounts",
-    "RuleDecision",
-    "SceneClass",
-    "SceneLabel",
-    "SynthSpec",
-    "compute_metrics",
-    "confusion_matrix",
-    "final_decision",
-    "filter_detections",
-    "gen_synthetic",
-    "iou",
-    "load_manifest",
-    "rule_fusion",
-    "run_cascade",
-    "validate_rebar",
-    "weighted_score",
-]

@@ -5,20 +5,20 @@ image, answers in task order. FileBackend reads detection files named in the
 manifest and never touches image bytes. ExternalBackend talks
 newline-delimited JSON to child processes, keeping the engine agnostic of
 whatever model they run: `exchange` asks for a chunk of images at once and
-`query` serves the answers one image at a time.
+`query` serves the answers one image at a time. `subprocess` and
+`selectors` are imported by ExternalBackend's methods only, so the file
+backend runs without them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import selectors
-import subprocess
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from . import dataset_io
 from .dataset_io import (
@@ -39,6 +39,9 @@ from .errors import (
     SchemaViolation,
     Timeout,
 )
+
+if TYPE_CHECKING:
+    import subprocess
 
 TASKS = ("scene", "components", "damage")
 DEFAULT_TIMEOUT_S = 30.0
@@ -145,6 +148,8 @@ class ExternalBackend:
         self._served: dict = {}
 
     def _spawn(self) -> _Child:
+        import subprocess
+
         try:
             proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
@@ -157,6 +162,8 @@ class ExternalBackend:
     def _drop(self, child: _Child, grace_s: float = 0.0) -> None:
         """Close the child's input and give it `grace_s` to exit, else kill it;
         its slot starts a new child when next dealt an image."""
+        import subprocess
+
         self._children[self._children.index(child)] = None
         child.proc.stdin.close()
         try:
@@ -169,6 +176,8 @@ class ExternalBackend:
     def exchange(self, batch: Sequence[tuple[ImageEntry, Sequence[str]]]) -> None:
         """Ask for each (entry, tasks) of a chunk; `query` then serves each
         image its evidence in task order, or the error it failed on."""
+        import selectors
+
         results: dict[int, list | RuinscoreError] = {}  # by batch index; unserved: absent
         requests: dict[int, bytes] = {}
         for i, (entry, tasks) in enumerate(batch):

@@ -9,8 +9,10 @@ extraction, then one batch meta predict grades all its rows, for either
 model kind. Exit codes: 0 success, 1 runtime failure (structured JSON error
 on stderr), 2 usage error.
 
-numpy and the meta package load only in the commands that load or train a
-meta-model, so rule-only assess, evaluate and fuse start without them.
+Each command imports only what it runs: numpy and the meta package load only
+in the commands that load or train a meta-model (and `meta.hyper` only in
+train-meta), `evaluate` only in evaluate, `synth` only in gen-synthetic, and
+the external backend's `subprocess` and `selectors` only when it starts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import dataset_io, evaluate as evaluate_mod, fusion, synth
+from . import dataset_io, fusion
 from .backend import (
     DEFAULT_TIMEOUT_S,
     CascadeOutput,
@@ -227,6 +229,8 @@ def read_assessments(path: str | os.PathLike) -> list[dict]:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import evaluate as evaluate_mod
+
     manifest = dataset_io.load_manifest(args.manifest)
     records = read_assessments(args.assessments)
     truth = {
@@ -253,6 +257,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_train_meta(args) -> int:
     from . import meta
+    from .meta.hyper import GbdtHyper, LogRegHyper, TrainHyper
 
     manifest = dataset_io.load_manifest(args.manifest)
     config, _ = load_config_file(_config_path(args))
@@ -276,11 +281,11 @@ def _cmd_train_meta(args) -> int:
     if skipped:
         print(f"ignored {skipped} entries without ground truth", file=sys.stderr)
 
-    hyper = meta.TrainHyper(
-        logreg=meta.LogRegHyper(
+    hyper = TrainHyper(
+        logreg=LogRegHyper(
             learning_rate=args.learning_rate, l2=args.l2, iterations=args.iterations
         ),
-        gbdt=meta.GbdtHyper(
+        gbdt=GbdtHyper(
             rounds=args.rounds,
             learning_rate=args.learning_rate,
             max_depth=args.max_depth,
@@ -334,6 +339,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_gen_synthetic(args) -> int:
+    from . import synth
+
     priors = tuple(float(v) for v in args.level_priors.split(","))
     if len(priors) != 4:
         raise SchemaViolation("level_priors", "expected 4 comma-separated numbers")

@@ -51,10 +51,11 @@ class DamageLevel(IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name.lower()
+        return LEVEL_LABELS[self]
 
 
-LEVEL_BY_LABEL = {lv.label: lv for lv in DamageLevel}
+LEVEL_LABELS = tuple(lv.name.lower() for lv in DamageLevel)  # by ordinal
+LEVEL_BY_LABEL = dict(zip(LEVEL_LABELS, DamageLevel))
 
 DEFAULT_DAMAGE_CLASS_MAP = {
     0: DamageClass.CRACK,

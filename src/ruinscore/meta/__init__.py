@@ -2,6 +2,9 @@
 
 ClassProbs values are 4-tuples indexed by damage level ordinal, each entry
 in [0, 1], summing to 1 within 1e-9.
+
+The training hyperparameters live in `ruinscore.meta.hyper`, which only
+train-meta imports: loading a model and predicting never build them.
 """
 
 from .features import FEATURE_DIM, FEATURE_LAYOUT, FEATURE_NAMES, extract_features
@@ -12,7 +15,6 @@ from .gbdt import (
     predict_gbdt_batch,
     train_gbdt,
 )
-from .hyper import GbdtHyper, LogRegHyper, TrainHyper
 from .logreg import (
     LOGREG_FORMAT,
     LogRegModel,
@@ -31,11 +33,8 @@ __all__ = [
     "GBDT_FORMAT",
     "LOGREG_FORMAT",
     "ClassProbs",
-    "GbdtHyper",
     "GbdtModel",
-    "LogRegHyper",
     "LogRegModel",
-    "TrainHyper",
     "extract_features",
     "load_model",
     "model_to_json",

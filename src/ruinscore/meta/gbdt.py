@@ -9,16 +9,20 @@ serialized models bit-reproducible.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
 from ..fusion import check_number
 from .features import FEATURE_LAYOUT
-from .hyper import TrainHyper
 from .logreg import _as_matrix, _finite_array, _log_loss, _one_hot, _sample_weights
 from .logreg import _training_matrix, softmax_rows
+
+if TYPE_CHECKING:
+    from .hyper import TrainHyper
 
 N_CLASSES = 4
 GBDT_FORMAT = "ruinscore-gbdt-v1"
@@ -27,6 +31,15 @@ NO_SPLIT = (-1, 0, 0.0, 0.0)
 # rows walked through the forest at once: bounds predict's (rows, trees)
 # temporaries whatever the batch size
 _ROWS_PER_WALK = 64
+
+
+def _path(where) -> str:
+    """A node path kept as nested (parent path, ".side") pairs, spelled out."""
+    sides = []
+    while isinstance(where, tuple):
+        where, side = where
+        sides.append(side)
+    return where + "".join(reversed(sides))
 
 
 @dataclass(frozen=True)
@@ -51,50 +64,69 @@ class Forest:
     @classmethod
     def from_trees(cls, trees: list[list[dict]], max_depth: int, dim: int) -> "Forest":
         """Flatten rounds of nested-dict trees. A malformed node raises
-        SchemaViolation at its path, e.g. trees[3][1].left.threshold."""
+        SchemaViolation at its path, e.g. trees[3][1].left.threshold.
+
+        Nodes are numbered as they are reached, both children of a split at
+        once, and walked right child first. A node's path is kept as a
+        (parent path, ".side") pair and spelled out only for an error, and a
+        finite float value or threshold skips `check_number`.
+        """
         feature: list[int] = []
         threshold: list[float] = []
         value: list[float] = []
         child: list[int] = []
         roots: list[int] = []
-        pending: list[tuple[int, object, str, int]] = []
         depth = 0
-
-        def add(node: object, where: str, level: int) -> int:
-            idx = len(feature)
-            feature.append(0)
-            threshold.append(0.0)
-            value.append(0.0)
-            child.extend((idx, idx))
-            pending.append((idx, node, where, level))
-            return idx
-
+        top = sys.float_info.max
         for r, round_trees in enumerate(trees):
             for c, tree in enumerate(round_trees):
-                roots.append(add(tree, f"trees[{r}][{c}]", 0))
+                idx = len(value)
+                roots.append(idx)
+                feature.append(0)
+                threshold.append(0.0)
+                value.append(0.0)
+                child += (idx, idx)
+                pending = [(idx, tree, 0, f"trees[{r}][{c}]")]  # (index, node, level, path)
                 while pending:
-                    idx, node, where, level = pending.pop()
+                    idx, node, level, where = pending.pop()
                     if not isinstance(node, dict):
-                        raise SchemaViolation(where, "tree node must be an object")
+                        raise SchemaViolation(_path(where), "tree node must be an object")
                     if level > max_depth:
-                        raise SchemaViolation(where, f"node deeper than max_depth {max_depth}")
-                    depth = max(depth, level)
+                        raise SchemaViolation(
+                            _path(where), f"node deeper than max_depth {max_depth}"
+                        )
+                    if level > depth:
+                        depth = level
                     if "value" in node:
-                        check_number(node["value"], f"{where}.value")
-                        value[idx] = float(node["value"])
+                        v = node["value"]
+                        if type(v) is not float or not -top <= v <= top:
+                            check_number(v, _path(where) + ".value")
+                            v = float(v)
+                        value[idx] = v
                         continue
                     feat = node.get("feature")
                     if not isinstance(feat, int) or isinstance(feat, bool) or not 0 <= feat < dim:
                         raise SchemaViolation(
-                            f"{where}.feature", f"must be an integer in [0, {dim})"
+                            _path(where) + ".feature", f"must be an integer in [0, {dim})"
                         )
-                    check_number(node.get("threshold"), f"{where}.threshold")
+                    thr = node.get("threshold")
+                    if type(thr) is not float or not -top <= thr <= top:
+                        check_number(thr, _path(where) + ".threshold")
+                        thr = float(thr)
                     feature[idx] = feat
-                    threshold[idx] = float(node["threshold"])
-                    for slot, side in enumerate(("left", "right")):
-                        if side not in node:
-                            raise SchemaViolation(f"{where}.{side}", "missing child")
-                        child[2 * idx + slot] = add(node[side], f"{where}.{side}", level + 1)
+                    threshold[idx] = thr
+                    if "left" not in node or "right" not in node:
+                        side = "right" if "left" in node else "left"
+                        raise SchemaViolation(f"{_path(where)}.{side}", "missing child")
+                    left = len(value)
+                    feature += (0, 0)
+                    threshold += (0.0, 0.0)
+                    value += (0.0, 0.0)
+                    child += (left, left, left + 1, left + 1)
+                    child[2 * idx] = left
+                    child[2 * idx + 1] = left + 1
+                    pending.append((left, node["left"], level + 1, (where, ".left")))
+                    pending.append((left + 1, node["right"], level + 1, (where, ".right")))
         return cls(
             feature=np.asarray(feature, dtype=np.intp),
             threshold=np.asarray(threshold, dtype=np.float64),

@@ -8,12 +8,15 @@ the same inputs always give the same model bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import DegenerateData, DimensionMismatch, NonFiniteLoss, SchemaViolation
 from .features import FEATURE_LAYOUT
-from .hyper import TrainHyper
+
+if TYPE_CHECKING:
+    from .hyper import TrainHyper
 
 N_CLASSES = 4
 LOGREG_FORMAT = "ruinscore-logreg-v1"

@@ -34,12 +34,12 @@ from ruinscore.fusion import (
     validate_rebar,
 )
 from ruinscore.meta import (
-    TrainHyper,
     model_to_json,
     train_gbdt,
     train_logreg,
     training_accuracy,
 )
+from ruinscore.meta.hyper import TrainHyper
 from ruinscore.meta.logreg import _loss_and_grad
 
 from helpers import (

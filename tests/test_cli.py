@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ruinscore
 from ruinscore import cli, meta
 from ruinscore.backend import FileBackend, run_cascade
 from ruinscore.cli import load_config_file, main
@@ -916,30 +918,41 @@ class TestNonUtf8Input:
         assert line.startswith("skip bad: SchemaViolation: ")
 
 
-NUMPY_PROBE = """\
+IMPORT_PROBE = """\
 import json, sys, threading
-from ruinscore.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "threads": threading.active_count(),
-                  "futures": "concurrent.futures" in sys.modules}))
+import ruinscore
+commands, modules = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+codes = []
+if commands:
+    from ruinscore.cli import main
+    codes = [main(argv) for argv in commands]
+print(json.dumps({"codes": codes, "threads": threading.active_count(),
+                  "loaded": [name for name in modules if name in sys.modules]}))
 """
 
 
-def numpy_probe(*commands: list[str]) -> dict:
-    """Run `commands` through cli.main in one fresh interpreter; report their
-    exit codes, whether numpy and concurrent.futures were imported, and how
-    many threads are alive afterwards."""
+def import_probe(commands: list[list[str]], modules: list[str]) -> dict:
+    """Import ruinscore and run `commands` through cli.main in one fresh
+    interpreter; report their exit codes, which of `modules` were imported,
+    and how many threads are alive afterwards."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         entry for entry in (package_root, os.environ.get("PYTHONPATH")) if entry
     )}
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands), json.dumps(modules)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def numpy_probe(*commands: list[str]) -> dict:
+    """Whether `commands` import numpy and concurrent.futures, with their exit
+    codes and the threads left alive."""
+    result = import_probe(list(commands), ["numpy", "concurrent.futures"])
+    return {"codes": result["codes"], "numpy": "numpy" in result["loaded"],
+            "threads": result["threads"], "futures": "concurrent.futures" in result["loaded"]}
 
 
 class TestNumpyImport:
@@ -970,6 +983,44 @@ class TestNumpyImport:
                   str(config), "--jobs", "2", "--out", str(tmp_path / "a.jsonl")]
         assert numpy_probe(assess) == {"codes": [0], "numpy": False, "threads": 1, "futures": False}
         assert len(jsonl(tmp_path / "a.jsonl")) == 5
+
+
+# modules that rule-only and hybrid assess on the file backend never call
+NOT_ON_FILE_ASSESS = ["ruinscore.synth", "ruinscore.evaluate", "ruinscore.meta.hyper",
+                      "subprocess", "selectors"]
+
+
+class TestCommandImports:
+    """Each command imports only what it runs, so start-up pays for nothing
+    else."""
+
+    def test_package_import_loads_no_submodule(self):
+        submodules = [info.name for info in pkgutil.walk_packages(ruinscore.__path__, "ruinscore.")]
+        assert "ruinscore.cli" in submodules and "ruinscore.meta.hyper" in submodules
+        assert import_probe([], submodules) == {"codes": [], "threads": 1, "loaded": []}
+
+    def test_file_assess_leaves_unused_modules_unloaded(self, fixture3, tmp_path, capsys):
+        model = str(tmp_path / "m.json")
+        assert run(capsys, "train-meta", "--manifest", str(fixture3), "--kind", "gbdt",
+                   "--out", model, "--rounds", "3", "--min-leaf", "1")[0] == 0
+        assess = ["assess", "--manifest", str(fixture3), "--out", str(tmp_path / "a.jsonl")]
+        result = import_probe([assess, assess + ["--meta-model", model]], NOT_ON_FILE_ASSESS)
+        assert result == {"codes": [0, 0], "threads": 1, "loaded": []}
+
+    def test_train_meta_loads_hyperparameters(self, fixture3, tmp_path):
+        train = ["train-meta", "--manifest", str(fixture3), "--kind", "logreg",
+                 "--out", str(tmp_path / "m.json"), "--iterations", "3"]
+        result = import_probe([train], NOT_ON_FILE_ASSESS)
+        assert result == {"codes": [0], "threads": 1, "loaded": ["ruinscore.meta.hyper"]}
+
+    def test_external_assess_loads_subprocess(self, tmp_path, stub):
+        path = write_dataset(tmp_path / "d", [{"id": "img0", "image_path": "img0.jpg"}])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"command": [sys.executable, stub("echo_backend")]}}))
+        assess = ["assess", "--manifest", str(path), "--backend", "external", "--config",
+                  str(config), "--out", str(tmp_path / "a.jsonl")]
+        result = import_probe([assess], NOT_ON_FILE_ASSESS)
+        assert result == {"codes": [0], "threads": 1, "loaded": ["subprocess", "selectors"]}
 
 
 class TestGenSynthetic:

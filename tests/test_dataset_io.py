@@ -20,6 +20,8 @@ from ruinscore.dataset_io import (
     DamageLevel,
     DetectionKind,
     ImageEntry,
+    LEVEL_BY_LABEL,
+    LEVEL_LABELS,
     SceneClass,
     SceneLabel,
     detections_to_json,
@@ -79,6 +81,12 @@ def _values():
         lambda: RuleDecision(DamageLevel.SLIGHT, 2.0, RuleCounts(n_crack=2), False,
                              ("conf-floor",), (crack(),)),
     ]
+
+
+@pytest.mark.parametrize("level", list(DamageLevel), ids=lambda level: level.name)
+def test_level_label_is_the_lowercase_name_both_ways(level):
+    assert level.label == level.name.lower() == LEVEL_LABELS[level]
+    assert LEVEL_BY_LABEL[level.label] is level
 
 
 class TestValueTypes:

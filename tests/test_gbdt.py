@@ -11,10 +11,7 @@ from hypothesis.extra.numpy import arrays
 from ruinscore.dataset_io import DamageLevel
 from ruinscore.errors import DegenerateData, DimensionMismatch, SchemaViolation
 from ruinscore.meta import (
-    GbdtHyper,
     GbdtModel,
-    LogRegHyper,
-    TrainHyper,
     load_model,
     model_to_json,
     predict_gbdt,
@@ -26,6 +23,7 @@ from ruinscore.meta import (
 )
 from ruinscore.meta import gbdt as gbdt_module
 from ruinscore.meta.gbdt import best_split
+from ruinscore.meta.hyper import GbdtHyper, LogRegHyper, TrainHyper
 from ruinscore.meta.logreg import softmax_rows
 
 from helpers import xor_fixture

@@ -10,9 +10,7 @@ from hypothesis.extra.numpy import arrays
 from ruinscore.dataset_io import DamageLevel
 from ruinscore.errors import DimensionMismatch, NonFiniteLoss, SchemaViolation
 from ruinscore.meta import (
-    LogRegHyper,
     LogRegModel,
-    TrainHyper,
     load_model,
     model_to_json,
     predict_logreg,
@@ -21,6 +19,7 @@ from ruinscore.meta import (
     train_logreg,
     training_accuracy,
 )
+from ruinscore.meta.hyper import LogRegHyper, TrainHyper
 from ruinscore.meta.logreg import _loss_and_grad, softmax_rows
 
 from helpers import finite_difference_grad, separable_fixture
