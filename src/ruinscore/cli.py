@@ -3,11 +3,15 @@
 assess streams one JSON record per image (JSONL), working through the
 manifest in fixed-size chunks, so corpora of any size process with bounded
 memory whatever --jobs is. Everything runs in the calling thread; --jobs N
-is the number of external backend children, each chunk one exchange with
-them. Per chunk, each image runs the cascade, rule fusion and feature
-extraction, then one batch meta predict grades all its rows, for either
-model kind. Exit codes: 0 success, 1 runtime failure (structured JSON error
-on stderr), 2 usage error.
+is the number of external backend children. Each chunk runs its stages in
+order, each over the whole chunk: one exchange with the children (external
+backend only), the cascade, rule fusion, feature extraction and one batch
+meta predict (hybrid only), then one write of the chunk's records. A failing
+image ends the cascade stage, so the records before it are written before
+its error is raised; under --keep-going it is skipped with a line on stderr
+instead. train-meta runs the same cascade stage chunk by chunk, and fuse
+runs one detection file through it as a one-entry manifest. Exit codes: 0
+success, 1 runtime failure (structured JSON error on stderr), 2 usage error.
 
 Each command imports only what it runs: numpy and the meta package load only
 in the commands that load or train a meta-model (and `meta.hyper` only in
@@ -22,24 +26,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 from . import dataset_io, fusion
 from .backend import (
     DEFAULT_TIMEOUT_S,
-    CascadeOutput,
     ExternalBackend,
     FileBackend,
     cascade_tasks,
     run_cascade,
 )
-from .dataset_io import (
-    DetectionKind,
-    LEVEL_BY_LABEL,
-    SceneClass,
-    SceneLabel,
-)
+from .dataset_io import LEVEL_BY_LABEL, DatasetManifest, ImageEntry, SceneClass
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -133,25 +130,32 @@ def _assessment_record(out, rule, probs, final) -> dict:
     }
 
 
-def _chunk_probs(model, rows: list) -> list[tuple[float, float, float, float]]:
-    """Meta probabilities of one chunk's feature vectors, in row order, from
-    one batch predict; each row equals its one-row predict bit for bit."""
-    from . import meta
-
-    return [tuple(p) for p in meta.predict_batch(model, rows).tolist()]
+def _cascade_chunk(chunk, backend, keep_going: bool) -> tuple[list, RuinscoreError | None]:
+    """The cascade outputs of a chunk's entries in manifest order, and the
+    failure, tagged with its image id, that ended the chunk early. Under
+    `keep_going` a failing entry is skipped with a line on stderr instead."""
+    outs = []
+    for entry in chunk:
+        try:
+            outs.append(run_cascade(entry, backend))
+        except RuinscoreError as exc:
+            exc.image_id = entry.id
+            if not keep_going:
+                return outs, exc
+            print(f"skip {entry.id}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return outs, None
 
 
 def _cmd_assess(args) -> int:
     manifest = dataset_io.load_manifest(args.manifest)
     config, backend_cfg = load_config_file(_config_path(args))
-    model = features = None
+    model = None
     if args.meta_model:
         from . import meta
 
         model = meta.load_model(args.meta_model)
         if model.dim != meta.FEATURE_DIM:
             raise DimensionMismatch(meta.FEATURE_DIM, model.dim)
-        features = meta.extract_features
     if config.decision_mode is not DecisionMode.RULE_ONLY and model is None:
         raise MissingMeta(config.decision_mode.value)
 
@@ -170,31 +174,19 @@ def _cmd_assess(args) -> int:
             chunk = images[start : start + CHUNK_SIZE]
             if external:
                 backend.exchange([(entry, cascade_tasks(entry)) for entry in chunk])
-            staged = []  # per entry: cascade, rule fusion and features, or its failure
-            for entry in chunk:
-                try:
-                    out = run_cascade(entry, backend)
-                    rule = rule_fusion(out, config)
-                    staged.append((out, rule, features(out, rule) if features else None))
-                except RuinscoreError as exc:
-                    exc.image_id = entry.id
-                    staged.append(exc)
-                    if not args.keep_going:
-                        break
-            # one predict for the chunk's rows, then records and skip lines in
-            # manifest order; a failure is re-raised without --keep-going
-            rows = [item[2] for item in staged if not isinstance(item, RuinscoreError)]
-            probs = iter(_chunk_probs(model, rows) if model is not None and rows else ())
-            for item in staged:
-                if isinstance(item, RuinscoreError):
-                    if not args.keep_going:
-                        raise item
-                    print(f"skip {item.image_id}: {type(item).__name__}: {item}", file=sys.stderr)
-                    continue
-                out, rule, _ = item
-                p = next(probs) if model is not None else None
-                final = fusion.final_decision(rule, p, config)
-                out_stream.write(json.dumps(_assessment_record(out, rule, p, final)) + "\n")
+            outs, failure = _cascade_chunk(chunk, backend, args.keep_going)
+            rules = [rule_fusion(out, config) for out in outs]
+            probs = [None] * len(outs)
+            if model is not None and outs:
+                rows = [meta.extract_features(out, rule) for out, rule in zip(outs, rules)]
+                probs = meta.predict_batch(model, rows).tolist()
+            records = (
+                _assessment_record(out, rule, p, fusion.final_decision(rule, p, config))
+                for out, rule, p in zip(outs, rules, probs)
+            )
+            out_stream.write("".join(json.dumps(record) + "\n" for record in records))
+            if failure is not None:
+                raise failure
     finally:
         if args.out:
             out_stream.close()
@@ -263,21 +255,18 @@ def _cmd_train_meta(args) -> int:
     config, _ = load_config_file(_config_path(args))
     backend = FileBackend(manifest)
 
-    X, y, skipped = [], [], 0
-    for entry in manifest.images:
-        if entry.ground_truth_level is None:
-            skipped += 1
-            continue
-        try:
-            out = run_cascade(entry, backend)
-        except RuinscoreError as exc:
-            exc.image_id = entry.id
-            raise
-        rule = rule_fusion(out, config)
-        X.append(meta.extract_features(out, rule))
-        y.append(entry.ground_truth_level)
+    labeled = [entry for entry in manifest.images if entry.ground_truth_level is not None]
+    X = []
+    for start in range(0, len(labeled), CHUNK_SIZE):
+        chunk = labeled[start : start + CHUNK_SIZE]
+        outs, failure = _cascade_chunk(chunk, backend, keep_going=False)
+        if failure is not None:
+            raise failure
+        X += [meta.extract_features(out, rule_fusion(out, config)) for out in outs]
     if not X:
         raise DegenerateData("no manifest entry carries ground_truth_level")
+    y = [entry.ground_truth_level for entry in labeled]
+    skipped = len(manifest.images) - len(labeled)
     if skipped:
         print(f"ignored {skipped} entries without ground truth", file=sys.stderr)
 
@@ -313,18 +302,11 @@ def _cmd_train_meta(args) -> int:
 def _cmd_fuse(args) -> int:
     config, _ = load_config_file(_config_path(args))
     if args.version:
-        config = config.with_version(FusionVersion(args.version))
-    path = Path(args.detections)
-    dets = dataset_io.read_detections(
-        path, dataset_io.DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE
+        config = replace(config, version=FusionVersion(args.version))
+    entry = ImageEntry(
+        args.detections, scene_override=SceneClass(args.scene), damage_file=args.detections
     )
-    cascade = CascadeOutput(
-        image_id=path.name,
-        scene=SceneLabel(SceneClass(args.scene), 1.0),
-        components=(),
-        damages=tuple(dets),
-    )
-    rule = rule_fusion(cascade, config)
+    rule = rule_fusion(run_cascade(entry, FileBackend(DatasetManifest((entry,)))), config)
     if rule.rebar_forced:
         print(f"{rule.level.label} (rebar_forced)")
     else:

@@ -50,14 +50,6 @@ class ConfusionMatrix:
             if abs(i - j) <= 1
         )
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.counts, other.counts)
-            )
-        )
-
 
 @dataclass(frozen=True)
 class ClassMetrics:

@@ -141,16 +141,17 @@ class FusionConfig:
             fields(FusionConfig),
             key=lambda f: (not isinstance(f.default, Enum), not is_dataclass(f.default)),
         )
-        try:
-            kwargs = {
-                f.name: _parse_field(f.name, f.default, raw[f.name]) for f in order if f.name in raw
-            }
-            return FusionConfig(**kwargs)
-        except ValueError as exc:
-            raise SchemaViolation("$", str(exc)) from None
-
-    def with_version(self, version: FusionVersion) -> "FusionConfig":
-        return replace(self, version=version)
+        # each key is set on its own, so a range error is reported at that key
+        config = FusionConfig()
+        for f in order:
+            if f.name not in raw:
+                continue
+            try:
+                value = _parse_field(f.name, f.default, raw[f.name])
+                config = replace(config, **{f.name: value})
+            except ValueError as exc:
+                raise SchemaViolation(f.name, str(exc)) from None
+        return config
 
 
 def check_number(value: object, where: str) -> None:

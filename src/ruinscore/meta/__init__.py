@@ -1,7 +1,8 @@
 """Meta-model layer: feature extraction and the two trainable classifiers.
 
-ClassProbs values are 4-tuples indexed by damage level ordinal, each entry
-in [0, 1], summing to 1 within 1e-9.
+Class probabilities are indexed by damage level ordinal, each entry in
+[0, 1], summing to 1 within 1e-9: a 4-tuple from the one-row predicts, a row
+of the (rows, 4) array from the batch ones.
 
 The training hyperparameters live in `ruinscore.meta.hyper`, which only
 train-meta imports: loading a model and predicting never build them.
@@ -24,15 +25,12 @@ from .logreg import (
 )
 from .serialize import load_model, model_to_json, predict_batch, save_model, training_accuracy
 
-ClassProbs = tuple[float, float, float, float]
-
 __all__ = [
     "FEATURE_DIM",
     "FEATURE_LAYOUT",
     "FEATURE_NAMES",
     "GBDT_FORMAT",
     "LOGREG_FORMAT",
-    "ClassProbs",
     "GbdtModel",
     "LogRegModel",
     "extract_features",

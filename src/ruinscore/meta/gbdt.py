@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
 from ..fusion import check_number
 from .features import FEATURE_LAYOUT
-from .logreg import _as_matrix, _finite_array, _log_loss, _one_hot, _sample_weights
+from .logreg import _as_matrix, _finite_array, _json_int, _log_loss, _one_hot, _sample_weights
 from .logreg import _training_matrix, softmax_rows
 
 if TYPE_CHECKING:
@@ -380,13 +380,14 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
 
 def gbdt_from_dict(raw: dict) -> GbdtModel:
     check_number(raw["learning_rate"], "learning_rate")
+    if not isinstance(raw["degenerate"], bool):
+        raise SchemaViolation("degenerate", "must be true or false")
     return GbdtModel(
         trees=raw["trees"],
         base_scores=_finite_array(raw, "base_scores", (N_CLASSES,)),
         learning_rate=float(raw["learning_rate"]),
-        max_depth=int(raw["max_depth"]),
-        dim=int(raw["dim"]),
-        degenerate=bool(raw["degenerate"]),
+        max_depth=_json_int(raw["max_depth"], "max_depth"),
+        dim=_json_int(raw["dim"], "dim"),
+        degenerate=raw["degenerate"],
         feature_layout=str(raw["feature_layout"]),
     )
-

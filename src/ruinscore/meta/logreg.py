@@ -7,12 +7,14 @@ the same inputs always give the same model bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import DegenerateData, DimensionMismatch, NonFiniteLoss, SchemaViolation
+from ..fusion import check_number
 from .features import FEATURE_LAYOUT
 
 if TYPE_CHECKING:
@@ -57,13 +59,22 @@ def _training_matrix(X) -> np.ndarray:
 
 
 def _finite_array(raw: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """raw[key] as a float64 array of exactly `shape` with finite entries."""
-    arr = np.asarray(raw[key], dtype=np.float64)
+    """raw[key] as a float64 array of exactly `shape` whose entries are each
+    a finite JSON number, not a bool or a string."""
+    value = raw[key]
+    arr = np.asarray(value, dtype=np.float64)
     if arr.shape != shape:
         raise SchemaViolation(key, f"must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise SchemaViolation(key, "must be finite")
+    for v in value if len(shape) == 1 else itertools.chain.from_iterable(value):
+        check_number(v, key)
     return arr
+
+
+def _json_int(value: object, where: str) -> int:
+    """A model file's integer field: a JSON integer, not a bool or a float."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaViolation(where, "must be an integer")
+    return value
 
 
 def _one_hot(y, n: int) -> np.ndarray:
@@ -189,13 +200,15 @@ def logreg_to_dict(model: LogRegModel) -> dict:
 
 
 def logreg_from_dict(raw: dict) -> LogRegModel:
-    dim = int(raw["dim"])
+    dim = _json_int(raw["dim"], "dim")
+    trained = raw["trained"]
+    check_number(trained["final_loss"], "trained.final_loss")
     model = LogRegModel(
         weights=_finite_array(raw, "weights", (N_CLASSES, dim + 1)),
         mean=_finite_array(raw, "mean", (dim,)),
         std=_finite_array(raw, "std", (dim,)),
-        iterations=int(raw["trained"]["iterations"]),
-        final_loss=float(raw["trained"]["final_loss"]),
+        iterations=_json_int(trained["iterations"], "trained.iterations"),
+        final_loss=float(trained["final_loss"]),
         feature_layout=str(raw["feature_layout"]),
     )
     if not (model.std > 0.0).all():

@@ -333,6 +333,29 @@ class TestChunkedAssess:
         assert rows_per_call == [cli.CHUNK_SIZE - 1, cli.CHUNK_SIZE - 2, 9]
         assert sum(rows_per_call) == len(out.splitlines())
 
+    def test_one_predict_and_one_write_per_chunk(self, chunked_corpus, tmp_path, monkeypatch):
+        n = 2 * cli.CHUNK_SIZE + 5
+        assert main(["gen-synthetic", "--seed", "6", "--n", str(n), "--out", str(tmp_path / "d"),
+                     "--false-positive-rate", "0.2"]) == 0
+        predict_rows, writes = [], []
+        predict_batch = meta.predict_batch
+
+        def counting_predict(model, X):
+            predict_rows.append(len(X))
+            return predict_batch(model, X)
+
+        class CountingStream(io.StringIO):
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return super().write(text)
+
+        monkeypatch.setattr(meta, "predict_batch", counting_predict)
+        monkeypatch.setattr(sys, "stdout", CountingStream())
+        assert main(["assess", "--manifest", str(tmp_path / "d" / "manifest.json"), "--config",
+                     str(chunked_corpus["config"]), "--meta-model",
+                     str(chunked_corpus["model"])]) == 0
+        assert predict_rows == writes == [cli.CHUNK_SIZE, cli.CHUNK_SIZE, 5]
+
     @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_failure_writes_earlier_records_then_error(self, chunked_corpus, capsys, jobs):
         code, out, err = assess_chunked(capsys, chunked_corpus, "--jobs", jobs)
@@ -619,6 +642,47 @@ class TestTrainMeta:
             0, 0, 0.0, 1, 1
         )
 
+    def test_missing_file_in_second_chunk_names_image_and_writes_no_model(
+        self, tmp_path, capsys
+    ):
+        images = [
+            {"id": f"img{i:03d}", "gt": i % 4, "scene": "outside",
+             "damage": "0 0.5 0.5 0.1 0.1 0.9\n" * (i % 4)}
+            for i in range(cli.CHUNK_SIZE + 6)
+        ]
+        path = write_dataset(tmp_path / "d", images)
+        broken = images[cli.CHUNK_SIZE + 2]["id"]
+        (tmp_path / "d" / "labels" / f"{broken}.txt").unlink()
+        model = tmp_path / "m.json"
+        code, out, err = run(
+            capsys, "train-meta", "--manifest", str(path), "--kind", "gbdt", "--out", str(model)
+        )
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["image_id"]) == ("MissingFile", broken)
+        assert not model.exists()
+
+    def test_unlabeled_entry_is_never_read(self, tmp_path, capsys):
+        images = [
+            {"id": f"img{i:02d}", "gt": i % 4, "scene": "outside",
+             "damage": "0 0.5 0.5 0.1 0.1 0.9\n" * (i % 4)}
+            for i in range(12)
+        ]
+        images.insert(5, {"id": "unlabeled", "scene": "outside", "damage": ""})
+        path = write_dataset(tmp_path / "d", images)
+        (tmp_path / "d" / "labels" / "unlabeled.txt").unlink()
+        model = tmp_path / "m.json"
+        code, out, err = run(
+            capsys, "train-meta", "--manifest", str(path), "--kind", "logreg",
+            "--iterations", "5", "--out", str(model),
+        )
+        assert code == 0
+        assert err.splitlines() == ["ignored 1 entries without ground truth"]
+        assert out.startswith("trained logreg: n=12 ")
+        assert model.exists()
+
     def test_no_labels_degenerate(self, tmp_path, capsys):
         path = write_dataset(tmp_path / "d", [{"id": "a", "scene": "outside", "damage": ""}])
         code, _, err = run(
@@ -686,6 +750,15 @@ class TestFuse:
         assert code == 0
         assert out.splitlines()[0] == "medium (S=5.0)"
         assert "counts: crack=1 spall=2" in out
+
+    def test_missing_file_reported_as_typed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "fuse", "--detections", "./missing.txt")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip()) == {
+            "error": "MissingFile", "detail": "file not found: ./missing.txt"
+        }
 
     def test_parse_error_propagates(self, tmp_path, capsys):
         f = tmp_path / "d.txt"

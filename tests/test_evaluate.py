@@ -117,13 +117,6 @@ def test_pm1_equals_exact_only_when_errors_are_far():
     assert near.plus_minus_one_accuracy > near.exact_accuracy
 
 
-def test_matrix_merge_is_addition():
-    a = confusion_matrix([(Z, Z), (S, M)])
-    b = confusion_matrix([(S, M), (H, H)])
-    merged = a + b
-    assert merged == confusion_matrix([(Z, Z), (S, M), (S, M), (H, H)])
-
-
 class TestRendering:
     def test_accuracy_row_formatting(self, fixtures_dir):
         report = parse_report((fixtures_dir / "report_rule_v2.json").read_text())

@@ -319,10 +319,20 @@ class TestFusionConfigIo:
         assert config.weights == DEFAULT_CONFIG.weights
 
     def test_invariants_enforced(self):
-        with pytest.raises(SchemaViolation):
-            FusionConfig.from_dict({"thresholds": {"t_slight": 5.0, "t_medium": 1.0}})
-        with pytest.raises(SchemaViolation):
-            FusionConfig.from_dict({"weights": {"w_crack": -1.0}})
+        # a range error is reported at its section or top-level key
+        out_of_range = [
+            ({"thresholds": {"t_slight": 5.0, "t_medium": 1.0}}, "thresholds",
+             "thresholds must satisfy 0 <= t_slight <= t_medium"),
+            ({"weights": {"w_crack": -1.0}}, "weights", "w_crack must be >= 0"),
+            ({"v2": {"min_box_area": -1.0}}, "v2", "min_box_area must be >= 0"),
+            ({"conf_floor": 2.0}, "conf_floor", "conf_floor must be in [0, 1]"),
+            ({"hybrid_prob_gate": -0.5}, "hybrid_prob_gate", "hybrid_prob_gate must be >= 0"),
+        ]
+        for raw, field, detail in out_of_range:
+            with pytest.raises(SchemaViolation) as exc:
+                FusionConfig.from_dict(raw)
+            assert exc.value.field == field
+            assert str(exc.value) == f"schema violation at {field}: {detail}"
         non_finite = [
             {"weights": {"w_crack": float("nan")}},
             {"weights": {"w_spall": float("inf")}},

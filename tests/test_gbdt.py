@@ -294,6 +294,15 @@ def _node(raw) -> dict:
         (lambda raw: raw.update(base_scores=[0.0, 0.0, 0.0]), "base_scores"),
         (lambda raw: raw.update(base_scores=[0.0, 0.0, float("nan"), 0.0]), "base_scores"),
         (lambda raw: raw.update(learning_rate=float("inf")), "learning_rate"),
+        # mistyped values that an int, bool or float conversion would accept
+        (lambda raw: raw.update(degenerate="no"), "degenerate"),
+        (lambda raw: raw.update(degenerate=0), "degenerate"),
+        (lambda raw: raw.update(max_depth=3.9), "max_depth"),
+        (lambda raw: raw.update(max_depth=True), "max_depth"),
+        (lambda raw: raw.update(dim="2"), "dim"),
+        (lambda raw: raw.update(dim=2.0), "dim"),
+        (lambda raw: raw.update(base_scores=[True, False, True, False]), "base_scores"),
+        (lambda raw: raw.update(base_scores=[0.0, "0.0", 0.0, 0.0]), "base_scores"),
         # integers beyond the float range fail at their node too
         (lambda raw: _node(raw).update(threshold=-(10**400)), "trees[1][2].threshold"),
         (lambda raw: _node(raw)["left"].update(value=10**400), "trees[1][2].left.value"),

@@ -162,12 +162,28 @@ def test_softmax_rows_stable_for_large_logits():
         ("std", [1.0] * 5 + [0.0]),
         ("std", [1.0] * 5 + [-2.0]),
         ("std", [1.0] * 5 + [float("inf")]),
+        # mistyped values that a float or int conversion would accept
+        ("mean", [True] * 6),
+        ("mean", ["0.5"] * 6),
+        ("weights", [[0.0] * 7] * 3 + [[False] * 7]),
+        ("std", [1.0] * 5 + ["1.0"]),
+        ("dim", "6"),
+        ("dim", 6.7),
+        ("dim", True),
+        ("trained.iterations", "5"),
+        ("trained.iterations", 5.0),
+        ("trained.final_loss", "nan"),
+        ("trained.final_loss", float("nan")),
     ],
 )
 def test_malformed_arrays_rejected_at_load(tmp_path, key, value):
     X, y = small_fixture()
     raw = json.loads(model_to_json(train_logreg(X, y, hyper(iterations=5))))
-    raw[key] = value
+    *sections, name = key.split(".")
+    target = raw
+    for section in sections:
+        target = target[section]
+    target[name] = value
     path = tmp_path / "m.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(SchemaViolation) as exc:
