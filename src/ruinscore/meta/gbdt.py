@@ -170,19 +170,43 @@ class GbdtModel:
         return len(self.trees)
 
 
+def split_candidates(xs: np.ndarray, min_leaf: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where one node may split: (feat, at), both empty when nowhere.
+
+    at holds the flat index, in the node's (d, n) prefix sums, of every
+    boundary between distinct consecutive sorted values that leaves min_leaf
+    samples on both sides, feature-major; feat holds each one's feature. It
+    depends on xs and min_leaf only, so a fit builds the root's once.
+    """
+    n = xs.shape[1]
+    if n < 2 * min_leaf or n < 2:
+        none = np.empty(0, dtype=np.intp)
+        return none, none
+    # the boundary after sorted position k sends k + 1 samples left
+    lo, hi = min_leaf - 1, n - min_leaf
+    at = np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1])  # feature-major
+    width = hi - lo
+    feat = at // width
+    at += feat * (n - width) + lo  # flat index of (feature, k) in the (d, n) sums
+    return feat, at
+
+
 def best_split(
     xs: np.ndarray,
     ghs: np.ndarray,
     lam: float,
     min_leaf: int,
+    cands: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, int, float, float]:
     """Best axis-aligned split for one tree node.
 
     xs is a (d, n) float64 array: row j holds the node's values of feature j
     in ascending order. ghs is the (d, n) complex128 array of the same
     samples in the same order, each packing a gradient (real part) and a
-    hessian (imaginary part). Candidate thresholds are the left-side
-    values at boundaries between distinct consecutive sorted values;
+    hessian (imaginary part). The scan overwrites ghs with its prefix sums
+    (np.cumsum in place, no new (d, n) array), so pass a fresh gather.
+    Candidate thresholds are the left-side values at the boundaries of
+    split_candidates(xs, min_leaf), built here unless given as cands;
     x <= threshold routes left. Returns (feature, n_left, threshold, gain),
     or NO_SPLIT when no candidate has positive gain and min_leaf samples on
     both sides.
@@ -191,32 +215,36 @@ def best_split(
     right (np.cumsum), and the argmax scans feature-major, so ties go to the
     lowest feature, then the lowest threshold. One complex cumsum advances
     the gradient and hessian sums together; its real and imaginary parts
-    are bit for bit the two float cumsums. Gains are computed at the
-    candidate boundaries only; every other position would count as 0.0.
+    are bit for bit the two float cumsums, and complex subtraction is
+    componentwise. Gains are computed at the candidate boundaries only;
+    every other position would count as 0.0.
     """
-    n = xs.shape[1]
-    if n < 2 * min_leaf or n < 2:
+    feat, at = split_candidates(xs, min_leaf) if cands is None else cands
+    if at.size == 0:
         return NO_SPLIT
-    cs = np.cumsum(ghs, axis=1)
-
-    # the boundary after sorted position k sends k + 1 samples left
-    lo, hi = min_leaf - 1, n - min_leaf
-    cand = np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1])  # feature-major
-    if cand.size == 0:
-        return NO_SPLIT
-    width = hi - lo
-    feat = cand // width
-    at = cand + feat * (n - width) + lo  # flat index of (feature, k) in the (d, n) sums
-    left, total = cs.ravel()[at], cs[feat, -1]
+    cs = np.cumsum(ghs, axis=1, out=ghs)
+    total = cs[:, -1]
+    term = total.real * total.real
+    term /= total.imag + lam  # gt * gt / (ht + lam), once per feature
+    left = cs.ravel()[at]
+    right = total[feat]
+    right -= left
+    # gl * gl / (hl + lam) + gr * gr / (hr + lam) - gt * gt / (ht + lam)
     gl, hl = left.real, left.imag
-    gt, ht = total.real, total.imag
-    gr = gt - gl
-    hr = ht - hl
-    gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - gt * gt / (ht + lam)
+    gr, hr = right.real, right.imag
+    gain = gl * gl
+    hl += lam
+    gain /= hl
+    gr *= gr
+    hr += lam
+    gr /= hr
+    gain += gr
+    gain -= term[feat]
 
     best = int(np.argmax(gain))
     if gain[best] <= 0.0:
         return NO_SPLIT
+    n = xs.shape[1]
     f = int(feat[best])
     k = int(at[best]) - f * n
     return f, k + 1, float(xs[f, k]), float(gain[best])
@@ -244,6 +272,7 @@ def _build_tree(
     depth: int,
     hp,
     leaf_of_row: np.ndarray,
+    cands: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict:
     """Grow the subtree over one node's samples.
 
@@ -252,11 +281,13 @@ def _build_tree(
     and their values; None at max_depth, where only rows are read. A split
     partitions both stably, so each child's rows are what a fresh stable
     argsort of its samples would give. gh: (n,) every sample's gradient
-    (real part) and hessian (imaginary part). Each leaf's value is written
-    to leaf_of_row at its samples.
+    (real part) and hessian (imaginary part); it is only read. Each leaf's
+    value is written to leaf_of_row at its samples. cands: the root's
+    split_candidates, built once per fit; every other node builds its own.
     """
     if depth < hp.max_depth and rows.size >= 2 * hp.min_leaf:
-        feat, n_left, thr, _ = best_split(xs, gh[order], hp.lam, hp.min_leaf)
+        # gh[order] is a fresh gather: the scan's in-place prefix sums never reach gh
+        feat, n_left, thr, _ = best_split(xs, gh[order], hp.lam, hp.min_leaf, cands)
         if feat >= 0:
             goes_left = np.zeros(leaf_of_row.size, dtype=bool)
             goes_left[order[feat, :n_left]] = True
@@ -287,7 +318,9 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
 
     Each feature column is sorted once per fit (the pre-sorted column blocks
     of XGBoost's exact greedy method, Chen & Guestrin 2016); nodes partition
-    those orders instead of sorting again.
+    those orders instead of sorting again. The root's split candidates,
+    which depend on the sorted values only, are likewise found once per fit
+    and reused by every tree's root scan.
 
     A training set with every label identical yields a flagged priors-only
     model (nothing to split on). Fewer than 2*min_leaf samples, or a
@@ -313,6 +346,7 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
     order = np.argsort(XT, axis=1, kind="stable")
     xs = np.take_along_axis(XT, order, axis=1)
     rows = np.arange(n)
+    root = split_candidates(xs, hp.min_leaf)
     leaf_of_row = np.empty(n, dtype=np.float64)
     gh = np.empty(n, dtype=np.complex128)
 
@@ -325,7 +359,7 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
             # assigned, not g + 1j * h, which can flip the sign of a zero
             gh.real = (Y[:, c] - P[:, c]) * sw
             gh.imag = (P[:, c] * (1.0 - P[:, c])) * sw
-            round_trees.append(_build_tree(xs, order, rows, gh, 0, hp, leaf_of_row))
+            round_trees.append(_build_tree(xs, order, rows, gh, 0, hp, leaf_of_row, root))
             F[:, c] += hp.learning_rate * leaf_of_row
         trees.append(round_trees)
         P = softmax_rows(F)
@@ -380,13 +414,18 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
 
 def gbdt_from_dict(raw: dict) -> GbdtModel:
     check_number(raw["learning_rate"], "learning_rate")
+    if not raw["learning_rate"] > 0:
+        raise SchemaViolation("learning_rate", "must be > 0")
+    max_depth = _json_int(raw["max_depth"], "max_depth")
+    if max_depth < 1:
+        raise SchemaViolation("max_depth", "must be >= 1")
     if not isinstance(raw["degenerate"], bool):
         raise SchemaViolation("degenerate", "must be true or false")
     return GbdtModel(
         trees=raw["trees"],
         base_scores=_finite_array(raw, "base_scores", (N_CLASSES,)),
         learning_rate=float(raw["learning_rate"]),
-        max_depth=_json_int(raw["max_depth"], "max_depth"),
+        max_depth=max_depth,
         dim=_json_int(raw["dim"], "dim"),
         degenerate=raw["degenerate"],
         feature_layout=str(raw["feature_layout"]),

@@ -203,11 +203,14 @@ def logreg_from_dict(raw: dict) -> LogRegModel:
     dim = _json_int(raw["dim"], "dim")
     trained = raw["trained"]
     check_number(trained["final_loss"], "trained.final_loss")
+    iterations = _json_int(trained["iterations"], "trained.iterations")
+    if iterations < 0:
+        raise SchemaViolation("trained.iterations", "must be >= 0")
     model = LogRegModel(
         weights=_finite_array(raw, "weights", (N_CLASSES, dim + 1)),
         mean=_finite_array(raw, "mean", (dim,)),
         std=_finite_array(raw, "std", (dim,)),
-        iterations=_json_int(trained["iterations"], "trained.iterations"),
+        iterations=iterations,
         final_loss=float(trained["final_loss"]),
         feature_layout=str(raw["feature_layout"]),
     )

@@ -22,7 +22,7 @@ from ruinscore.meta import (
     training_accuracy,
 )
 from ruinscore.meta import gbdt as gbdt_module
-from ruinscore.meta.gbdt import best_split
+from ruinscore.meta.gbdt import best_split, split_candidates
 from ruinscore.meta.hyper import GbdtHyper, LogRegHyper, TrainHyper
 from ruinscore.meta.logreg import softmax_rows
 
@@ -294,6 +294,11 @@ def _node(raw) -> dict:
         (lambda raw: raw.update(base_scores=[0.0, 0.0, 0.0]), "base_scores"),
         (lambda raw: raw.update(base_scores=[0.0, 0.0, float("nan"), 0.0]), "base_scores"),
         (lambda raw: raw.update(learning_rate=float("inf")), "learning_rate"),
+        # values train-meta never writes: its hyperparameters' ranges hold at load
+        (lambda raw: raw.update(learning_rate=-5.0), "learning_rate"),
+        (lambda raw: raw.update(learning_rate=0), "learning_rate"),
+        (lambda raw: raw.update(max_depth=0), "max_depth"),
+        (lambda raw: raw.update(max_depth=-1), "max_depth"),
         # mistyped values that an int, bool or float conversion would accept
         (lambda raw: raw.update(degenerate="no"), "degenerate"),
         (lambda raw: raw.update(degenerate=0), "degenerate"),
@@ -465,6 +470,65 @@ def test_deep_fit_on_many_rows_matches_per_node_argsort(seed):
     assert model_to_json(train_gbdt(X, y, hyper)) == model_to_json(reference_train(X, y, hyper))
 
 
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_best_split_matches_reference_scan(data):
+    # tied grids and duplicated columns make most boundaries ties
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 40))
+    X = np.array(data.draw(st.lists(st.lists(grid_value, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, d - 1))
+        X = np.hstack([X, X[:, j : j + 1]])
+    g = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0]),
+                                    min_size=n, max_size=n)))
+    h = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                                    min_size=n, max_size=n)))
+    min_leaf = data.draw(st.integers(1, n // 2 + 1))
+    lam = data.draw(st.sampled_from([0.5, 1.0]))
+    order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    gh = np.empty(n, dtype=np.complex128)
+    gh.real, gh.imag = g, h
+
+    got = best_split(xs, gh[order], lam, min_leaf)
+    want = reference_best_split(
+        np.ascontiguousarray(xs.T), g[order].T.copy(), h[order].T.copy(), lam, min_leaf
+    )
+    assert got[:2] == want[:2]  # feature, n_left
+    assert _bits(got[2]) == _bits(want[2])  # threshold
+    assert _bits(got[3]) == _bits(want[3])  # gain
+    # the root's candidate index, built once and passed in, gives the same split
+    with_index = best_split(xs, gh[order], lam, min_leaf, split_candidates(xs, min_leaf))
+    assert [_bits(v) for v in with_index] == [_bits(v) for v in got]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=tied_training_sets())
+def test_fit_leaves_its_inputs_unchanged(data):
+    X, y, hyper = data
+    before = X.copy()
+    train_gbdt(X, y, hyper)
+    assert X.tobytes() == before.tobytes()
+
+    # the scan's in-place prefix sums run on a gather, never on the caller's gh
+    n = X.shape[0]
+    order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    gh = np.empty(n, dtype=np.complex128)
+    gh.real = np.linspace(-1.0, 1.0, n)
+    gh.imag = np.linspace(0.1, 0.3, n)
+    kept = gh.copy()
+    leaf_of_row = np.empty(n)
+    gbdt_module._build_tree(xs, order, np.arange(n), gh, 0, hyper.gbdt, leaf_of_row)
+    assert gh.tobytes() == kept.tobytes()
+
+
 # mixed magnitudes, signed zeros and subnormals; bounded so no sum overflows
 packable = st.one_of(
     st.floats(-1e300, 1e300),
@@ -493,8 +557,9 @@ def test_recorded_leaves_equal_forest_walk(data):
     built = []
     build = gbdt_module._build_tree
 
-    def recording(xs, order, rows, gh, depth, hp, leaf_of_row):
-        tree = build(xs, order, rows, gh, depth, hp, leaf_of_row)
+    def recording(*args):
+        depth, leaf_of_row = args[4], args[6]
+        tree = build(*args)
         if depth == 0:
             built.append((tree, leaf_of_row.copy()))
         return tree

@@ -172,6 +172,7 @@ def test_softmax_rows_stable_for_large_logits():
         ("dim", True),
         ("trained.iterations", "5"),
         ("trained.iterations", 5.0),
+        ("trained.iterations", -7),  # train-meta never writes a negative count
         ("trained.final_loss", "nan"),
         ("trained.final_loss", float("nan")),
     ],
