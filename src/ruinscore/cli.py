@@ -3,7 +3,8 @@
 assess streams one JSON record per image (JSONL), working through the
 manifest in fixed-size chunks, so corpora of any size process with bounded
 memory whatever --jobs is. Everything runs in the calling thread; --jobs N
-is the number of external backend children. Each chunk runs its stages in
+is the number of external backend children, capped at the chunk size (a
+chunk deals out no more images than that). Each chunk runs its stages in
 order, each over the whole chunk: one exchange with the children (external
 backend only), the cascade, rule fusion, feature extraction and one batch
 meta predict (hybrid only), then one write of the chunk's records. A failing
@@ -167,8 +168,10 @@ def _cmd_assess(args) -> int:
     out_stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         if external and images:  # children start only for images that exist
+            # a chunk's images go to at most CHUNK_SIZE children; more never get one
+            jobs = min(args.jobs, CHUNK_SIZE)
             backend = ExternalBackend(
-                backend_cfg.command, backend_cfg.timeout_s, manifest.root, args.jobs
+                backend_cfg.command, backend_cfg.timeout_s, manifest.root, jobs
             )
         for start in range(0, len(images), CHUNK_SIZE):
             chunk = images[start : start + CHUNK_SIZE]
@@ -249,7 +252,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_train_meta(args) -> int:
     from . import meta
-    from .meta.hyper import GbdtHyper, LogRegHyper, TrainHyper
+    from .meta.hyper import GbdtHyper, LogRegHyper
 
     manifest = dataset_io.load_manifest(args.manifest)
     config, _ = load_config_file(_config_path(args))
@@ -270,31 +273,25 @@ def _cmd_train_meta(args) -> int:
     if skipped:
         print(f"ignored {skipped} entries without ground truth", file=sys.stderr)
 
-    hyper = TrainHyper(
-        logreg=LogRegHyper(
-            learning_rate=args.learning_rate, l2=args.l2, iterations=args.iterations
-        ),
-        gbdt=GbdtHyper(
+    if args.kind == "logreg":
+        hp = LogRegHyper(learning_rate=args.learning_rate, l2=args.l2, iterations=args.iterations)
+        model = meta.train_logreg(X, y, hp)
+    else:
+        hp = GbdtHyper(
             rounds=args.rounds,
             learning_rate=args.learning_rate,
             max_depth=args.max_depth,
             min_leaf=args.min_leaf,
             lam=args.reg_lambda,
-        ),
-    )
-    if args.kind == "logreg":
-        model = meta.train_logreg(X, y, hyper)
-        final_loss = model.final_loss
-    else:
-        model = meta.train_gbdt(X, y, hyper)
-        final_loss = model.loss_trace[-1]
+        )
+        model = meta.train_gbdt(X, y, hp)
         if model.degenerate:
             print("warning: single-class training set, priors-only model", file=sys.stderr)
     accuracy = meta.training_accuracy(model, X, y)
     meta.save_model(model, args.out)
     print(
         f"trained {args.kind}: n={len(y)} training_accuracy={accuracy:.4f} "
-        f"final_loss={final_loss:.6f} model={args.out}"
+        f"final_loss={model.loss_trace[-1]:.6f} model={args.out}"
     )
     return 0
 
@@ -323,7 +320,10 @@ def _cmd_fuse(args) -> int:
 def _cmd_gen_synthetic(args) -> int:
     from . import synth
 
-    priors = tuple(float(v) for v in args.level_priors.split(","))
+    try:
+        priors = tuple(float(v) for v in args.level_priors.split(","))
+    except ValueError:  # a part that is not a number
+        priors = ()
     if len(priors) != 4:
         raise SchemaViolation("level_priors", "expected 4 comma-separated numbers")
     try:

@@ -18,11 +18,11 @@ import numpy as np
 from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
 from ..fusion import check_number
 from .features import FEATURE_LAYOUT
-from .logreg import _as_matrix, _finite_array, _json_int, _log_loss, _one_hot, _sample_weights
+from .logreg import _as_matrix, _finite_array, _json_int, _log_loss, _one_hot
 from .logreg import _training_matrix, softmax_rows
 
 if TYPE_CHECKING:
-    from .hyper import TrainHyper
+    from .hyper import GbdtHyper
 
 N_CLASSES = 4
 GBDT_FORMAT = "ruinscore-gbdt-v1"
@@ -313,8 +313,8 @@ def _build_tree(
     return leaf
 
 
-def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
-    """Boost hyper.gbdt.rounds rounds of 4 per-class trees.
+def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
+    """Boost hp.rounds rounds of 4 per-class trees.
 
     Each feature column is sorted once per fit (the pre-sorted column blocks
     of XGBoost's exact greedy method, Chen & Guestrin 2016); nodes partition
@@ -328,15 +328,13 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
     """
     X = _training_matrix(X)
     n, d = X.shape
-    hp = hyper.gbdt
     if n < 2 * hp.min_leaf:
         raise DegenerateData(f"need at least {2 * hp.min_leaf} samples, got {n}")
     Y = _one_hot(y, n)
 
-    sw = _sample_weights(Y, hyper.class_weights)
-    priors = (Y * sw[:, None]).sum(axis=0) / sw.sum()
-    base = np.log(np.maximum(priors, _PRIOR_FLOOR))
-    degenerate = bool((Y.sum(axis=0) > 0).sum() == 1)
+    counts = Y.sum(axis=0)
+    base = np.log(np.maximum(counts / n, _PRIOR_FLOOR))
+    degenerate = bool((counts > 0).sum() == 1)
 
     F = np.tile(base, (n, 1))
     trace: list[float] = []
@@ -352,18 +350,18 @@ def train_gbdt(X, y, hyper: TrainHyper) -> GbdtModel:
 
     rounds = 0 if degenerate else hp.rounds
     P = softmax_rows(F)  # of the margins a round starts from
-    trace.append(_log_loss(P, Y, sw))
+    trace.append(_log_loss(P, Y))
     for _ in range(rounds):
         round_trees = []
         for c in range(N_CLASSES):
             # assigned, not g + 1j * h, which can flip the sign of a zero
-            gh.real = (Y[:, c] - P[:, c]) * sw
-            gh.imag = (P[:, c] * (1.0 - P[:, c])) * sw
+            gh.real = Y[:, c] - P[:, c]
+            gh.imag = P[:, c] * (1.0 - P[:, c])
             round_trees.append(_build_tree(xs, order, rows, gh, 0, hp, leaf_of_row, root))
             F[:, c] += hp.learning_rate * leaf_of_row
         trees.append(round_trees)
         P = softmax_rows(F)
-        trace.append(_log_loss(P, Y, sw))
+        trace.append(_log_loss(P, Y))
 
     return GbdtModel(
         trees=trees,
@@ -391,12 +389,6 @@ def predict_gbdt_batch(model: GbdtModel, X) -> np.ndarray:
         for r in range(model.rounds):
             block += model.learning_rate * leaves[:, r, :]
     return softmax_rows(F)
-
-
-def predict_gbdt(model: GbdtModel, x) -> tuple[float, float, float, float]:
-    """Class probabilities of one feature vector: one row of predict_gbdt_batch."""
-    p = predict_gbdt_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
-    return (float(p[0]), float(p[1]), float(p[2]), float(p[3]))
 
 
 def gbdt_to_dict(model: GbdtModel) -> dict:

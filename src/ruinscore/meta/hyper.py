@@ -1,9 +1,13 @@
-"""Training hyperparameters for both meta-models."""
+"""Training hyperparameters, one frozen set per meta-model kind.
+
+Both trainers are fully deterministic and draw no random numbers, so these
+values and the training data fix the model bytes.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -42,22 +46,3 @@ class GbdtHyper:
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be finite and > 0")
 
-
-@dataclass(frozen=True)
-class TrainHyper:
-    """Hyperparameters plus the optional class-imbalance knob.
-
-    class_weights, when set, scales each sample's loss contribution by the
-    weight of its class (default uniform). Both trainers are fully
-    deterministic and draw no random numbers.
-    """
-
-    logreg: LogRegHyper = LogRegHyper()
-    gbdt: GbdtHyper = GbdtHyper()
-    class_weights: tuple[float, float, float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.class_weights is not None:
-            weights = self.class_weights
-            if len(weights) != 4 or any(not 0 < w < math.inf for w in weights):
-                raise ValueError("class_weights must be 4 finite positive numbers")

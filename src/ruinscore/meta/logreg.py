@@ -18,7 +18,7 @@ from ..fusion import check_number
 from .features import FEATURE_LAYOUT
 
 if TYPE_CHECKING:
-    from .hyper import TrainHyper
+    from .hyper import LogRegHyper
 
 N_CLASSES = 4
 LOGREG_FORMAT = "ruinscore-logreg-v1"
@@ -88,17 +88,10 @@ def _one_hot(y, n: int) -> np.ndarray:
     return Y
 
 
-def _sample_weights(Y: np.ndarray, class_weights) -> np.ndarray:
-    """Each row's weight: the class weight of its label, or 1 without weights."""
-    if class_weights is None:
-        return np.ones(Y.shape[0], dtype=np.float64)
-    return np.asarray(class_weights, dtype=np.float64)[Y.argmax(axis=1)]
-
-
-def _log_loss(P: np.ndarray, Y: np.ndarray, sw: np.ndarray) -> float:
-    """Sample-weighted mean log-loss, probabilities clipped only inside the log."""
+def _log_loss(P: np.ndarray, Y: np.ndarray) -> float:
+    """Mean log-loss, probabilities clipped only inside the log."""
     ll = -np.log(np.clip((P * Y).sum(axis=1), 1e-300, None))
-    return float((sw * ll).sum() / sw.sum())
+    return float(ll.sum() / len(ll))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -112,21 +105,21 @@ def _standardize(X: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray
 
 
 def _loss_and_grad(
-    W: np.ndarray, Xb: np.ndarray, Y: np.ndarray, sw: np.ndarray, l2: float
+    W: np.ndarray, Xb: np.ndarray, Y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray]:
     # overflow is allowed to produce inf/nan here; train_logreg detects the
     # non-finite loss and reports the offending iteration
     with np.errstate(over="ignore", invalid="ignore"):
         P = softmax_rows(Xb @ W.T)
         penalty = 0.5 * l2 * float(np.square(W[:, :-1]).sum())
-        loss = _log_loss(P, Y, sw) + penalty  # the gradient uses the unclipped P
-        G = ((P - Y) * sw[:, None]).T @ Xb / sw.sum()
+        loss = _log_loss(P, Y) + penalty  # the gradient uses the unclipped P
+        G = (P - Y).T @ Xb / len(Y)
         G[:, :-1] += l2 * W[:, :-1]
     return loss, G
 
 
-def train_logreg(X, y, hyper: TrainHyper) -> LogRegModel:
-    """Fit the model with exactly hyper.logreg.iterations gradient steps.
+def train_logreg(X, y, hp: LogRegHyper) -> LogRegModel:
+    """Fit the model with exactly hp.iterations gradient steps.
 
     A non-finite feature raises DegenerateData up front. Raises
     NonFiniteLoss as soon as the loss stops being finite (the usual cause is
@@ -137,7 +130,6 @@ def train_logreg(X, y, hyper: TrainHyper) -> LogRegModel:
     if n < 1:
         raise ValueError("need at least one sample")
     Y = _one_hot(y, n)
-    hp = hyper.logreg
 
     mean = X.mean(axis=0)
     std = X.std(axis=0)
@@ -145,17 +137,15 @@ def train_logreg(X, y, hyper: TrainHyper) -> LogRegModel:
     Z = _standardize(X, mean, std)
     Xb = np.hstack([Z, np.ones((n, 1))])
 
-    sw = _sample_weights(Y, hyper.class_weights)
-
     W = np.zeros((N_CLASSES, d + 1), dtype=np.float64)
     trace: list[float] = []
-    loss, grad = _loss_and_grad(W, Xb, Y, sw, hp.l2)
+    loss, grad = _loss_and_grad(W, Xb, Y, hp.l2)
     trace.append(loss)
     for it in range(hp.iterations):
         if not np.isfinite(loss):
             raise NonFiniteLoss(it)
         W = W - hp.learning_rate * grad
-        loss, grad = _loss_and_grad(W, Xb, Y, sw, hp.l2)
+        loss, grad = _loss_and_grad(W, Xb, Y, hp.l2)
         trace.append(loss)
     if not np.isfinite(loss):
         raise NonFiniteLoss(hp.iterations)
@@ -179,12 +169,6 @@ def predict_logreg_batch(model: LogRegModel, X) -> np.ndarray:
     Z = _standardize(X, model.mean, model.std)
     W = model.weights
     return softmax_rows(np.matmul(W[:, :-1], Z[:, :, None])[:, :, 0] + W[:, -1])
-
-
-def predict_logreg(model: LogRegModel, x) -> tuple[float, float, float, float]:
-    """Class probabilities of one feature vector: one row of predict_logreg_batch."""
-    p = predict_logreg_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
-    return (float(p[0]), float(p[1]), float(p[2]), float(p[3]))
 
 
 def logreg_to_dict(model: LogRegModel) -> dict:

@@ -89,8 +89,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.false_positive_rate <= 1.0:
             raise ValueError("false_positive_rate must be in [0, 1]")
-        if self.confidence_jitter_sd < 0.0:
-            raise ValueError("confidence_jitter_sd must be >= 0")
+        if not 0.0 <= self.confidence_jitter_sd < math.inf:  # NaN fails too
+            raise ValueError("confidence_jitter_sd must be finite and >= 0")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be in [0, 1]")
 
@@ -105,8 +105,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.n_images < 0:
             raise ValueError("n_images must be >= 0")
-        if len(self.level_priors) != 4 or any(p < 0 for p in self.level_priors):
-            raise ValueError("level_priors must be 4 nonnegative numbers")
+        if len(self.level_priors) != 4 or any(not 0 <= p <= 1 for p in self.level_priors):
+            raise ValueError("level_priors must be 4 numbers in [0, 1]")
         if abs(sum(self.level_priors) - 1.0) > 1e-9:
             raise ValueError("level_priors must sum to 1")
 

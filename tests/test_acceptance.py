@@ -39,7 +39,7 @@ from ruinscore.meta import (
     train_logreg,
     training_accuracy,
 )
-from ruinscore.meta.hyper import TrainHyper
+from ruinscore.meta.hyper import GbdtHyper, LogRegHyper
 from ruinscore.meta.logreg import _loss_and_grad
 
 from helpers import (
@@ -156,15 +156,14 @@ def test_criterion_4_logreg_gradient_and_fit():
     Xb = np.hstack([(X - X.mean(axis=0)) / X.std(axis=0), np.ones((n, 1))])
     Y = np.zeros((n, 4))
     Y[np.arange(n), [int(v) for v in y]] = 1.0
-    sw = np.ones(n)
     for _ in range(10):
         W = rng.normal(scale=0.5, size=(4, d + 1))
-        _, analytic = _loss_and_grad(W, Xb, Y, sw, 1e-3)
-        numeric = finite_difference_grad(lambda w: _loss_and_grad(w, Xb, Y, sw, 1e-3)[0], W)
+        _, analytic = _loss_and_grad(W, Xb, Y, 1e-3)
+        numeric = finite_difference_grad(lambda w: _loss_and_grad(w, Xb, Y, 1e-3)[0], W)
         assert float(np.abs(analytic - numeric).max()) < 1e-5
 
     start = time.perf_counter()
-    model = train_logreg(X, y, TrainHyper())
+    model = train_logreg(X, y, LogRegHyper())
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     assert training_accuracy(model, X, y) >= 0.99
@@ -175,13 +174,13 @@ def test_criterion_4_logreg_gradient_and_fit():
 def test_criterion_5_gbdt_fit_and_determinism():
     """Monotone boosting loss, XOR separation vs logreg, bit-identical models."""
     X, y = xor_fixture()
-    gb = train_gbdt(X, y, TrainHyper())
+    gb = train_gbdt(X, y, GbdtHyper())
     trace = gb.loss_trace
     assert all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
     assert training_accuracy(gb, X, y) >= 0.95
-    lr = train_logreg(X, y, TrainHyper())
+    lr = train_logreg(X, y, LogRegHyper())
     assert training_accuracy(lr, X, y) <= 0.65
-    again = train_gbdt(X, y, TrainHyper())
+    again = train_gbdt(X, y, GbdtHyper())
     assert model_to_json(gb) == model_to_json(again)
 
 

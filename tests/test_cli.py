@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -133,6 +134,25 @@ class TestAssess:
         (record,) = [json.loads(line) for line in out.splitlines()]
         assert record["scene"]["class"] == "outside"
         assert record["counts"]["n_crack"] == 1
+
+    def test_external_jobs_capped_at_chunk_size(self, tmp_path, stub, monkeypatch, capsys):
+        images = [{"id": f"img{i}", "image_path": f"img{i}.jpg"} for i in range(3)]
+        path = write_dataset(tmp_path / "d", images)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"command": [sys.executable, stub("echo_backend")]}}))
+        jobs = []
+
+        class Recording(cli.ExternalBackend):
+            def __init__(self, *args):
+                jobs.append(args[-1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(cli, "ExternalBackend", Recording)
+        code, out, _ = run(capsys, "assess", "--manifest", str(path), "--backend", "external",
+                           "--config", str(config), "--jobs", str(cli.CHUNK_SIZE * 1000))
+        assert code == 0
+        assert jobs == [cli.CHUNK_SIZE]
+        assert [json.loads(line)["image_id"] for line in out.splitlines()] == ["img0", "img1", "img2"]
 
     def test_external_timeout_does_not_shift_replies(self, tmp_path, stub, capsys):
         images = [{"id": i, "image_path": f"frames/{i}.jpg"} for i in ("a", "bb", "ccc")]
@@ -298,15 +318,14 @@ class TestChunkedAssess:
         manifest = load_manifest(chunked_corpus["manifest"])
         entries = {e.id: e for e in manifest.images}
         model = meta.load_model(corpus["model"])
-        predict = meta.predict_gbdt if kind == "gbdt" else meta.predict_logreg
         config = FusionConfig.from_dict({"version": "v2", "decision_mode": "hybrid"})
         backend = FileBackend(manifest)
         for line in out.splitlines():
             record = json.loads(line)
             cascade = run_cascade(entries[record["image_id"]], backend)
             rule = rule_fusion(cascade, config)
-            probs = predict(model, meta.extract_features(cascade, rule))
-            assert record["meta"]["probs"] == list(probs)
+            probs = meta.predict_batch(model, [meta.extract_features(cascade, rule)])[0].tolist()
+            assert record["meta"]["probs"] == probs
             assert record["final"] == final_decision(rule, probs, config).label
 
     @pytest.mark.parametrize("kind", ["gbdt", "logreg"])
@@ -319,13 +338,7 @@ class TestChunkedAssess:
             rows_per_call.append(len(X))
             return batch(model, X)
 
-        def per_row(model, x):
-            raise AssertionError("assess made a one-row predict")
-
         monkeypatch.setattr(meta.serialize, batch_name, counting)
-        for module, name in ((meta, "predict_logreg"), (meta, "predict_gbdt"),
-                             (meta.logreg, "predict_logreg"), (meta.gbdt, "predict_gbdt")):
-            monkeypatch.setattr(module, name, per_row)
         corpus = {**chunked_corpus, "model": chunked_corpus["models"][kind]}
         code, out, _ = assess_chunked(capsys, corpus, "--keep-going")
         assert code == 0
@@ -579,6 +592,16 @@ class TestEvaluate:
         assert json.loads(out)["matrix"] == [list(r) for r in direct.matrix.counts]
 
 
+@pytest.fixture(scope="module")
+def noisy_corpus(tmp_path_factory) -> Path:
+    """A seed-7 synthetic manifest of 300 images with all three noise knobs on."""
+    root = tmp_path_factory.mktemp("noisy")
+    assert main(["gen-synthetic", "--seed", "7", "--n", "300", "--out", str(root),
+                 "--false-positive-rate", "0.1", "--confidence-jitter-sd", "0.05",
+                 "--drop-rate", "0.05"]) == 0
+    return root / "manifest.json"
+
+
 class TestTrainMeta:
     def test_meta_models_on_noise_free_synthetic(self, tmp_path, capsys):
         code, out, _ = run(
@@ -600,6 +623,26 @@ class TestTrainMeta:
         logreg_accuracy = train("logreg")
         assert logreg_accuracy >= 0.95
         assert train("gbdt") >= logreg_accuracy
+
+    @pytest.mark.parametrize(
+        "kind, sha256, printed",
+        [
+            ("logreg", "27882951b4bb97be5b4305b5e5a89aca8fa7295ce9a293b2aa4660df213658f3",
+             "training_accuracy=0.9400 final_loss=0.231633"),
+            ("gbdt", "6455bfb533ec8dd1c22fb44265bed5258803fd6039243491fb32884534278186",
+             "training_accuracy=0.9900 final_loss=0.072908"),
+        ],
+        ids=["logreg", "gbdt"],
+    )
+    def test_model_bytes_on_seeded_noisy_corpus(self, noisy_corpus, tmp_path, capsys,
+                                                kind, sha256, printed):
+        # both trainers are deterministic: a change to their arithmetic moves these bytes
+        model = tmp_path / "m.json"
+        code, out, _ = run(capsys, "train-meta", "--manifest", str(noisy_corpus), "--kind", kind,
+                           "--out", str(model))
+        assert code == 0
+        assert out == f"trained {kind}: n=300 {printed} model={model}\n"
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
 
     def test_bad_kind_is_usage_error(self, fixture3, capsys):
         code, _, err = run(
@@ -1119,6 +1162,27 @@ class TestGenSynthetic:
             "1,1,1,1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--level-priors", "nan,0.5,0.5,0"),
+            ("--level-priors", "0.5,0.5,0,nan"),
+            ("--level-priors", "0.5,0.5,x,0"),
+            ("--confidence-jitter-sd", "nan"),
+            ("--confidence-jitter-sd", "inf"),
+        ],
+    )
+    def test_malformed_noise_or_priors_rejected(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "d"
+        code, out, err = run(
+            capsys, "gen-synthetic", "--seed", "1", "--n", "5", "--out", str(out_dir), flag, value
+        )
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "SchemaViolation"
+        assert not out_dir.exists()
 
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "gen-synthetic", "--seed", "1")[0] == 2

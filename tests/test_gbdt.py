@@ -14,7 +14,6 @@ from ruinscore.meta import (
     GbdtModel,
     load_model,
     model_to_json,
-    predict_gbdt,
     predict_gbdt_batch,
     save_model,
     train_gbdt,
@@ -23,14 +22,10 @@ from ruinscore.meta import (
 )
 from ruinscore.meta import gbdt as gbdt_module
 from ruinscore.meta.gbdt import best_split, split_candidates
-from ruinscore.meta.hyper import GbdtHyper, LogRegHyper, TrainHyper
+from ruinscore.meta.hyper import GbdtHyper, LogRegHyper
 from ruinscore.meta.logreg import softmax_rows
 
 from helpers import xor_fixture
-
-
-def hyper(**kw) -> TrainHyper:
-    return TrainHyper(gbdt=GbdtHyper(**kw))
 
 
 @pytest.mark.parametrize(
@@ -44,7 +39,6 @@ def hyper(**kw) -> TrainHyper:
         lambda v: LogRegHyper(learning_rate=v),
         lambda v: LogRegHyper(l2=v),
         lambda v: LogRegHyper(iterations=v),
-        lambda v: TrainHyper(class_weights=(1.0, 1.0, 1.0, v)),
     ],
 )
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1])
@@ -56,10 +50,10 @@ def test_hyperparameters_reject_non_finite_and_out_of_range(make, value):
 def test_all_labels_identical_gives_flagged_priors_model():
     X = np.random.default_rng(0).normal(size=(30, 5))
     y = [DamageLevel.MEDIUM] * 30
-    model = train_gbdt(X, y, TrainHyper())
+    model = train_gbdt(X, y, GbdtHyper())
     assert model.degenerate
     assert model.rounds == 0
-    probs = predict_gbdt(model, X[0])
+    probs = predict_gbdt_batch(model, X[:1])[0]
     assert probs[2] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -67,16 +61,17 @@ def test_priors_only_model_matches_class_frequencies():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(100, 4))
     y = [0] * 10 + [1] * 20 + [2] * 30 + [3] * 40
-    model = train_gbdt(X, y, hyper(rounds=0))
-    probs = predict_gbdt(model, X[0])
-    assert probs == pytest.approx((0.1, 0.2, 0.3, 0.4), abs=1e-9)
+    model = train_gbdt(X, y, GbdtHyper(rounds=0))
+    probs = predict_gbdt_batch(model, X[:1])[0]
+    assert tuple(probs) == pytest.approx((0.1, 0.2, 0.3, 0.4), abs=1e-9)
 
 
 def test_zero_rounds_uniform_priors():
     X = np.zeros((40, 3))
     y = [0, 1, 2, 3] * 10
-    model = train_gbdt(X, y, hyper(rounds=0))
-    assert predict_gbdt(model, np.zeros(3)) == pytest.approx((0.25,) * 4, abs=1e-9)
+    model = train_gbdt(X, y, GbdtHyper(rounds=0))
+    probs = predict_gbdt_batch(model, np.zeros((1, 3)))[0]
+    assert tuple(probs) == pytest.approx((0.25,) * 4, abs=1e-9)
 
 
 def test_single_leaf_boost_toward_heavy():
@@ -87,21 +82,21 @@ def test_single_leaf_boost_toward_heavy():
         max_depth=3,
         dim=2,
     )
-    probs = predict_gbdt(model, np.zeros(2))
+    probs = predict_gbdt_batch(model, np.zeros((1, 2)))[0]
     assert int(np.argmax(probs)) == 3
 
 
 def test_xor_fixture_beats_logreg():
     X, y = xor_fixture()
-    gb = train_gbdt(X, y, TrainHyper())
-    lr = train_logreg(X, y, TrainHyper())
+    gb = train_gbdt(X, y, GbdtHyper())
+    lr = train_logreg(X, y, LogRegHyper())
     assert training_accuracy(gb, X, y) >= 0.95
     assert training_accuracy(lr, X, y) <= 0.65
 
 
 def test_loss_trace_non_increasing():
     X, y = xor_fixture(n_per_cluster=40)
-    model = train_gbdt(X, y, TrainHyper())
+    model = train_gbdt(X, y, GbdtHyper())
     trace = model.loss_trace
     assert len(trace) == model.rounds + 1
     assert all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
@@ -109,7 +104,7 @@ def test_loss_trace_non_increasing():
 
 def test_max_depth_respected():
     X, y = xor_fixture(n_per_cluster=50)
-    model = train_gbdt(X, y, hyper(max_depth=2, rounds=10))
+    model = train_gbdt(X, y, GbdtHyper(max_depth=2, rounds=10))
 
     def depth(node):
         if "value" in node:
@@ -139,37 +134,37 @@ def test_split_tie_breaks_lowest_feature_and_threshold():
 
 def test_feature_scale_invariance_of_labels():
     X, y = xor_fixture(n_per_cluster=40)
-    base = train_gbdt(X, y, TrainHyper())
+    base = train_gbdt(X, y, GbdtHyper())
     scaled = X.copy()
     scaled[:, 0] *= 4.0  # power of two, exact in floating point
-    rescaled = train_gbdt(scaled, y, TrainHyper())
-    base_labels = [int(np.argmax(predict_gbdt(base, row))) for row in X]
-    new_labels = [int(np.argmax(predict_gbdt(rescaled, row))) for row in scaled]
-    assert base_labels == new_labels
+    rescaled = train_gbdt(scaled, y, GbdtHyper())
+    base_labels = predict_gbdt_batch(base, X).argmax(axis=1)
+    new_labels = predict_gbdt_batch(rescaled, scaled).argmax(axis=1)
+    assert np.array_equal(base_labels, new_labels)
 
 
 def test_deterministic_serialization(tmp_path):
     X, y = xor_fixture(n_per_cluster=30)
-    a = train_gbdt(X, y, TrainHyper())
-    b = train_gbdt(X, y, TrainHyper())
+    a = train_gbdt(X, y, GbdtHyper())
+    b = train_gbdt(X, y, GbdtHyper())
     assert model_to_json(a) == model_to_json(b)
     save_model(a, tmp_path / "gb.json")
     loaded = load_model(tmp_path / "gb.json")
-    assert predict_gbdt(loaded, X[0]) == predict_gbdt(a, X[0])
+    assert np.array_equal(predict_gbdt_batch(loaded, X), predict_gbdt_batch(a, X))
 
 
 def test_too_few_samples_degenerate():
     X = np.zeros((6, 3))
     y = [0, 1, 2, 3, 0, 1]
     with pytest.raises(DegenerateData):
-        train_gbdt(X, y, hyper(min_leaf=5))
+        train_gbdt(X, y, GbdtHyper(min_leaf=5))
 
 
 def test_dimension_mismatch():
     X, y = xor_fixture(n_per_cluster=20)
-    model = train_gbdt(X, y, hyper(rounds=3))
+    model = train_gbdt(X, y, GbdtHyper(rounds=3))
     with pytest.raises(DimensionMismatch):
-        predict_gbdt(model, np.zeros(X.shape[1] + 1))
+        predict_gbdt_batch(model, np.zeros((1, X.shape[1] + 1)))
 
 
 
@@ -230,12 +225,11 @@ def test_flat_forest_equals_recursive_walk(rounds, rows, learning_rate):
 
 def test_one_row_predict_is_a_view_of_the_batch():
     X, y = xor_fixture(n_per_cluster=30)
-    model = train_gbdt(X, y, TrainHyper())
+    model = train_gbdt(X, y, GbdtHyper())
     X[::7, 0] = np.nan
     batch = predict_gbdt_batch(model, X)
     for i, x in enumerate(X):
-        assert predict_gbdt(model, x) == tuple(predict_gbdt_batch(model, x[None])[0])
-        assert predict_gbdt(model, x) == tuple(batch[i])
+        assert tuple(predict_gbdt_batch(model, x[None])[0]) == tuple(batch[i])
 
 
 def _model_file(tmp_path, mutate) -> str:
@@ -333,9 +327,9 @@ def test_well_formed_model_file_loads(tmp_path):
     model = load_model(_model_file(tmp_path, lambda raw: None))
     assert model.forest.depth == 2
     # x[1] > 0.5 and x[0] <= 0.0 reach the 0.3 leaf of class 2
-    probs = predict_gbdt(model, np.array([0.0, 1.0]))
+    probs = predict_gbdt_batch(model, np.array([[0.0, 1.0]]))
     margins = 0.1 * np.array([[0.0, 0.0, 0.0, 0.0]]) + 0.1 * np.array([[0.1, 0.2, 0.3, 0.0]])
-    assert probs == tuple(softmax_rows(margins)[0])
+    assert np.array_equal(probs, softmax_rows(margins))
 
 
 # --- the presorted builder against the per-node argsort builder it replaced ---
@@ -388,15 +382,13 @@ def reference_build_tree(X, g, h, depth, hp) -> dict:
     }
 
 
-def reference_train(X, y, hyper: TrainHyper) -> GbdtModel:
+def reference_train(X, y, hp: GbdtHyper) -> GbdtModel:
     """train_gbdt with the per-node argsort builder, margins updated by
     walking each finished tree."""
     n, d = X.shape
-    hp = hyper.gbdt
     Y = np.zeros((n, 4))
     Y[np.arange(n), y] = 1.0
-    sw = np.ones(n) if hyper.class_weights is None else np.asarray(hyper.class_weights)[y]
-    base = np.log(np.maximum((Y * sw[:, None]).sum(axis=0) / sw.sum(), 1e-12))
+    base = np.log(np.maximum(Y.sum(axis=0) / n, 1e-12))
     degenerate = bool((Y.sum(axis=0) > 0).sum() == 1)
     F = np.tile(base, (n, 1))
     trees = []
@@ -404,8 +396,8 @@ def reference_train(X, y, hyper: TrainHyper) -> GbdtModel:
         P = softmax_rows(F)
         round_trees = []
         for c in range(4):
-            g = (Y[:, c] - P[:, c]) * sw
-            h = (P[:, c] * (1.0 - P[:, c])) * sw
+            g = Y[:, c] - P[:, c]
+            h = P[:, c] * (1.0 - P[:, c])
             tree = reference_build_tree(X, g, h, 0, hp)
             round_trees.append(tree)
             F[:, c] += hp.learning_rate * reference_leaves(tree, X)
@@ -434,24 +426,21 @@ def tied_training_sets(draw):
         j = draw(st.integers(0, d - 1))
         X = np.hstack([X, X[:, j : j + 1]])
     y = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    weights = draw(st.one_of(
-        st.none(), st.tuples(*[st.sampled_from([0.5, 1.0, 3.0])] * 4)
-    ))
-    gbdt = GbdtHyper(
+    hp = GbdtHyper(
         rounds=draw(st.integers(1, 4)),
         max_depth=draw(st.integers(1, 4)),
         min_leaf=draw(st.integers(1, max(1, n // 2))),
         lam=draw(st.sampled_from([0.5, 1.0])),
         learning_rate=draw(st.sampled_from([0.1, 0.5])),
     )
-    return X, y, TrainHyper(gbdt=gbdt, class_weights=weights)
+    return X, y, hp
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=tied_training_sets())
 def test_presorted_builder_matches_per_node_argsort(data):
-    X, y, hyper = data
-    assert model_to_json(train_gbdt(X, y, hyper)) == model_to_json(reference_train(X, y, hyper))
+    X, y, hp = data
+    assert model_to_json(train_gbdt(X, y, hp)) == model_to_json(reference_train(X, y, hp))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -464,10 +453,8 @@ def test_deep_fit_on_many_rows_matches_per_node_argsort(seed):
     X[:, ::2] = np.round(X[:, ::2], 1)
     y = np.clip(np.round(X[:, 0] + X[:, 1] * X[:, 3] + rng.normal(scale=0.5, size=n)) + 1, 0, 3)
     y = y.astype(np.intp)
-    hyper = TrainHyper(
-        gbdt=GbdtHyper(rounds=3, max_depth=5, min_leaf=2), class_weights=(1.0, 2.0, 0.5, 3.0)
-    )
-    assert model_to_json(train_gbdt(X, y, hyper)) == model_to_json(reference_train(X, y, hyper))
+    hp = GbdtHyper(rounds=3, max_depth=5, min_leaf=2)
+    assert model_to_json(train_gbdt(X, y, hp)) == model_to_json(reference_train(X, y, hp))
 
 
 def _bits(value: float) -> int:
@@ -511,9 +498,9 @@ def test_best_split_matches_reference_scan(data):
 @settings(max_examples=40, deadline=None)
 @given(data=tied_training_sets())
 def test_fit_leaves_its_inputs_unchanged(data):
-    X, y, hyper = data
+    X, y, hp = data
     before = X.copy()
-    train_gbdt(X, y, hyper)
+    train_gbdt(X, y, hp)
     assert X.tobytes() == before.tobytes()
 
     # the scan's in-place prefix sums run on a gather, never on the caller's gh
@@ -525,7 +512,7 @@ def test_fit_leaves_its_inputs_unchanged(data):
     gh.imag = np.linspace(0.1, 0.3, n)
     kept = gh.copy()
     leaf_of_row = np.empty(n)
-    gbdt_module._build_tree(xs, order, np.arange(n), gh, 0, hyper.gbdt, leaf_of_row)
+    gbdt_module._build_tree(xs, order, np.arange(n), gh, 0, hp, leaf_of_row)
     assert gh.tobytes() == kept.tobytes()
 
 
@@ -553,7 +540,7 @@ def test_packed_cumsum_parts_equal_float_cumsums_bit_for_bit(shape, data):
 @settings(max_examples=40, deadline=None)
 @given(data=tied_training_sets())
 def test_recorded_leaves_equal_forest_walk(data):
-    X, y, hyper = data
+    X, y, hp = data
     built = []
     build = gbdt_module._build_tree
 
@@ -566,12 +553,12 @@ def test_recorded_leaves_equal_forest_walk(data):
 
     gbdt_module._build_tree = recording
     try:
-        model = train_gbdt(X, y, hyper)
+        model = train_gbdt(X, y, hp)
     finally:
         gbdt_module._build_tree = build
     assert len(built) == 4 * model.rounds
     for tree, leaves in built:
-        walked = gbdt_module.Forest.from_trees([[tree]], hyper.gbdt.max_depth, X.shape[1])
+        walked = gbdt_module.Forest.from_trees([[tree]], hp.max_depth, X.shape[1])
         assert np.array_equal(leaves, walked.leaf_values(X)[:, 0])
 
 
@@ -582,4 +569,4 @@ def test_non_finite_training_feature_rejected(train, bad):
     X[7, 1] = bad
     X[9, 0] = bad
     with pytest.raises(DegenerateData, match=r"row 7, column 1 is (nan|-?inf)"):
-        train(X, y, TrainHyper())
+        train(X, y, GbdtHyper() if train is train_gbdt else LogRegHyper())

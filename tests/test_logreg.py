@@ -13,20 +13,15 @@ from ruinscore.meta import (
     LogRegModel,
     load_model,
     model_to_json,
-    predict_logreg,
     predict_logreg_batch,
     save_model,
     train_logreg,
     training_accuracy,
 )
-from ruinscore.meta.hyper import LogRegHyper, TrainHyper
+from ruinscore.meta.hyper import LogRegHyper
 from ruinscore.meta.logreg import _loss_and_grad, softmax_rows
 
 from helpers import finite_difference_grad, separable_fixture
-
-
-def hyper(**kw) -> TrainHyper:
-    return TrainHyper(logreg=LogRegHyper(**kw))
 
 
 def small_fixture(n=50, d=6, seed=3):
@@ -38,14 +33,14 @@ def small_fixture(n=50, d=6, seed=3):
 
 def test_zero_iterations_gives_uniform_predictions():
     X, y = small_fixture()
-    model = train_logreg(X, y, hyper(iterations=0))
-    probs = predict_logreg(model, X[0])
-    assert probs == (0.25, 0.25, 0.25, 0.25)
+    model = train_logreg(X, y, LogRegHyper(iterations=0))
+    probs = predict_logreg_batch(model, X[:1])[0]
+    assert tuple(probs) == (0.25, 0.25, 0.25, 0.25)
 
 
 def test_separable_fixture_high_accuracy():
     X, y = separable_fixture(n=200)
-    model = train_logreg(X, y, TrainHyper())
+    model = train_logreg(X, y, LogRegHyper())
     assert training_accuracy(model, X, y) >= 0.99
 
 
@@ -57,19 +52,18 @@ def test_gradient_matches_finite_differences():
     Xb = np.hstack([(X - mean) / std, np.ones((n, 1))])
     Y = np.zeros((n, 4))
     Y[np.arange(n), y] = 1.0
-    sw = np.ones(n)
     worst = 0.0
     for _ in range(10):
         W = rng.normal(scale=0.5, size=(4, d + 1))
-        _, analytic = _loss_and_grad(W, Xb, Y, sw, 1e-3)
-        numeric = finite_difference_grad(lambda w: _loss_and_grad(w, Xb, Y, sw, 1e-3)[0], W)
+        _, analytic = _loss_and_grad(W, Xb, Y, 1e-3)
+        numeric = finite_difference_grad(lambda w: _loss_and_grad(w, Xb, Y, 1e-3)[0], W)
         worst = max(worst, float(np.abs(analytic - numeric).max()))
     assert worst < 1e-5
 
 
 def test_loss_non_increasing_after_first_iteration():
     X, y = separable_fixture(n=120)
-    model = train_logreg(X, y, TrainHyper())
+    model = train_logreg(X, y, LogRegHyper())
     trace = model.loss_trace
     assert len(trace) == 501
     assert all(trace[i + 1] <= trace[i] for i in range(1, len(trace) - 1))
@@ -78,71 +72,61 @@ def test_loss_non_increasing_after_first_iteration():
 
 def test_probabilities_sum_to_one():
     X, y = small_fixture(n=80)
-    model = train_logreg(X, y, hyper(iterations=50))
+    model = train_logreg(X, y, LogRegHyper(iterations=50))
     rng = np.random.default_rng(5)
-    for _ in range(1000):
-        probs = predict_logreg(model, rng.normal(scale=3.0, size=X.shape[1]))
+    for probs in predict_logreg_batch(model, rng.normal(scale=3.0, size=(1000, X.shape[1]))):
         assert abs(sum(probs) - 1.0) <= 1e-9
         assert all(0.0 <= p <= 1.0 for p in probs)
 
 
 def test_saturated_logits_give_confident_class():
     X, y = small_fixture(d=4)
-    model = train_logreg(X, y, hyper(iterations=0))
+    model = train_logreg(X, y, LogRegHyper(iterations=0))
     model.weights[3, -1] = 30.0  # bias-only logit gap of 30 toward HEAVY
-    probs = predict_logreg(model, np.zeros(4))
+    probs = predict_logreg_batch(model, np.zeros((1, 4)))[0]
     assert probs[3] > 0.999
 
 
 def test_standardization_invariance_of_labels():
     X, y = separable_fixture(n=150)
-    base = train_logreg(X, y, TrainHyper())
+    base = train_logreg(X, y, LogRegHyper())
     scaled = X.copy()
     scaled[:, 16] *= 4.0  # power of two, exact in floating point
-    rescaled = train_logreg(scaled, y, TrainHyper())
-    base_labels = [np.argmax(predict_logreg(base, row)) for row in X]
-    new_labels = [np.argmax(predict_logreg(rescaled, row)) for row in scaled]
-    assert base_labels == new_labels
+    rescaled = train_logreg(scaled, y, LogRegHyper())
+    base_labels = predict_logreg_batch(base, X).argmax(axis=1)
+    new_labels = predict_logreg_batch(rescaled, scaled).argmax(axis=1)
+    assert np.array_equal(base_labels, new_labels)
 
 
 def test_deterministic_serialization(tmp_path):
     X, y = small_fixture(n=60)
-    a = train_logreg(X, y, hyper(iterations=40))
-    b = train_logreg(X, y, hyper(iterations=40))
+    a = train_logreg(X, y, LogRegHyper(iterations=40))
+    b = train_logreg(X, y, LogRegHyper(iterations=40))
     assert model_to_json(a) == model_to_json(b)
     save_model(a, tmp_path / "m.json")
     loaded = load_model(tmp_path / "m.json")
     assert np.array_equal(loaded.weights, a.weights)
-    assert predict_logreg(loaded, X[0]) == predict_logreg(a, X[0])
+    assert np.array_equal(predict_logreg_batch(loaded, X), predict_logreg_batch(a, X))
 
 
 def test_dimension_mismatch():
     X, y = small_fixture(d=6)
-    model = train_logreg(X, y, hyper(iterations=5))
+    model = train_logreg(X, y, LogRegHyper(iterations=5))
     with pytest.raises(DimensionMismatch):
-        predict_logreg(model, np.zeros(7))
+        predict_logreg_batch(model, np.zeros((1, 7)))
 
 
 def test_non_finite_loss_detected():
     X, y = small_fixture(n=40)
     with pytest.raises(NonFiniteLoss):
-        train_logreg(X, y, hyper(learning_rate=1e12, iterations=200))
-
-
-def test_class_weights_shift_decisions():
-    # weighting HEAVY hard should not hurt determinism or validity
-    X, y = small_fixture(n=60)
-    weighted = TrainHyper(logreg=LogRegHyper(iterations=60), class_weights=(1.0, 1.0, 1.0, 10.0))
-    model = train_logreg(X, y, weighted)
-    probs = predict_logreg(model, X[0])
-    assert abs(sum(probs) - 1.0) <= 1e-9
+        train_logreg(X, y, LogRegHyper(learning_rate=1e12, iterations=200))
 
 
 def test_levels_accepted_as_labels():
     X = np.zeros((4, 3))
     X[:2, 0] = 1.0
     y = [DamageLevel.ZERO, DamageLevel.ZERO, DamageLevel.HEAVY, DamageLevel.HEAVY]
-    model = train_logreg(X, y, hyper(iterations=20))
+    model = train_logreg(X, y, LogRegHyper(iterations=20))
     assert training_accuracy(model, X, y) >= 0.5
 
 
@@ -179,7 +163,7 @@ def test_softmax_rows_stable_for_large_logits():
 )
 def test_malformed_arrays_rejected_at_load(tmp_path, key, value):
     X, y = small_fixture()
-    raw = json.loads(model_to_json(train_logreg(X, y, hyper(iterations=5))))
+    raw = json.loads(model_to_json(train_logreg(X, y, LogRegHyper(iterations=5))))
     *sections, name = key.split(".")
     target = raw
     for section in sections:
@@ -231,10 +215,9 @@ def test_batch_rows_equal_the_per_row_formula_bit_for_bit(data):
 
 def test_one_row_predict_is_a_view_of_the_batch():
     X, y = small_fixture(n=90, d=18)
-    model = train_logreg(X, y, hyper(iterations=80))
+    model = train_logreg(X, y, LogRegHyper(iterations=80))
     X = X * np.geomspace(1e-3, 1e3, X.shape[1])  # rows far from the training scale
     batch = predict_logreg_batch(model, X)
     for i, x in enumerate(X):
-        assert predict_logreg(model, x) == tuple(predict_logreg_batch(model, x[None])[0])
-        assert predict_logreg(model, x) == tuple(batch[i])
+        assert tuple(predict_logreg_batch(model, x[None])[0]) == tuple(batch[i])
         assert tuple(predict_logreg_batch(model, X[i : i + 5])[0]) == tuple(batch[i])
