@@ -29,6 +29,7 @@ from .dataset_io import (
     ImageEntry,
     SceneClass,
     SceneLabel,
+    slot_setters,
 )
 from .errors import (
     BackendUnavailable,
@@ -50,7 +51,7 @@ DEFAULT_TIMEOUT_S = 30.0
 MAX_REPLY_BYTES = 1 << 24
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CascadeOutput:
     """Per-image bundle of everything the fusion stage consumes."""
 
@@ -58,6 +59,25 @@ class CascadeOutput:
     scene: SceneLabel
     components: tuple[ComponentDetection, ...]
     damages: tuple[DamageDetection, ...]
+
+    def __init__(
+        self,
+        image_id: str,
+        scene: SceneLabel,
+        components: tuple[ComponentDetection, ...],
+        damages: tuple[DamageDetection, ...],
+    ) -> None:
+        set_image_id, set_scene, set_components, set_damages = _CASCADE_SETTERS
+        set_image_id(self, image_id)
+        set_scene(self, scene)
+        set_components(self, components)
+        set_damages(self, damages)
+
+
+_CASCADE_SETTERS = slot_setters(CascadeOutput)
+# the scene of every image whose manifest entry overrides it; a value is
+# immutable, so one per class serves them all
+_OVERRIDE_SCENES = {cls: SceneLabel(cls, 1.0) for cls in SceneClass}
 
 
 class Backend(Protocol):
@@ -358,7 +378,7 @@ def run_cascade(entry: ImageEntry, backend: Backend) -> CascadeOutput:
     if entry.scene_override is None:
         scene, components, damages = answers
     else:
-        scene = SceneLabel(entry.scene_override, 1.0)
+        scene = _OVERRIDE_SCENES[entry.scene_override]
         components, damages = answers
     return CascadeOutput(
         image_id=entry.id,

@@ -64,6 +64,8 @@ CHUNK_SIZE = 64
 
 @dataclass(frozen=True)
 class BackendSettings:
+    """The config file's "backend" section: the external command and its reply timeout."""
+
     command: tuple[str, ...] | None = None
     timeout_s: float = DEFAULT_TIMEOUT_S
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Sequence
 
@@ -69,7 +69,18 @@ DEFAULT_COMPONENT_CLASS_MAP = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls: type) -> tuple:
+    """The `__set__` of each field's slot descriptor, in field order.
+
+    A frozen slotted dataclass's hand-written `__init__` stores through them:
+    the frozen `__setattr__` refuses every store, and `object.__setattr__`,
+    which a generated `__init__` calls per field, finds the descriptor anew
+    on every call. Call it once per class, after decoration: the decorator
+    makes the slots."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class BoundingBox:
     """Normalized center-format box. Degenerate boxes are rejected, not clamped."""
 
@@ -78,8 +89,7 @@ class BoundingBox:
     w: float
     h: float
 
-    def __post_init__(self) -> None:
-        cx, cy, w, h = self.cx, self.cy, self.w, self.h
+    def __init__(self, cx: float, cy: float, w: float, h: float) -> None:
         # one comparison passes every valid float box; the rest words the error
         if not (
             type(cx) is type(cy) is type(w) is type(h) is float
@@ -88,7 +98,12 @@ class BoundingBox:
             and 0.0 < w <= 1.0
             and 0.0 < h <= 1.0
         ):
-            _check_box(self)
+            _check_box(cx, cy, w, h)
+        set_cx, set_cy, set_w, set_h = _BOX_SETTERS
+        set_cx(self, cx)
+        set_cy(self, cy)
+        set_w(self, w)
+        set_h(self, h)
 
     def area(self) -> float:
         return self.w * self.h
@@ -103,23 +118,25 @@ class BoundingBox:
         )
 
 
-def _check_box(box: BoundingBox) -> None:
+_BOX_SETTERS = slot_setters(BoundingBox)
+
+
+def _check_box(cx: float, cy: float, w: float, h: float) -> None:
     """The box checks in full, in the order that words the first error."""
-    for name in ("cx", "cy", "w", "h"):
-        v = getattr(box, name)
+    for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
         if not isinstance(v, (int, float)) or v != v:
             raise ValueError(f"{name} must be a finite number")
-    if not 0.0 <= box.cx <= 1.0:
+    if not 0.0 <= cx <= 1.0:
         raise ValueError("cx must be in [0, 1]")
-    if not 0.0 <= box.cy <= 1.0:
+    if not 0.0 <= cy <= 1.0:
         raise ValueError("cy must be in [0, 1]")
-    if box.w <= 0.0:
+    if w <= 0.0:
         raise ValueError("w must be > 0")
-    if box.w > 1.0:
+    if w > 1.0:
         raise ValueError("w must be <= 1")
-    if box.h <= 0.0:
+    if h <= 0.0:
         raise ValueError("h must be > 0")
-    if box.h > 1.0:
+    if h > 1.0:
         raise ValueError("h must be <= 1")
 
 
@@ -131,49 +148,94 @@ def _check_confidence(value: float) -> None:
         raise ValueError("confidence must be in [0, 1]")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DamageDetection:
+    """One damage box with its class and a confidence in [0, 1]."""
+
     cls: DamageClass
     box: BoundingBox
     confidence: float
 
-    def __post_init__(self) -> None:
-        c = self.confidence
-        if not (type(c) is float and 0.0 <= c <= 1.0):
-            _check_confidence(c)
+    def __init__(self, cls: DamageClass, box: BoundingBox, confidence: float) -> None:
+        if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
+            _check_confidence(confidence)
+        set_cls, set_box, set_confidence = _DAMAGE_SETTERS
+        set_cls(self, cls)
+        set_box(self, box)
+        set_confidence(self, confidence)
 
 
-@dataclass(frozen=True, slots=True)
+_DAMAGE_SETTERS = slot_setters(DamageDetection)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ComponentDetection:
+    """One structural component box with its class and a confidence in [0, 1]."""
+
     cls: ComponentClass
     box: BoundingBox
     confidence: float
 
-    def __post_init__(self) -> None:
-        c = self.confidence
-        if not (type(c) is float and 0.0 <= c <= 1.0):
-            _check_confidence(c)
+    def __init__(self, cls: ComponentClass, box: BoundingBox, confidence: float) -> None:
+        if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
+            _check_confidence(confidence)
+        set_cls, set_box, set_confidence = _COMPONENT_SETTERS
+        set_cls(self, cls)
+        set_box(self, box)
+        set_confidence(self, confidence)
 
 
-@dataclass(frozen=True, slots=True)
+_COMPONENT_SETTERS = slot_setters(ComponentDetection)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class SceneLabel:
+    """The image's scene class with a confidence in [0, 1]."""
+
     cls: SceneClass
     confidence: float
 
-    def __post_init__(self) -> None:
-        c = self.confidence
-        if not (type(c) is float and 0.0 <= c <= 1.0):
-            _check_confidence(c)
+    def __init__(self, cls: SceneClass, confidence: float) -> None:
+        if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
+            _check_confidence(confidence)
+        set_cls, set_confidence = _SCENE_SETTERS
+        set_cls(self, cls)
+        set_confidence(self, confidence)
 
 
-@dataclass(frozen=True, slots=True)
+_SCENE_SETTERS = slot_setters(SceneLabel)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ImageEntry:
+    """One manifest entry: the image id, its optional files, level and scene."""
+
     id: str
     image_path: str | None = None
     ground_truth_level: DamageLevel | None = None
     scene_override: SceneClass | None = None
     damage_file: str | None = None
     components_file: str | None = None
+
+    def __init__(
+        self,
+        id: str,
+        image_path: str | None = None,
+        ground_truth_level: DamageLevel | None = None,
+        scene_override: SceneClass | None = None,
+        damage_file: str | None = None,
+        components_file: str | None = None,
+    ) -> None:
+        set_id, set_image, set_level, set_scene, set_damage, set_components = _ENTRY_SETTERS
+        set_id(self, id)
+        set_image(self, image_path)
+        set_level(self, ground_truth_level)
+        set_scene(self, scene_override)
+        set_damage(self, damage_file)
+        set_components(self, components_file)
+
+
+_ENTRY_SETTERS = slot_setters(ImageEntry)
 
 
 @dataclass(frozen=True)

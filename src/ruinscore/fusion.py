@@ -24,6 +24,7 @@ from .dataset_io import (
     DamageLevel,
     SceneClass,
     SceneLabel,
+    slot_setters,
 )
 from .errors import MissingMeta, SchemaViolation
 
@@ -74,6 +75,8 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class V2Params:
+    """The v2 rule's scene floor, box area, rebar co-evidence and component knobs."""
+
     inside_conf_floor: float = 0.40
     min_box_area: float = 0.0004
     rebar_conf_min: float = 0.5
@@ -100,6 +103,8 @@ class V2Params:
 
 @dataclass(frozen=True)
 class FusionConfig:
+    """Every weight, threshold and toggle of rule fusion and the final decision."""
+
     version: FusionVersion = FusionVersion.V1
     weights: Weights = Weights()
     thresholds: Thresholds = Thresholds()
@@ -187,7 +192,7 @@ def _parse_field(name: str, default, value):
     return float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RuleCounts:
     """Detection counts after filtering; rebar split into raw and validated."""
 
@@ -196,8 +201,20 @@ class RuleCounts:
     n_rebar_raw: int = 0
     n_rebar_valid: int = 0
 
+    def __init__(
+        self, n_crack: int = 0, n_spall: int = 0, n_rebar_raw: int = 0, n_rebar_valid: int = 0
+    ) -> None:
+        set_crack, set_spall, set_rebar_raw, set_rebar_valid = _COUNTS_SETTERS
+        set_crack(self, n_crack)
+        set_spall(self, n_spall)
+        set_rebar_raw(self, n_rebar_raw)
+        set_rebar_valid(self, n_rebar_valid)
 
-@dataclass(frozen=True)
+
+_COUNTS_SETTERS = slot_setters(RuleCounts)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class RuleDecision:
     """Rule outcome plus its own explanation.
 
@@ -216,11 +233,31 @@ class RuleDecision:
     applied_filters: tuple[str, ...] = ()
     survivors: tuple[DamageDetection, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.rebar_forced and self.level is not DamageLevel.HEAVY:
+    def __init__(
+        self,
+        level: DamageLevel,
+        score: float,
+        counts: RuleCounts = RuleCounts(),
+        rebar_forced: bool = False,
+        applied_filters: tuple[str, ...] = (),
+        survivors: tuple[DamageDetection, ...] = (),
+    ) -> None:
+        if rebar_forced and level is not DamageLevel.HEAVY:
             raise ValueError("rebar_forced implies level HEAVY")
-        if self.score < 0:
+        if score < 0:
             raise ValueError("score must be >= 0")
+        set_level, set_score, set_counts, set_forced, set_filters, set_survivors = (
+            _DECISION_SETTERS
+        )
+        set_level(self, level)
+        set_score(self, score)
+        set_counts(self, counts)
+        set_forced(self, rebar_forced)
+        set_filters(self, applied_filters)
+        set_survivors(self, survivors)
+
+
+_DECISION_SETTERS = slot_setters(RuleDecision)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

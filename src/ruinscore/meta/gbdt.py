@@ -148,6 +148,8 @@ class Forest:
 
 @dataclass
 class GbdtModel:
+    """A gradient-boosted forest meta-model: per round one tree per class."""
+
     trees: list[list[dict]]  # rounds x 4; nodes are nested dicts, leaves {"value": v}
     base_scores: np.ndarray  # (4,) log class priors
     learning_rate: float

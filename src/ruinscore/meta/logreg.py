@@ -26,6 +26,8 @@ LOGREG_FORMAT = "ruinscore-logreg-v1"
 
 @dataclass
 class LogRegModel:
+    """A multinomial logistic-regression meta-model over standardized features."""
+
     weights: np.ndarray  # (4, d+1), bias column last
     mean: np.ndarray  # (d,)
     std: np.ndarray  # (d,) strictly positive; constant features stored as 1.0

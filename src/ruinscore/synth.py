@@ -103,6 +103,10 @@ class SynthSpec:
     level_priors: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self) -> None:
+        # the generator seeds from the value modulo 2**64, so a seed outside
+        # that range would alias one inside it
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError("seed must be in [0, 2**64)")
         if self.n_images < 0:
             raise ValueError("n_images must be >= 0")
         if len(self.level_priors) != 4 or any(not 0 <= p <= 1 for p in self.level_priors):

@@ -1171,6 +1171,8 @@ class TestGenSynthetic:
             ("--level-priors", "0.5,0.5,x,0"),
             ("--confidence-jitter-sd", "nan"),
             ("--confidence-jitter-sd", "inf"),
+            ("--seed", "-1"),
+            ("--seed", str(2**64)),
         ],
     )
     def test_malformed_noise_or_priors_rejected(self, tmp_path, capsys, flag, value):

@@ -207,6 +207,20 @@ class TestRuleFusion:
                 decision = rule_fusion(rand_cascade(rng), config)
                 assert recompute_score(decision, config) == decision.score
 
+    @pytest.mark.parametrize("level", [DamageLevel.ZERO, DamageLevel.SLIGHT, DamageLevel.MEDIUM])
+    def test_decision_rejects_rebar_forced_below_heavy(self, level):
+        with pytest.raises(ValueError, match="rebar_forced implies level HEAVY"):
+            RuleDecision(level, 0.0, rebar_forced=True)
+        assert RuleDecision(DamageLevel.HEAVY, 0.0, rebar_forced=True).rebar_forced
+
+    def test_decision_rejects_negative_score(self):
+        with pytest.raises(ValueError, match="score must be >= 0"):
+            RuleDecision(DamageLevel.ZERO, -0.5)
+        # the rebar invariant is checked first
+        with pytest.raises(ValueError, match="rebar_forced implies level HEAVY"):
+            RuleDecision(DamageLevel.ZERO, -0.5, rebar_forced=True)
+        assert RuleDecision(DamageLevel.ZERO, 0.0).score == 0.0
+
 
 class TestOracleEquivalence:
     def test_all_count_vectors_up_to_5(self):
