@@ -12,7 +12,6 @@ backend runs without them.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import deque
@@ -95,6 +94,9 @@ class FileBackend:
 
     def __init__(self, manifest: DatasetManifest):
         self._manifest = manifest
+        # prefix + rel is os.path.join(root, rel) for every rel not starting
+        # with "/", which os.path.join keeps as it is
+        self._prefix = os.path.join(manifest.root, "")
 
     def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list:
         return [self._read(entry, task) for task in tasks]
@@ -105,18 +107,20 @@ class FileBackend:
                 "scene", f"entry {entry.id!r} has no 'scene' key in the manifest"
             )
         if task == "components":
-            if entry.components_file is None:
+            rel = entry.components_file
+            if rel is None:
                 return []
             return dataset_io.read_detections(
-                self._manifest.resolve(entry.components_file),
+                rel if rel.startswith("/") else self._prefix + rel,
                 self._manifest.component_class_map,
                 DetectionKind.COMPONENT,
             )
         if task == "damage":
-            if entry.damage_file is None:
+            rel = entry.damage_file
+            if rel is None:
                 raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
             return dataset_io.read_detections(
-                self._manifest.resolve(entry.damage_file),
+                rel if rel.startswith("/") else self._prefix + rel,
                 self._manifest.damage_class_map,
                 DetectionKind.DAMAGE,
             )
@@ -200,12 +204,13 @@ class ExternalBackend:
 
         results: dict[int, list | RuinscoreError] = {}  # by batch index; unserved: absent
         requests: dict[int, bytes] = {}
+        encode = dataset_io.encode_json_line
         for i, (entry, tasks) in enumerate(batch):
             if entry.image_path is None:
                 results[i] = MissingEvidence(tasks[0], f"entry {entry.id!r} has no image_path")
                 continue
             image = str(self.root / entry.image_path)
-            lines = "".join(json.dumps({"image": image, "task": task}) + "\n" for task in tasks)
+            lines = "".join(encode({"image": image, "task": task}) for task in tasks)
             requests[i] = lines.encode("utf-8")
         sel = selectors.DefaultSelector()
 

@@ -189,7 +189,7 @@ def _cmd_assess(args) -> int:
                 _assessment_record(out, rule, p, fusion.final_decision(rule, p, config))
                 for out, rule, p in zip(outs, rules, probs)
             )
-            out_stream.write("".join(json.dumps(record) + "\n" for record in records))
+            out_stream.write("".join(map(dataset_io.encode_json_line, records)))
             if failure is not None:
                 raise failure
     finally:

@@ -9,8 +9,9 @@ class names. All values are immutable and safe to share across threads.
 from __future__ import annotations
 
 import json
+import json.encoder
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Sequence
 
@@ -69,6 +70,14 @@ DEFAULT_COMPONENT_CLASS_MAP = {
 }
 
 
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def slot_setters(cls: type) -> tuple:
     """The `__set__` of each field's slot descriptor, in field order.
 
@@ -76,7 +85,14 @@ def slot_setters(cls: type) -> tuple:
     the frozen `__setattr__` refuses every store, and `object.__setattr__`,
     which a generated `__init__` calls per field, finds the descriptor anew
     on every call. Call it once per class, after decoration: the decorator
-    makes the slots."""
+    makes the slots.
+
+    It also gives the class a `__setattr__` and `__delattr__` that refuse
+    every name with FrozenInstanceError: the ones `frozen=True` generates
+    name the class `slots=True` replaced, so on some Python versions a name
+    that is not a field raises TypeError instead."""
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
@@ -243,7 +259,8 @@ class DatasetManifest:
     """Ordered image entries plus the integer-to-class maps for box text files.
 
     `root` is the directory the manifest was loaded from ("" for the working
-    directory); relative detection file paths are resolved against it.
+    directory); relative detection file paths are joined to it as
+    os.path.join would.
     """
 
     images: tuple[ImageEntry, ...]
@@ -254,10 +271,6 @@ class DatasetManifest:
         default_factory=lambda: dict(DEFAULT_COMPONENT_CLASS_MAP)
     )
     root: str = ""
-
-    def resolve(self, relpath: str) -> str:
-        # os.path.join keeps an absolute relpath as it is
-        return os.path.join(self.root, relpath)
 
 
 class DetectionKind(Enum):
@@ -318,6 +331,35 @@ def decode_json(text: str, field: str = "$", invalid: str = "not valid JSON") ->
         raise SchemaViolation(field, f"{invalid} (nested too deeply)") from None
     except ValueError:  # sys.get_int_max_str_digits() exceeded
         raise SchemaViolation(field, f"{invalid} (integer too long)") from None
+
+
+# json.dumps with its default arguments, as one C encoder built once: json.dumps
+# builds a new one per call. It keeps no circular-reference markers: every
+# value it is given is a fresh tree, and markers kept across calls could hold
+# stale ids after a failed encode.
+_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None,  # markers
+    json.JSONEncoder().default,
+    json.encoder.encode_basestring_ascii,
+    None,  # indent
+    ": ",
+    ", ",
+    False,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+
+if _ENCODE is None:  # no C accelerator in this interpreter
+
+    def encode_json_line(obj: object) -> str:
+        """`json.dumps(obj)` and a newline."""
+        return json.dumps(obj) + "\n"
+
+else:
+
+    def encode_json_line(obj: object) -> str:
+        """`json.dumps(obj)` and a newline, byte for byte, from one encoder."""
+        return "".join(_ENCODE(obj, 0)) + "\n"
 
 
 def _parse_class_map(raw: object, kind: DetectionKind, where: str) -> dict:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import resource
 import sys
 import time
@@ -23,6 +24,7 @@ from ruinscore.dataset_io import (
     DamageClass,
     DamageDetection,
     DamageLevel,
+    DatasetManifest,
     ImageEntry,
     SceneClass,
     SceneLabel,
@@ -31,6 +33,7 @@ from ruinscore.dataset_io import (
 from ruinscore.errors import (
     BackendUnavailable,
     MissingEvidence,
+    MissingFile,
     ProcessExited,
     ProtocolViolation,
     Timeout,
@@ -100,6 +103,33 @@ class TestFileBackend:
         manifest = load_manifest(root / "manifest.json")
         out = run_cascade(manifest.images[0], FileBackend(manifest))
         assert out.damages[0].cls is DamageClass.EXPOSED_REBAR
+
+    @pytest.mark.parametrize("root", ["", "d", "d/", "/abs/d"])
+    @pytest.mark.parametrize("rel", ["x.txt", "/abs/x.txt", "./x.txt", "a//b.txt", ""])
+    def test_detection_path_is_os_path_join_of_root(self, monkeypatch, root, rel):
+        opened = []
+
+        def record(path, class_map, kind):
+            opened.append(path)
+            return []
+
+        monkeypatch.setattr(backend_module.dataset_io, "read_detections", record)
+        manifest = DatasetManifest(images=(), root=root)
+        entry = ImageEntry("a", scene_override=SceneClass.INSIDE, damage_file=rel,
+                           components_file=rel)
+        run_cascade(entry, FileBackend(manifest))
+        assert opened == [os.path.join(root, rel)] * 2
+
+    def test_missing_file_is_reported_at_its_joined_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_dataset(tmp_path / "d", [])
+        (tmp_path / "d" / "manifest.json").write_text(
+            '{"images":[{"id":"a","scene":"outside","damage_file":"./labels/x.txt"}]}'
+        )
+        manifest = load_manifest("d/manifest.json")
+        with pytest.raises(MissingFile) as exc:
+            run_cascade(manifest.images[0], FileBackend(manifest))
+        assert exc.value.path == "d/./labels/x.txt"
 
 
 class RecordingBackend:

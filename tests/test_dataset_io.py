@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import pickle
+import platform
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -108,10 +109,13 @@ class TestValueTypes:
     def test_slotted_values_take_no_new_attribute(self, make):
         value = make()
         assert not hasattr(value, "__dict__")
-        # CPython 3.11's frozen slotted __setattr__ raises TypeError for a
-        # name that is not a field; later versions raise FrozenInstanceError
-        with pytest.raises((AttributeError, TypeError)):
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'note'"):
             value.note = "x"
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'note'"):
+            del value.note
+        first = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{first}'"):
+            delattr(value, first)
 
     @pytest.mark.parametrize("make", _values(), ids=lambda make: type(make()).__name__)
     def test_round_trips_through_replace_copy_and_pickle(self, make):
@@ -127,6 +131,55 @@ class TestValueTypes:
         # dataclass-generated code is compiled from "<string>"; a generated
         # __init__ stores every field through object.__setattr__
         assert type(make()).__init__.__code__.co_filename != "<string>"
+
+
+# any value json.dumps encodes: every float (nan, inf, -0.0, subnormals), ints
+# past 64 bits, text with lone surrogates and control characters, nesting,
+# and the non-str keys json.dumps converts
+_ANY_TEXT = st.text(st.characters(codec=None, exclude_categories=()))
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | _ANY_TEXT
+)
+_JSON_KEYS = _ANY_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestEncodeJsonLine:
+    @given(_JSON_VALUES)
+    @example(float("nan"))
+    @example([float("inf"), float("-inf"), -0.0, 5e-324, 2.2250738585072014e-308])
+    @example({"\ud800 caf\u00e9 \x00\x1f\x7f": ["\udfff", "\U0001f600", "\u2028"]})
+    @example(-(2**200))
+    @example([[[[{"a": [{}]}]]], []])
+    def test_equals_json_dumps_byte_for_byte(self, value):
+        assert dataset_io.encode_json_line(value) == json.dumps(value) + "\n"
+
+    def test_unserializable_value_raises_dumps_error_and_encoder_still_works(self):
+        bad = {"a": [1, object()]}
+        with pytest.raises(TypeError) as dumps_error:
+            json.dumps(bad)
+        with pytest.raises(TypeError) as line_error:
+            dataset_io.encode_json_line(bad)
+        assert str(line_error.value) == str(dumps_error.value)
+        assert str(line_error.value) == "Object of type object is not JSON serializable"
+        value = {"a": [1, {"b": None}], "c": "d"}
+        assert dataset_io.encode_json_line(value) == json.dumps(value) + "\n"
+
+    @pytest.mark.skipif(
+        platform.python_implementation() != "CPython", reason="the C encoder is CPython's"
+    )
+    def test_cpython_uses_the_c_encoder(self):
+        # the json.dumps fallback is for interpreters without json's C accelerator
+        assert isinstance(dataset_io._ENCODE, json.encoder.c_make_encoder)
+        assert "_ENCODE" in dataset_io.encode_json_line.__code__.co_names
 
 
 class TestReadText:
