@@ -16,7 +16,6 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from . import dataset_io
@@ -84,7 +83,8 @@ class Backend(Protocol):
 
 
 class FileBackend:
-    """Serves evidence from the detection files referenced by the manifest.
+    """Serves evidence from the detection files referenced by the manifest,
+    opening each entry's path as given.
 
     A missing components_file just means "no components seen"; a missing
     damage_file is an error because fusion cannot run without damage
@@ -94,9 +94,6 @@ class FileBackend:
 
     def __init__(self, manifest: DatasetManifest):
         self._manifest = manifest
-        # prefix + rel is os.path.join(root, rel) for every rel not starting
-        # with "/", which os.path.join keeps as it is
-        self._prefix = os.path.join(manifest.root, "")
 
     def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list:
         return [self._read(entry, task) for task in tasks]
@@ -107,22 +104,16 @@ class FileBackend:
                 "scene", f"entry {entry.id!r} has no 'scene' key in the manifest"
             )
         if task == "components":
-            rel = entry.components_file
-            if rel is None:
+            if entry.components_file is None:
                 return []
             return dataset_io.read_detections(
-                rel if rel.startswith("/") else self._prefix + rel,
-                self._manifest.component_class_map,
-                DetectionKind.COMPONENT,
+                entry.components_file, self._manifest.component_class_map, DetectionKind.COMPONENT
             )
         if task == "damage":
-            rel = entry.damage_file
-            if rel is None:
+            if entry.damage_file is None:
                 raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
             return dataset_io.read_detections(
-                rel if rel.startswith("/") else self._prefix + rel,
-                self._manifest.damage_class_map,
-                DetectionKind.DAMAGE,
+                entry.damage_file, self._manifest.damage_class_map, DetectionKind.DAMAGE
             )
         raise ValueError(f"unknown task {task!r}")
 
@@ -141,8 +132,9 @@ class _Child:
 
 class ExternalBackend:
     """`jobs` child processes speaking the README's wire protocol: per task a
-    request line {"image": path, "task": task}, a relative image_path
-    resolved against `root`; per request one UTF-8 reply line in order,
+    request line {"image": path, "task": task}, the path being the entry's
+    image_path as given, which load_manifest has resolved as the file
+    backend's paths are; per request one UTF-8 reply line in order,
     {"scene": name, "confidence": float} or the detection JSON schema, whose
     optional "task" echo must match. stderr passes through.
 
@@ -160,14 +152,12 @@ class ExternalBackend:
         self,
         command: Sequence[str],
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        root: Path = Path("."),
         jobs: int = 1,
     ):
         if not command:
             raise BackendUnavailable("external backend command is empty")
         self.command = list(command)
         self.timeout_s = timeout_s
-        self.root = Path(root)
         self._children: list[_Child | None] = [self._spawn()] + [None] * (jobs - 1)
         self._served: dict = {}
 
@@ -178,7 +168,7 @@ class ExternalBackend:
             proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the command
             raise BackendUnavailable(f"cannot start {self.command[0]!r}: {exc}") from None
         os.set_blocking(proc.stdin.fileno(), False)
         return _Child(proc)
@@ -209,8 +199,7 @@ class ExternalBackend:
             if entry.image_path is None:
                 results[i] = MissingEvidence(tasks[0], f"entry {entry.id!r} has no image_path")
                 continue
-            image = str(self.root / entry.image_path)
-            lines = "".join(encode({"image": image, "task": task}) for task in tasks)
+            lines = "".join(encode({"image": entry.image_path, "task": task}) for task in tasks)
             requests[i] = lines.encode("utf-8")
         sel = selectors.DefaultSelector()
 

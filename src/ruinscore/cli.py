@@ -41,6 +41,7 @@ from .dataset_io import LEVEL_BY_LABEL, DatasetManifest, ImageEntry, SceneClass
 from .errors import (
     DegenerateData,
     DimensionMismatch,
+    IoFailure,
     MissingMeta,
     NoGroundTruth,
     RuinscoreError,
@@ -167,14 +168,15 @@ def _cmd_assess(args) -> int:
         raise SchemaViolation("backend.command", "external backend selected but no command configured")
     images = manifest.images
     backend = None if external else FileBackend(manifest)
-    out_stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        out_stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        raise IoFailure(f"cannot write assessments to {args.out}: {exc}") from None
     try:
         if external and images:  # children start only for images that exist
             # a chunk's images go to at most CHUNK_SIZE children; more never get one
             jobs = min(args.jobs, CHUNK_SIZE)
-            backend = ExternalBackend(
-                backend_cfg.command, backend_cfg.timeout_s, manifest.root, jobs
-            )
+            backend = ExternalBackend(backend_cfg.command, backend_cfg.timeout_s, jobs)
         for start in range(0, len(images), CHUNK_SIZE):
             chunk = images[start : start + CHUNK_SIZE]
             if external:
@@ -189,7 +191,12 @@ def _cmd_assess(args) -> int:
                 _assessment_record(out, rule, p, fusion.final_decision(rule, p, config))
                 for out, rule, p in zip(outs, rules, probs)
             )
-            out_stream.write("".join(map(dataset_io.encode_json_line, records)))
+            try:  # flushed per chunk, so a failing write shows here and not at exit
+                out_stream.write("".join(map(dataset_io.encode_json_line, records)))
+                out_stream.flush()
+            except OSError as exc:  # a full disk, or a stdout closed early
+                where = args.out or "stdout"
+                raise IoFailure(f"cannot write assessments to {where}: {exc}") from None
             if failure is not None:
                 raise failure
     finally:

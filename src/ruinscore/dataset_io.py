@@ -256,12 +256,8 @@ _ENTRY_SETTERS = slot_setters(ImageEntry)
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Ordered image entries plus the integer-to-class maps for box text files.
-
-    `root` is the directory the manifest was loaded from ("" for the working
-    directory); relative detection file paths are joined to it as
-    os.path.join would.
-    """
+    """Ordered image entries, their paths resolved by load_manifest, plus the
+    integer-to-class maps for box text files."""
 
     images: tuple[ImageEntry, ...]
     damage_class_map: Mapping[int, DamageClass] = field(
@@ -270,7 +266,6 @@ class DatasetManifest:
     component_class_map: Mapping[int, ComponentClass] = field(
         default_factory=lambda: dict(DEFAULT_COMPONENT_CLASS_MAP)
     )
-    root: str = ""
 
 
 class DetectionKind(Enum):
@@ -295,9 +290,9 @@ _SCENE_BY_NAME = {c.value: c for c in SceneClass}
 def read_text(path: str | os.PathLike) -> str:
     """The text of one UTF-8 input file, read with os.open/os.read to its end.
 
-    A path that does not exist, is a directory or runs through a file raises
-    MissingFile; any other OSError raises IoFailure; bytes that are not UTF-8
-    raise SchemaViolation at the path.
+    A path that does not exist, is a directory, runs through a file or holds
+    a NUL raises MissingFile; any other OSError raises IoFailure; bytes that
+    are not UTF-8 raise SchemaViolation at the path.
     """
     try:
         fd = os.open(path, os.O_RDONLY)
@@ -307,7 +302,7 @@ def read_text(path: str | os.PathLike) -> str:
                 chunks.append(chunk)
         finally:
             os.close(fd)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
         raise MissingFile(str(path)) from None
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
@@ -384,7 +379,7 @@ def _parse_class_map(raw: object, kind: DetectionKind, where: str) -> dict:
     return out
 
 
-def _parse_entry(raw: object, index: int) -> ImageEntry:
+def _parse_entry(raw: object, index: int, prefix: str) -> ImageEntry:
     """One manifest entry; its field path images[index] is formatted only for an error."""
     if not isinstance(raw, dict):
         raise SchemaViolation(f"images[{index}]", "expected an object")
@@ -421,15 +416,22 @@ def _parse_entry(raw: object, index: int) -> ImageEntry:
     ):
         key = next(k for k in _PATH_KEYS if not isinstance(raw.get(k), _OPT_STR))
         raise SchemaViolation(f"images[{index}].{key}", "must be a string")
+    # prefix + p is os.path.join(dirname, p) for every p not starting with "/"
+    if image_path is not None and not image_path.startswith("/"):
+        image_path = prefix + image_path
+    if damage_file is not None and not damage_file.startswith("/"):
+        damage_file = prefix + damage_file
+    if components_file is not None and not components_file.startswith("/"):
+        components_file = prefix + components_file
 
     return ImageEntry(image_id, image_path, level, scene, damage_file, components_file)
 
 
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
-    """Load a dataset manifest; entries keep file order.
-
-    Raises MissingFile, SchemaViolation (with a field path) or
-    DuplicateImageId. Absent class_maps take the default integer mappings.
+    """Load a dataset manifest; entries keep file order, each relative path
+    joined to the manifest's directory as os.path.join would. Raises
+    MissingFile, SchemaViolation (with a field path) or DuplicateImageId.
+    Absent class_maps take the default integer mappings.
     """
     raw = decode_json(read_text(path))
     if not isinstance(raw, dict):
@@ -456,10 +458,11 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
                 cm["component"], DetectionKind.COMPONENT, "class_maps.component"
             )
 
+    prefix = os.path.join(os.path.dirname(path), "")
     entries = []
     seen: set[str] = set()
     for i, raw_entry in enumerate(raw["images"]):
-        entry = _parse_entry(raw_entry, i)
+        entry = _parse_entry(raw_entry, i, prefix)
         if entry.id in seen:
             raise DuplicateImageId(entry.id)
         seen.add(entry.id)
@@ -469,7 +472,6 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
         images=tuple(entries),
         damage_class_map=damage_map,
         component_class_map=component_map,
-        root=os.path.dirname(path),
     )
 
 

@@ -260,27 +260,25 @@ class RuleDecision:
 _DECISION_SETTERS = slot_setters(RuleDecision)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; 0.0 for disjoint or edge-touching boxes."""
+def _intersection(a: BoundingBox, b: BoundingBox) -> float:
+    """The area two boxes share; 0.0 for disjoint or edge-touching boxes."""
     ax0, ay0, ax1, ay1 = a.corners()
     bx0, by0, bx1, by1 = b.corners()
     iw = min(ax1, bx1) - max(ax0, bx0)
     ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area() + b.area() - inter)
+    return iw * ih if iw > 0.0 and ih > 0.0 else 0.0
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union; 0.0 for disjoint or edge-touching boxes."""
+    inter = _intersection(a, b)
+    return inter / (a.area() + b.area() - inter) if inter else 0.0
 
 
 def containment_ratio(inner: BoundingBox, outer: BoundingBox) -> float:
     """Intersection area over the inner box's own area (1.0 when fully contained)."""
-    ax0, ay0, ax1, ay1 = inner.corners()
-    bx0, by0, bx1, by1 = outer.corners()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return (iw * ih) / inner.area()
+    inter = _intersection(inner, outer)
+    return inter / inner.area() if inter else 0.0
 
 
 def _filter_with_tags(

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 import resource
 import sys
 import time
@@ -24,7 +23,6 @@ from ruinscore.dataset_io import (
     DamageClass,
     DamageDetection,
     DamageLevel,
-    DatasetManifest,
     ImageEntry,
     SceneClass,
     SceneLabel,
@@ -103,22 +101,6 @@ class TestFileBackend:
         manifest = load_manifest(root / "manifest.json")
         out = run_cascade(manifest.images[0], FileBackend(manifest))
         assert out.damages[0].cls is DamageClass.EXPOSED_REBAR
-
-    @pytest.mark.parametrize("root", ["", "d", "d/", "/abs/d"])
-    @pytest.mark.parametrize("rel", ["x.txt", "/abs/x.txt", "./x.txt", "a//b.txt", ""])
-    def test_detection_path_is_os_path_join_of_root(self, monkeypatch, root, rel):
-        opened = []
-
-        def record(path, class_map, kind):
-            opened.append(path)
-            return []
-
-        monkeypatch.setattr(backend_module.dataset_io, "read_detections", record)
-        manifest = DatasetManifest(images=(), root=root)
-        entry = ImageEntry("a", scene_override=SceneClass.INSIDE, damage_file=rel,
-                           components_file=rel)
-        run_cascade(entry, FileBackend(manifest))
-        assert opened == [os.path.join(root, rel)] * 2
 
     def test_missing_file_is_reported_at_its_joined_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -225,6 +207,10 @@ class TestExternalBackend:
         with pytest.raises(BackendUnavailable):
             ExternalBackend(["/no/such/binary/anywhere"])
 
+    def test_command_with_nul_unavailable(self):
+        with pytest.raises(BackendUnavailable, match="embedded null byte"):
+            ExternalBackend([sys.executable, "-c", "pass\0"])
+
     def test_timeout_restarts_the_child(self, stub, tmp_path):
         command = [sys.executable, stub("stall_first_backend"), str(tmp_path / "stalled")]
         with ExternalBackend(command, timeout_s=2.0) as backend:
@@ -268,16 +254,49 @@ class TestExternalBackend:
             assert len(ask(backend, "ccc.jpg", "damage")) == 3
             assert len(ask(backend, "d.jpg", "damage")) == 1
 
-    def test_relative_image_path_resolves_against_root(self, stub, tmp_path):
+    def test_relative_image_path_resolves_against_the_manifest_dir(self, stub, tmp_path):
         (tmp_path / "frames").mkdir()
         (tmp_path / "frames" / "x.jpg").write_bytes(b"")
+        (tmp_path / "manifest.json").write_text(
+            '{"images":[{"id":"x","image_path":"frames/x.jpg"}]}'
+        )
         command = [sys.executable, stub("stall_first_backend"), str(tmp_path / "stall-never")]
         (tmp_path / "stall-never").touch()
-        entry = ImageEntry(id="x", image_path="frames/x.jpg")
-        with ExternalBackend(command, timeout_s=10, root=tmp_path) as backend:
-            assert backend.query(entry, ["scene"])[0].cls is SceneClass.INSIDE
+        loaded = load_manifest(tmp_path / "manifest.json").images[0]
         with ExternalBackend(command, timeout_s=10) as backend:
+            assert backend.query(loaded, ["scene"])[0].cls is SceneClass.INSIDE
+            # an entry not loaded from a manifest is sent as it is
+            entry = ImageEntry(id="y", image_path="frames/x.jpg")
             assert backend.query(entry, ["scene"])[0].cls is SceneClass.OUTSIDE
+
+    def test_child_is_sent_the_path_the_file_backend_opens(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "manifest.json").write_text(
+            '{"images":[{"id":"x","scene":"inside","image_path":"./frames/x.jpg",'
+            '"damage_file":"./frames/x.jpg"}]}'
+        )
+        manifest = load_manifest("d/manifest.json")
+        entry = manifest.images[0]
+        opened = []
+
+        def record(path, class_map, kind):
+            opened.append(path)
+            return []
+
+        monkeypatch.setattr(backend_module.dataset_io, "read_detections", record)
+        FileBackend(manifest).query(entry, ["damage"])
+        log, script = tmp_path / "images.log", tmp_path / "log_images.py"
+        script.write_text(  # logs each request's image and answers no detections
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    with open(sys.argv[1], 'a') as fh:\n"
+            "        fh.write(json.loads(line)['image'] + '\\n')\n"
+            "    print(json.dumps({'detections': []}), flush=True)\n"
+        )
+        with ExternalBackend([sys.executable, str(script), str(log)], timeout_s=10) as backend:
+            backend.query(entry, ["damage"])
+        assert opened == log.read_text().splitlines() == ["d/./frames/x.jpg"]
 
     def test_missing_image_path(self, stub):
         entry = ImageEntry(id="x")

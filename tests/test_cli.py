@@ -256,6 +256,36 @@ class TestAssess:
         assert code == 1
         assert json.loads(err.strip())["error"] == "MissingMeta"
 
+    def test_out_in_a_missing_directory_is_io_failure(self, fixture3, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "a.jsonl"
+        code, _, err = run(capsys, "assess", "--manifest", str(fixture3), "--out", str(out_path))
+        assert code == 1
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "IoFailure",
+            "detail": f"cannot write assessments to {out_path}: "
+            f"[Errno 2] No such file or directory: {str(out_path)!r}",
+        }
+
+    def test_stdout_closed_early_is_io_failure(self, fixture3):
+        # a pipe whose reader is gone before the first record: `assess ... | head -0`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ruinscore", "assess", "--manifest", str(fixture3)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=package_env(),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "IoFailure",
+            "detail": "cannot write assessments to stdout: [Errno 32] Broken pipe",
+        }
+
 
 @pytest.fixture(scope="module")
 def chunked_corpus(tmp_path_factory):
@@ -1047,17 +1077,21 @@ print(json.dumps({"codes": codes, "threads": threading.active_count(),
 """
 
 
+def package_env() -> dict:
+    """The environment with this ruinscore first on PYTHONPATH, for a child interpreter."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        entry for entry in (package_root, os.environ.get("PYTHONPATH")) if entry
+    )}
+
+
 def import_probe(commands: list[list[str]], modules: list[str]) -> dict:
     """Import ruinscore and run `commands` through cli.main in one fresh
     interpreter; report their exit codes, which of `modules` were imported,
     and how many threads are alive afterwards."""
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        entry for entry in (package_root, os.environ.get("PYTHONPATH")) if entry
-    )}
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands), json.dumps(modules)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=package_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])

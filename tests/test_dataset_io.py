@@ -254,6 +254,21 @@ class TestLoadManifest:
         with pytest.raises(SchemaViolation):
             load_manifest(p)
 
+    @pytest.mark.parametrize("where", ["cwd", "d", "./d", "absolute"])
+    @pytest.mark.parametrize("rel", ["x.txt", "/abs/x.txt", "./x.txt", "a//b.txt", ""])
+    def test_paths_are_os_path_join_of_the_manifest_dir(self, tmp_path, monkeypatch, where, rel):
+        monkeypatch.chdir(tmp_path)
+        directory = {"cwd": "", "absolute": str(tmp_path / "d")}.get(where, where)
+        path = os.path.join(directory, "manifest.json")
+        os.makedirs(tmp_path / "d", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"images": [
+                {"id": "a", "image_path": rel, "damage_file": rel, "components_file": rel}
+            ]}, fh)
+        entry = load_manifest(path).images[0]
+        joined = os.path.join(directory, rel)
+        assert (entry.image_path, entry.damage_file, entry.components_file) == (joined,) * 3
+
     def test_pure_same_bytes_same_manifest(self, tmp_path):
         images = [{"id": "x", "gt": 1, "scene": "inside", "damage": ""}]
         path = write_dataset(tmp_path / "d", images)

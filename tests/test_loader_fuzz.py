@@ -174,6 +174,7 @@ def manifest_documents(draw):
 @example(manifest=b"\xff")
 @example(manifest={"images": [{"id": "a", "ground_truth_level": 10**400}]})
 @example(manifest={"class_maps": {"damage": {"1" * 400: "crack"}}, "images": []})
+@example(manifest={"images": [{"id": "a", "scene": "inside", "damage_file": "labels/a\u0000.txt"}]})
 def test_mutated_manifest_ends_in_a_clean_exit(tmp_path_factory, manifest):
     root = tmp_path_factory.getbasetemp() / "manifest_fuzz"
     if not root.exists():
@@ -186,6 +187,19 @@ def test_mutated_manifest_ends_in_a_clean_exit(tmp_path_factory, manifest):
     for argv in (["assess", "--manifest", str(path), "--keep-going"],
                  ["assess", "--manifest", str(path)]):
         assert_clean_exit(*run_main(argv))
+
+
+def test_nul_in_a_detection_path_skips_only_its_image(tmp_path):
+    path = write_dataset(tmp_path, MANIFEST_IMAGES, CLASS_MAPS)
+    manifest = json.loads(path.read_text())
+    manifest["images"][0]["damage_file"] = "labels/a\u0000.txt"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out.jsonl"
+    code, err = run_main(["assess", "--manifest", str(path), "--out", str(out), "--keep-going"])
+    assert (code, err.startswith("skip a: MissingFile: ")) == (0, True)
+    assert [json.loads(line)["image_id"] for line in out.read_text().splitlines()] == ["b"]
+    code, err = run_main(["assess", "--manifest", str(path)])
+    assert (code, json.loads(err)["error"]) == (1, "MissingFile")
 
 
 # every config key, backend section included; assess runs on the file backend
