@@ -9,10 +9,13 @@ order, each over the whole chunk: one exchange with the children (external
 backend only), the cascade, rule fusion, feature extraction and one batch
 meta predict (hybrid only), then one write of the chunk's records. A failing
 image ends the cascade stage, so the records before it are written before
-its error is raised; under --keep-going it is skipped with a line on stderr
-instead. train-meta runs the same cascade stage chunk by chunk, and fuse
-runs one detection file through it as a one-entry manifest. Exit codes: 0
-success, 1 runtime failure (structured JSON error on stderr), 2 usage error.
+its error is raised; under --keep-going it is skipped instead, and its
+error goes to stderr as the same JSON line a fatal failure prints. train-meta
+runs the same cascade stage chunk by chunk, and fuse runs one detection file
+through it as a one-entry manifest. Exit codes: 0 success, 1 runtime failure
+(structured JSON error on stderr), 2 usage error. Every command writes its
+stdout through one helper, so a stdout whose reader is gone is an IoFailure
+like any other failed write.
 
 Each command imports only what it runs: numpy and the meta package load only
 in the commands that load or train a meta-model (and `meta.hyper` only in
@@ -23,7 +26,6 @@ the external backend's `subprocess` and `selectors` only when it starts.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -37,7 +39,7 @@ from .backend import (
     cascade_tasks,
     run_cascade,
 )
-from .dataset_io import LEVEL_BY_LABEL, DatasetManifest, ImageEntry, SceneClass
+from .dataset_io import LEVEL_BY_LABEL, DamageLevel, DatasetManifest, ImageEntry, SceneClass
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -109,6 +111,24 @@ def _config_path(args) -> str | None:
     return getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR) or None
 
 
+def _write(stream, text: str, what: str) -> None:
+    """Write and flush `text`, so a failing write shows here and not at exit:
+    a full disk, or a stdout whose reader is gone, is an IoFailure."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what}: {exc}") from None
+
+
+def _error_line(exc: RuinscoreError) -> str:
+    """The JSON line stderr carries for a failure, fatal or skipped."""
+    payload = {"error": type(exc).__name__, "detail": str(exc)}
+    if exc.image_id is not None:
+        payload["image_id"] = exc.image_id
+    return dataset_io.encode_json_line(payload)
+
+
 def _assessment_record(out, rule, probs, final) -> dict:
     return {
         "image_id": out.image_id,
@@ -137,7 +157,7 @@ def _assessment_record(out, rule, probs, final) -> dict:
 def _cascade_chunk(chunk, backend, keep_going: bool) -> tuple[list, RuinscoreError | None]:
     """The cascade outputs of a chunk's entries in manifest order, and the
     failure, tagged with its image id, that ended the chunk early. Under
-    `keep_going` a failing entry is skipped with a line on stderr instead."""
+    `keep_going` a failing entry is skipped with its error line on stderr instead."""
     outs = []
     for entry in chunk:
         try:
@@ -146,7 +166,7 @@ def _cascade_chunk(chunk, backend, keep_going: bool) -> tuple[list, RuinscoreErr
             exc.image_id = entry.id
             if not keep_going:
                 return outs, exc
-            print(f"skip {entry.id}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            sys.stderr.write(_error_line(exc))
     return outs, None
 
 
@@ -191,12 +211,11 @@ def _cmd_assess(args) -> int:
                 _assessment_record(out, rule, p, fusion.final_decision(rule, p, config))
                 for out, rule, p in zip(outs, rules, probs)
             )
-            try:  # flushed per chunk, so a failing write shows here and not at exit
-                out_stream.write("".join(map(dataset_io.encode_json_line, records)))
-                out_stream.flush()
-            except OSError as exc:  # a full disk, or a stdout closed early
-                where = args.out or "stdout"
-                raise IoFailure(f"cannot write assessments to {where}: {exc}") from None
+            _write(
+                out_stream,
+                "".join(map(dataset_io.encode_json_line, records)),
+                f"assessments to {args.out or 'stdout'}",
+            )
             if failure is not None:
                 raise failure
     finally:
@@ -207,9 +226,9 @@ def _cmd_assess(args) -> int:
     return 0
 
 
-def read_assessments(path: str | os.PathLike) -> list[dict]:
-    records = []
-    seen: set = set()
+def read_assessments(path: str | os.PathLike) -> dict[str, DamageLevel]:
+    """Each record's image id and final level, checked line by line."""
+    levels = {}
     for line_no, line in enumerate(dataset_io.read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -225,37 +244,29 @@ def read_assessments(path: str | os.PathLike) -> list[dict]:
             raise SchemaViolation(f"line {line_no}", "final must be a string")
         if final not in LEVEL_BY_LABEL:
             raise SchemaViolation(f"line {line_no}", f"unknown level name {final!r}")
-        if image_id in seen:
+        if image_id in levels:
             raise SchemaViolation(f"line {line_no}", f"duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        records.append(rec)
-    return records
+        levels[image_id] = LEVEL_BY_LABEL[final]
+    return levels
 
 
 def _cmd_evaluate(args) -> int:
     from . import evaluate as evaluate_mod
 
     manifest = dataset_io.load_manifest(args.manifest)
-    records = read_assessments(args.assessments)
-    truth = {
-        e.id: e.ground_truth_level
+    predicted = read_assessments(args.assessments)
+    pairs = [
+        (e.ground_truth_level, predicted[e.id])
         for e in manifest.images
-        if e.ground_truth_level is not None
-    }
-    pairs = []
-    for rec in records:
-        gt = truth.get(rec["image_id"])
-        if gt is None:
-            continue
-        pairs.append((gt, LEVEL_BY_LABEL[rec["final"]]))
+        if e.ground_truth_level is not None and e.id in predicted
+    ]
     if not pairs:
         raise NoGroundTruth()
     report = evaluate_mod.compute_metrics(
         evaluate_mod.confusion_matrix(pairs), config_tag=args.tag
     )
-    sys.stdout.write(
-        evaluate_mod.render_report(report, "json" if args.json else "text")
-    )
+    text = evaluate_mod.render_report(report, "json" if args.json else "text")
+    _write(sys.stdout, text, "report to stdout")
     return 0
 
 
@@ -298,9 +309,11 @@ def _cmd_train_meta(args) -> int:
             print("warning: single-class training set, priors-only model", file=sys.stderr)
     accuracy = meta.training_accuracy(model, X, y)
     meta.save_model(model, args.out)
-    print(
+    _write(
+        sys.stdout,
         f"trained {args.kind}: n={len(y)} training_accuracy={accuracy:.4f} "
-        f"final_loss={model.loss_trace[-1]:.6f} model={args.out}"
+        f"final_loss={model.loss_trace[-1]:.6f} model={args.out}\n",
+        "training summary to stdout",
     )
     return 0
 
@@ -313,16 +326,16 @@ def _cmd_fuse(args) -> int:
         args.detections, scene_override=SceneClass(args.scene), damage_file=args.detections
     )
     rule = rule_fusion(run_cascade(entry, FileBackend(DatasetManifest((entry,)))), config)
-    if rule.rebar_forced:
-        print(f"{rule.level.label} (rebar_forced)")
-    else:
-        print(f"{rule.level.label} (S={rule.score})")
     c = rule.counts
-    print(
+    why = "rebar_forced" if rule.rebar_forced else f"S={rule.score}"
+    _write(
+        sys.stdout,
+        f"{rule.level.label} ({why})\n"
         f"counts: crack={c.n_crack} spall={c.n_spall} "
-        f"rebar_raw={c.n_rebar_raw} rebar_valid={c.n_rebar_valid}"
+        f"rebar_raw={c.n_rebar_raw} rebar_valid={c.n_rebar_valid}\n"
+        f"filters: {', '.join(rule.applied_filters) or 'none'}\n",
+        "fusion result to stdout",
     )
-    print(f"filters: {', '.join(rule.applied_filters) if rule.applied_filters else 'none'}")
     return 0
 
 
@@ -349,7 +362,7 @@ def _cmd_gen_synthetic(args) -> int:
     except ValueError as exc:
         raise SchemaViolation("$", str(exc)) from None
     manifest = synth.gen_synthetic(spec, args.out)
-    print(f"wrote {len(manifest.images)} images to {args.out}")
+    _write(sys.stdout, f"wrote {len(manifest.images)} images to {args.out}\n", "summary to stdout")
     return 0
 
 
@@ -435,10 +448,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except RuinscoreError as exc:
-        payload = {"error": type(exc).__name__, "detail": str(exc)}
-        if exc.image_id is not None:
-            payload["image_id"] = exc.image_id
-        print(json.dumps(payload), file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return 1
 
 

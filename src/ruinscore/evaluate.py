@@ -1,5 +1,10 @@
 """Confusion matrix, exact and within-one-level accuracy, per-class P/R/F1.
 
+The report is the `ruinscore-report-v1` object that `evaluate --json`
+prints: `compute_metrics` builds it as a plain dict in its printed key
+order, and `render_report` renders that dict as JSON or as the text table.
+Nothing reads a report back.
+
 Matrix orientation is fixed as rows = ground truth, columns = prediction.
 Rates that come out 0/0 (a class absent or never predicted) are reported as
 0 and flagged, so sparse classes stay visible instead of crashing reports.
@@ -10,8 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dataset_io import DamageLevel, decode_json
-from .errors import EmptyMatrix, SchemaViolation
+from .dataset_io import DamageLevel
+from .errors import EmptyMatrix
 
 REPORT_FORMAT = "ruinscore-report-v1"
 N_LEVELS = 4
@@ -51,24 +56,6 @@ class ConfusionMatrix:
         )
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    undefined: tuple[str, ...] = ()  # which of the three rates were 0/0
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    n: int
-    exact_accuracy: float
-    plus_minus_one_accuracy: float
-    per_class: tuple[ClassMetrics, ...]
-    matrix: ConfusionMatrix
-    config_tag: str = ""
-
-
 def confusion_matrix(pairs) -> ConfusionMatrix:
     """Count (ground truth, prediction) pairs into the matrix."""
     m = [[0] * N_LEVELS for _ in range(N_LEVELS)]
@@ -77,47 +64,45 @@ def confusion_matrix(pairs) -> ConfusionMatrix:
     return ConfusionMatrix(tuple(tuple(row) for row in m))
 
 
-def compute_metrics(m: ConfusionMatrix, config_tag: str = "") -> EvalReport:
-    """Derive every report field from the matrix; raises EmptyMatrix on total 0."""
+def _class_metrics(level: DamageLevel, tp: int, col: int, row: int) -> dict:
+    """One `per_class` entry; a 0/0 rate is 0 and named under `undefined`."""
+    undefined = []
+    if col == 0:
+        precision = 0.0
+        undefined.append("precision")
+    else:
+        precision = tp / col
+    if row == 0:
+        recall = 0.0
+        undefined.append("recall")
+    else:
+        recall = tp / row
+    if precision + recall == 0.0:
+        f1 = 0.0
+        undefined.append("f1")
+    else:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    return {"level": level.label, "precision": precision, "recall": recall, "f1": f1,
+            "undefined": undefined}
+
+
+def compute_metrics(m: ConfusionMatrix, config_tag: str = "") -> dict:
+    """The `ruinscore-report-v1` object of the matrix; raises EmptyMatrix on total 0."""
     total = m.total
     if total == 0:
         raise EmptyMatrix()
-    exact = m.trace() / total
-    plus_minus_one = m.within_one() / total
-
-    per_class = []
-    for c in range(N_LEVELS):
-        tp = m.counts[c][c]
-        col = m.col_sum(c)
-        row = m.row_sum(c)
-        undefined = []
-        if col == 0:
-            precision = 0.0
-            undefined.append("precision")
-        else:
-            precision = tp / col
-        if row == 0:
-            recall = 0.0
-            undefined.append("recall")
-        else:
-            recall = tp / row
-        if precision + recall == 0.0:
-            f1 = 0.0
-            undefined.append("f1")
-        else:
-            f1 = 2.0 * precision * recall / (precision + recall)
-        per_class.append(
-            ClassMetrics(precision=precision, recall=recall, f1=f1, undefined=tuple(undefined))
-        )
-
-    return EvalReport(
-        n=total,
-        exact_accuracy=exact,
-        plus_minus_one_accuracy=plus_minus_one,
-        per_class=tuple(per_class),
-        matrix=m,
-        config_tag=config_tag,
-    )
+    return {
+        "format": REPORT_FORMAT,
+        "config_tag": config_tag,
+        "n": total,
+        "exact_accuracy": m.trace() / total,
+        "plus_minus_one_accuracy": m.within_one() / total,
+        "per_class": [
+            _class_metrics(lv, m.counts[lv][lv], m.col_sum(lv), m.row_sum(lv))
+            for lv in DamageLevel
+        ],
+        "matrix": [list(row) for row in m.counts],
+    }
 
 
 def _split_tag(tag: str) -> tuple[str, str]:
@@ -127,85 +112,30 @@ def _split_tag(tag: str) -> tuple[str, str]:
     return (tag or "-"), "-"
 
 
-def render_report(report: EvalReport, fmt: str = "text") -> str:
-    """Render the report; "text" is a stable line format, "json" round-trips."""
+def render_report(report: dict, fmt: str = "text") -> str:
+    """Render a report object: "json" is `json.dumps` of it, "text" a stable line format."""
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2) + "\n"
+        return json.dumps(report, indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
 
-    method, model = _split_tag(report.config_tag)
-    f1_values = " ".join(f"{c.f1:.3f}" for c in report.per_class)
+    method, model = _split_tag(report["config_tag"])
+    per_class = report["per_class"]
+    f1_values = " ".join(f"{c['f1']:.3f}" for c in per_class)
     level_names = " ".join(lv.label for lv in DamageLevel)
     lines = [
-        f"n: {report.n}",
+        f"n: {report['n']}",
         f"Method: {method}  Model type: {model}",
         (
-            f"Accuracy (%): {100.0 * report.exact_accuracy:.2f}  "
-            f"± 1 Accuracy: {100.0 * report.plus_minus_one_accuracy:.2f}"
+            f"Accuracy (%): {100.0 * report['exact_accuracy']:.2f}  "
+            f"± 1 Accuracy: {100.0 * report['plus_minus_one_accuracy']:.2f}"
         ),
         f"Per-class F1 ({level_names}): {f1_values}",
         "Confusion matrix (rows = truth, cols = predicted):",
     ]
-    for row in report.matrix.counts:
+    for row in report["matrix"]:
         lines.append("  " + " ".join(f"{v:6d}" for v in row))
-    flagged = [
-        f"{DamageLevel(i).label} {name}"
-        for i, c in enumerate(report.per_class)
-        for name in c.undefined
-    ]
+    flagged = [f"{c['level']} {name}" for c in per_class for name in c["undefined"]]
     if flagged:
         lines.append("undefined→0: " + ", ".join(flagged))
     return "\n".join(lines) + "\n"
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "format": REPORT_FORMAT,
-        "config_tag": report.config_tag,
-        "n": report.n,
-        "exact_accuracy": report.exact_accuracy,
-        "plus_minus_one_accuracy": report.plus_minus_one_accuracy,
-        "per_class": [
-            {
-                "level": DamageLevel(i).label,
-                "precision": c.precision,
-                "recall": c.recall,
-                "f1": c.f1,
-                "undefined": list(c.undefined),
-            }
-            for i, c in enumerate(report.per_class)
-        ],
-        "matrix": [list(row) for row in report.matrix.counts],
-    }
-
-
-def report_from_dict(raw: dict) -> EvalReport:
-    if raw.get("format") != REPORT_FORMAT:
-        raise SchemaViolation("format", f"expected {REPORT_FORMAT!r}")
-    per_class = []
-    for i, c in enumerate(raw["per_class"]):
-        if c.get("level") != DamageLevel(i).label:
-            raise SchemaViolation(f"per_class[{i}].level", "out of order")
-        per_class.append(
-            ClassMetrics(
-                precision=float(c["precision"]),
-                recall=float(c["recall"]),
-                f1=float(c["f1"]),
-                undefined=tuple(c.get("undefined", [])),
-            )
-        )
-    matrix = ConfusionMatrix(tuple(tuple(int(v) for v in row) for row in raw["matrix"]))
-    return EvalReport(
-        n=int(raw["n"]),
-        exact_accuracy=float(raw["exact_accuracy"]),
-        plus_minus_one_accuracy=float(raw["plus_minus_one_accuracy"]),
-        per_class=tuple(per_class),
-        matrix=matrix,
-        config_tag=str(raw.get("config_tag", "")),
-    )
-
-
-def parse_report(text: str) -> EvalReport:
-    return report_from_dict(decode_json(text, invalid="report is not valid JSON"))
-

@@ -25,7 +25,7 @@ from ruinscore.backend import CascadeOutput, ExternalBackend, run_cascade
 from ruinscore.cli import main
 from ruinscore.dataset_io import BoundingBox, DamageClass, DamageDetection, DamageLevel
 from ruinscore.errors import ProtocolViolation, Timeout
-from ruinscore.evaluate import compute_metrics, confusion_matrix, parse_report, render_report
+from ruinscore.evaluate import compute_metrics, confusion_matrix, render_report
 from ruinscore.fusion import (
     DEFAULT_CONFIG,
     FusionConfig,
@@ -132,19 +132,19 @@ def test_criterion_3_metric_harness_and_rendering(fixtures_dir):
         ]
         report = compute_metrics(confusion_matrix(pairs))
         oracle = naive_metrics(pairs)
-        assert abs(report.exact_accuracy - oracle["exact"]) <= 1e-12
-        assert abs(report.plus_minus_one_accuracy - oracle["pm1"]) <= 1e-12
+        assert abs(report["exact_accuracy"] - oracle["exact"]) <= 1e-12
+        assert abs(report["plus_minus_one_accuracy"] - oracle["pm1"]) <= 1e-12
         for c in range(4):
-            got, want = report.per_class[c], oracle["per_class"][c]
-            assert abs(got.precision - want["precision"]) <= 1e-12
-            assert abs(got.recall - want["recall"]) <= 1e-12
-            assert abs(got.f1 - want["f1"]) <= 1e-12
-        assert report.plus_minus_one_accuracy >= report.exact_accuracy
+            got, want = report["per_class"][c], oracle["per_class"][c]
+            assert abs(got["precision"] - want["precision"]) <= 1e-12
+            assert abs(got["recall"] - want["recall"]) <= 1e-12
+            assert abs(got["f1"] - want["f1"]) <= 1e-12
+        assert report["plus_minus_one_accuracy"] >= report["exact_accuracy"]
 
-    accuracy_report = parse_report((fixtures_dir / "report_rule_v2.json").read_text())
+    accuracy_report = json.loads((fixtures_dir / "report_rule_v2.json").read_text())
     text = render_report(accuracy_report, "text")
     assert "71.04" in text and "91.92" in text
-    f1_report = parse_report((fixtures_dir / "report_meta_logreg.json").read_text())
+    f1_report = json.loads((fixtures_dir / "report_meta_logreg.json").read_text())
     assert "0.844 0.384 0.128 0.641" in render_report(f1_report, "text")
 
 

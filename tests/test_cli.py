@@ -20,7 +20,7 @@ from ruinscore.backend import FileBackend, run_cascade
 from ruinscore.cli import load_config_file, main
 from ruinscore.dataset_io import LEVEL_BY_LABEL, load_manifest
 from ruinscore.errors import SchemaViolation
-from ruinscore.evaluate import compute_metrics, confusion_matrix, parse_report
+from ruinscore.evaluate import compute_metrics, confusion_matrix
 from ruinscore.fusion import DecisionMode, FusionConfig, final_decision, rule_fusion
 
 from helpers import write_dataset
@@ -168,7 +168,9 @@ class TestAssess:
             "--config", str(config), "--keep-going",
         )
         assert code == 0
-        assert err.splitlines() == ["skip a: Timeout: backend did not answer within 2.0 s"]
+        assert err.splitlines() == [
+            '{"error": "Timeout", "detail": "backend did not answer within 2.0 s", "image_id": "a"}'
+        ]
         records = [json.loads(line) for line in out.splitlines()]
         # each reply names its image: one crack per letter of the stem, and the
         # scene is inside only if the path resolved against the manifest dir
@@ -208,7 +210,10 @@ class TestAssess:
         )
         assert code == 0
         # the child exits after a's scene reply; only a's next request hits the exit
-        assert err.splitlines() == ["skip a: ProcessExited: backend process exited with code 0"]
+        assert err.splitlines() == [
+            '{"error": "ProcessExited", "detail": "backend process exited with code 0", '
+            '"image_id": "a"}'
+        ]
         records = [json.loads(line) for line in out.splitlines()]
         assert [(r["image_id"], r["counts"]["n_crack"]) for r in records] == [("bb", 2), ("ccc", 3)]
 
@@ -267,13 +272,25 @@ class TestAssess:
             f"[Errno 2] No such file or directory: {str(out_path)!r}",
         }
 
-    def test_stdout_closed_early_is_io_failure(self, fixture3):
-        # a pipe whose reader is gone before the first record: `assess ... | head -0`
+    @pytest.mark.parametrize("argv, what", [
+        (["assess", "--manifest", "{manifest}"], "assessments"),
+        (["evaluate", "--assessments", "{golden}", "--manifest", "{manifest}"], "report"),
+        (["evaluate", "--assessments", "{golden}", "--manifest", "{manifest}", "--json"],
+         "report"),
+        (["fuse", "--detections", "{labels}"], "fusion result"),
+        (["train-meta", "--manifest", "{manifest}", "--kind", "logreg", "--iterations", "5",
+          "--out", "{tmp}/model.json"], "training summary"),
+        (["gen-synthetic", "--seed", "1", "--n", "2", "--out", "{tmp}/synth"], "summary"),
+    ], ids=["assess", "evaluate", "evaluate-json", "fuse", "train-meta", "gen-synthetic"])
+    def test_stdout_closed_early_is_io_failure(self, fixture3, tmp_path, argv, what):
+        # a pipe whose reader is gone before the first write: `ruinscore ... | head -0`
+        paths = {"manifest": fixture3, "golden": fixture3.parent / "golden_assess.jsonl",
+                 "labels": fixture3.parent / "labels" / "img_c.txt", "tmp": tmp_path}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "ruinscore", "assess", "--manifest", str(fixture3)],
+                [sys.executable, "-m", "ruinscore", *(arg.format(**paths) for arg in argv)],
                 stdout=write_end, stderr=subprocess.PIPE, text=True, env=package_env(),
                 timeout=120,
             )
@@ -283,7 +300,7 @@ class TestAssess:
         (line,) = proc.stderr.splitlines()
         assert json.loads(line) == {
             "error": "IoFailure",
-            "detail": "cannot write assessments to stdout: [Errno 32] Broken pipe",
+            "detail": f"cannot write {what} to stdout: [Errno 32] Broken pipe",
         }
 
 
@@ -334,8 +351,15 @@ class TestChunkedAssess:
         assert runs[0] == runs[1]
         code, out, err = runs[0]
         assert code == 0
-        assert [line.split(":")[0] for line in err.splitlines()] == [
-            f"skip {i}" for i in chunked_corpus["broken"]
+        manifest = chunked_corpus["manifest"]
+        files = {e["id"]: e["damage_file"] for e in json.loads(manifest.read_text())["images"]}
+        assert err.splitlines() == [
+            json.dumps({
+                "error": "MissingFile",
+                "detail": f"file not found: {os.path.join(manifest.parent, files[i])}",
+                "image_id": i,
+            })
+            for i in chunked_corpus["broken"]
         ]
         ids = [json.loads(line)["image_id"] for line in out.splitlines()]
         assert ids == [i for i in chunked_corpus["ids"] if i not in chunked_corpus["broken"]]
@@ -475,7 +499,9 @@ class TestChunkedAssess:
             "--config", str(config), "--jobs", "2", "--keep-going",
         )
         assert code == 0
-        assert err.splitlines() == [f"skip {dead}: ProcessExited: backend process exited with code 3"]
+        assert err.splitlines() == [json.dumps({
+            "error": "ProcessExited", "detail": "backend process exited with code 3", "image_id": dead,
+        })]
         code, file_out, _ = run(capsys, "assess", "--manifest", str(file_manifest))
         assert code == 0
         assert out.splitlines() == [
@@ -494,6 +520,91 @@ def count_in_flight(monkeypatch) -> dict:
 
     monkeypatch.setattr(sys, "stdout", CountingStream())
     return counts
+
+
+FIXTURE3_TEXT_REPORT = (
+    "n: 3\n"
+    "Method: assess  Model type: -\n"
+    "Accuracy (%): 66.67  ± 1 Accuracy: 100.00\n"
+    "Per-class F1 (zero slight medium heavy): 1.000 0.000 0.000 1.000\n"
+    "Confusion matrix (rows = truth, cols = predicted):\n"
+    "       1      0      0      0\n"
+    "       0      0      0      0\n"
+    "       0      1      0      0\n"
+    "       0      0      0      1\n"
+    "undefined→0: slight recall, slight f1, medium precision, medium f1\n"
+)
+FIXTURE3_JSON_REPORT = """\
+{
+  "format": "ruinscore-report-v1",
+  "config_tag": "assess",
+  "n": 3,
+  "exact_accuracy": 0.6666666666666666,
+  "plus_minus_one_accuracy": 1.0,
+  "per_class": [
+    {
+      "level": "zero",
+      "precision": 1.0,
+      "recall": 1.0,
+      "f1": 1.0,
+      "undefined": []
+    },
+    {
+      "level": "slight",
+      "precision": 0.0,
+      "recall": 0.0,
+      "f1": 0.0,
+      "undefined": [
+        "recall",
+        "f1"
+      ]
+    },
+    {
+      "level": "medium",
+      "precision": 0.0,
+      "recall": 0.0,
+      "f1": 0.0,
+      "undefined": [
+        "precision",
+        "f1"
+      ]
+    },
+    {
+      "level": "heavy",
+      "precision": 1.0,
+      "recall": 1.0,
+      "f1": 1.0,
+      "undefined": []
+    }
+  ],
+  "matrix": [
+    [
+      1,
+      0,
+      0,
+      0
+    ],
+    [
+      0,
+      0,
+      0,
+      0
+    ],
+    [
+      0,
+      1,
+      0,
+      0
+    ],
+    [
+      0,
+      0,
+      0,
+      1
+    ]
+  ]
+}
+"""
 
 
 class TestEvaluate:
@@ -600,6 +711,16 @@ class TestEvaluate:
         assert payload["exact_accuracy"] == pytest.approx(2 / 3)
         assert payload["plus_minus_one_accuracy"] == 1.0
 
+    @pytest.mark.parametrize("flags, expected", [
+        ([], FIXTURE3_TEXT_REPORT),
+        (["--json"], FIXTURE3_JSON_REPORT),
+    ])
+    def test_fixture3_report_bytes(self, fixture3, capsys, flags, expected):
+        golden = fixture3.parent / "golden_assess.jsonl"
+        assert run(
+            capsys, "evaluate", "--assessments", str(golden), "--manifest", str(fixture3), *flags
+        ) == (0, expected, "")
+
     def test_composition_identity_with_library_path(self, fixture3, tmp_path, capsys):
         out_path = tmp_path / "a.jsonl"
         run(capsys, "assess", "--manifest", str(fixture3), "--out", str(out_path))
@@ -618,8 +739,8 @@ class TestEvaluate:
             (truth[r["image_id"]], LEVEL_BY_LABEL[r["final"]]) for r in jsonl(out_path)
         ]
         direct = compute_metrics(confusion_matrix(pairs), config_tag="assess")
-        assert json.loads(out)["exact_accuracy"] == direct.exact_accuracy
-        assert json.loads(out)["matrix"] == [list(r) for r in direct.matrix.counts]
+        assert json.loads(out)["exact_accuracy"] == direct["exact_accuracy"]
+        assert json.loads(out)["matrix"] == direct["matrix"]
 
 
 @pytest.fixture(scope="module")
@@ -980,14 +1101,6 @@ class TestDeeplyNestedJson:
         assert error["image_id"] == "a"
         assert error["detail"].startswith("wire protocol violation: response is not JSON: '[[[")
 
-    def test_report(self):
-        # evaluate writes reports but never reads one, so parse_report is called directly
-        with pytest.raises(SchemaViolation) as exc:
-            parse_report(DEEP)
-        assert str(exc.value) == (
-            "schema violation at $: report is not valid JSON (nested too deeply)"
-        )
-
 
 NOT_UTF8 = b"\xff\n"
 
@@ -1060,8 +1173,12 @@ class TestNonUtf8Input:
         assert code == 0
         assert [json.loads(line)["image_id"] for line in out.splitlines()] == ["ok1", "ok2"]
         assert "Traceback" not in err
-        (line,) = err.splitlines()
-        assert line.startswith("skip bad: SchemaViolation: ")
+        damage = tmp_path / "d" / "labels" / "bad.txt"
+        assert err.splitlines() == [json.dumps({
+            "error": "SchemaViolation",
+            "detail": f"schema violation at {damage}: not UTF-8 (invalid start byte at byte 0)",
+            "image_id": "bad",
+        })]
 
 
 IMPORT_PROBE = """\
@@ -1138,6 +1255,41 @@ class TestNumpyImport:
 # modules that rule-only and hybrid assess on the file backend never call
 NOT_ON_FILE_ASSESS = ["ruinscore.synth", "ruinscore.evaluate", "ruinscore.meta.hyper",
                       "subprocess", "selectors"]
+
+
+class TestDevMode:
+    def test_commands_run_clean_under_dev_mode_with_warnings_as_errors(
+        self, fixture3, tmp_path, stub
+    ):
+        # `-X dev` reports unclosed files and pipes, leaked children and
+        # deprecated calls as warnings, and `-W error` makes each one fatal
+        data, manifest = tmp_path / "d", str(tmp_path / "d" / "manifest.json")
+        assessments, model = str(tmp_path / "a.jsonl"), str(tmp_path / "m.json")
+        hybrid, external = tmp_path / "hybrid.json", tmp_path / "external.json"
+        hybrid.write_text(json.dumps({"decision_mode": "hybrid"}))
+        external.write_text(json.dumps(
+            {"backend": {"command": [sys.executable, stub("sleepy_backend")], "timeout_s": 0.5}}
+        ))
+        slow = write_dataset(
+            tmp_path / "slow", [{"id": i, "image_path": f"{i}.jpg"} for i in ("a", "b", "c")]
+        )
+        commands = [
+            ["gen-synthetic", "--seed", "2", "--n", "12", "--out", str(data)],
+            ["assess", "--manifest", manifest, "--out", assessments],
+            ["evaluate", "--assessments", assessments, "--manifest", manifest, "--json"],
+            ["train-meta", "--manifest", manifest, "--kind", "logreg", "--iterations", "20",
+             "--out", model],
+            ["assess", "--manifest", manifest, "--config", str(hybrid), "--meta-model", model],
+            ["fuse", "--detections", str(fixture3.parent / "labels" / "img_c.txt")],
+            ["assess", "--manifest", str(slow), "--backend", "external", "--config",
+             str(external), "--keep-going"],
+        ]
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "ruinscore", *argv],
+                capture_output=True, text=True, env=package_env(), timeout=120,
+            )
+            assert (proc.returncode, "Warning" in proc.stderr) == (0, False), (argv, proc.stderr)
 
 
 class TestCommandImports:

@@ -3,8 +3,9 @@ config files and evaluate's assessment records.
 
 Valid documents get up to three mutations: a value replaced by an arbitrary
 JSON value, a key or item deleted, or one added. Whatever comes out, the
-command must end in exit 0, 1 or 2, and exit 1 must print exactly one JSON
-error line and no traceback.
+command must end in exit 0, 1 or 2 and print no traceback; exit 1 must
+print exactly one JSON error line, and every line exit 0 prints on stderr
+must be the JSON error line of a skipped image.
 """
 
 from __future__ import annotations
@@ -115,10 +116,17 @@ def run_main(argv) -> tuple[int, str]:
 def assert_clean_exit(code: int, err: str) -> None:
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if code == 2:  # a usage error: argparse's own text
+        return
+    lines = err.splitlines()
     if code == 1:
-        lines = err.splitlines()
         assert len(lines) == 1, err
-        assert set(json.loads(lines[0])) >= {"error", "detail"}
+    for line in lines:
+        keys = set(json.loads(line))
+        # a skipped image's line names it; a fatal error may not
+        assert keys == {"error", "detail", "image_id"} or (
+            code == 1 and keys == {"error", "detail"}
+        ), err
 
 
 FUZZ = settings(
@@ -192,12 +200,20 @@ def test_mutated_manifest_ends_in_a_clean_exit(tmp_path_factory, manifest):
 def test_nul_in_a_detection_path_skips_only_its_image(tmp_path):
     path = write_dataset(tmp_path, MANIFEST_IMAGES, CLASS_MAPS)
     manifest = json.loads(path.read_text())
-    manifest["images"][0]["damage_file"] = "labels/a\u0000.txt"
+    images = manifest["images"]
+    images.append({**images[1], "id": "c"})
+    images[0]["damage_file"] = "labels/a\u0000.txt"
+    images[1]["damage_file"] = "labels/b\n.txt"
     path.write_text(json.dumps(manifest))
     out = tmp_path / "out.jsonl"
     code, err = run_main(["assess", "--manifest", str(path), "--out", str(out), "--keep-going"])
-    assert (code, err.startswith("skip a: MissingFile: ")) == (0, True)
-    assert [json.loads(line)["image_id"] for line in out.read_text().splitlines()] == ["b"]
+    # one escaped JSON line per skipped image: the NUL stays off stderr, the newline in the line
+    assert (code, err.split("\n")) == (0, [
+        json.dumps({"error": "MissingFile", "detail": f"file not found: {tmp_path}/labels/{name}",
+                    "image_id": image_id})
+        for image_id, name in (("a", "a\u0000.txt"), ("b", "b\n.txt"))
+    ] + [""])
+    assert [json.loads(line)["image_id"] for line in out.read_text().splitlines()] == ["c"]
     code, err = run_main(["assess", "--manifest", str(path)])
     assert (code, json.loads(err)["error"]) == (1, "MissingFile")
 
