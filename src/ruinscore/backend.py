@@ -297,11 +297,24 @@ class ExternalBackend:
         return result
 
     def close(self) -> None:
-        for child in self._children:  # all see the end of input before any is waited on
-            if child is not None:
+        """End every child's input, read each one's output to its end under one
+        shared deadline, dropping whatever it still writes so no child blocks
+        on a full pipe, then reap each with the time left, killing any that
+        has not exited by then."""
+        import selectors
+
+        children = [c for c in self._children if c is not None]
+        deadline = time.monotonic() + 2.0
+        with selectors.DefaultSelector() as sel:
+            for child in children:  # all see the end of input before any is waited on
                 child.proc.stdin.close()
-        for child in [c for c in self._children if c is not None]:
-            self._drop(child, grace_s=2.0)
+                sel.register(child.proc.stdout, selectors.EVENT_READ)
+            while sel.get_map() and (left := deadline - time.monotonic()) > 0:
+                for key, _ in sel.select(left):
+                    if not os.read(key.fd, 1 << 16):
+                        sel.unregister(key.fileobj)
+        for child in children:
+            self._drop(child, max(deadline - time.monotonic(), 0.0))
 
     def __enter__(self) -> "ExternalBackend":
         return self

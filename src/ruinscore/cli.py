@@ -21,11 +21,14 @@ Each command imports only what it runs: numpy and the meta package load only
 in the commands that load or train a meta-model (and `meta.hyper` only in
 train-meta), `evaluate` only in evaluate, `synth` only in gen-synthetic, and
 the external backend's `subprocess` and `selectors` only when it starts.
+The console entry point freezes the heap before the interpreter exits (see
+`entry`).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -289,9 +292,6 @@ def _cmd_train_meta(args) -> int:
     if not X:
         raise DegenerateData("no manifest entry carries ground_truth_level")
     y = [entry.ground_truth_level for entry in labeled]
-    skipped = len(manifest.images) - len(labeled)
-    if skipped:
-        print(f"ignored {skipped} entries without ground truth", file=sys.stderr)
 
     if args.kind == "logreg":
         hp = LogRegHyper(learning_rate=args.learning_rate, l2=args.l2, iterations=args.iterations)
@@ -305,8 +305,6 @@ def _cmd_train_meta(args) -> int:
             lam=args.reg_lambda,
         )
         model = meta.train_gbdt(X, y, hp)
-        if model.degenerate:
-            print("warning: single-class training set, priors-only model", file=sys.stderr)
     accuracy = meta.training_accuracy(model, X, y)
     meta.save_model(model, args.out)
     _write(
@@ -315,6 +313,11 @@ def _cmd_train_meta(args) -> int:
         f"final_loss={model.loss_trace[-1]:.6f} model={args.out}\n",
         "training summary to stdout",
     )
+    # notices follow success, so a failed run prints its JSON error line alone
+    if skipped := len(manifest.images) - len(labeled):
+        print(f"ignored {skipped} entries without ground truth", file=sys.stderr)
+    if args.kind == "gbdt" and model.degenerate:
+        print("warning: single-class training set, priors-only model", file=sys.stderr)
     return 0
 
 
@@ -453,4 +456,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """`python -m ruinscore` and the `ruinscore` script: run `main`, then exit."""
+    code = main()
+    # The process is about to end and the OS reclaims its memory whole, but
+    # the interpreter's exit-time collections would first walk every object
+    # numpy and ruinscore loaded. Frozen objects are left out of those walks.
+    # The only cyclic garbage left by now is the argparse parser, which holds
+    # no file, pipe or child, so no finalizer that matters is skipped; atexit
+    # handlers and the final flush of stdout and stderr still run.
+    gc.freeze()
+    sys.exit(code)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import resource
+import signal
 import sys
 import time
 
@@ -530,7 +531,8 @@ class TestPipelinedExchange:
             "os.write(1, b'\"confidence\": 1.0}\\n')\n"
             "sys.stdin.read()\n"
         )
-        with ExternalBackend([sys.executable, str(script)], timeout_s=0.5) as backend:
+        # this half times the child's start-up too, so its bound is far above it
+        with ExternalBackend([sys.executable, str(script)], timeout_s=10.0) as backend:
             assert ask(backend, "x", "scene").cls is SceneClass.OUTSIDE
         monkeypatch.setattr(backend_module, "MAX_REPLY_BYTES", 1000)
         with ExternalBackend([sys.executable, str(script)], timeout_s=0.5) as backend:
@@ -576,6 +578,40 @@ class TestPipelinedExchange:
                 backend.query(entries[1], ["damage"])
             counts = [len(backend.query(entries[i], ["damage"])[0]) for i in (0, 2, 3)]
         assert counts == [1, 3, 4]
+
+
+class TestClose:
+    def test_children_writing_after_their_input_ends_exit_on_their_own(self, tmp_path):
+        # 128 KiB is more than a pipe holds: left unread, it would block each
+        # child until it is killed at the close deadline
+        script = tmp_path / "farewell.py"
+        script.write_text(
+            "import os, sys\n"
+            "sys.stdin.readline()\n"
+            "os.write(1, b'{\"scene\": \"outside\", \"confidence\": 1.0}\\n')\n"
+            "sys.stdin.read()\n"
+            "os.write(1, b'.' * (128 * 1024))\n"
+        )
+        entries = [ImageEntry(id=name, image_path=name) for name in ("a", "b")]
+        with ExternalBackend([sys.executable, str(script)], timeout_s=10.0, jobs=2) as backend:
+            backend.exchange([(entry, ["scene"]) for entry in entries])
+            assert [backend.query(entry, ["scene"])[0].cls for entry in entries] == [
+                SceneClass.OUTSIDE, SceneClass.OUTSIDE
+            ]
+            procs = [child.proc for child in backend._children]
+        assert [proc.returncode for proc in procs] == [0, 0]
+
+    def test_child_still_running_at_the_deadline_is_killed(self, tmp_path):
+        # it keeps its output open after its input ends, so it is waited on
+        # for the whole grace period and then killed
+        script = tmp_path / "lingering.py"
+        script.write_text("import sys, time\nsys.stdin.read()\ntime.sleep(30)\n")
+        start = time.monotonic()
+        backend = ExternalBackend([sys.executable, str(script)], timeout_s=10.0)
+        proc = backend._children[0].proc
+        backend.close()
+        assert proc.returncode == -signal.SIGKILL
+        assert 1.9 < time.monotonic() - start < 4.0
 
 
 def decoded(line: bytes, task: str):

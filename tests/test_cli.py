@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -877,6 +878,22 @@ class TestTrainMeta:
         assert out.startswith("trained logreg: n=12 ")
         assert model.exists()
 
+    def test_failed_run_prints_only_its_error_line(self, tmp_path, capsys):
+        # the "ignored" notice waits for success: 4 labeled images are too few
+        data = tmp_path / "d"
+        assert run(capsys, "gen-synthetic", "--seed", "1", "--n", "6", "--out", str(data))[0] == 0
+        raw = json.loads((data / "manifest.json").read_text())
+        for image in raw["images"][:2]:
+            del image["ground_truth_level"]
+        (data / "manifest.json").write_text(json.dumps(raw))
+        code, out, err = run(capsys, "train-meta", "--manifest", str(data / "manifest.json"),
+                             "--kind", "gbdt", "--out", str(tmp_path / "m.json"))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert json.loads(line) == {"error": "DegenerateData",
+                                    "detail": "need at least 10 samples, got 4"}
+        assert not (tmp_path / "m.json").exists()
+
     def test_no_labels_degenerate(self, tmp_path, capsys):
         path = write_dataset(tmp_path / "d", [{"id": "a", "scene": "outside", "damage": ""}])
         code, _, err = run(
@@ -1270,6 +1287,16 @@ class TestDevMode:
         external.write_text(json.dumps(
             {"backend": {"command": [sys.executable, stub("sleepy_backend")], "timeout_s": 0.5}}
         ))
+        # children that exit once their input ends, each recording its pid
+        pids, recording = tmp_path / "pids", tmp_path / "recording_echo.py"
+        recording.write_text(
+            "import os, runpy\n"
+            f"with open({str(pids)!r}, 'a') as f:\n"
+            "    f.write(f'{os.getpid()}\\n')\n"
+            f"runpy.run_path({stub('echo_backend')!r}, run_name='__main__')\n"
+        )
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps({"backend": {"command": [sys.executable, str(recording)]}}))
         slow = write_dataset(
             tmp_path / "slow", [{"id": i, "image_path": f"{i}.jpg"} for i in ("a", "b", "c")]
         )
@@ -1283,6 +1310,8 @@ class TestDevMode:
             ["fuse", "--detections", str(fixture3.parent / "labels" / "img_c.txt")],
             ["assess", "--manifest", str(slow), "--backend", "external", "--config",
              str(external), "--keep-going"],
+            ["assess", "--manifest", str(slow), "--backend", "external", "--config", str(echo),
+             "--jobs", "2"],
         ]
         for argv in commands:
             proc = subprocess.run(
@@ -1290,6 +1319,52 @@ class TestDevMode:
                 capture_output=True, text=True, env=package_env(), timeout=120,
             )
             assert (proc.returncode, "Warning" in proc.stderr) == (0, False), (argv, proc.stderr)
+        children = [int(pid) for pid in pids.read_text().split()]
+        assert len(children) == 2
+        for pid in children:  # each was reaped before the command exited
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+ENTRY_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"freeze_count={gc.get_freeze_count()}\\n"))
+from ruinscore.cli import entry
+entry()
+"""
+
+
+class TestEntry:
+    """The console entry point freezes the heap once main has returned;
+    main itself, run in-process by tests and library callers, never does."""
+
+    @pytest.mark.parametrize(
+        "manifest, code",
+        [("fixture3", 0), ("missing.json", 1), (None, 2)],
+        ids=["ok", "runtime-failure", "usage-error"],
+    )
+    def test_entry_freezes_before_exit_whatever_the_code(self, fixture3, fixtures_dir,
+                                                         manifest, code):
+        argv = ["assess"]
+        if manifest is not None:
+            argv += ["--manifest", str(fixture3) if manifest == "fixture3" else manifest]
+        proc = subprocess.run(
+            [sys.executable, "-c", ENTRY_PROBE, *argv],
+            capture_output=True, env=package_env(), timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        *errors, probe = proc.stderr.decode().splitlines()
+        assert int(probe.removeprefix("freeze_count=")) > 0
+        assert "Traceback" not in proc.stderr.decode()
+        if code == 0:
+            assert errors == []
+            assert proc.stdout == (fixtures_dir / "fixture3" / "golden_assess.jsonl").read_bytes()
+
+    def test_main_never_freezes(self, fixture3, capsys):
+        before = gc.get_freeze_count()
+        assert run(capsys, "assess", "--manifest", str(fixture3))[0] == 0
+        assert run(capsys, "assess", "--manifest", "missing.json")[0] == 1
+        assert gc.get_freeze_count() == before
 
 
 class TestCommandImports:
