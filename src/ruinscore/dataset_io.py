@@ -8,6 +8,7 @@ class names. All values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import errno
 import json
 import json.encoder
 import os
@@ -276,7 +277,7 @@ class DetectionKind(Enum):
 _KIND_ENUM = {DetectionKind.DAMAGE: DamageClass, DetectionKind.COMPONENT: ComponentClass}
 _KIND_TYPE = {DetectionKind.DAMAGE: DamageDetection, DetectionKind.COMPONENT: ComponentDetection}
 
-# bytes asked of one os.read: a detection file fits in one, a manifest in a few
+# bytes asked of one read: a detection file fits in one, a manifest in a few
 _READ_SIZE = 1 << 16
 
 _MANIFEST_KEYS = {"class_maps", "images"}
@@ -288,7 +289,12 @@ _SCENE_BY_NAME = {c.value: c for c in SceneClass}
 
 
 def read_text(path: str | os.PathLike) -> str:
-    """The text of one UTF-8 input file, read with os.open/os.read to its end.
+    """The text of one UTF-8 input file, read with os.open and one os.pread.
+
+    A file shorter than _READ_SIZE comes whole from the one pread: on a
+    seekable file a short read is its end. A full buffer goes on with os.read
+    from that offset to end of file, and a pipe, FIFO or tty (pread fails
+    with ESPIPE) is read with os.read from its start.
 
     A path that does not exist, is a directory, runs through a file or holds
     a NUL raises MissingFile; any other OSError raises IoFailure; bytes that
@@ -297,20 +303,34 @@ def read_text(path: str | os.PathLike) -> str:
     try:
         fd = os.open(path, os.O_RDONLY)
         try:  # a directory opens and fails at its first read
-            chunks = []
-            while chunk := os.read(fd, _READ_SIZE):
-                chunks.append(chunk)
+            try:
+                data = os.pread(fd, _READ_SIZE, 0)
+            except OSError as exc:
+                if exc.errno != errno.ESPIPE:
+                    raise
+                data = _read_to_end(fd, [])
+            else:
+                if len(data) == _READ_SIZE:
+                    os.lseek(fd, _READ_SIZE, os.SEEK_SET)
+                    data = _read_to_end(fd, [data])
         finally:
             os.close(fd)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
         raise MissingFile(str(path)) from None
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
-    data = b"".join(chunks)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaViolation(str(path), f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _read_to_end(fd: int, chunks: list[bytes]) -> bytes:
+    """`chunks` and then what os.read gives from the descriptor's offset to
+    end of file, as one bytes object."""
+    while chunk := os.read(fd, _READ_SIZE):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def decode_json(text: str, field: str = "$", invalid: str = "not valid JSON") -> object:
@@ -484,30 +504,50 @@ def parse_box_text(text: str, class_map: Mapping[int, object], kind: DetectionKi
     """
     det_type = _KIND_TYPE[kind]
     out = []
+    append = out.append
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields or fields[0][0] == "#":
             continue
         n = len(fields)
-        if n not in (5, 6):
-            raise BadLine(line_no, f"expected 5 or 6 fields, got {n}")
-        try:
-            class_id = int(fields[0])
-        except ValueError:
-            raise BadLine(line_no, f"class_id {fields[0]!r} is not an integer") from None
-        cls = class_map.get(class_id)
-        if cls is None:
-            raise BadLine(line_no, f"class_id {class_id} not in class map")
-        try:
-            cx, cy, w, h = float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
-            conf = float(fields[5]) if n == 6 else 1.0
-        except ValueError:
-            raise BadLine(line_no, "non-numeric field") from None
-        try:
-            out.append(det_type(cls, BoundingBox(cx, cy, w, h), conf))
-        except ValueError as exc:
-            raise BadLine(line_no, str(exc)) from None
+        if n == 5 or n == 6:
+            try:
+                append(det_type(
+                    class_map[int(fields[0])],
+                    BoundingBox(
+                        float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
+                    ),
+                    float(fields[5]) if n == 6 else 1.0,
+                ))
+                continue
+            except (ValueError, LookupError):
+                pass
+        append(_checked_box_line(line_no, fields, class_map, det_type))
     return out
+
+
+def _checked_box_line(line_no: int, fields: list[str], class_map: Mapping[int, object], det_type):
+    """The detection on one box-text line, converted a step at a time so that
+    BadLine names the first thing wrong with a malformed line."""
+    n = len(fields)
+    if n not in (5, 6):
+        raise BadLine(line_no, f"expected 5 or 6 fields, got {n}")
+    try:
+        class_id = int(fields[0])
+    except ValueError:
+        raise BadLine(line_no, f"class_id {fields[0]!r} is not an integer") from None
+    cls = class_map.get(class_id)
+    if cls is None:
+        raise BadLine(line_no, f"class_id {class_id} not in class map")
+    try:
+        cx, cy, w, h = float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
+        conf = float(fields[5]) if n == 6 else 1.0
+    except ValueError:
+        raise BadLine(line_no, "non-numeric field") from None
+    try:
+        return det_type(cls, BoundingBox(cx, cy, w, h), conf)
+    except ValueError as exc:
+        raise BadLine(line_no, str(exc)) from None
 
 
 def _detection_from_obj(obj: object, kind: DetectionKind, where: str):

@@ -285,14 +285,20 @@ def _filter_with_tags(
     damages: Sequence[DamageDetection],
     scene: SceneLabel,
     config: FusionConfig,
-) -> tuple[list[DamageDetection], list[str]]:
+) -> tuple[list[DamageDetection], list[DamageDetection], list[DamageDetection], list[str]]:
+    """The survivors, their spalls and their rebars (each in input order), and
+    the filter tags in the order they first applied. Every survivor that is
+    neither a spall nor a rebar is a crack: DamageClass has these three members
+    (test_every_damage_class_is_a_crack_a_spall_or_a_rebar)."""
     floor = config.conf_floor
-    inside_v2 = (
-        config.version is FusionVersion.V2 and scene.cls is SceneClass.INSIDE
-    )
+    v2 = config.version is FusionVersion.V2
+    inside_v2 = v2 and scene.cls is SceneClass.INSIDE
     if inside_v2:
         floor = max(floor, config.v2.inside_conf_floor)
+    min_area = config.v2.min_box_area
     kept: list[DamageDetection] = []
+    spalls: list[DamageDetection] = []
+    rebars: list[DamageDetection] = []
     tags: list[str] = []
     for det in damages:
         if det.confidence < floor:
@@ -304,12 +310,18 @@ def _filter_with_tags(
             if tag not in tags:
                 tags.append(tag)
             continue
-        if config.version is FusionVersion.V2 and det.box.area() < config.v2.min_box_area:
+        if v2 and det.box.area() < min_area:
             if TAG_MIN_AREA not in tags:
                 tags.append(TAG_MIN_AREA)
             continue
         kept.append(det)
-    return kept, tags
+        # `is` tests: a dict keyed by the enum would hash it in Python per detection
+        cls = det.cls
+        if cls is DamageClass.SPALLING:
+            spalls.append(det)
+        elif cls is DamageClass.EXPOSED_REBAR:
+            rebars.append(det)
+    return kept, spalls, rebars, tags
 
 
 def filter_detections(
@@ -322,8 +334,7 @@ def filter_detections(
     v1 keeps detections with confidence >= conf_floor. v2 raises the floor to
     inside_conf_floor indoors and drops boxes smaller than min_box_area.
     """
-    kept, _ = _filter_with_tags(damages, scene, config)
-    return kept
+    return _filter_with_tags(damages, scene, config)[0]
 
 
 def validate_rebar(
@@ -374,47 +385,45 @@ def rule_fusion(out, config: FusionConfig) -> RuleDecision:
     rebar validates, otherwise score the survivors (demoted rebar still
     counts), apply the v2 no-component discount, and threshold.
     """
-    filtered, tags = _filter_with_tags(out.damages, out.scene, config)
-    cracks = [d for d in filtered if d.cls is DamageClass.CRACK]
-    spalls = [d for d in filtered if d.cls is DamageClass.SPALLING]
-    rebars = [d for d in filtered if d.cls is DamageClass.EXPOSED_REBAR]
-    valid_rebars = [
-        r for r in rebars if validate_rebar(r, spalls, out.components, config)
-    ]
-    counts = RuleCounts(
-        n_crack=len(cracks),
-        n_spall=len(spalls),
-        n_rebar_raw=len(rebars),
-        n_rebar_valid=len(valid_rebars),
-    )
-    if rebars and len(valid_rebars) < len(rebars):
+    kept, spalls, rebars, tags = _filter_with_tags(out.damages, out.scene, config)
+    n_spall = len(spalls)
+    n_rebar = len(rebars)
+    n_crack = len(kept) - n_spall - n_rebar
+    components = out.components
+    n_valid = 0
+    for rebar in rebars:
+        if validate_rebar(rebar, spalls, components, config):
+            n_valid += 1
+    if n_valid < n_rebar:
         tags.append(TAG_REBAR_DEMOTED)
 
-    score = weighted_score(
-        counts.n_crack, counts.n_spall, counts.n_rebar_raw - counts.n_rebar_valid, config
-    )
+    score = weighted_score(n_crack, n_spall, n_rebar - n_valid, config)
 
-    if valid_rebars:
+    if n_valid:
         level = DamageLevel.HEAVY
     else:
-        if config.version is FusionVersion.V2 and not any(
-            c.confidence >= config.v2.component_conf_min for c in out.components
-        ):
-            score *= config.v2.no_component_score_factor
-            tags.append(TAG_AMBIGUITY_BIAS)
-        if score < config.thresholds.t_slight:
+        if config.version is FusionVersion.V2:
+            component_floor = config.v2.component_conf_min
+            for comp in components:
+                if comp.confidence >= component_floor:
+                    break
+            else:  # no component seen with confidence
+                score *= config.v2.no_component_score_factor
+                tags.append(TAG_AMBIGUITY_BIAS)
+        thresholds = config.thresholds
+        if score < thresholds.t_slight:
             level = DamageLevel.ZERO
-        elif score < config.thresholds.t_medium:
+        elif score < thresholds.t_medium:
             level = DamageLevel.SLIGHT
         else:
             level = DamageLevel.MEDIUM
     return RuleDecision(
-        level=level,
-        score=score,
-        counts=counts,
-        rebar_forced=bool(valid_rebars),
-        applied_filters=tuple(tags),
-        survivors=tuple(filtered),
+        level,
+        score,
+        RuleCounts(n_crack, n_spall, n_rebar, n_valid),
+        n_valid > 0,
+        tuple(tags),
+        tuple(kept),
     )
 
 

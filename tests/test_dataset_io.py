@@ -6,9 +6,10 @@ import json
 import os
 import pickle
 import platform
+import threading
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ruinscore import dataset_io
 from ruinscore.backend import CascadeOutput
@@ -201,6 +202,56 @@ class TestReadText:
                     read_text(path)
         assert len(os.listdir(fds)) == before
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_file_of_one_buffer_and_one_byte_more_reads_whole(self, tmp_path, extra):
+        data = b"0 0.5 0.5 0.1 0.1 0.9\n" * (dataset_io._READ_SIZE // 22)
+        data += b"#" * (dataset_io._READ_SIZE + extra - len(data) - 1) + b"\n"
+        assert len(data) == dataset_io._READ_SIZE + extra
+        path = tmp_path / "d.txt"
+        path.write_bytes(data)
+        assert read_text(path) == data.decode()
+
+    @staticmethod
+    def _feed(open_writer, data: bytes) -> threading.Thread:
+        """A thread that writes `data` to the descriptor open_writer() returns
+        and closes it, so the reader sees end of file."""
+        def run():
+            fd = open_writer()
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+        writer = threading.Thread(target=run, daemon=True)
+        writer.start()
+        return writer
+
+    def test_pipe_is_read_to_its_end(self):
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd to name a pipe by")
+        text = "0 0.5 0.5 0.1 0.1 0.9\n" * (3 * dataset_io._READ_SIZE // 22 + 100)
+        assert len(text) > 3 * dataset_io._READ_SIZE
+        r, w = os.pipe()
+        try:
+            writer = self._feed(lambda: w, text.encode())
+            assert read_text(f"/dev/fd/{r}") == text
+            writer.join(10)
+            assert not writer.is_alive()
+        finally:
+            os.close(r)
+
+    def test_fifo_is_read_to_its_end(self, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        text = "1 0.5 0.5 0.2 0.2\n" * (3 * dataset_io._READ_SIZE // 18 + 100)
+        fifo = tmp_path / "d.txt"
+        os.mkfifo(fifo)
+        writer = self._feed(lambda: os.open(fifo, os.O_WRONLY), text.encode())
+        assert read_text(fifo) == text
+        writer.join(10)
+        assert not writer.is_alive()
+
 
 class TestLoadManifest:
     def test_empty_images(self, tmp_path):
@@ -360,6 +411,111 @@ class TestParseBoxText:
         with pytest.raises(BadLine) as exc:
             parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
         assert (exc.value.line_no, exc.value.reason) == (line_no, reason)
+
+    def test_well_formed_lines_are_converted_once(self, monkeypatch):
+        def checked(*args):
+            raise AssertionError("a well-formed line went to the step-by-step checks")
+
+        monkeypatch.setattr(dataset_io, "_checked_box_line", checked)
+        text = (
+            "# header\n0 0.5 0.5 0.1 0.1 0.9\r\n\n  2 0.3 0.3 0.2 0.2\n"
+            "  # 0 0.5 0.5 0.1 0.1\n1 1 0 1 1 0\n# trailer: a comment on the last line\n"
+        )
+        dets = parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+        assert [d.cls for d in dets] == [
+            DamageClass.CRACK, DamageClass.EXPOSED_REBAR, DamageClass.SPALLING
+        ]
+        assert [d.confidence for d in dets] == [0.9, 1.0, 0.0]
+
+    def test_only_the_bad_line_is_checked_step_by_step(self, monkeypatch):
+        checked_lines = []
+        checked = dataset_io._checked_box_line
+
+        def spy(line_no, *args):
+            checked_lines.append(line_no)
+            return checked(line_no, *args)
+
+        monkeypatch.setattr(dataset_io, "_checked_box_line", spy)
+        text = "0 0.5 0.5 0.1 0.1\n# note\n1 0.5 0.5 0.1 0.1\n0 0.5 0.5 0.1 1.5\n# last\n"
+        with pytest.raises(BadLine) as exc:
+            parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+        assert (exc.value.line_no, exc.value.reason) == (4, "h must be <= 1")
+        assert checked_lines == [4]
+
+
+def _parse_box_lines(text, class_map, det_type):
+    """parse_box_text as it was before its one-try fast path: every line
+    checked a step at a time. The reference for the property test below."""
+    out = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        n = len(fields)
+        if n not in (5, 6):
+            raise BadLine(line_no, f"expected 5 or 6 fields, got {n}")
+        try:
+            class_id = int(fields[0])
+        except ValueError:
+            raise BadLine(line_no, f"class_id {fields[0]!r} is not an integer") from None
+        cls = class_map.get(class_id)
+        if cls is None:
+            raise BadLine(line_no, f"class_id {class_id} not in class map")
+        try:
+            cx, cy, w, h = float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
+            conf = float(fields[5]) if n == 6 else 1.0
+        except ValueError:
+            raise BadLine(line_no, "non-numeric field") from None
+        try:
+            out.append(det_type(cls, BoundingBox(cx, cy, w, h), conf))
+        except ValueError as exc:
+            raise BadLine(line_no, str(exc)) from None
+    return out
+
+
+def _box_outcome(parse):
+    """What a box text parse gives: its detections, or its BadLine's line and reason."""
+    try:
+        return "ok", parse()
+    except BadLine as exc:
+        return "bad", exc.line_no, exc.reason
+
+
+# box text lines: well-formed 5- and 6-field lines most often, then comments,
+# blanks, unknown class ids, non-numeric fields and out-of-range values
+_good_box_lines = st.tuples(
+    st.sampled_from(["0", "1", "2", "02", "+1"]),
+    st.lists(st.floats(0.001, 1.0).map(repr), min_size=4, max_size=5),
+).map(lambda t: " ".join([t[0], *t[1]]))
+_bad_box_lines = st.tuples(
+    st.sampled_from(["0", "1", "3", "-1", "x", "1.0", "#0", "9" * 5000]),
+    st.lists(
+        st.floats(0.0, 1.0).map(repr)
+        | st.sampled_from(["0", "1", "-0.1", "1.5", "nan", "inf", "-inf", "1e999", "abc",
+                           "1_0", "\u0661"]),
+        min_size=4, max_size=5,
+    ),
+).map(lambda t: " ".join([t[0], *t[1]]))
+_other_box_lines = st.sampled_from(["", "   ", "\t", "# header", "  # 0 0.5 0.5 0.1 0.1",
+                                    "#0 0.5 0.5 0.1 0.1 0.9", "0 0.5 0.5 0.1",
+                                    "0 0.5 0.5 0.1 0.1 0.9 7", "0 0.5 0.5 0.1 0.1 # note"])
+box_texts = st.tuples(
+    st.lists(st.one_of([_good_box_lines] * 6 + [_bad_box_lines, _other_box_lines]), max_size=8),
+    st.sampled_from(["\n", "\r\n", "\n\n"]),
+    st.booleans(),
+).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_texts, st.sampled_from(list(DetectionKind)))
+def test_box_text_fast_path_equals_line_by_line(text, kind):
+    class_map = (
+        DEFAULT_DAMAGE_CLASS_MAP if kind is DetectionKind.DAMAGE else DEFAULT_COMPONENT_CLASS_MAP
+    )
+    det_type = DamageDetection if kind is DetectionKind.DAMAGE else ComponentDetection
+    assert _box_outcome(lambda: parse_box_text(text, class_map, kind)) == _box_outcome(
+        lambda: _parse_box_lines(text, class_map, det_type)
+    )
 
 
 class TestParseJsonDetections:

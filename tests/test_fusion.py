@@ -20,12 +20,18 @@ from ruinscore.dataset_io import (
 from ruinscore.errors import MissingMeta, SchemaViolation
 from ruinscore.fusion import (
     DEFAULT_CONFIG,
+    TAG_AMBIGUITY_BIAS,
+    TAG_CONF_FLOOR,
+    TAG_INSIDE_FLOOR,
+    TAG_MIN_AREA,
+    TAG_REBAR_DEMOTED,
     DecisionMode,
     FusionConfig,
     FusionVersion,
     RuleDecision,
     Thresholds,
     V2Params,
+    RuleCounts,
     Weights,
     containment_ratio,
     filter_detections,
@@ -404,3 +410,106 @@ def test_property_monotone_under_added_detection(out, config, seed):
     grown = CascadeOutput(out.image_id, out.scene, out.components, out.damages + (added,))
     after = rule_fusion(grown, config).level
     assert after >= before
+
+
+# rule_fusion as it was written before it became one pass per image: a filter
+# loop, one list comprehension per class, and an any() over the components
+
+
+def _multi_pass_filter(damages, scene, config):
+    floor = config.conf_floor
+    inside_v2 = config.version is FusionVersion.V2 and scene.cls is SceneClass.INSIDE
+    if inside_v2:
+        floor = max(floor, config.v2.inside_conf_floor)
+    kept, tags = [], []
+    for det in damages:
+        if det.confidence < floor:
+            tag = (
+                TAG_INSIDE_FLOOR
+                if inside_v2 and det.confidence >= config.conf_floor
+                else TAG_CONF_FLOOR
+            )
+            if tag not in tags:
+                tags.append(tag)
+            continue
+        if config.version is FusionVersion.V2 and det.box.area() < config.v2.min_box_area:
+            if TAG_MIN_AREA not in tags:
+                tags.append(TAG_MIN_AREA)
+            continue
+        kept.append(det)
+    return kept, tags
+
+
+def _multi_pass_rule_fusion(out, config):
+    filtered, tags = _multi_pass_filter(out.damages, out.scene, config)
+    cracks = [d for d in filtered if d.cls is DamageClass.CRACK]
+    spalls = [d for d in filtered if d.cls is DamageClass.SPALLING]
+    rebars = [d for d in filtered if d.cls is DamageClass.EXPOSED_REBAR]
+    valid_rebars = [r for r in rebars if validate_rebar(r, spalls, out.components, config)]
+    counts = RuleCounts(
+        n_crack=len(cracks),
+        n_spall=len(spalls),
+        n_rebar_raw=len(rebars),
+        n_rebar_valid=len(valid_rebars),
+    )
+    if rebars and len(valid_rebars) < len(rebars):
+        tags.append(TAG_REBAR_DEMOTED)
+    score = weighted_score(
+        counts.n_crack, counts.n_spall, counts.n_rebar_raw - counts.n_rebar_valid, config
+    )
+    if valid_rebars:
+        level = DamageLevel.HEAVY
+    else:
+        if config.version is FusionVersion.V2 and not any(
+            c.confidence >= config.v2.component_conf_min for c in out.components
+        ):
+            score *= config.v2.no_component_score_factor
+            tags.append(TAG_AMBIGUITY_BIAS)
+        if score < config.thresholds.t_slight:
+            level = DamageLevel.ZERO
+        elif score < config.thresholds.t_medium:
+            level = DamageLevel.SLIGHT
+        else:
+            level = DamageLevel.MEDIUM
+    return RuleDecision(
+        level=level,
+        score=score,
+        counts=counts,
+        rebar_forced=bool(valid_rebars),
+        applied_filters=tuple(tags),
+        survivors=tuple(filtered),
+    )
+
+
+# v2 with a box-area floor the generated boxes straddle, a stricter component
+# floor and weights whose sums round, beside the two default versions
+STRICT_V2_CONFIG = FusionConfig.from_dict({
+    "version": "v2",
+    "weights": {"w_crack": 0.7, "w_spall": 1.3, "w_rebar": 2.9},
+    "v2": {"min_box_area": 0.01, "component_conf_min": 0.6, "no_component_score_factor": 0.3},
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cascades(),
+    st.sampled_from([DEFAULT_CONFIG, V2_CONFIG, STRICT_V2_CONFIG]),
+    st.sampled_from([INSIDE, OUTSIDE]),
+    st.booleans(),
+)
+def test_property_one_pass_equals_multi_pass(out, config, scene, with_components):
+    out = CascadeOutput(
+        out.image_id, scene, out.components if with_components else (), out.damages
+    )
+    one_pass = rule_fusion(out, config)
+    # whole decisions: level, score, counts, tags in order and survivors
+    assert one_pass == _multi_pass_rule_fusion(out, config)
+    assert type(one_pass.rebar_forced) is bool
+
+
+def test_every_damage_class_is_a_crack_a_spall_or_a_rebar():
+    # rule_fusion counts as cracks the survivors that are neither spalls nor
+    # rebars; a new DamageClass member must be given its own count there first
+    assert list(DamageClass) == [
+        DamageClass.CRACK, DamageClass.SPALLING, DamageClass.EXPOSED_REBAR
+    ]
