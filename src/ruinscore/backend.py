@@ -1,13 +1,14 @@
 """Evidence sources for the cascade: scene label, components, damage boxes.
 
-Two backends implement the same `query(entry, tasks)` contract: one call per
-image, answers in task order. FileBackend reads detection files named in the
-manifest and never touches image bytes. ExternalBackend talks
+Two backends implement the same `cascade(entry)` contract: one call per
+image, returning its `CascadeOutput`. FileBackend reads the detection files
+named in the manifest and never touches image bytes. ExternalBackend talks
 newline-delimited JSON to child processes, keeping the engine agnostic of
-whatever model they run: `exchange` asks for a chunk of images at once and
-`query` serves the answers one image at a time. `subprocess` and
-`selectors` are imported by ExternalBackend's methods only, so the file
-backend runs without them.
+whatever model they run: `exchange` asks for a chunk of images at once,
+`query` serves one image's answers in task order, and `cascade` assembles
+them. Task names belong to that wire alone. `subprocess` and `selectors`
+are imported by ExternalBackend's methods only, so the file backend runs
+without them.
 """
 
 from __future__ import annotations
@@ -79,43 +80,48 @@ _OVERRIDE_SCENES = {cls: SceneLabel(cls, 1.0) for cls in SceneClass}
 
 
 class Backend(Protocol):
-    def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list: ...
+    def cascade(self, entry: ImageEntry) -> CascadeOutput:
+        """One image's evidence, or the error of its first failing stage in
+        cascade order: scene, components, damage."""
+        ...
 
 
 class FileBackend:
     """Serves evidence from the detection files referenced by the manifest,
     opening each entry's path as given.
 
-    A missing components_file just means "no components seen"; a missing
+    The scene must come from the manifest's own "scene" key (there is no
+    scene file concept), so an entry without one fails before any read. A
+    missing components_file just means "no components seen"; a missing
     damage_file is an error because fusion cannot run without damage
-    evidence. The scene must come from the manifest's own "scene" key (there
-    is no scene file concept), so querying it here always raises.
+    evidence.
     """
 
     def __init__(self, manifest: DatasetManifest):
         self._manifest = manifest
 
-    def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list:
-        return [self._read(entry, task) for task in tasks]
-
-    def _read(self, entry: ImageEntry, task: str):
-        if task == "scene":
+    def cascade(self, entry: ImageEntry) -> CascadeOutput:
+        if entry.scene_override is None:
             raise MissingEvidence(
                 "scene", f"entry {entry.id!r} has no 'scene' key in the manifest"
             )
-        if task == "components":
-            if entry.components_file is None:
-                return []
-            return dataset_io.read_detections(
-                entry.components_file, self._manifest.component_class_map, DetectionKind.COMPONENT
+        components = ()
+        if entry.components_file is not None:
+            components = tuple(
+                dataset_io.read_detections(
+                    entry.components_file,
+                    self._manifest.component_class_map,
+                    DetectionKind.COMPONENT,
+                )
             )
-        if task == "damage":
-            if entry.damage_file is None:
-                raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
-            return dataset_io.read_detections(
+        if entry.damage_file is None:
+            raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
+        damages = tuple(
+            dataset_io.read_detections(
                 entry.damage_file, self._manifest.damage_class_map, DetectionKind.DAMAGE
             )
-        raise ValueError(f"unknown task {task!r}")
+        )
+        return CascadeOutput(entry.id, _OVERRIDE_SCENES[entry.scene_override], components, damages)
 
 
 class _Child:
@@ -146,6 +152,8 @@ class ExternalBackend:
     unasked line, or closing its output is killed: the image it owed a reply
     gets the error and its later images are left for `query` to ask again,
     so no reply is read as another image's. Child 0 starts with the backend.
+    `cascade` assembles an image's `query` answers, under its
+    `cascade_tasks`, into the image's CascadeOutput.
     """
 
     def __init__(
@@ -296,6 +304,18 @@ class ExternalBackend:
             raise result
         return result
 
+    def cascade(self, entry: ImageEntry) -> CascadeOutput:
+        """One image's evidence from one `query` for its `cascade_tasks`; the
+        scene label never gates the later stages, it only conditions fusion,
+        so the requests do not depend on each other."""
+        answers = self.query(entry, cascade_tasks(entry))
+        if entry.scene_override is None:
+            scene, components, damages = answers
+        else:
+            scene = _OVERRIDE_SCENES[entry.scene_override]
+            components, damages = answers
+        return CascadeOutput(entry.id, scene, tuple(components), tuple(damages))
+
     def close(self) -> None:
         """End every child's input, read each one's output to its end under one
         shared deadline, dropping whatever it still writes so no child blocks
@@ -377,19 +397,6 @@ def cascade_tasks(entry: ImageEntry) -> tuple[str, ...]:
 def run_cascade(entry: ImageEntry, backend: Backend) -> CascadeOutput:
     """Gather one image's evidence in cascade order: scene, components, damage.
 
-    The backend is asked once per image for its `cascade_tasks`. The scene
-    label never gates the later stages, it only conditions fusion, so the
-    requests do not depend on each other.
+    The backend is asked once per image, through its `cascade`.
     """
-    answers = backend.query(entry, cascade_tasks(entry))
-    if entry.scene_override is None:
-        scene, components, damages = answers
-    else:
-        scene = _OVERRIDE_SCENES[entry.scene_override]
-        components, damages = answers
-    return CascadeOutput(
-        image_id=entry.id,
-        scene=scene,
-        components=tuple(components),
-        damages=tuple(damages),
-    )
+    return backend.cascade(entry)

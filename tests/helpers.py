@@ -11,7 +11,7 @@ import json
 import random
 from pathlib import Path
 
-from ruinscore.backend import CascadeOutput
+from ruinscore.backend import CascadeOutput, cascade_tasks
 from ruinscore.dataset_io import (
     BoundingBox,
     ComponentClass,
@@ -19,9 +19,14 @@ from ruinscore.dataset_io import (
     DamageClass,
     DamageDetection,
     DamageLevel,
+    DatasetManifest,
+    DetectionKind,
+    ImageEntry,
     SceneClass,
     SceneLabel,
+    read_detections,
 )
+from ruinscore.errors import MissingEvidence
 
 DAMAGE_CLASSES = (DamageClass.CRACK, DamageClass.SPALLING, DamageClass.EXPOSED_REBAR)
 COMPONENT_CLASSES = (ComponentClass.BEAM, ComponentClass.COLUMN, ComponentClass.WALL)
@@ -53,6 +58,41 @@ def rand_cascade(rng: random.Random, image_id: str = "img") -> CascadeOutput:
     components = tuple(rand_component(rng) for _ in range(rng.randint(0, 3)))
     damages = tuple(rand_damage(rng) for _ in range(rng.randint(0, 6)))
     return CascadeOutput(image_id=image_id, scene=scene, components=components, damages=damages)
+
+
+def reference_file_cascade(entry: ImageEntry, manifest: DatasetManifest) -> CascadeOutput:
+    """The file backend's cascade answered task by task: one read per task of
+    `cascade_tasks(entry)`, in order, then assembled with the manifest scene
+    override in place of a scene answer. `FileBackend.cascade` must match it,
+    output for output and error for error."""
+
+    def read(task: str):
+        if task == "scene":
+            raise MissingEvidence(
+                "scene", f"entry {entry.id!r} has no 'scene' key in the manifest"
+            )
+        if task == "components":
+            if entry.components_file is None:
+                return []
+            return read_detections(
+                entry.components_file, manifest.component_class_map, DetectionKind.COMPONENT
+            )
+        if entry.damage_file is None:
+            raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
+        return read_detections(entry.damage_file, manifest.damage_class_map, DetectionKind.DAMAGE)
+
+    answers = [read(task) for task in cascade_tasks(entry)]
+    if entry.scene_override is None:
+        scene, components, damages = answers
+    else:
+        scene = SceneLabel(entry.scene_override, 1.0)
+        components, damages = answers
+    return CascadeOutput(
+        image_id=entry.id,
+        scene=scene,
+        components=tuple(components),
+        damages=tuple(damages),
+    )
 
 
 def oracle_v1_level(n_crack: int, n_spall: int, n_rebar: int) -> tuple[DamageLevel, float]:

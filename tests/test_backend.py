@@ -31,14 +31,18 @@ from ruinscore.dataset_io import (
 )
 from ruinscore.errors import (
     BackendUnavailable,
+    BadLine,
     MissingEvidence,
     MissingFile,
     ProcessExited,
     ProtocolViolation,
+    RuinscoreError,
+    SchemaViolation,
     Timeout,
 )
+from ruinscore.synth import NoiseSpec, SynthSpec, gen_synthetic
 
-from helpers import write_dataset
+from helpers import reference_file_cascade, write_dataset
 
 
 def manifest_from(tmp_path, images):
@@ -115,32 +119,110 @@ class TestFileBackend:
         assert exc.value.path == "d/./labels/x.txt"
 
 
-class RecordingBackend:
-    """Fake backend that counts queries, and requests per task."""
+def outcome(cascade, entry):
+    """What a cascade made of `entry`: its output, or its error's class,
+    task and message."""
+    try:
+        return cascade(entry)
+    except RuinscoreError as exc:
+        return type(exc), getattr(exc, "task", None), str(exc)
+
+
+class TestFileCascadeMatchesReference:
+    """FileBackend.cascade against the task-by-task reference in helpers."""
+
+    def test_every_entry_of_a_seeded_noisy_corpus(self, tmp_path):
+        noise = NoiseSpec(false_positive_rate=0.2, confidence_jitter_sd=0.1, drop_rate=0.1)
+        manifest = gen_synthetic(SynthSpec(seed=7, n_images=300, noise=noise), tmp_path / "d")
+        backend = FileBackend(manifest)
+        outs = [backend.cascade(entry) for entry in manifest.images]
+        assert outs == [reference_file_cascade(entry, manifest) for entry in manifest.images]
+        # the corpus covers both branches of the components read
+        assert any(entry.components_file is None for entry in manifest.images)
+        assert any(out.components for out in outs)
+
+    DAMAGE_JSON = '{"detections":[{"class":"spalling","box":[0.5,0.5,0.2,0.2],"confidence":0.9}]}'
+    COMPONENTS_JSON = '{"detections":[{"class":"column","box":[0.5,0.5,0.4,0.8],"confidence":0.8}]}'
+
+    @pytest.mark.parametrize(
+        "entry, files, error",
+        [
+            (
+                {"scene": "inside", "damage_file": "a.json", "components_file": "c.json"},
+                {"a.json": DAMAGE_JSON, "c.json": COMPONENTS_JSON},
+                None,
+            ),
+            (
+                {"scene": "inside", "damage_file": "a.json", "components_file": "c.json"},
+                {"a.json": '{"detections": 3}', "c.json": COMPONENTS_JSON},
+                SchemaViolation,
+            ),
+            ({"scene": "outside", "damage_file": "a.txt"}, {"a.txt": "2 0.5 0.5 0.2 0.2 0.9\n"}, None),
+            ({"damage_file": "a.txt"}, {"a.txt": "2 0.5 0.5 0.2 0.2 0.9\n"}, MissingEvidence),
+            ({"scene": "outside", "components_file": "c.txt"}, {"c.txt": ""}, MissingEvidence),
+            (
+                {"scene": "outside", "components_file": "c.txt"},
+                {"c.txt": "1 0.5 0.5 oops 0.8\n"},
+                BadLine,
+            ),
+            ({"scene": "outside", "damage_file": "gone.txt"}, {}, MissingFile),
+        ],
+        ids=[
+            "json-files",
+            "malformed-json-damage",
+            "no-components-file",
+            "no-scene",
+            "no-damage-file",
+            "malformed-components-before-missing-damage",
+            "damage-file-not-on-disk",
+        ],
+    )
+    def test_edge_entries(self, tmp_path, entry, files, error):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "manifest.json").write_text(json.dumps({"images": [{"id": "a", **entry}]}))
+        manifest = load_manifest(tmp_path / "manifest.json")
+        loaded = manifest.images[0]
+        got = outcome(FileBackend(manifest).cascade, loaded)
+        assert got == outcome(lambda e: reference_file_cascade(e, manifest), loaded)
+        if error is None:
+            assert got.damages
+        else:
+            assert got[0] is error
+            if error is MissingEvidence:
+                assert got[1] == ("scene" if "scene" not in entry else "damage")
+
+
+class RecordingBackend(ExternalBackend):
+    """ExternalBackend whose wire is a log: each query's image and tasks are
+    recorded and answered with an outside scene and no detections, and no
+    child is started."""
 
     def __init__(self):
-        self.queries = 0
-        self.calls: dict[str, int] = {}
+        self.queries: list[tuple[str, tuple[str, ...]]] = []
 
     def query(self, entry, tasks):
-        self.queries += 1
-        for task in tasks:
-            self.calls[task] = self.calls.get(task, 0) + 1
+        self.queries.append((entry.id, tuple(tasks)))
         return [SceneLabel(SceneClass.OUTSIDE, 0.9) if task == "scene" else [] for task in tasks]
 
 
 class TestRequestBudget:
     def test_at_most_one_request_per_task(self):
         backend = RecordingBackend()
-        run_cascade(ImageEntry(id="x"), backend)
-        assert backend.queries == 1
-        assert backend.calls == {"scene": 1, "components": 1, "damage": 1}
+        entry = ImageEntry(id="x")
+        out = run_cascade(entry, backend)
+        assert backend.queries == [("x", ("scene", "components", "damage"))] == [
+            ("x", cascade_tasks(entry))
+        ]
+        assert out.scene == SceneLabel(SceneClass.OUTSIDE, 0.9)
 
     def test_override_skips_scene_query(self):
         backend = RecordingBackend()
-        out = run_cascade(ImageEntry(id="x", scene_override=SceneClass.INSIDE), backend)
-        assert backend.queries == 1
-        assert backend.calls == {"components": 1, "damage": 1}
+        entry = ImageEntry(id="x", scene_override=SceneClass.INSIDE)
+        out = run_cascade(entry, backend)
+        assert backend.queries == [("x", ("components", "damage"))] == [
+            ("x", cascade_tasks(entry))
+        ]
         assert out.scene.cls is SceneClass.INSIDE
 
     def test_file_backend_ignores_image_bytes(self, tmp_path):
@@ -286,7 +368,7 @@ class TestExternalBackend:
             return []
 
         monkeypatch.setattr(backend_module.dataset_io, "read_detections", record)
-        FileBackend(manifest).query(entry, ["damage"])
+        FileBackend(manifest).cascade(entry)
         log, script = tmp_path / "images.log", tmp_path / "log_images.py"
         script.write_text(  # logs each request's image and answers no detections
             "import json, sys\n"

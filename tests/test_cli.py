@@ -6,6 +6,8 @@ import io
 import json
 import os
 import pkgutil
+import random
+import shutil
 import subprocess
 import sys
 import threading
@@ -752,6 +754,48 @@ def noisy_corpus(tmp_path_factory) -> Path:
                  "--false-positive-rate", "0.1", "--confidence-jitter-sd", "0.05",
                  "--drop-rate", "0.05"]) == 0
     return root / "manifest.json"
+
+
+class TestCommentedBoxText:
+    """`#` comments and blank lines in box text change no assessment."""
+
+    # comments of 1 to 6 fields, commented-out detections among them, then blank lines
+    NOTES = (
+        "# note",
+        "#",
+        "#note",
+        "# note with five fields",
+        "#0 0.5 0.5 0.1 0.2 0.9",
+        "  # 1 0.5 0.5 0.1 0.2",
+        "",
+        "   ",
+    )
+
+    def commented(self, text: str, rng: random.Random) -> str:
+        """`text` with notes and blank lines before its lines, between them
+        and after the last one."""
+        lines = []
+        for line in text.splitlines():
+            lines += rng.choices(self.NOTES, k=rng.randint(0, 2)) + [line]
+        return "\n".join(lines + [rng.choice(self.NOTES[:6])]) + "\n"
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_assess_bytes_match_the_clean_corpus(self, noisy_corpus, tmp_path, capsys, version):
+        root = tmp_path / "commented"
+        shutil.copytree(noisy_corpus.parent, root)
+        rng = random.Random(7)
+        box_files = sorted(root.glob("labels/*.txt")) + sorted(root.glob("components/*.txt"))
+        for path in box_files:
+            path.write_text(self.commented(path.read_text(), rng))
+        assert len(box_files) > 300
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": version}))
+        clean, noted = tmp_path / "clean.jsonl", tmp_path / "noted.jsonl"
+        for manifest, out in ((noisy_corpus, clean), (root / "manifest.json", noted)):
+            assert run(capsys, "assess", "--manifest", str(manifest), "--config", str(config),
+                       "--out", str(out))[0] == 0
+        assert noted.read_bytes() == clean.read_bytes()
+        assert len(jsonl(clean)) == 300
 
 
 class TestTrainMeta:
