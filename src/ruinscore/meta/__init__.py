@@ -11,7 +11,7 @@ train-meta imports: loading a model and predicting never build them.
 from .features import FEATURE_DIM, FEATURE_LAYOUT, FEATURE_NAMES, extract_features
 from .gbdt import GBDT_FORMAT, GbdtModel, predict_gbdt_batch, train_gbdt
 from .logreg import LOGREG_FORMAT, LogRegModel, predict_logreg_batch, train_logreg
-from .serialize import load_model, model_to_json, predict_batch, save_model, training_accuracy
+from .serialize import load_model, model_to_json, predict_batch, save_model
 
 __all__ = [
     "FEATURE_DIM",
@@ -30,5 +30,4 @@ __all__ = [
     "save_model",
     "train_gbdt",
     "train_logreg",
-    "training_accuracy",
 ]

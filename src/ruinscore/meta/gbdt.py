@@ -5,6 +5,10 @@ leaf values sum(g)/(sum(h)+lam). Splits are exact greedy over sorted unique
 feature values (no histogram binning), ties broken by lowest feature index
 then lowest threshold, which together with zero-randomness training makes
 serialized models bit-reproducible.
+
+A fit allocates one scratch workspace (`_Workspace`) and every node of every
+tree gathers and partitions into it, so the scan's node-sized arrays are
+not freed and faulted back in from tree to tree.
 """
 
 from __future__ import annotations
@@ -158,6 +162,8 @@ class GbdtModel:
     degenerate: bool = False
     feature_layout: str = FEATURE_LAYOUT
     loss_trace: list[float] = field(default_factory=list, repr=False)  # not serialized
+    # (n, 4) training rows' probabilities from train_gbdt; not serialized
+    training_probs: np.ndarray | None = field(default=None, repr=False, compare=False)
     forest: Forest = field(init=False, repr=False, compare=False)  # `trees`, flattened
 
     def __post_init__(self) -> None:
@@ -206,7 +212,8 @@ def best_split(
     in ascending order. ghs is the (d, n) complex128 array of the same
     samples in the same order, each packing a gradient (real part) and a
     hessian (imaginary part). The scan overwrites ghs with its prefix sums
-    (np.cumsum in place, no new (d, n) array), so pass a fresh gather.
+    (np.cumsum in place, no new (d, n) array), so pass a gather made for the
+    scan (in a fit, the workspace's).
     Candidate thresholds are the left-side values at the boundaries of
     split_candidates(xs, min_leaf), built here unless given as cands;
     x <= threshold routes left. Returns (feature, n_left, threshold, gain),
@@ -256,14 +263,50 @@ def _leaf(g_sum: float, h_sum: float, lam: float) -> dict:
     return {"value": g_sum / (h_sum + lam)}
 
 
-def _cells(xs: np.ndarray, order: np.ndarray, keep: np.ndarray | None) -> tuple:
+class _Workspace:
+    """One fit's scratch arrays, allocated as a single block (so the whole
+    of it goes back to the OS when the fit ends) and reused by every node of
+    every tree. It is passed down explicitly: two fits never share one.
+
+    gather: flat (d * n,) complex128. A scanning node of m samples gathers
+    its packed gradients into the first d * m entries, and the scan's prefix
+    sums run there.
+
+    cells: one (xs, order) pair per depth parity, each a flat (d * n,)
+    float64 and intp array; a fit that never scans below the root has none.
+    A node at depth k >= 1 holds its sorted values and sample indices in
+    cells[k % len(cells)] from its offset `base` on. A split writes the
+    children that scan into the other pair, the left child at the node's
+    base and the right child straight after it, so a subtree writes only
+    inside its own root's range, the pending right sibling survives its
+    left sibling's subtree, and two pairs serve any max_depth.
+    """
+
+    __slots__ = ("gather", "cells")
+
+    def __init__(self, d: int, n: int, max_depth: int) -> None:
+        size = d * n
+        pairs = min(max_depth - 1, 2)  # depths 1 .. max_depth - 1 scan from cells
+        block = np.empty((1 + pairs) * size, dtype=np.complex128)
+        self.gather = block[:size]
+        self.cells = []
+        for p in range(1, 1 + pairs):
+            flat = block[p * size : (p + 1) * size].view(np.float64)  # 2 * size entries
+            self.cells.append((flat[:size], flat[size:].view(np.intp)[:size]))
+
+
+def _cells(
+    xs: np.ndarray, order: np.ndarray, keep: np.ndarray, xs_out: np.ndarray, order_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The kept cells of each feature row, in their sorted order (a stable
-    partition); (None, None) when no child scans them."""
-    if keep is None:
-        return None, None
+    partition), written to the flat xs_out and order_out, which hold exactly
+    as many cells; returned as (d, kept per row) views of them."""
     at = np.flatnonzero(keep)  # row-major: each row's kept cells in their order
     d = xs.shape[0]
-    return xs.take(at).reshape(d, -1), order.take(at).reshape(d, -1)
+    return (
+        xs.take(at, out=xs_out, mode="clip").reshape(d, -1),
+        order.take(at, out=order_out, mode="clip").reshape(d, -1),
+    )
 
 
 def _build_tree(
@@ -274,38 +317,55 @@ def _build_tree(
     depth: int,
     hp,
     leaf_of_row: np.ndarray,
+    ws: _Workspace,
+    base: int = 0,
     cands: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict:
     """Grow the subtree over one node's samples.
 
     rows: (m,) the node's sample indices in ascending order. order, xs: (d, m)
     the same samples per feature, sorted by value with ties in sample order,
-    and their values; None at max_depth, where only rows are read. A split
+    and their values; None when the node does not scan (at max_depth, or
+    under 2 * min_leaf samples), where only rows are read. A split
     partitions both stably, so each child's rows are what a fresh stable
     argsort of its samples would give. gh: (n,) every sample's gradient
     (real part) and hessian (imaginary part); it is only read. Each leaf's
-    value is written to leaf_of_row at its samples. cands: the root's
-    split_candidates, built once per fit; every other node builds its own.
+    value is written to leaf_of_row at its samples.
+
+    ws: the fit's workspace. The node gathers into ws.gather and writes the
+    cells of the children that scan into ws.cells at base, the offset of
+    the node's own cells (0 at the root, whose cells are the fit's presorted
+    arrays). The only node-sized arrays a node still allocates are the
+    flatnonzero indices of its children's cells and the scan's candidate
+    arrays. cands: the root's split_candidates, built once per fit; every
+    other node builds its own.
     """
-    if depth < hp.max_depth and rows.size >= 2 * hp.min_leaf:
-        # gh[order] is a fresh gather: the scan's in-place prefix sums never reach gh
-        feat, n_left, thr, _ = best_split(xs, gh[order], hp.lam, hp.min_leaf, cands)
+    if xs is not None:
+        d, m = xs.shape
+        ghs = gh.take(order, out=ws.gather[: d * m].reshape(d, m), mode="clip")
+        feat, n_left, thr, _ = best_split(xs, ghs, hp.lam, hp.min_leaf, cands)
         if feat >= 0:
             goes_left = np.zeros(leaf_of_row.size, dtype=bool)
             goes_left[order[feat, :n_left]] = True
             in_left = goes_left[rows]
-            left = right = None  # children at max_depth are leaves: they need their rows only
+            mid = base + d * n_left
+            left = right = (None, None)
             if depth + 1 < hp.max_depth:
-                left = goes_left[order]
-                right = ~left
+                xs_out, order_out = ws.cells[(depth + 1) % len(ws.cells)]
+                keep = goes_left[order]
+                if n_left >= 2 * hp.min_leaf:
+                    left = _cells(xs, order, keep, xs_out[base:mid], order_out[base:mid])
+                if m - n_left >= 2 * hp.min_leaf:
+                    end = base + d * m
+                    right = _cells(xs, order, ~keep, xs_out[mid:end], order_out[mid:end])
             return {
                 "feature": feat,
                 "threshold": thr,
                 "left": _build_tree(
-                    *_cells(xs, order, left), rows[in_left], gh, depth + 1, hp, leaf_of_row
+                    *left, rows[in_left], gh, depth + 1, hp, leaf_of_row, ws, base
                 ),
                 "right": _build_tree(
-                    *_cells(xs, order, right), rows[~in_left], gh, depth + 1, hp, leaf_of_row
+                    *right, rows[~in_left], gh, depth + 1, hp, leaf_of_row, ws, mid
                 ),
             }
     # float sums over the samples in their original order: a complex sum
@@ -322,7 +382,12 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
     of XGBoost's exact greedy method, Chen & Guestrin 2016); nodes partition
     those orders instead of sorting again. The root's split candidates,
     which depend on the sorted values only, are likewise found once per fit
-    and reused by every tree's root scan.
+    and reused by every tree's root scan, and one workspace per fit holds
+    every node's gather and child cells.
+
+    The model carries the training rows' final probabilities in
+    training_probs; they equal predict_gbdt_batch(model, X) bit for bit,
+    because both add learning_rate times each leaf round by round.
 
     A training set with every label identical yields a flagged priors-only
     model (nothing to split on). Fewer than 2*min_leaf samples, or a
@@ -347,6 +412,7 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
     xs = np.take_along_axis(XT, order, axis=1)
     rows = np.arange(n)
     root = split_candidates(xs, hp.min_leaf)
+    ws = _Workspace(d, n, hp.max_depth)
     leaf_of_row = np.empty(n, dtype=np.float64)
     gh = np.empty(n, dtype=np.complex128)
 
@@ -359,7 +425,7 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
             # assigned, not g + 1j * h, which can flip the sign of a zero
             gh.real = Y[:, c] - P[:, c]
             gh.imag = P[:, c] * (1.0 - P[:, c])
-            round_trees.append(_build_tree(xs, order, rows, gh, 0, hp, leaf_of_row, root))
+            round_trees.append(_build_tree(xs, order, rows, gh, 0, hp, leaf_of_row, ws, 0, root))
             F[:, c] += hp.learning_rate * leaf_of_row
         trees.append(round_trees)
         P = softmax_rows(F)
@@ -373,6 +439,7 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
         dim=d,
         degenerate=degenerate,
         loss_trace=trace,
+        training_probs=P,
     )
 
 

@@ -35,6 +35,8 @@ class LogRegModel:
     final_loss: float
     feature_layout: str = FEATURE_LAYOUT
     loss_trace: list[float] = field(default_factory=list, repr=False)  # not serialized
+    # (n, 4) training rows' probabilities from train_logreg; not serialized
+    training_probs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -126,6 +128,11 @@ def train_logreg(X, y, hp: LogRegHyper) -> LogRegModel:
     A non-finite feature raises DegenerateData up front. Raises
     NonFiniteLoss as soon as the loss stops being finite (the usual cause is
     a too-large learning rate).
+
+    The model carries the training rows' probabilities in training_probs,
+    computed once by predict_logreg_batch: the last gradient step's
+    probabilities use the Xb @ W.T form, which can differ from predict's in
+    the last bits.
     """
     X = _training_matrix(X)
     n, d = X.shape
@@ -152,7 +159,7 @@ def train_logreg(X, y, hp: LogRegHyper) -> LogRegModel:
     if not np.isfinite(loss):
         raise NonFiniteLoss(hp.iterations)
 
-    return LogRegModel(
+    model = LogRegModel(
         weights=W,
         mean=mean,
         std=std,
@@ -160,6 +167,8 @@ def train_logreg(X, y, hp: LogRegHyper) -> LogRegModel:
         final_loss=loss,
         loss_trace=trace,
     )
+    model.training_probs = predict_logreg_batch(model, X)
+    return model
 
 
 def predict_logreg_batch(model: LogRegModel, X) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Versioned JSON model files, the format dispatch loader, and the one batch
-predict and training accuracy for either model kind."""
+predict for either model kind."""
 
 from __future__ import annotations
 
@@ -35,12 +35,6 @@ def predict_batch(model: LogRegModel | GbdtModel, X) -> np.ndarray:
     """(rows, 4) class probabilities of either model kind."""
     predict = predict_logreg_batch if isinstance(model, LogRegModel) else predict_gbdt_batch
     return predict(model, X)
-
-
-def training_accuracy(model: LogRegModel | GbdtModel, X, y) -> float:
-    """Share of rows whose most probable class equals the label."""
-    labels = np.asarray([int(v) for v in y])
-    return float((predict_batch(model, X).argmax(axis=1) == labels).mean())
 
 
 def save_model(model: LogRegModel | GbdtModel, path: str | Path) -> None:

@@ -177,6 +177,13 @@ def xor_fixture(n_per_cluster: int = 100, dim: int = 18, seed: int = 21):
     return np.stack(rows), labels
 
 
+def training_accuracy(model, y) -> float:
+    """Share of training rows whose most probable class, in the probabilities
+    the trainer kept (`training_probs`), equals the label."""
+    predicted = model.training_probs.argmax(axis=1).tolist()
+    return sum(p == int(t) for p, t in zip(predicted, y)) / len(predicted)
+
+
 def write_dataset(root: Path, images: list[dict], class_maps: dict | None = None) -> Path:
     """Materialize a manifest plus detection files.
 

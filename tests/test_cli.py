@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pkgutil
+import platform
 import random
 import shutil
 import subprocess
@@ -25,6 +26,7 @@ from ruinscore.dataset_io import LEVEL_BY_LABEL, load_manifest
 from ruinscore.errors import SchemaViolation
 from ruinscore.evaluate import compute_metrics, confusion_matrix
 from ruinscore.fusion import DecisionMode, FusionConfig, final_decision, rule_fusion
+from ruinscore.meta.hyper import GbdtHyper, LogRegHyper
 
 from helpers import write_dataset
 
@@ -839,6 +841,55 @@ class TestTrainMeta:
         assert code == 0
         assert out == f"trained {kind}: n=300 {printed} model={model}\n"
         assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("kind", ["logreg", "gbdt"])
+    def test_training_probs_equal_a_fresh_predict(self, noisy_corpus, kind):
+        # train-meta's accuracy reads the trainer's own probabilities of its rows
+        manifest = load_manifest(noisy_corpus)
+        backend = FileBackend(manifest)
+        config = FusionConfig()
+        X, y = [], []
+        for entry in manifest.images:
+            cascade = run_cascade(entry, backend)
+            X.append(meta.extract_features(cascade, rule_fusion(cascade, config)))
+            y.append(entry.ground_truth_level)
+        if kind == "gbdt":
+            model = meta.train_gbdt(X, y, GbdtHyper())
+        else:
+            model = meta.train_logreg(X, y, LogRegHyper())
+        assert model.training_probs.shape == (len(X), 4)
+        assert model.training_probs.tobytes() == meta.predict_batch(model, X).tobytes()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="the fault counts hold for glibc's allocator on Linux",
+    )
+    def test_gbdt_fit_faults_do_not_grow_with_rounds(self, tmp_path):
+        # one workspace per fit: a node's arrays are not freed to the OS and
+        # faulted back in by the next tree, so 50 rounds fault about as many
+        # pages as 1 (about 29k more when every node allocated its own)
+        corpus = tmp_path / "d"
+        assert main(["gen-synthetic", "--seed", "7", "--n", "1500", "--out", str(corpus),
+                     "--false-positive-rate", "0.2", "--confidence-jitter-sd", "0.1",
+                     "--drop-rate", "0.1"]) == 0
+
+        def minor_faults(rounds: int) -> int:
+            argv = [sys.executable, "-m", "ruinscore", "train-meta", "--manifest",
+                    str(corpus / "manifest.json"), "--kind", "gbdt", "--rounds", str(rounds),
+                    "--out", str(tmp_path / f"rounds-{rounds}.json")]
+            proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                    env=package_env())
+            watchdog = threading.Timer(120, proc.kill)
+            watchdog.start()
+            try:
+                _, status, usage = os.wait4(proc.pid, 0)
+            finally:
+                watchdog.cancel()
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            return usage.ru_minflt
+
+        assert abs(minor_faults(50) - minor_faults(1)) < 2000
 
     def test_bad_kind_is_usage_error(self, fixture3, capsys):
         code, _, err = run(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,13 @@ from ruinscore.meta import (
     save_model,
     train_gbdt,
     train_logreg,
-    training_accuracy,
 )
 from ruinscore.meta import gbdt as gbdt_module
 from ruinscore.meta.gbdt import best_split, split_candidates
 from ruinscore.meta.hyper import GbdtHyper, LogRegHyper
 from ruinscore.meta.logreg import softmax_rows
 
-from helpers import xor_fixture
+from helpers import training_accuracy, xor_fixture
 
 
 @pytest.mark.parametrize(
@@ -90,8 +90,8 @@ def test_xor_fixture_beats_logreg():
     X, y = xor_fixture()
     gb = train_gbdt(X, y, GbdtHyper())
     lr = train_logreg(X, y, LogRegHyper())
-    assert training_accuracy(gb, X, y) >= 0.95
-    assert training_accuracy(lr, X, y) <= 0.65
+    assert training_accuracy(gb, y) >= 0.95
+    assert training_accuracy(lr, y) <= 0.65
 
 
 def test_loss_trace_non_increasing():
@@ -457,6 +457,43 @@ def test_deep_fit_on_many_rows_matches_per_node_argsort(seed):
     assert model_to_json(train_gbdt(X, y, hp)) == model_to_json(reference_train(X, y, hp))
 
 
+def benchmark_shaped(seed: int, n: int = 1500) -> tuple[np.ndarray, np.ndarray]:
+    """An n x 18 training set shaped like the seed-7 train-gbdt features:
+    11 discrete columns of 2 to 13 levels and 7 continuous ones, two of
+    them rounded so that some of their values repeat."""
+    rng = np.random.default_rng(seed)
+    levels = (7, 4, 3, 3, 2, 2, 2, 2, 3, 13, 4)
+    discrete = np.stack([rng.integers(0, k, size=n) for k in levels], axis=1).astype(float)
+    continuous = rng.gamma(2.0, size=(n, 7))
+    continuous[:, ::3] = np.round(continuous[:, ::3], 1)
+    X = np.hstack([discrete[:, :4], continuous, discrete[:, 4:]])
+    score = 0.4 * X[:, 0] + X[:, 4] - 0.5 * X[:, 6] + 0.2 * X[:, 15] * X[:, 8]
+    y = np.clip(np.round(score + rng.normal(scale=0.7, size=n)), 0, 3).astype(np.intp)
+    return X, y
+
+
+@pytest.mark.parametrize("max_depth", [3, 5])
+def test_benchmark_scale_fit_matches_per_node_argsort(max_depth):
+    X, y = benchmark_shaped(7)
+    assert len(set(y.tolist())) == 4
+    hp = GbdtHyper(rounds=3, max_depth=max_depth)
+    assert model_to_json(train_gbdt(X, y, hp)) == model_to_json(reference_train(X, y, hp))
+
+
+def test_fits_leave_no_state_for_the_next():
+    # two shapes and depths, fitted alone, one after the other and at once in
+    # two threads: each fit's workspace is its own
+    fits = [
+        (*benchmark_shaped(11, n=900), GbdtHyper(rounds=4, max_depth=4, min_leaf=3)),
+        (*xor_fixture(n_per_cluster=60), GbdtHyper(rounds=6, max_depth=2)),
+    ]
+    alone = [model_to_json(train_gbdt(X, y, hp)) for X, y, hp in fits]
+    assert [model_to_json(train_gbdt(X, y, hp)) for X, y, hp in reversed(fits)] == alone[::-1]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(train_gbdt, X, y, hp) for X, y, hp in fits * 2]
+        assert [model_to_json(f.result(timeout=120)) for f in futures] == alone * 2
+
+
 def _bits(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
@@ -512,7 +549,8 @@ def test_fit_leaves_its_inputs_unchanged(data):
     gh.imag = np.linspace(0.1, 0.3, n)
     kept = gh.copy()
     leaf_of_row = np.empty(n)
-    gbdt_module._build_tree(xs, order, np.arange(n), gh, 0, hp, leaf_of_row)
+    ws = gbdt_module._Workspace(X.shape[1], n, hp.max_depth)
+    gbdt_module._build_tree(xs, order, np.arange(n), gh, 0, hp, leaf_of_row, ws)
     assert gh.tobytes() == kept.tobytes()
 
 
