@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 from . import dataset_io
 from .dataset_io import (
-    ComponentDetection,
-    DamageDetection,
+    ComponentClass,
+    DamageClass,
     DatasetManifest,
-    DetectionKind,
+    Detection,
     ImageEntry,
     SceneClass,
     SceneLabel,
@@ -56,15 +56,15 @@ class CascadeOutput:
 
     image_id: str
     scene: SceneLabel
-    components: tuple[ComponentDetection, ...]
-    damages: tuple[DamageDetection, ...]
+    components: tuple[Detection, ...]
+    damages: tuple[Detection, ...]
 
     def __init__(
         self,
         image_id: str,
         scene: SceneLabel,
-        components: tuple[ComponentDetection, ...],
-        damages: tuple[DamageDetection, ...],
+        components: tuple[Detection, ...],
+        damages: tuple[Detection, ...],
     ) -> None:
         set_image_id, set_scene, set_components, set_damages = _CASCADE_SETTERS
         set_image_id(self, image_id)
@@ -109,16 +109,14 @@ class FileBackend:
         if entry.components_file is not None:
             components = tuple(
                 dataset_io.read_detections(
-                    entry.components_file,
-                    self._manifest.component_class_map,
-                    DetectionKind.COMPONENT,
+                    entry.components_file, self._manifest.component_class_map, ComponentClass
                 )
             )
         if entry.damage_file is None:
             raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
         damages = tuple(
             dataset_io.read_detections(
-                entry.damage_file, self._manifest.damage_class_map, DetectionKind.DAMAGE
+                entry.damage_file, self._manifest.damage_class_map, DamageClass
             )
         )
         return CascadeOutput(entry.id, _OVERRIDE_SCENES[entry.scene_override], components, damages)
@@ -365,9 +363,9 @@ def _evidence(task: str, response: dict):
     """One decoded reply as the cascade's evidence for `task`."""
     if task == "scene":
         return _scene_from_response(response)
-    kind = DetectionKind.DAMAGE if task == "damage" else DetectionKind.COMPONENT
+    enum_cls = DamageClass if task == "damage" else ComponentClass
     try:
-        return dataset_io.detections_from_obj(response, kind)
+        return dataset_io.detections_from_obj(response, enum_cls)
     except RuinscoreError as exc:
         raise ProtocolViolation(f"bad {task} response: {exc}") from None
 

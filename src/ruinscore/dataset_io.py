@@ -1,9 +1,11 @@
 """Core data model plus manifest and detection-file parsing.
 
 Detections use normalized center-format boxes (cx, cy, w, h as fractions of
-the image). Two on-disk conventions are supported: a line-based box text
-format (`class_id cx cy w h [conf]`, `#` comments) and a JSON schema with
-class names. All values are immutable and safe to share across threads.
+the image); one `Detection` type serves both detectors, its `cls` a
+DamageClass or ComponentClass member. Two on-disk conventions are supported:
+a line-based box text format (`class_id cx cy w h [conf]`, `#` comments) and
+a JSON schema with class names, resolved against the file's class enum. All
+values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -166,43 +168,24 @@ def _check_confidence(value: float) -> None:
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class DamageDetection:
-    """One damage box with its class and a confidence in [0, 1]."""
+class Detection:
+    """One box with its class and a confidence in [0, 1]: a DamageClass `cls`
+    for damage, a ComponentClass one for a structural component."""
 
-    cls: DamageClass
+    cls: DamageClass | ComponentClass
     box: BoundingBox
     confidence: float
 
-    def __init__(self, cls: DamageClass, box: BoundingBox, confidence: float) -> None:
+    def __init__(self, cls: Enum, box: BoundingBox, confidence: float) -> None:
         if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
             _check_confidence(confidence)
-        set_cls, set_box, set_confidence = _DAMAGE_SETTERS
+        set_cls, set_box, set_confidence = _DETECTION_SETTERS
         set_cls(self, cls)
         set_box(self, box)
         set_confidence(self, confidence)
 
 
-_DAMAGE_SETTERS = slot_setters(DamageDetection)
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class ComponentDetection:
-    """One structural component box with its class and a confidence in [0, 1]."""
-
-    cls: ComponentClass
-    box: BoundingBox
-    confidence: float
-
-    def __init__(self, cls: ComponentClass, box: BoundingBox, confidence: float) -> None:
-        if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
-            _check_confidence(confidence)
-        set_cls, set_box, set_confidence = _COMPONENT_SETTERS
-        set_cls(self, cls)
-        set_box(self, box)
-        set_confidence(self, confidence)
-
-
-_COMPONENT_SETTERS = slot_setters(ComponentDetection)
+_DETECTION_SETTERS = slot_setters(Detection)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -268,14 +251,6 @@ class DatasetManifest:
         default_factory=lambda: dict(DEFAULT_COMPONENT_CLASS_MAP)
     )
 
-
-class DetectionKind(Enum):
-    DAMAGE = "damage"
-    COMPONENT = "component"
-
-
-_KIND_ENUM = {DetectionKind.DAMAGE: DamageClass, DetectionKind.COMPONENT: ComponentClass}
-_KIND_TYPE = {DetectionKind.DAMAGE: DamageDetection, DetectionKind.COMPONENT: ComponentDetection}
 
 # bytes asked of one read: a detection file fits in one, a manifest in a few
 _READ_SIZE = 1 << 16
@@ -377,8 +352,7 @@ else:
         return "".join(_ENCODE(obj, 0)) + "\n"
 
 
-def _parse_class_map(raw: object, kind: DetectionKind, where: str) -> dict:
-    enum_cls = _KIND_ENUM[kind]
+def _parse_class_map(raw: object, enum_cls: type[Enum], where: str) -> dict:
     if not isinstance(raw, dict):
         raise SchemaViolation(where, "expected an object")
     out: dict[int, object] = {}
@@ -387,6 +361,8 @@ def _parse_class_map(raw: object, kind: DetectionKind, where: str) -> dict:
             class_id = int(key)
         except (TypeError, ValueError):
             raise SchemaViolation(f"{where}.{key}", "key must be an integer string") from None
+        if class_id in out:  # "0", "00", "+0" and " 0" all convert to 0
+            raise SchemaViolation(f"{where}.{key}", f"duplicate class id {class_id}")
         if not isinstance(name, str):
             raise SchemaViolation(f"{where}.{key}", "value must be a class name string")
         try:
@@ -472,10 +448,10 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
         if unknown:
             raise SchemaViolation(f"class_maps.{sorted(unknown)[0]}", "unknown key")
         if "damage" in cm:
-            damage_map = _parse_class_map(cm["damage"], DetectionKind.DAMAGE, "class_maps.damage")
+            damage_map = _parse_class_map(cm["damage"], DamageClass, "class_maps.damage")
         if "component" in cm:
             component_map = _parse_class_map(
-                cm["component"], DetectionKind.COMPONENT, "class_maps.component"
+                cm["component"], ComponentClass, "class_maps.component"
             )
 
     prefix = os.path.join(os.path.dirname(path), "")
@@ -495,14 +471,13 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     )
 
 
-def parse_box_text(text: str, class_map: Mapping[int, object], kind: DetectionKind):
+def parse_box_text(text: str, class_map: Mapping[int, Enum]):
     """Parse line-based detections: `class_id cx cy w h [conf]` per line.
 
     Blank lines and `#` comments are skipped; a missing confidence defaults
     to 1.0 (manual annotations carry full certainty). Raises BadLine with a
     1-based line number on any malformed line.
     """
-    det_type = _KIND_TYPE[kind]
     out = []
     append = out.append
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -512,7 +487,7 @@ def parse_box_text(text: str, class_map: Mapping[int, object], kind: DetectionKi
         n = len(fields)
         if n == 5 or n == 6:
             try:
-                append(det_type(
+                append(Detection(
                     class_map[int(fields[0])],
                     BoundingBox(
                         float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
@@ -522,11 +497,11 @@ def parse_box_text(text: str, class_map: Mapping[int, object], kind: DetectionKi
                 continue
             except (ValueError, LookupError):
                 pass
-        append(_checked_box_line(line_no, fields, class_map, det_type))
+        append(_checked_box_line(line_no, fields, class_map))
     return out
 
 
-def _checked_box_line(line_no: int, fields: list[str], class_map: Mapping[int, object], det_type):
+def _checked_box_line(line_no: int, fields: list[str], class_map: Mapping[int, Enum]):
     """The detection on one box-text line, converted a step at a time so that
     BadLine names the first thing wrong with a malformed line."""
     n = len(fields)
@@ -545,14 +520,12 @@ def _checked_box_line(line_no: int, fields: list[str], class_map: Mapping[int, o
     except ValueError:
         raise BadLine(line_no, "non-numeric field") from None
     try:
-        return det_type(cls, BoundingBox(cx, cy, w, h), conf)
+        return Detection(cls, BoundingBox(cx, cy, w, h), conf)
     except ValueError as exc:
         raise BadLine(line_no, str(exc)) from None
 
 
-def _detection_from_obj(obj: object, kind: DetectionKind, where: str):
-    enum_cls = _KIND_ENUM[kind]
-    det_type = _KIND_TYPE[kind]
+def _detection_from_obj(obj: object, enum_cls: type[Enum], where: str):
     if not isinstance(obj, dict):
         raise SchemaViolation(where, "expected an object")
     unknown = set(obj) - {"class", "box", "confidence"}
@@ -575,13 +548,15 @@ def _detection_from_obj(obj: object, kind: DetectionKind, where: str):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise SchemaViolation(f"{where}.box[{i}]", "must be a number")
     try:
-        return det_type(cls, BoundingBox(*(float(v) for v in box)), float(conf))
+        return Detection(cls, BoundingBox(*(float(v) for v in box)), float(conf))
     except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for float
         raise SchemaViolation(where, str(exc)) from None
 
 
-def detections_from_obj(obj: object, kind: DetectionKind):
-    """Parse the already-decoded `{"detections": [...]}` object."""
+def detections_from_obj(obj: object, enum_cls: type[Enum]):
+    """Parse the already-decoded `{"detections": [...]}` object of a .json
+    file or a child reply; a class name `enum_cls` (DamageClass for damage,
+    ComponentClass for components) lacks raises UnknownClass."""
     if not isinstance(obj, dict):
         raise SchemaViolation("$", "top level must be an object")
     unknown = set(obj) - {"detections"}
@@ -590,25 +565,20 @@ def detections_from_obj(obj: object, kind: DetectionKind):
     dets = obj.get("detections")
     if not isinstance(dets, list):
         raise SchemaViolation("detections", "must be an array")
-    return [_detection_from_obj(d, kind, f"detections[{i}]") for i, d in enumerate(dets)]
+    return [_detection_from_obj(d, enum_cls, f"detections[{i}]") for i, d in enumerate(dets)]
 
 
-def parse_json_detections(text: str, kind: DetectionKind):
-    """Parse the JSON detection schema; classes are given by name, not id."""
-    return detections_from_obj(decode_json(text), kind)
-
-
-def read_detections(path: str | os.PathLike, class_map: Mapping[int, object], kind: DetectionKind):
-    """Read one detection file: the JSON schema when its name ends in .json,
-    box text resolved through `class_map` otherwise."""
+def read_detections(path: str | os.PathLike, class_map: Mapping[int, Enum], enum_cls: type[Enum]):
+    """Read one detection file: the JSON schema, names resolved against `enum_cls`,
+    when its name ends in .json; box text resolved through `class_map` otherwise."""
     text = read_text(path)
     if os.fspath(path).endswith(".json"):
-        return parse_json_detections(text, kind)
-    return parse_box_text(text, class_map, kind)
+        return detections_from_obj(decode_json(text), enum_cls)
+    return parse_box_text(text, class_map)
 
 
-def detections_to_json(detections: Iterable[DamageDetection | ComponentDetection]) -> str:
-    """Serialize detections to the JSON schema; parse_json_detections inverts this."""
+def detections_to_json(detections: Iterable[Detection]) -> str:
+    """Serialize detections to the JSON schema; detections_from_obj inverts this."""
     items = [
         {
             "class": d.cls.value,
@@ -621,8 +591,8 @@ def detections_to_json(detections: Iterable[DamageDetection | ComponentDetection
 
 
 def detections_to_box_text(
-    detections: Sequence[DamageDetection | ComponentDetection],
-    class_map: Mapping[int, object],
+    detections: Sequence[Detection],
+    class_map: Mapping[int, Enum],
 ) -> str:
     """Serialize detections to the box text format using the inverse class map."""
     inverse = {cls: class_id for class_id, cls in class_map.items()}

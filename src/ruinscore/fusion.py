@@ -18,10 +18,9 @@ from typing import Sequence
 
 from .dataset_io import (
     BoundingBox,
-    ComponentDetection,
     DamageClass,
-    DamageDetection,
     DamageLevel,
+    Detection,
     SceneClass,
     SceneLabel,
     slot_setters,
@@ -231,7 +230,7 @@ class RuleDecision:
     counts: RuleCounts = RuleCounts()
     rebar_forced: bool = False
     applied_filters: tuple[str, ...] = ()
-    survivors: tuple[DamageDetection, ...] = ()
+    survivors: tuple[Detection, ...] = ()
 
     def __init__(
         self,
@@ -240,7 +239,7 @@ class RuleDecision:
         counts: RuleCounts = RuleCounts(),
         rebar_forced: bool = False,
         applied_filters: tuple[str, ...] = (),
-        survivors: tuple[DamageDetection, ...] = (),
+        survivors: tuple[Detection, ...] = (),
     ) -> None:
         if rebar_forced and level is not DamageLevel.HEAVY:
             raise ValueError("rebar_forced implies level HEAVY")
@@ -282,10 +281,10 @@ def containment_ratio(inner: BoundingBox, outer: BoundingBox) -> float:
 
 
 def _filter_with_tags(
-    damages: Sequence[DamageDetection],
+    damages: Sequence[Detection],
     scene: SceneLabel,
     config: FusionConfig,
-) -> tuple[list[DamageDetection], list[DamageDetection], list[DamageDetection], list[str]]:
+) -> tuple[list[Detection], list[Detection], list[Detection], list[str]]:
     """The survivors, their spalls and their rebars (each in input order), and
     the filter tags in the order they first applied. Every survivor that is
     neither a spall nor a rebar is a crack: DamageClass has these three members
@@ -296,9 +295,9 @@ def _filter_with_tags(
     if inside_v2:
         floor = max(floor, config.v2.inside_conf_floor)
     min_area = config.v2.min_box_area
-    kept: list[DamageDetection] = []
-    spalls: list[DamageDetection] = []
-    rebars: list[DamageDetection] = []
+    kept: list[Detection] = []
+    spalls: list[Detection] = []
+    rebars: list[Detection] = []
     tags: list[str] = []
     for det in damages:
         if det.confidence < floor:
@@ -325,10 +324,10 @@ def _filter_with_tags(
 
 
 def filter_detections(
-    damages: Sequence[DamageDetection],
+    damages: Sequence[Detection],
     scene: SceneLabel,
     config: FusionConfig,
-) -> list[DamageDetection]:
+) -> list[Detection]:
     """Confidence and (v2) area filtering; input order is preserved.
 
     v1 keeps detections with confidence >= conf_floor. v2 raises the floor to
@@ -338,9 +337,9 @@ def filter_detections(
 
 
 def validate_rebar(
-    rebar: DamageDetection,
-    spalls: Sequence[DamageDetection],
-    components: Sequence[ComponentDetection],
+    rebar: Detection,
+    spalls: Sequence[Detection],
+    components: Sequence[Detection],
     config: FusionConfig,
 ) -> bool:
     """Decide whether an exposed-rebar detection is trustworthy.

@@ -27,10 +27,9 @@ from .dataset_io import (
     DEFAULT_DAMAGE_CLASS_MAP,
     BoundingBox,
     DamageClass,
-    DamageDetection,
-    ComponentDetection,
     DamageLevel,
     DatasetManifest,
+    Detection,
     detections_to_box_text,
     load_manifest,
 )
@@ -134,11 +133,11 @@ def _random_box(rng: XorShift64Star, smin: float = 0.05, smax: float = 0.30) -> 
     )
 
 
-def _damage(rng: XorShift64Star, cls: DamageClass, lo: float, hi: float) -> DamageDetection:
-    return DamageDetection(cls, _random_box(rng), rng.uniform(lo, hi))
+def _damage(rng: XorShift64Star, cls: DamageClass, lo: float, hi: float) -> Detection:
+    return Detection(cls, _random_box(rng), rng.uniform(lo, hi))
 
 
-def _clean_damages(rng: XorShift64Star, level: DamageLevel) -> list[DamageDetection]:
+def _clean_damages(rng: XorShift64Star, level: DamageLevel) -> list[Detection]:
     if level is DamageLevel.ZERO:
         # occasional sub-floor clutter keeps zero images from being trivially empty
         if rng.random() < 0.3:
@@ -155,8 +154,8 @@ def _clean_damages(rng: XorShift64Star, level: DamageLevel) -> list[DamageDetect
             cx=rebar_box.cx, cy=rebar_box.cy, w=rebar_box.w * 1.5, h=rebar_box.h * 1.5
         )
         dets = [
-            DamageDetection(DamageClass.EXPOSED_REBAR, rebar_box, rng.uniform(0.6, 0.95)),
-            DamageDetection(DamageClass.SPALLING, spall_box, rng.uniform(0.6, 0.95)),
+            Detection(DamageClass.EXPOSED_REBAR, rebar_box, rng.uniform(0.6, 0.95)),
+            Detection(DamageClass.SPALLING, spall_box, rng.uniform(0.6, 0.95)),
         ]
         for _ in range(rng.randint(3)):
             dets.append(_damage(rng, DamageClass.CRACK, 0.5, 0.95))
@@ -169,15 +168,15 @@ def _clean_damages(rng: XorShift64Star, level: DamageLevel) -> list[DamageDetect
 
 
 def _apply_noise(
-    rng: XorShift64Star, dets: list[DamageDetection], noise: NoiseSpec
-) -> list[DamageDetection]:
+    rng: XorShift64Star, dets: list[Detection], noise: NoiseSpec
+) -> list[Detection]:
     out = []
     for det in dets:
         if noise.drop_rate > 0.0 and rng.random() < noise.drop_rate:
             continue
         if noise.confidence_jitter_sd > 0.0:
             conf = det.confidence + noise.confidence_jitter_sd * rng.gauss()
-            det = DamageDetection(det.cls, det.box, min(1.0, max(0.01, conf)))
+            det = Detection(det.cls, det.box, min(1.0, max(0.01, conf)))
         out.append(det)
     if noise.false_positive_rate > 0.0 and rng.random() < noise.false_positive_rate:
         cls = DEFAULT_DAMAGE_CLASS_MAP[rng.randint(3)]
@@ -204,7 +203,7 @@ def gen_synthetic(spec: SynthSpec, out_dir: str | Path) -> DatasetManifest:
         scene = "inside" if rng.random() < 0.5 else "outside"
 
         components = [
-            ComponentDetection(
+            Detection(
                 DEFAULT_COMPONENT_CLASS_MAP[rng.randint(3)], _random_box(rng), rng.uniform(0.5, 1.0)
             )
             for _ in range(rng.randint(3))

@@ -15,12 +15,10 @@ from ruinscore.backend import CascadeOutput, cascade_tasks
 from ruinscore.dataset_io import (
     BoundingBox,
     ComponentClass,
-    ComponentDetection,
     DamageClass,
-    DamageDetection,
     DamageLevel,
     DatasetManifest,
-    DetectionKind,
+    Detection,
     ImageEntry,
     SceneClass,
     SceneLabel,
@@ -41,16 +39,16 @@ def rand_box(rng: random.Random) -> BoundingBox:
     )
 
 
-def rand_damage(rng: random.Random, cls: DamageClass | None = None) -> DamageDetection:
-    return DamageDetection(
+def rand_damage(rng: random.Random, cls: DamageClass | None = None) -> Detection:
+    return Detection(
         cls if cls is not None else rng.choice(DAMAGE_CLASSES),
         rand_box(rng),
         rng.uniform(0.0, 1.0),
     )
 
 
-def rand_component(rng: random.Random) -> ComponentDetection:
-    return ComponentDetection(rng.choice(COMPONENT_CLASSES), rand_box(rng), rng.uniform(0.0, 1.0))
+def rand_component(rng: random.Random) -> Detection:
+    return Detection(rng.choice(COMPONENT_CLASSES), rand_box(rng), rng.uniform(0.0, 1.0))
 
 
 def rand_cascade(rng: random.Random, image_id: str = "img") -> CascadeOutput:
@@ -75,11 +73,11 @@ def reference_file_cascade(entry: ImageEntry, manifest: DatasetManifest) -> Casc
             if entry.components_file is None:
                 return []
             return read_detections(
-                entry.components_file, manifest.component_class_map, DetectionKind.COMPONENT
+                entry.components_file, manifest.component_class_map, ComponentClass
             )
         if entry.damage_file is None:
             raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
-        return read_detections(entry.damage_file, manifest.damage_class_map, DetectionKind.DAMAGE)
+        return read_detections(entry.damage_file, manifest.damage_class_map, DamageClass)
 
     answers = [read(task) for task in cascade_tasks(entry)]
     if entry.scene_override is None:

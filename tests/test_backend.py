@@ -20,10 +20,10 @@ from ruinscore.backend import (
     run_cascade,
 )
 from ruinscore.dataset_io import (
-    ComponentDetection,
+    ComponentClass,
     DamageClass,
-    DamageDetection,
     DamageLevel,
+    Detection,
     ImageEntry,
     SceneClass,
     SceneLabel,
@@ -39,6 +39,7 @@ from ruinscore.errors import (
     RuinscoreError,
     SchemaViolation,
     Timeout,
+    UnknownClass,
 )
 from ruinscore.synth import NoiseSpec, SynthSpec, gen_synthetic
 
@@ -166,6 +167,11 @@ class TestFileCascadeMatchesReference:
                 BadLine,
             ),
             ({"scene": "outside", "damage_file": "gone.txt"}, {}, MissingFile),
+            (
+                {"scene": "inside", "damage_file": "a.json", "components_file": "c.json"},
+                {"a.json": DAMAGE_JSON, "c.json": DAMAGE_JSON.replace("spalling", "crack")},
+                UnknownClass,
+            ),
         ],
         ids=[
             "json-files",
@@ -175,6 +181,7 @@ class TestFileCascadeMatchesReference:
             "no-damage-file",
             "malformed-components-before-missing-damage",
             "damage-file-not-on-disk",
+            "damage-class-in-json-components",
         ],
     )
     def test_edge_entries(self, tmp_path, entry, files, error):
@@ -363,7 +370,7 @@ class TestExternalBackend:
         entry = manifest.images[0]
         opened = []
 
-        def record(path, class_map, kind):
+        def record(path, class_map, enum_cls):
             opened.append(path)
             return []
 
@@ -706,8 +713,8 @@ def decoded(line: bytes, task: str):
     if task == "scene":
         assert isinstance(evidence, SceneLabel)
     else:
-        kind = DamageDetection if task == "damage" else ComponentDetection
-        assert all(isinstance(d, kind) for d in evidence)
+        enum_cls = DamageClass if task == "damage" else ComponentClass
+        assert all(type(d) is Detection and type(d.cls) is enum_cls for d in evidence)
     return evidence
 
 
@@ -758,6 +765,13 @@ class TestReplyDecoding:
     def test_scene_confidence_too_large_for_a_float(self):
         with pytest.raises(ProtocolViolation):
             _evidence("scene", {"scene": "outside", "confidence": 10**400})
+
+    @pytest.mark.parametrize("task, name", [("components", "crack"), ("damage", "beam")])
+    def test_class_of_the_other_detector_is_protocol_violation(self, task, name):
+        reply = {"detections": [{"class": name, "box": [0.5, 0.5, 0.2, 0.2], "confidence": 0.9}]}
+        with pytest.raises(ProtocolViolation) as exc:
+            _evidence(task, reply)
+        assert exc.value.detail == f"bad {task} response: unknown class name: {name!r}"
 
     @settings(deadline=None)
     @given(line=st.binary(max_size=300), task=st.sampled_from(TASKS))

@@ -13,25 +13,25 @@ from hypothesis import example, given, settings, strategies as st
 
 from ruinscore import dataset_io
 from ruinscore.backend import CascadeOutput
+from ruinscore.cli import main
 from ruinscore.dataset_io import (
     DEFAULT_COMPONENT_CLASS_MAP,
     DEFAULT_DAMAGE_CLASS_MAP,
     BoundingBox,
     ComponentClass,
-    ComponentDetection,
     DamageClass,
-    DamageDetection,
     DamageLevel,
-    DetectionKind,
+    Detection,
     ImageEntry,
     LEVEL_BY_LABEL,
     LEVEL_LABELS,
     SceneClass,
     SceneLabel,
+    decode_json,
+    detections_from_obj,
     detections_to_json,
     load_manifest,
     parse_box_text,
-    parse_json_detections,
     read_detections,
     read_text,
 )
@@ -63,7 +63,7 @@ class TestBoundingBox:
 
     def test_int_fields_pass_the_full_checks(self):
         box = BoundingBox(0, 1, 1, 1)
-        assert DamageDetection(DamageClass.CRACK, box, 1).confidence == 1
+        assert Detection(DamageClass.CRACK, box, 1).confidence == 1
         with pytest.raises(ValueError, match="cx must be a finite number"):
             BoundingBox("0.5", 0.5, 0.1, 0.1)
 
@@ -71,8 +71,8 @@ class TestBoundingBox:
 def _values():
     """One maker per per-image value type: each call builds a new, equal value."""
     box = lambda: BoundingBox(0.5, 0.5, 0.25, 0.5)
-    crack = lambda: DamageDetection(DamageClass.CRACK, box(), 0.75)
-    beam = lambda: ComponentDetection(ComponentClass.BEAM, box(), 0.5)
+    crack = lambda: Detection(DamageClass.CRACK, box(), 0.75)
+    beam = lambda: Detection(ComponentClass.BEAM, box(), 0.5)
     scene = lambda: SceneLabel(SceneClass.INSIDE, 0.9)
     return [
         box,
@@ -87,6 +87,15 @@ def _values():
     ]
 
 
+def _value_id(make) -> str:
+    """The value's type name; a Detection is named by its class enum, since
+    one type carries both kinds."""
+    value = make()
+    if type(value) is Detection:
+        return type(value.cls).__name__.removesuffix("Class") + "Detection"
+    return type(value).__name__
+
+
 @pytest.mark.parametrize("level", list(DamageLevel), ids=lambda level: level.name)
 def test_level_label_is_the_lowercase_name_both_ways(level):
     assert level.label == level.name.lower() == LEVEL_LABELS[level]
@@ -97,7 +106,7 @@ class TestValueTypes:
     """The values parsing builds are immutable and safe to share: no field can
     be assigned, and equal values hash equal."""
 
-    @pytest.mark.parametrize("make", _values(), ids=lambda make: type(make()).__name__)
+    @pytest.mark.parametrize("make", _values(), ids=_value_id)
     def test_fields_cannot_be_assigned_and_equal_values_hash_equal(self, make):
         value = make()
         for f in dataclasses.fields(value):
@@ -106,7 +115,7 @@ class TestValueTypes:
         assert make() == value and make() is not value
         assert hash(make()) == hash(value)
 
-    @pytest.mark.parametrize("make", _values(), ids=lambda make: type(make()).__name__)
+    @pytest.mark.parametrize("make", _values(), ids=_value_id)
     def test_slotted_values_take_no_new_attribute(self, make):
         value = make()
         assert not hasattr(value, "__dict__")
@@ -118,7 +127,7 @@ class TestValueTypes:
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{first}'"):
             delattr(value, first)
 
-    @pytest.mark.parametrize("make", _values(), ids=lambda make: type(make()).__name__)
+    @pytest.mark.parametrize("make", _values(), ids=_value_id)
     def test_round_trips_through_replace_copy_and_pickle(self, make):
         value = make()
         every_field = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
@@ -127,7 +136,7 @@ class TestValueTypes:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(value, protocol)) == value
 
-    @pytest.mark.parametrize("make", _values(), ids=lambda make: type(make()).__name__)
+    @pytest.mark.parametrize("make", _values(), ids=_value_id)
     def test_init_is_hand_written(self, make):
         # dataclass-generated code is compiled from "<string>"; a generated
         # __init__ stores every field through object.__setattr__
@@ -305,6 +314,19 @@ class TestLoadManifest:
         with pytest.raises(SchemaViolation):
             load_manifest(p)
 
+    def test_class_map_keys_naming_one_id_fail_assess(self, tmp_path, capsys):
+        # "0" and "00" both convert to id 0: the later key must not win silently
+        damage_map = {"0": "spalling", "00": "crack", "1": "spalling", "2": "rebar"}
+        images = [{"id": "a", "scene": "outside", "damage": "0 0.5 0.5 0.2 0.2 0.9\n"}]
+        path = write_dataset(tmp_path / "d", images, class_maps={"damage": damage_map})
+        assert main(["assess", "--manifest", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "error": "SchemaViolation",
+            "detail": "schema violation at class_maps.damage.00: duplicate class id 0",
+        }]
+
     @pytest.mark.parametrize("where", ["cwd", "d", "./d", "absolute"])
     @pytest.mark.parametrize("rel", ["x.txt", "/abs/x.txt", "./x.txt", "a//b.txt", ""])
     def test_paths_are_os_path_join_of_the_manifest_dir(self, tmp_path, monkeypatch, where, rel):
@@ -328,12 +350,10 @@ class TestLoadManifest:
 
 class TestParseBoxText:
     def test_empty(self):
-        assert parse_box_text("", DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE) == []
+        assert parse_box_text("", DEFAULT_DAMAGE_CLASS_MAP) == []
 
     def test_single_line_with_conf(self):
-        dets = parse_box_text(
-            "2 0.5 0.5 0.2 0.1 0.9", DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE
-        )
+        dets = parse_box_text("2 0.5 0.5 0.2 0.1 0.9", DEFAULT_DAMAGE_CLASS_MAP)
         assert len(dets) == 1
         det = dets[0]
         assert det.cls is DamageClass.EXPOSED_REBAR
@@ -341,35 +361,36 @@ class TestParseBoxText:
         assert det.confidence == 0.9
 
     def test_conf_defaults_to_one(self):
-        (det,) = parse_box_text("0 0.5 0.5 0.1 0.1", DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+        (det,) = parse_box_text("0 0.5 0.5 0.1 0.1", DEFAULT_DAMAGE_CLASS_MAP)
         assert det.confidence == 1.0
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(BadLine) as exc:
-            parse_box_text("0 0.5 0.5 0.0 0.1", DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+            parse_box_text("0 0.5 0.5 0.0 0.1", DEFAULT_DAMAGE_CLASS_MAP)
         assert exc.value.line_no == 1
         assert exc.value.reason == "w must be > 0"
 
     def test_comments_and_blanks_skipped_line_numbers_kept(self):
         text = "# header\n\n0 0.5 0.5 0.1 0.1\nbogus line here\n"
         with pytest.raises(BadLine) as exc:
-            parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+            parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP)
         assert exc.value.line_no == 4
 
     def test_unknown_class_id(self):
         with pytest.raises(BadLine, match="class map"):
-            parse_box_text("7 0.5 0.5 0.1 0.1", DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+            parse_box_text("7 0.5 0.5 0.1 0.1", DEFAULT_DAMAGE_CLASS_MAP)
 
     def test_n_lines_n_detections_order_preserved(self):
         lines = "\n".join(f"0 0.5 0.5 0.1 0.1 0.{i+1}" for i in range(5))
-        dets = parse_box_text(lines, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+        dets = parse_box_text(lines, DEFAULT_DAMAGE_CLASS_MAP)
         assert [d.confidence for d in dets] == [0.1, 0.2, 0.3, 0.4, 0.5]
 
     def test_component_kind(self):
-        (det,) = parse_box_text(
-            "1 0.5 0.5 0.4 0.8 0.9", DEFAULT_COMPONENT_CLASS_MAP, DetectionKind.COMPONENT
-        )
+        (det,) = parse_box_text("1 0.5 0.5 0.4 0.8 0.9", DEFAULT_COMPONENT_CLASS_MAP)
         assert det.cls is ComponentClass.COLUMN
+        # id 1 in the damage map is spalling: same box, other enum, never equal
+        (spall,) = parse_box_text("1 0.5 0.5 0.4 0.8 0.9", DEFAULT_DAMAGE_CLASS_MAP)
+        assert spall.cls is DamageClass.SPALLING and spall != det
 
     @pytest.mark.parametrize("text, line_no, reason", [
         ("0 0.5 0.5 0.1", 1, "expected 5 or 6 fields, got 4"),
@@ -409,7 +430,7 @@ class TestParseBoxText:
     ])
     def test_bad_line_reports_its_line_and_reason(self, text, line_no, reason):
         with pytest.raises(BadLine) as exc:
-            parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+            parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP)
         assert (exc.value.line_no, exc.value.reason) == (line_no, reason)
 
     def test_well_formed_lines_are_converted_once(self, monkeypatch):
@@ -421,7 +442,7 @@ class TestParseBoxText:
             "# header\n0 0.5 0.5 0.1 0.1 0.9\r\n\n  2 0.3 0.3 0.2 0.2\n"
             "  # 0 0.5 0.5 0.1 0.1\n1 1 0 1 1 0\n# trailer: a comment on the last line\n"
         )
-        dets = parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+        dets = parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP)
         assert [d.cls for d in dets] == [
             DamageClass.CRACK, DamageClass.EXPOSED_REBAR, DamageClass.SPALLING
         ]
@@ -438,12 +459,12 @@ class TestParseBoxText:
         monkeypatch.setattr(dataset_io, "_checked_box_line", spy)
         text = "0 0.5 0.5 0.1 0.1\n# note\n1 0.5 0.5 0.1 0.1\n0 0.5 0.5 0.1 1.5\n# last\n"
         with pytest.raises(BadLine) as exc:
-            parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+            parse_box_text(text, DEFAULT_DAMAGE_CLASS_MAP)
         assert (exc.value.line_no, exc.value.reason) == (4, "h must be <= 1")
         assert checked_lines == [4]
 
 
-def _parse_box_lines(text, class_map, det_type):
+def _parse_box_lines(text, class_map):
     """parse_box_text as it was before its one-try fast path: every line
     checked a step at a time. The reference for the property test below."""
     out = []
@@ -467,7 +488,7 @@ def _parse_box_lines(text, class_map, det_type):
         except ValueError:
             raise BadLine(line_no, "non-numeric field") from None
         try:
-            out.append(det_type(cls, BoundingBox(cx, cy, w, h), conf))
+            out.append(Detection(cls, BoundingBox(cx, cy, w, h), conf))
         except ValueError as exc:
             raise BadLine(line_no, str(exc)) from None
     return out
@@ -507,36 +528,44 @@ box_texts = st.tuples(
 
 
 @settings(max_examples=400, deadline=None)
-@given(box_texts, st.sampled_from(list(DetectionKind)))
-def test_box_text_fast_path_equals_line_by_line(text, kind):
-    class_map = (
-        DEFAULT_DAMAGE_CLASS_MAP if kind is DetectionKind.DAMAGE else DEFAULT_COMPONENT_CLASS_MAP
-    )
-    det_type = DamageDetection if kind is DetectionKind.DAMAGE else ComponentDetection
-    assert _box_outcome(lambda: parse_box_text(text, class_map, kind)) == _box_outcome(
-        lambda: _parse_box_lines(text, class_map, det_type)
-    )
+@given(
+    box_texts,
+    st.sampled_from(
+        [(DEFAULT_DAMAGE_CLASS_MAP, DamageClass), (DEFAULT_COMPONENT_CLASS_MAP, ComponentClass)]
+    ),
+)
+def test_box_text_fast_path_equals_line_by_line(text, map_and_enum):
+    class_map, enum_cls = map_and_enum
+    outcome = _box_outcome(lambda: parse_box_text(text, class_map))
+    assert outcome == _box_outcome(lambda: _parse_box_lines(text, class_map))
+    if outcome[0] == "ok":
+        assert all(type(d.cls) is enum_cls for d in outcome[1])
+
+
+def _json_detections(text, enum_cls):
+    """A JSON detection file's text as read_detections parses it."""
+    return detections_from_obj(decode_json(text), enum_cls)
 
 
 class TestParseJsonDetections:
     def test_empty(self):
-        assert parse_json_detections('{"detections": []}', DetectionKind.DAMAGE) == []
+        assert _json_detections('{"detections": []}', DamageClass) == []
 
     def test_single(self):
         text = '{"detections":[{"class":"spalling","box":[0.3,0.4,0.2,0.2],"confidence":0.8}]}'
-        (det,) = parse_json_detections(text, DetectionKind.DAMAGE)
+        (det,) = _json_detections(text, DamageClass)
         assert det.cls is DamageClass.SPALLING
         assert det.confidence == 0.8
 
     def test_unknown_class(self):
         text = '{"detections":[{"class":"pillar","box":[0.3,0.4,0.2,0.2],"confidence":0.8}]}'
         with pytest.raises(UnknownClass) as exc:
-            parse_json_detections(text, DetectionKind.COMPONENT)
+            _json_detections(text, ComponentClass)
         assert exc.value.name == "pillar"
 
     def test_schema_violation_field_path(self):
         with pytest.raises(SchemaViolation) as exc:
-            parse_json_detections('{"detections":[{"class":"crack"}]}', DetectionKind.DAMAGE)
+            _json_detections('{"detections":[{"class":"crack"}]}', DamageClass)
         assert "detections[0]" in exc.value.field
 
 
@@ -548,7 +577,7 @@ boxes = st.builds(
     h=st.floats(0.001, 1.0),
 )
 damage_detections = st.builds(
-    DamageDetection,
+    Detection,
     cls=st.sampled_from(list(DamageClass)),
     box=boxes,
     confidence=st.floats(0.0, 1.0),
@@ -557,7 +586,7 @@ damage_detections = st.builds(
 
 @given(st.lists(damage_detections, max_size=8))
 def test_json_round_trip(dets):
-    reparsed = parse_json_detections(detections_to_json(dets), DetectionKind.DAMAGE)
+    reparsed = _json_detections(detections_to_json(dets), DamageClass)
     assert reparsed == dets
 
 
@@ -566,13 +595,13 @@ class TestReadDetections:
         (tmp_path / "plain.txt").write_text("")
         for path in (tmp_path / "nope.txt", tmp_path, tmp_path / "plain.txt" / "d.txt"):
             with pytest.raises(MissingFile) as exc:
-                read_detections(str(path), DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+                read_detections(str(path), DEFAULT_DAMAGE_CLASS_MAP, DamageClass)
             assert str(exc.value) == f"file not found: {path}"
 
     def test_other_os_error_is_io_failure(self, tmp_path):
         path = str(tmp_path / ("x" * 300))  # longer than a file name may be
         with pytest.raises(IoFailure, match="cannot read"):
-            read_detections(path, DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+            read_detections(path, DEFAULT_DAMAGE_CLASS_MAP, DamageClass)
 
 
 # near-miss box text: tokens that parse, tokens that do not, and out-of-range values
@@ -609,7 +638,7 @@ def test_any_bytes_give_detections_or_a_ruinscore_error(tmp_path_factory, data, 
     path = tmp_path_factory.getbasetemp() / name
     path.write_bytes(data)
     try:
-        dets = read_detections(str(path), DEFAULT_DAMAGE_CLASS_MAP, DetectionKind.DAMAGE)
+        dets = read_detections(str(path), DEFAULT_DAMAGE_CLASS_MAP, DamageClass)
     except RuinscoreError:
         return
-    assert all(isinstance(d, DamageDetection) for d in dets)
+    assert all(type(d) is Detection and type(d.cls) is DamageClass for d in dets)

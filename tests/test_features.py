@@ -9,9 +9,8 @@ from ruinscore.backend import CascadeOutput
 from ruinscore.dataset_io import (
     BoundingBox,
     ComponentClass,
-    ComponentDetection,
     DamageClass,
-    DamageDetection,
+    Detection,
     SceneClass,
     SceneLabel,
 )
@@ -43,10 +42,10 @@ def test_empty_output_all_zero_except_scene_and_level():
 
 def test_hand_assembled_example():
     cracks = (
-        DamageDetection(DamageClass.CRACK, BoundingBox(0.3, 0.3, 0.1, 0.1), 0.8),
-        DamageDetection(DamageClass.CRACK, BoundingBox(0.6, 0.6, 0.2, 0.1), 0.6),
+        Detection(DamageClass.CRACK, BoundingBox(0.3, 0.3, 0.1, 0.1), 0.8),
+        Detection(DamageClass.CRACK, BoundingBox(0.6, 0.6, 0.2, 0.1), 0.6),
     )
-    column = ComponentDetection(ComponentClass.COLUMN, BoundingBox(0.5, 0.5, 0.4, 0.8), 0.9)
+    column = Detection(ComponentClass.COLUMN, BoundingBox(0.5, 0.5, 0.4, 0.8), 0.9)
     out = CascadeOutput("x", INSIDE, (column,), cracks)
     x, rule = features_for(out)
     assert rule.level.value == 1 and rule.score == 2.0
@@ -63,7 +62,7 @@ def test_hand_assembled_example():
 
 def test_area_clamped_to_one():
     big = tuple(
-        DamageDetection(DamageClass.SPALLING, BoundingBox(0.5, 0.5, 0.9, 0.9), 0.9)
+        Detection(DamageClass.SPALLING, BoundingBox(0.5, 0.5, 0.9, 0.9), 0.9)
         for _ in range(2)
     )
     out = CascadeOutput("x", OUTSIDE, (), big)

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from ruinscore.backend import CascadeOutput
 from ruinscore.dataset_io import (
     BoundingBox,
-    ComponentDetection,
     ComponentClass,
     DamageClass,
-    DamageDetection,
     DamageLevel,
+    Detection,
     SceneClass,
     SceneLabel,
 )
@@ -55,7 +54,7 @@ def box(cx, cy, w, h):
 
 
 def dmg(cls, b, conf):
-    return DamageDetection(cls, b, conf)
+    return Detection(cls, b, conf)
 
 
 def cascade(damages=(), components=(), scene=OUTSIDE):
@@ -136,7 +135,7 @@ class TestValidateRebar:
         assert validate_rebar(self.rebar(), [spall], [], V2_CONFIG) is True
 
     def test_v2_component_containment(self):
-        column = ComponentDetection(ComponentClass.COLUMN, box(0.5, 0.5, 0.5, 0.9), 0.9)
+        column = Detection(ComponentClass.COLUMN, box(0.5, 0.5, 0.5, 0.9), 0.9)
         assert validate_rebar(self.rebar(), [], [column], V2_CONFIG) is True
 
     def test_v2_low_conf_fails_despite_evidence(self):
@@ -187,7 +186,7 @@ class TestRuleFusion:
     def test_demoted_rebar_still_scores(self):
         # v2, lone rebar without co-evidence: no force, w_rebar counts in S
         rebar = dmg(DamageClass.EXPOSED_REBAR, box(0.5, 0.5, 0.2, 0.2), 0.9)
-        column = ComponentDetection(ComponentClass.COLUMN, box(0.1, 0.1, 0.05, 0.05), 0.9)
+        column = Detection(ComponentClass.COLUMN, box(0.1, 0.1, 0.05, 0.05), 0.9)
         decision = rule_fusion(cascade([rebar], [column]), V2_CONFIG)
         assert not decision.rebar_forced
         assert decision.counts.n_rebar_raw == 1
@@ -201,7 +200,7 @@ class TestRuleFusion:
         decision = rule_fusion(cascade(cracks), V2_CONFIG)
         assert decision.score == 1.0  # 2.0 halved, no confident component
         assert "ambiguity-bias" in decision.applied_filters
-        column = ComponentDetection(ComponentClass.COLUMN, box(0.5, 0.5, 0.4, 0.8), 0.9)
+        column = Detection(ComponentClass.COLUMN, box(0.5, 0.5, 0.4, 0.8), 0.9)
         decision = rule_fusion(cascade(cracks, [column]), V2_CONFIG)
         assert decision.score == 2.0
         assert "ambiguity-bias" not in decision.applied_filters

@@ -1,19 +1,26 @@
-"""The benchmark's trace hooks must name functions that still exist.
+"""The benchmark's trace hooks and set-up loaders must name functions that
+still exist.
 
 perfbench/trace.py reports a hook whose target is gone as "absent" and reads
 its per-layer metric as 0, so a rename would silently blank a metric. This
 test reads the hook table and resolves each target with trace.py's own
-`resolve`, leaving perfbench/ untouched.
+`resolve`, leaving perfbench/ untouched. perfbench/setup_probe.py likewise
+skips a loader it cannot find, so a rename would read as a faster set-up;
+the loaders it names in its text must resolve too.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import types
 from pathlib import Path
 
 import pytest
 
-TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACE = PERFBENCH / "trace.py"
+SETUP_PROBE = PERFBENCH / "setup_probe.py"
 # targets that no longer exist; each hook goes at the next benchmark change.
 # best_split's compiled kernel was removed; the one-row predicts were too, and
 # the meta.predict span still resolves through the `_batch` targets; the file
@@ -50,3 +57,34 @@ def test_hook_target_resolves(span, module_name, attr_path):
 def test_known_absent_hooks_are_still_listed():
     # once the benchmark re-points a hook, drop it from KNOWN_ABSENT
     assert KNOWN_ABSENT <= {hook[1:] for hook in trace.HOOKS}
+
+
+def probe_loaders() -> list[tuple[str, str]]:
+    """(module, function) of each `(module, "name", path)` loader tuple in
+    setup_probe.py, its module named as the probe's `from ruinscore import`
+    binds it."""
+    tree = ast.parse(SETUP_PROBE.read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "ruinscore"
+        for alias in node.names
+    }
+    return [
+        (modules[node.elts[0].id], node.elts[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 3
+        and isinstance(node.elts[0], ast.Name)
+        and node.elts[0].id in modules
+        and isinstance(node.elts[1], ast.Constant)
+        and isinstance(node.elts[1].value, str)
+    ]
+
+
+def test_setup_probe_loaders_resolve():
+    loaders = probe_loaders()
+    assert loaders, "no loader tuple found in setup_probe.py"
+    for module_name, name in loaders:
+        loader = getattr(importlib.import_module(module_name), name, None)
+        assert callable(loader), f"setup_probe.py loader {module_name}.{name}"
