@@ -274,6 +274,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_meta(args) -> int:
+    import numpy as np
+
     from . import meta
     from .meta.hyper import GbdtHyper, LogRegHyper
 
@@ -282,15 +284,17 @@ def _cmd_train_meta(args) -> int:
     backend = FileBackend(manifest)
 
     labeled = [entry for entry in manifest.images if entry.ground_truth_level is not None]
-    X = []
+    if not labeled:
+        raise DegenerateData("no manifest entry carries ground_truth_level")
+    # the one training matrix: each image's features are written into it
+    X = np.empty((len(labeled), meta.FEATURE_DIM), dtype=np.float64)
     for start in range(0, len(labeled), CHUNK_SIZE):
         chunk = labeled[start : start + CHUNK_SIZE]
         outs, failure = _cascade_chunk(chunk, backend, keep_going=False)
         if failure is not None:
             raise failure
-        X += [meta.extract_features(out, rule_fusion(out, config)) for out in outs]
-    if not X:
-        raise DegenerateData("no manifest entry carries ground_truth_level")
+        for row, out in enumerate(outs, start):
+            X[row] = meta.extract_features(out, rule_fusion(out, config))
     y = [entry.ground_truth_level for entry in labeled]
 
     if args.kind == "logreg":

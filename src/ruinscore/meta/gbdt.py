@@ -6,15 +6,21 @@ feature values (no histogram binning), ties broken by lowest feature index
 then lowest threshold, which together with zero-randomness training makes
 serialized models bit-reproducible.
 
-A fit allocates one scratch workspace (`_Workspace`) and every node of every
-tree gathers and partitions into it, so the scan's node-sized arrays are
-not freed and faulted back in from tree to tree.
+The scan only compares neighbouring sorted values and reads one threshold
+per split, so a fit turns each feature's values into dense integer ranks
+once (`_presort`), in the narrowest unsigned type that holds n - 1: equal
+ranks mean equal values, -0.0 == 0.0 included. Every node holds ranks, and
+a split's threshold is read from the training matrix through its sample
+index. A fit allocates one scratch workspace (`_Workspace`) and every node
+of every tree gathers and partitions into it, so the scan's node-sized
+arrays are not freed and faulted back in from tree to tree.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,6 +32,8 @@ from .logreg import _as_matrix, _finite_array, _json_int, _log_loss, _one_hot
 from .logreg import _training_matrix, softmax_rows
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .hyper import GbdtHyper
 
 N_CLASSES = 4
@@ -152,7 +160,12 @@ class Forest:
 
 @dataclass
 class GbdtModel:
-    """A gradient-boosted forest meta-model: per round one tree per class."""
+    """A gradient-boosted forest meta-model: per round one tree per class.
+
+    `forest` is `trees` flattened, built on first use and kept: a model that
+    is only saved is never flattened. `gbdt_from_dict` flattens at load, so
+    a malformed model file fails there, at its node's path.
+    """
 
     trees: list[list[dict]]  # rounds x 4; nodes are nested dicts, leaves {"value": v}
     base_scores: np.ndarray  # (4,) log class priors
@@ -164,14 +177,16 @@ class GbdtModel:
     loss_trace: list[float] = field(default_factory=list, repr=False)  # not serialized
     # (n, 4) training rows' probabilities from train_gbdt; not serialized
     training_probs: np.ndarray | None = field(default=None, repr=False, compare=False)
-    forest: Forest = field(init=False, repr=False, compare=False)  # `trees`, flattened
 
     def __post_init__(self) -> None:
         if not isinstance(self.trees, list) or not all(
             isinstance(r, list) and len(r) == N_CLASSES for r in self.trees
         ):
             raise SchemaViolation("trees", f"must be an array of rounds of {N_CLASSES} tree objects")
-        self.forest = Forest.from_trees(self.trees, self.max_depth, self.dim)
+
+    @cached_property
+    def forest(self) -> Forest:
+        return Forest.from_trees(self.trees, self.max_depth, self.dim)
 
     @property
     def rounds(self) -> int:
@@ -183,8 +198,9 @@ def split_candidates(xs: np.ndarray, min_leaf: int) -> tuple[np.ndarray, np.ndar
 
     at holds the flat index, in the node's (d, n) prefix sums, of every
     boundary between distinct consecutive sorted values that leaves min_leaf
-    samples on both sides, feature-major; feat holds each one's feature. It
-    depends on xs and min_leaf only, so a fit builds the root's once.
+    samples on both sides, feature-major; feat holds each one's feature. xs
+    may hold the values or their ranks: only equality is read. It depends on
+    xs and min_leaf only, so a fit builds the root's once.
     """
     n = xs.shape[1]
     if n < 2 * min_leaf or n < 2:
@@ -205,19 +221,23 @@ def best_split(
     lam: float,
     min_leaf: int,
     cands: tuple[np.ndarray, np.ndarray] | None = None,
+    value_at: Callable[[int, int], float] | None = None,
 ) -> tuple[int, int, float, float]:
     """Best axis-aligned split for one tree node.
 
-    xs is a (d, n) float64 array: row j holds the node's values of feature j
-    in ascending order. ghs is the (d, n) complex128 array of the same
-    samples in the same order, each packing a gradient (real part) and a
-    hessian (imaginary part). The scan overwrites ghs with its prefix sums
-    (np.cumsum in place, no new (d, n) array), so pass a gather made for the
-    scan (in a fit, the workspace's).
+    xs is a (d, n) array: row j holds the node's values of feature j in
+    ascending order, or their dense ranks (in a fit, always the ranks). ghs
+    is the (d, n) complex128 array of the same samples in the same order,
+    each packing a gradient (real part) and a hessian (imaginary part). The
+    scan overwrites ghs with its prefix sums (np.cumsum in place, no new
+    (d, n) array), so pass a gather made for the scan (in a fit, the
+    workspace's).
     Candidate thresholds are the left-side values at the boundaries of
     split_candidates(xs, min_leaf), built here unless given as cands;
-    x <= threshold routes left. Returns (feature, n_left, threshold, gain),
-    or NO_SPLIT when no candidate has positive gain and min_leaf samples on
+    x <= threshold routes left. The chosen one is value_at(f, k), the value
+    at sorted position k of feature f, when given (xs holding ranks), and
+    xs[f, k] otherwise. Returns (feature, n_left, threshold, gain), or
+    NO_SPLIT when no candidate has positive gain and min_leaf samples on
     both sides.
 
     The result is deterministic: prefix sums accumulate sequentially left to
@@ -256,11 +276,27 @@ def best_split(
     n = xs.shape[1]
     f = int(feat[best])
     k = int(at[best]) - f * n
-    return f, k + 1, float(xs[f, k]), float(gain[best])
+    thr = xs[f, k] if value_at is None else value_at(f, k)
+    return f, k + 1, float(thr), float(gain[best])
 
 
 def _leaf(g_sum: float, h_sum: float, lam: float) -> dict:
     return {"value": g_sum / (h_sum + lam)}
+
+
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fit's root cells of the (n, d) matrix X, both (d, n): order[f],
+    the samples stably sorted by feature f (ties in sample order), and
+    ranks[f], their dense ranks among feature f's distinct values, in the
+    narrowest unsigned type that holds n - 1. Equal ranks mean equal values
+    (-0.0 == 0.0), so a boundary between ranks is one between values; the
+    sorted float values are dropped once ranked."""
+    n = X.shape[0]
+    order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    ranks = np.zeros(order.shape, dtype=np.min_scalar_type(n - 1))
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, dtype=ranks.dtype, out=ranks[:, 1:])
+    return ranks, order
 
 
 class _Workspace:
@@ -272,45 +308,56 @@ class _Workspace:
     its packed gradients into the first d * m entries, and the scan's prefix
     sums run there.
 
-    cells: one (xs, order) pair per depth parity, each a flat (d * n,)
-    float64 and intp array; a fit that never scans below the root has none.
-    A node at depth k >= 1 holds its sorted values and sample indices in
-    cells[k % len(cells)] from its offset `base` on. A split writes the
-    children that scan into the other pair, the left child at the node's
-    base and the right child straight after it, so a subtree writes only
-    inside its own root's range, the pending right sibling survives its
-    left sibling's subtree, and two pairs serve any max_depth.
+    cells: one (ranks, order) pair per depth parity, each a flat (d * n,)
+    array of the fit's rank type and of intp; a fit that never scans below
+    the root has none. A node at depth k >= 1 holds its sorted ranks and
+    sample indices in cells[k % len(cells)] from its offset `base` on. A
+    split writes the children that scan into the other pair, the left child
+    at the node's base and the right child straight after it, so a subtree
+    writes only inside its own root's range, the pending right sibling
+    survives its left sibling's subtree, and two pairs serve any max_depth.
+    Per cell that is 16 B of gather and 2 x (rank + 8 B of order).
     """
 
     __slots__ = ("gather", "cells")
 
-    def __init__(self, d: int, n: int, max_depth: int) -> None:
+    def __init__(self, d: int, n: int, max_depth: int, rank_type: np.dtype) -> None:
         size = d * n
         pairs = min(max_depth - 1, 2)  # depths 1 .. max_depth - 1 scan from cells
-        block = np.empty((1 + pairs) * size, dtype=np.complex128)
-        self.gather = block[:size]
-        self.cells = []
-        for p in range(1, 1 + pairs):
-            flat = block[p * size : (p + 1) * size].view(np.float64)  # 2 * size entries
-            self.cells.append((flat[:size], flat[size:].view(np.intp)[:size]))
+        # the orders before the ranks, so every view is aligned to its item
+        orders_at = 16 * size
+        ranks_at = orders_at + 8 * size * pairs
+        block = np.empty(ranks_at + rank_type.itemsize * size * pairs, dtype=np.uint8)
+        self.gather = block[:orders_at].view(np.complex128)
+        orders = block[orders_at:ranks_at].view(np.intp)
+        ranks = block[ranks_at:].view(rank_type)
+        self.cells = [
+            (ranks[p * size : (p + 1) * size], orders[p * size : (p + 1) * size])
+            for p in range(pairs)
+        ]
 
 
 def _cells(
-    xs: np.ndarray, order: np.ndarray, keep: np.ndarray, xs_out: np.ndarray, order_out: np.ndarray
+    ranks: np.ndarray,
+    order: np.ndarray,
+    keep: np.ndarray,
+    ranks_out: np.ndarray,
+    order_out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The kept cells of each feature row, in their sorted order (a stable
-    partition), written to the flat xs_out and order_out, which hold exactly
-    as many cells; returned as (d, kept per row) views of them."""
+    partition), written to the flat ranks_out and order_out, which hold
+    exactly as many cells; returned as (d, kept per row) views of them."""
     at = np.flatnonzero(keep)  # row-major: each row's kept cells in their order
-    d = xs.shape[0]
+    d = ranks.shape[0]
     return (
-        xs.take(at, out=xs_out, mode="clip").reshape(d, -1),
+        ranks.take(at, out=ranks_out, mode="clip").reshape(d, -1),
         order.take(at, out=order_out, mode="clip").reshape(d, -1),
     )
 
 
 def _build_tree(
-    xs: np.ndarray | None,
+    X: np.ndarray,
+    ranks: np.ndarray | None,
     order: np.ndarray | None,
     rows: np.ndarray,
     gh: np.ndarray,
@@ -323,14 +370,17 @@ def _build_tree(
 ) -> dict:
     """Grow the subtree over one node's samples.
 
-    rows: (m,) the node's sample indices in ascending order. order, xs: (d, m)
-    the same samples per feature, sorted by value with ties in sample order,
-    and their values; None when the node does not scan (at max_depth, or
-    under 2 * min_leaf samples), where only rows are read. A split
-    partitions both stably, so each child's rows are what a fresh stable
-    argsort of its samples would give. gh: (n,) every sample's gradient
-    (real part) and hessian (imaginary part); it is only read. Each leaf's
-    value is written to leaf_of_row at its samples.
+    X: the fit's (n, d) training matrix; a split's threshold is read from it
+    through the sample index, X[order[f, n_left - 1], f], which is the float
+    the sorted values held, signed zero included. rows: (m,) the node's
+    sample indices in ascending order. order, ranks: (d, m) the same samples
+    per feature, sorted by value with ties in sample order, and the dense
+    ranks of their values (`_presort`); None when the node does not scan (at
+    max_depth, or under 2 * min_leaf samples), where only rows are read. A
+    split partitions both stably, so each child's rows are what a fresh
+    stable argsort of its samples would give. gh: (n,) every sample's
+    gradient (real part) and hessian (imaginary part); it is only read. Each
+    leaf's value is written to leaf_of_row at its samples.
 
     ws: the fit's workspace. The node gathers into ws.gather and writes the
     cells of the children that scan into ws.cells at base, the offset of
@@ -340,10 +390,12 @@ def _build_tree(
     arrays. cands: the root's split_candidates, built once per fit; every
     other node builds its own.
     """
-    if xs is not None:
-        d, m = xs.shape
+    if ranks is not None:
+        d, m = ranks.shape
         ghs = gh.take(order, out=ws.gather[: d * m].reshape(d, m), mode="clip")
-        feat, n_left, thr, _ = best_split(xs, ghs, hp.lam, hp.min_leaf, cands)
+        feat, n_left, thr, _ = best_split(
+            ranks, ghs, hp.lam, hp.min_leaf, cands, lambda f, k: X[order[f, k], f]
+        )
         if feat >= 0:
             goes_left = np.zeros(leaf_of_row.size, dtype=bool)
             goes_left[order[feat, :n_left]] = True
@@ -351,21 +403,21 @@ def _build_tree(
             mid = base + d * n_left
             left = right = (None, None)
             if depth + 1 < hp.max_depth:
-                xs_out, order_out = ws.cells[(depth + 1) % len(ws.cells)]
+                ranks_out, order_out = ws.cells[(depth + 1) % len(ws.cells)]
                 keep = goes_left[order]
                 if n_left >= 2 * hp.min_leaf:
-                    left = _cells(xs, order, keep, xs_out[base:mid], order_out[base:mid])
+                    left = _cells(ranks, order, keep, ranks_out[base:mid], order_out[base:mid])
                 if m - n_left >= 2 * hp.min_leaf:
                     end = base + d * m
-                    right = _cells(xs, order, ~keep, xs_out[mid:end], order_out[mid:end])
+                    right = _cells(ranks, order, ~keep, ranks_out[mid:end], order_out[mid:end])
             return {
                 "feature": feat,
                 "threshold": thr,
                 "left": _build_tree(
-                    *left, rows[in_left], gh, depth + 1, hp, leaf_of_row, ws, base
+                    X, *left, rows[in_left], gh, depth + 1, hp, leaf_of_row, ws, base
                 ),
                 "right": _build_tree(
-                    *right, rows[~in_left], gh, depth + 1, hp, leaf_of_row, ws, mid
+                    X, *right, rows[~in_left], gh, depth + 1, hp, leaf_of_row, ws, mid
                 ),
             }
     # float sums over the samples in their original order: a complex sum
@@ -378,16 +430,18 @@ def _build_tree(
 def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
     """Boost hp.rounds rounds of 4 per-class trees.
 
-    Each feature column is sorted once per fit (the pre-sorted column blocks
-    of XGBoost's exact greedy method, Chen & Guestrin 2016); nodes partition
-    those orders instead of sorting again. The root's split candidates,
-    which depend on the sorted values only, are likewise found once per fit
-    and reused by every tree's root scan, and one workspace per fit holds
-    every node's gather and child cells.
+    Each feature column is sorted and ranked once per fit (the pre-sorted
+    column blocks of XGBoost's exact greedy method, Chen & Guestrin 2016,
+    holding lossless integer ranks where LightGBM, Ke et al. 2017, holds
+    histogram bins); nodes partition those orders instead of sorting again.
+    The root's split candidates, which depend on the ranks only, are
+    likewise found once per fit and reused by every tree's root scan, and
+    one workspace per fit holds every node's gather and child cells.
 
     The model carries the training rows' final probabilities in
     training_probs; they equal predict_gbdt_batch(model, X) bit for bit,
-    because both add learning_rate times each leaf round by round.
+    because both add learning_rate times each leaf round by round. Its
+    forest is not built until it predicts.
 
     A training set with every label identical yields a flagged priors-only
     model (nothing to split on). Fewer than 2*min_leaf samples, or a
@@ -407,12 +461,10 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
     trace: list[float] = []
     trees: list[list[dict]] = []
 
-    XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable")
-    xs = np.take_along_axis(XT, order, axis=1)
+    ranks, order = _presort(X)
     rows = np.arange(n)
-    root = split_candidates(xs, hp.min_leaf)
-    ws = _Workspace(d, n, hp.max_depth)
+    root = split_candidates(ranks, hp.min_leaf)
+    ws = _Workspace(d, n, hp.max_depth, ranks.dtype)
     leaf_of_row = np.empty(n, dtype=np.float64)
     gh = np.empty(n, dtype=np.complex128)
 
@@ -425,7 +477,9 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
             # assigned, not g + 1j * h, which can flip the sign of a zero
             gh.real = Y[:, c] - P[:, c]
             gh.imag = P[:, c] * (1.0 - P[:, c])
-            round_trees.append(_build_tree(xs, order, rows, gh, 0, hp, leaf_of_row, ws, 0, root))
+            round_trees.append(
+                _build_tree(X, ranks, order, rows, gh, 0, hp, leaf_of_row, ws, 0, root)
+            )
             F[:, c] += hp.learning_rate * leaf_of_row
         trees.append(round_trees)
         P = softmax_rows(F)
@@ -482,7 +536,7 @@ def gbdt_from_dict(raw: dict) -> GbdtModel:
         raise SchemaViolation("max_depth", "must be >= 1")
     if not isinstance(raw["degenerate"], bool):
         raise SchemaViolation("degenerate", "must be true or false")
-    return GbdtModel(
+    model = GbdtModel(
         trees=raw["trees"],
         base_scores=_finite_array(raw, "base_scores", (N_CLASSES,)),
         learning_rate=float(raw["learning_rate"]),
@@ -491,3 +545,5 @@ def gbdt_from_dict(raw: dict) -> GbdtModel:
         degenerate=raw["degenerate"],
         feature_layout=str(raw["feature_layout"]),
     )
+    model.forest  # flattened at load, so every node is checked here
+    return model

@@ -301,12 +301,18 @@ class TestAssess:
             )
         finally:
             os.close(write_end)
-        assert proc.returncode == 1
-        (line,) = proc.stderr.splitlines()
-        assert json.loads(line) == {
+        child = f"exit code {proc.returncode}, stderr:\n{proc.stderr}"
+        assert proc.returncode == 1, child
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, child
+        try:
+            error = json.loads(lines[0])
+        except json.JSONDecodeError:
+            error = None
+        assert error == {
             "error": "IoFailure",
             "detail": f"cannot write {what} to stdout: [Errno 32] Broken pipe",
-        }
+        }, child
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -457,6 +458,21 @@ def test_deep_fit_on_many_rows_matches_per_node_argsort(seed):
     assert model_to_json(train_gbdt(X, y, hp)) == model_to_json(reference_train(X, y, hp))
 
 
+def test_signed_zero_threshold_matches_per_node_argsort():
+    # zeros of both signs tie, in sample order 0.0 first and -0.0 last, so the
+    # boundary after them has -0.0 as its left value: the threshold keeps
+    # that sign, where the first value of the tied rank would be 0.0
+    x0 = np.array([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, 2.0, 2.0, 0.0, -0.0])
+    x1 = np.linspace(0.0, 1.0, x0.size)[::-1]
+    X = np.stack([x0, x1], axis=1)
+    y = np.array([0, 0, 0, 0, 3, 3, 2, 2, 0, 0])
+    hp = GbdtHyper(rounds=2, max_depth=2, min_leaf=1)
+    model = train_gbdt(X, y, hp)
+    root = model.trees[0][0]
+    assert (root["feature"], _bits(root["threshold"])) == (0, _bits(-0.0))
+    assert model_to_json(model) == model_to_json(reference_train(X, y, hp))
+
+
 def benchmark_shaped(seed: int, n: int = 1500) -> tuple[np.ndarray, np.ndarray]:
     """An n x 18 training set shaped like the seed-7 train-gbdt features:
     11 discrete columns of 2 to 13 levels and 7 continuous ones, two of
@@ -478,6 +494,24 @@ def test_benchmark_scale_fit_matches_per_node_argsort(max_depth):
     assert len(set(y.tolist())) == 4
     hp = GbdtHyper(rounds=3, max_depth=max_depth)
     assert model_to_json(train_gbdt(X, y, hp)) == model_to_json(reference_train(X, y, hp))
+
+
+def test_benchmark_scale_fit_holds_ranks_and_builds_no_forest():
+    # a train-meta-sized fit; the bound lies halfway between the traced peaks
+    # of float64 cells with a forest built at construction (3.28 MB) and of
+    # uint16 ranks with no forest (2.58 MB)
+    X, y = benchmark_shaped(7)
+    train_gbdt(X, y, GbdtHyper())  # numpy's one-time set-up is not the fit's
+    tracemalloc.start()
+    try:
+        model = train_gbdt(X, y, GbdtHyper())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_930_000
+    assert "forest" not in vars(model)
+    probs = predict_gbdt_batch(model, X)
+    assert probs.tobytes() == model.training_probs.tobytes()
 
 
 def test_fits_leave_no_state_for_the_next():
@@ -542,15 +576,14 @@ def test_fit_leaves_its_inputs_unchanged(data):
 
     # the scan's in-place prefix sums run on a gather, never on the caller's gh
     n = X.shape[0]
-    order = np.argsort(X.T, axis=1, kind="stable")
-    xs = np.take_along_axis(X.T, order, axis=1)
+    ranks, order = gbdt_module._presort(X)
     gh = np.empty(n, dtype=np.complex128)
     gh.real = np.linspace(-1.0, 1.0, n)
     gh.imag = np.linspace(0.1, 0.3, n)
     kept = gh.copy()
     leaf_of_row = np.empty(n)
-    ws = gbdt_module._Workspace(X.shape[1], n, hp.max_depth)
-    gbdt_module._build_tree(xs, order, np.arange(n), gh, 0, hp, leaf_of_row, ws)
+    ws = gbdt_module._Workspace(X.shape[1], n, hp.max_depth, ranks.dtype)
+    gbdt_module._build_tree(X, ranks, order, np.arange(n), gh, 0, hp, leaf_of_row, ws)
     assert gh.tobytes() == kept.tobytes()
 
 
@@ -583,7 +616,7 @@ def test_recorded_leaves_equal_forest_walk(data):
     build = gbdt_module._build_tree
 
     def recording(*args):
-        depth, leaf_of_row = args[4], args[6]
+        depth, leaf_of_row = args[5], args[7]
         tree = build(*args)
         if depth == 0:
             built.append((tree, leaf_of_row.copy()))
