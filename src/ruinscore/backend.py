@@ -370,10 +370,13 @@ def _evidence(task: str, response: dict):
         raise ProtocolViolation(f"bad {task} response: {exc}") from None
 
 
+_SCENE_REPLY_KEYS = {"scene", "confidence"}
+
+
 def _scene_from_response(response: dict) -> SceneLabel:
-    unknown = set(response) - {"scene", "confidence"}
-    if unknown:
-        raise ProtocolViolation(f"unexpected scene response key {sorted(unknown)[0]!r}")
+    if not response.keys() <= _SCENE_REPLY_KEYS:
+        unknown = sorted(set(response) - _SCENE_REPLY_KEYS)[0]
+        raise ProtocolViolation(f"unexpected scene response key {unknown!r}")
     name = response.get("scene")
     conf = response.get("confidence")
     if not isinstance(name, str):

@@ -525,32 +525,37 @@ def _checked_box_line(line_no: int, fields: list[str], class_map: Mapping[int, E
         raise BadLine(line_no, str(exc)) from None
 
 
-def _detection_from_obj(obj: object, enum_cls: type[Enum], where: str):
+_DETECTION_KEYS = {"class", "box", "confidence"}
+
+
+def _detection_from_obj(obj: object, enum_cls: type[Enum], index: int):
+    """One detection object; its field path detections[index] is formatted only for an error."""
     if not isinstance(obj, dict):
-        raise SchemaViolation(where, "expected an object")
-    unknown = set(obj) - {"class", "box", "confidence"}
-    if unknown:
-        raise SchemaViolation(f"{where}.{sorted(unknown)[0]}", "unknown key")
+        raise SchemaViolation(f"detections[{index}]", "expected an object")
+    if not obj.keys() <= _DETECTION_KEYS:
+        unknown = sorted(set(obj) - _DETECTION_KEYS)[0]
+        raise SchemaViolation(f"detections[{index}].{unknown}", "unknown key")
     name = obj.get("class")
     if not isinstance(name, str):
-        raise SchemaViolation(f"{where}.class", "must be a class name string")
+        raise SchemaViolation(f"detections[{index}].class", "must be a class name string")
     try:
         cls = enum_cls(name)
     except ValueError:
         raise UnknownClass(name) from None
     box = obj.get("box")
     if not isinstance(box, list) or len(box) != 4:
-        raise SchemaViolation(f"{where}.box", "must be [cx, cy, w, h]")
+        raise SchemaViolation(f"detections[{index}].box", "must be [cx, cy, w, h]")
     conf = obj.get("confidence", 1.0)
     if not isinstance(conf, (int, float)) or isinstance(conf, bool):
-        raise SchemaViolation(f"{where}.confidence", "must be a number")
+        raise SchemaViolation(f"detections[{index}].confidence", "must be a number")
     for i, v in enumerate(box):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaViolation(f"{where}.box[{i}]", "must be a number")
+            raise SchemaViolation(f"detections[{index}].box[{i}]", "must be a number")
+    cx, cy, w, h = box
     try:
-        return Detection(cls, BoundingBox(*(float(v) for v in box)), float(conf))
+        return Detection(cls, BoundingBox(float(cx), float(cy), float(w), float(h)), float(conf))
     except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for float
-        raise SchemaViolation(where, str(exc)) from None
+        raise SchemaViolation(f"detections[{index}]", str(exc)) from None
 
 
 def detections_from_obj(obj: object, enum_cls: type[Enum]):
@@ -565,7 +570,7 @@ def detections_from_obj(obj: object, enum_cls: type[Enum]):
     dets = obj.get("detections")
     if not isinstance(dets, list):
         raise SchemaViolation("detections", "must be an array")
-    return [_detection_from_obj(d, enum_cls, f"detections[{i}]") for i, d in enumerate(dets)]
+    return [_detection_from_obj(d, enum_cls, i) for i, d in enumerate(dets)]
 
 
 def read_detections(path: str | os.PathLike, class_map: Mapping[int, Enum], enum_cls: type[Enum]):

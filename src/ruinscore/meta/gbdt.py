@@ -32,26 +32,15 @@ from .logreg import _as_matrix, _finite_array, _json_int, _log_loss, _one_hot
 from .logreg import _training_matrix, softmax_rows
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     from .hyper import GbdtHyper
 
 N_CLASSES = 4
 GBDT_FORMAT = "ruinscore-gbdt-v1"
 _PRIOR_FLOOR = 1e-12  # keeps log priors finite (and JSON-serializable) for absent classes
-NO_SPLIT = (-1, 0, 0.0, 0.0)
+NO_SPLIT = (-1, 0, 0.0)
 # rows walked through the forest at once: bounds predict's (rows, trees)
 # temporaries whatever the batch size
 _ROWS_PER_WALK = 64
-
-
-def _path(where) -> str:
-    """A node path kept as nested (parent path, ".side") pairs, spelled out."""
-    sides = []
-    while isinstance(where, tuple):
-        where, side = where
-        sides.append(side)
-    return where + "".join(reversed(sides))
 
 
 @dataclass(frozen=True)
@@ -79,9 +68,8 @@ class Forest:
         SchemaViolation at its path, e.g. trees[3][1].left.threshold.
 
         Nodes are numbered as they are reached, both children of a split at
-        once, and walked right child first. A node's path is kept as a
-        (parent path, ".side") pair and spelled out only for an error, and a
-        finite float value or threshold skips `check_number`.
+        once, and walked right child first. A finite float value or threshold
+        skips `check_number`.
         """
         feature: list[int] = []
         threshold: list[float] = []
@@ -102,34 +90,32 @@ class Forest:
                 while pending:
                     idx, node, level, where = pending.pop()
                     if not isinstance(node, dict):
-                        raise SchemaViolation(_path(where), "tree node must be an object")
+                        raise SchemaViolation(where, "tree node must be an object")
                     if level > max_depth:
-                        raise SchemaViolation(
-                            _path(where), f"node deeper than max_depth {max_depth}"
-                        )
+                        raise SchemaViolation(where, f"node deeper than max_depth {max_depth}")
                     if level > depth:
                         depth = level
                     if "value" in node:
                         v = node["value"]
                         if type(v) is not float or not -top <= v <= top:
-                            check_number(v, _path(where) + ".value")
+                            check_number(v, where + ".value")
                             v = float(v)
                         value[idx] = v
                         continue
                     feat = node.get("feature")
                     if not isinstance(feat, int) or isinstance(feat, bool) or not 0 <= feat < dim:
                         raise SchemaViolation(
-                            _path(where) + ".feature", f"must be an integer in [0, {dim})"
+                            where + ".feature", f"must be an integer in [0, {dim})"
                         )
                     thr = node.get("threshold")
                     if type(thr) is not float or not -top <= thr <= top:
-                        check_number(thr, _path(where) + ".threshold")
+                        check_number(thr, where + ".threshold")
                         thr = float(thr)
                     feature[idx] = feat
                     threshold[idx] = thr
                     if "left" not in node or "right" not in node:
                         side = "right" if "left" in node else "left"
-                        raise SchemaViolation(f"{_path(where)}.{side}", "missing child")
+                        raise SchemaViolation(f"{where}.{side}", "missing child")
                     left = len(value)
                     feature += (0, 0)
                     threshold += (0.0, 0.0)
@@ -137,8 +123,8 @@ class Forest:
                     child += (left, left, left + 1, left + 1)
                     child[2 * idx] = left
                     child[2 * idx + 1] = left + 1
-                    pending.append((left, node["left"], level + 1, (where, ".left")))
-                    pending.append((left + 1, node["right"], level + 1, (where, ".right")))
+                    pending.append((left, node["left"], level + 1, where + ".left"))
+                    pending.append((left + 1, node["right"], level + 1, where + ".right"))
         return cls(
             feature=np.asarray(feature, dtype=np.intp),
             threshold=np.asarray(threshold, dtype=np.float64),
@@ -216,29 +202,19 @@ def split_candidates(xs: np.ndarray, min_leaf: int) -> tuple[np.ndarray, np.ndar
 
 
 def best_split(
-    xs: np.ndarray,
-    ghs: np.ndarray,
-    lam: float,
-    min_leaf: int,
-    cands: tuple[np.ndarray, np.ndarray] | None = None,
-    value_at: Callable[[int, int], float] | None = None,
-) -> tuple[int, int, float, float]:
-    """Best axis-aligned split for one tree node.
+    ghs: np.ndarray, cands: tuple[np.ndarray, np.ndarray], lam: float
+) -> tuple[int, int, float]:
+    """Best axis-aligned split of one tree node among its candidates.
 
-    xs is a (d, n) array: row j holds the node's values of feature j in
-    ascending order, or their dense ranks (in a fit, always the ranks). ghs
-    is the (d, n) complex128 array of the same samples in the same order,
-    each packing a gradient (real part) and a hessian (imaginary part). The
-    scan overwrites ghs with its prefix sums (np.cumsum in place, no new
-    (d, n) array), so pass a gather made for the scan (in a fit, the
-    workspace's).
-    Candidate thresholds are the left-side values at the boundaries of
-    split_candidates(xs, min_leaf), built here unless given as cands;
-    x <= threshold routes left. The chosen one is value_at(f, k), the value
-    at sorted position k of feature f, when given (xs holding ranks), and
-    xs[f, k] otherwise. Returns (feature, n_left, threshold, gain), or
-    NO_SPLIT when no candidate has positive gain and min_leaf samples on
-    both sides.
+    ghs is the node's (d, n) complex128 gather: row j holds its samples in
+    ascending order of feature j, each packing a gradient (real part) and a
+    hessian (imaginary part). The scan overwrites ghs with its prefix sums
+    (np.cumsum in place, no new (d, n) array), so pass a gather made for the
+    scan (in a fit, the workspace's). cands is the node's
+    split_candidates(xs, min_leaf). Returns (feature, n_left, gain): the
+    n_left lowest samples of that feature go left, so the threshold is the
+    value at sorted position n_left - 1 and x <= threshold routes left. It
+    returns NO_SPLIT when no candidate has positive gain.
 
     The result is deterministic: prefix sums accumulate sequentially left to
     right (np.cumsum), and the argmax scans feature-major, so ties go to the
@@ -248,7 +224,7 @@ def best_split(
     componentwise. Gains are computed at the candidate boundaries only;
     every other position would count as 0.0.
     """
-    feat, at = split_candidates(xs, min_leaf) if cands is None else cands
+    feat, at = cands
     if at.size == 0:
         return NO_SPLIT
     cs = np.cumsum(ghs, axis=1, out=ghs)
@@ -273,15 +249,8 @@ def best_split(
     best = int(np.argmax(gain))
     if gain[best] <= 0.0:
         return NO_SPLIT
-    n = xs.shape[1]
     f = int(feat[best])
-    k = int(at[best]) - f * n
-    thr = xs[f, k] if value_at is None else value_at(f, k)
-    return f, k + 1, float(thr), float(gain[best])
-
-
-def _leaf(g_sum: float, h_sum: float, lam: float) -> dict:
-    return {"value": g_sum / (h_sum + lam)}
+    return f, int(at[best]) - f * ghs.shape[1] + 1, float(gain[best])
 
 
 def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,9 +362,9 @@ def _build_tree(
     if ranks is not None:
         d, m = ranks.shape
         ghs = gh.take(order, out=ws.gather[: d * m].reshape(d, m), mode="clip")
-        feat, n_left, thr, _ = best_split(
-            ranks, ghs, hp.lam, hp.min_leaf, cands, lambda f, k: X[order[f, k], f]
-        )
+        if cands is None:
+            cands = split_candidates(ranks, hp.min_leaf)
+        feat, n_left, _ = best_split(ghs, cands, hp.lam)
         if feat >= 0:
             goes_left = np.zeros(leaf_of_row.size, dtype=bool)
             goes_left[order[feat, :n_left]] = True
@@ -410,9 +379,9 @@ def _build_tree(
                 if m - n_left >= 2 * hp.min_leaf:
                     end = base + d * m
                     right = _cells(ranks, order, ~keep, ranks_out[mid:end], order_out[mid:end])
-            return {
+            return {  # the threshold is read before the subtrees reuse this node's cells
                 "feature": feat,
-                "threshold": thr,
+                "threshold": float(X[order[feat, n_left - 1], feat]),
                 "left": _build_tree(
                     X, *left, rows[in_left], gh, depth + 1, hp, leaf_of_row, ws, base
                 ),
@@ -422,9 +391,9 @@ def _build_tree(
             }
     # float sums over the samples in their original order: a complex sum
     # would group the additions differently
-    leaf = _leaf(float(gh.real[rows].sum()), float(gh.imag[rows].sum()), hp.lam)
-    leaf_of_row[rows] = leaf["value"]
-    return leaf
+    value = float(gh.real[rows].sum()) / (float(gh.imag[rows].sum()) + hp.lam)
+    leaf_of_row[rows] = value
+    return {"value": value}
 
 
 def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:

@@ -281,6 +281,22 @@ class TestExternalBackend:
             with pytest.raises(ProtocolViolation, match="echo"):
                 ask(backend, "x", "scene")
 
+    def test_bad_detection_past_the_first_is_named_in_the_violation(self, tmp_path):
+        script = tmp_path / "bad_third.py"
+        script.write_text(
+            "import json, sys\n"
+            "good = {'class': 'crack', 'box': [0.5, 0.5, 0.2, 0.2], 'confidence': 0.9}\n"
+            "bad = {'class': 'crack', 'box': [0.5, 0.5, 0.2]}\n"
+            "for line in sys.stdin:\n"
+            "    print(json.dumps({'detections': [good, good, bad]}), flush=True)\n"
+        )
+        with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
+            with pytest.raises(ProtocolViolation) as exc:
+                ask(backend, "x.jpg", "damage")
+        assert exc.value.detail == (
+            "bad damage response: schema violation at detections[2].box: must be [cx, cy, w, h]"
+        )
+
     def test_timeout(self, stub):
         with ExternalBackend([sys.executable, stub("sleepy_backend")], timeout_s=2.0) as backend:
             with pytest.raises(Timeout) as exc:

@@ -603,6 +603,21 @@ class TestReadDetections:
         with pytest.raises(IoFailure, match="cannot read"):
             read_detections(path, DEFAULT_DAMAGE_CLASS_MAP, DamageClass)
 
+    def test_json_error_names_the_detection_past_the_first(self, tmp_path):
+        good = {"class": "crack", "box": [0.5, 0.5, 0.2, 0.2], "confidence": 0.9}
+        cases = [
+            ([good, good, {"class": "crack", "box": [0.5, 0.5, 0.2]}],
+             "schema violation at detections[2].box: must be [cx, cy, w, h]"),
+            ([good, {**good, "zeta": 1, "alpha": 2}],
+             "schema violation at detections[1].alpha: unknown key"),
+        ]
+        path = tmp_path / "d.json"
+        for dets, message in cases:
+            path.write_text(json.dumps({"detections": dets}))
+            with pytest.raises(SchemaViolation) as exc:
+                read_detections(str(path), DEFAULT_DAMAGE_CLASS_MAP, DamageClass)
+            assert str(exc.value) == message
+
 
 # near-miss box text: tokens that parse, tokens that do not, and out-of-range values
 BOX_TOKENS = ["0", "1", "2", "7", "-1", "0.5", "1.5", "-0.1", "nan", "inf", "1e999", "x",

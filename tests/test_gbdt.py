@@ -126,11 +126,17 @@ def test_split_tie_breaks_lowest_feature_and_threshold():
     xs = np.take_along_axis(X.T, order, axis=1)
     gh = np.empty(6, dtype=np.complex128)
     gh.real, gh.imag = g, h
-    feat, n_left, thr, gain = best_split(xs, gh[order], 1.0, 1)
+    feat, n_left, gain = best_split(gh[order], split_candidates(xs, 1), 1.0)
     assert feat == 0
     # the splits after x=0 and after x=1 have equal gain; the lower threshold wins
-    assert (n_left, thr) == (2, 0.0)
+    assert (n_left, xs[feat, n_left - 1]) == (2, 0.0)
     assert gain > 0
+    want = reference_best_split(
+        np.ascontiguousarray(xs.T), g[order].T.copy(), h[order].T.copy(), 1.0, 1
+    )
+    assert (feat, n_left) == want[:2]
+    assert _bits(xs[feat, n_left - 1]) == _bits(want[2])  # threshold
+    assert _bits(gain) == _bits(want[3])
 
 
 def test_feature_scale_invariance_of_labels():
@@ -554,16 +560,14 @@ def test_best_split_matches_reference_scan(data):
     gh = np.empty(n, dtype=np.complex128)
     gh.real, gh.imag = g, h
 
-    got = best_split(xs, gh[order], lam, min_leaf)
+    feat, n_left, gain = best_split(gh[order], split_candidates(xs, min_leaf), lam)
     want = reference_best_split(
         np.ascontiguousarray(xs.T), g[order].T.copy(), h[order].T.copy(), lam, min_leaf
     )
-    assert got[:2] == want[:2]  # feature, n_left
-    assert _bits(got[2]) == _bits(want[2])  # threshold
-    assert _bits(got[3]) == _bits(want[3])  # gain
-    # the root's candidate index, built once and passed in, gives the same split
-    with_index = best_split(xs, gh[order], lam, min_leaf, split_candidates(xs, min_leaf))
-    assert [_bits(v) for v in with_index] == [_bits(v) for v in got]
+    assert (feat, n_left) == want[:2]
+    thr = xs[feat, n_left - 1] if feat >= 0 else 0.0
+    assert _bits(thr) == _bits(want[2])  # threshold
+    assert _bits(gain) == _bits(want[3])
 
 
 @settings(max_examples=40, deadline=None)
