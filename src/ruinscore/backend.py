@@ -383,8 +383,11 @@ def _scene_from_response(response: dict) -> SceneLabel:
         raise ProtocolViolation("scene response misses a 'scene' name")
     if not isinstance(conf, (int, float)) or isinstance(conf, bool):
         raise ProtocolViolation("scene response misses a numeric 'confidence'")
+    scene = dataset_io.CLASS_BY_NAME[SceneClass].get(name)
+    if scene is None:
+        raise ProtocolViolation(f"{name!r} is not a valid SceneClass")
     try:
-        return SceneLabel(SceneClass(name), float(conf))
+        return SceneLabel(scene, float(conf))
     except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for float
         raise ProtocolViolation(str(exc)) from None
 

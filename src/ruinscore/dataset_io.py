@@ -260,7 +260,8 @@ _PATH_KEYS = ("image_path", "damage_file", "components_file")
 _ENTRY_KEYS = {"id", "ground_truth_level", "scene", *_PATH_KEYS}
 _OPT_STR = (str, type(None))
 _LEVELS = tuple(DamageLevel)  # indexed by value, without the enum call
-_SCENE_BY_NAME = {c.value: c for c in SceneClass}
+# one {value: member} table per class enum: a dict get, not Enum's metaclass call
+CLASS_BY_NAME = {e: {c.value: c for c in e} for e in (DamageClass, ComponentClass, SceneClass)}
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -355,6 +356,7 @@ else:
 def _parse_class_map(raw: object, enum_cls: type[Enum], where: str) -> dict:
     if not isinstance(raw, dict):
         raise SchemaViolation(where, "expected an object")
+    by_name = CLASS_BY_NAME[enum_cls]
     out: dict[int, object] = {}
     for key, name in raw.items():
         try:
@@ -365,10 +367,10 @@ def _parse_class_map(raw: object, enum_cls: type[Enum], where: str) -> dict:
             raise SchemaViolation(f"{where}.{key}", f"duplicate class id {class_id}")
         if not isinstance(name, str):
             raise SchemaViolation(f"{where}.{key}", "value must be a class name string")
-        try:
-            out[class_id] = enum_cls(name)
-        except ValueError:
-            raise UnknownClass(name) from None
+        cls = by_name.get(name)
+        if cls is None:
+            raise UnknownClass(name)
+        out[class_id] = cls
     # the map must be a bijection onto the class enum
     if sorted(out.values(), key=lambda c: c.value) != sorted(enum_cls, key=lambda c: c.value):
         raise SchemaViolation(where, f"must map onto all of {[c.value for c in enum_cls]}")
@@ -398,7 +400,7 @@ def _parse_entry(raw: object, index: int, prefix: str) -> ImageEntry:
 
     scene = raw.get("scene")
     if scene is not None:
-        scene = _SCENE_BY_NAME.get(scene) if isinstance(scene, str) else None
+        scene = CLASS_BY_NAME[SceneClass].get(scene) if isinstance(scene, str) else None
         if scene is None:
             raise SchemaViolation(f"images[{index}].scene", "must be 'inside' or 'outside'")
 
@@ -528,8 +530,9 @@ def _checked_box_line(line_no: int, fields: list[str], class_map: Mapping[int, E
 _DETECTION_KEYS = {"class", "box", "confidence"}
 
 
-def _detection_from_obj(obj: object, enum_cls: type[Enum], index: int):
-    """One detection object; its field path detections[index] is formatted only for an error."""
+def _detection_from_obj(obj: object, by_name: dict, index: int):
+    """One detection object, its class name resolved through `by_name`; its
+    field path detections[index] is formatted only for an error."""
     if not isinstance(obj, dict):
         raise SchemaViolation(f"detections[{index}]", "expected an object")
     if not obj.keys() <= _DETECTION_KEYS:
@@ -538,10 +541,9 @@ def _detection_from_obj(obj: object, enum_cls: type[Enum], index: int):
     name = obj.get("class")
     if not isinstance(name, str):
         raise SchemaViolation(f"detections[{index}].class", "must be a class name string")
-    try:
-        cls = enum_cls(name)
-    except ValueError:
-        raise UnknownClass(name) from None
+    cls = by_name.get(name)
+    if cls is None:
+        raise UnknownClass(name)
     box = obj.get("box")
     if not isinstance(box, list) or len(box) != 4:
         raise SchemaViolation(f"detections[{index}].box", "must be [cx, cy, w, h]")
@@ -570,7 +572,8 @@ def detections_from_obj(obj: object, enum_cls: type[Enum]):
     dets = obj.get("detections")
     if not isinstance(dets, list):
         raise SchemaViolation("detections", "must be an array")
-    return [_detection_from_obj(d, enum_cls, i) for i, d in enumerate(dets)]
+    by_name = CLASS_BY_NAME[enum_cls]
+    return [_detection_from_obj(d, by_name, i) for i, d in enumerate(dets)]
 
 
 def read_detections(path: str | os.PathLike, class_map: Mapping[int, Enum], enum_cls: type[Enum]):

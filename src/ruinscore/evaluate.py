@@ -5,7 +5,8 @@ prints: `compute_metrics` builds it as a plain dict in its printed key
 order, and `render_report` renders that dict as JSON or as the text table.
 Nothing reads a report back.
 
-Matrix orientation is fixed as rows = ground truth, columns = prediction.
+The matrix is a plain 4x4 table of counts, a tuple of 4 row tuples, in a
+fixed orientation: rows = ground truth, columns = prediction.
 Rates that come out 0/0 (a class absent or never predicted) are reported as
 0 and flagged, so sparse classes stay visible instead of crashing reports.
 """
@@ -13,7 +14,6 @@ Rates that come out 0/0 (a class absent or never predicted) are reported as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .dataset_io import DamageLevel
 from .errors import EmptyMatrix
@@ -22,46 +22,13 @@ REPORT_FORMAT = "ruinscore-report-v1"
 N_LEVELS = 4
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """4x4 counts; rows = ground truth ordinal, columns = predicted ordinal."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != N_LEVELS or any(len(r) != N_LEVELS for r in self.counts):
-            raise ValueError("confusion matrix must be 4x4")
-        if any(c < 0 for row in self.counts for c in row):
-            raise ValueError("confusion matrix entries must be >= 0")
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def row_sum(self, i: int) -> int:
-        return sum(self.counts[i])
-
-    def col_sum(self, j: int) -> int:
-        return sum(row[j] for row in self.counts)
-
-    def trace(self) -> int:
-        return sum(self.counts[i][i] for i in range(N_LEVELS))
-
-    def within_one(self) -> int:
-        return sum(
-            self.counts[i][j]
-            for i in range(N_LEVELS)
-            for j in range(N_LEVELS)
-            if abs(i - j) <= 1
-        )
-
-
-def confusion_matrix(pairs) -> ConfusionMatrix:
-    """Count (ground truth, prediction) pairs into the matrix."""
+def confusion_matrix(pairs) -> tuple[tuple[int, ...], ...]:
+    """Count (ground truth, prediction) pairs into a plain 4x4 table of counts:
+    row `gt`, column `pred`."""
     m = [[0] * N_LEVELS for _ in range(N_LEVELS)]
     for gt, pred in pairs:
         m[int(gt)][int(pred)] += 1
-    return ConfusionMatrix(tuple(tuple(row) for row in m))
+    return tuple(tuple(row) for row in m)
 
 
 def _class_metrics(level: DamageLevel, tp: int, col: int, row: int) -> dict:
@@ -86,22 +53,25 @@ def _class_metrics(level: DamageLevel, tp: int, col: int, row: int) -> dict:
             "undefined": undefined}
 
 
-def compute_metrics(m: ConfusionMatrix, config_tag: str = "") -> dict:
-    """The `ruinscore-report-v1` object of the matrix; raises EmptyMatrix on total 0."""
-    total = m.total
+def compute_metrics(m: tuple[tuple[int, ...], ...], config_tag: str = "") -> dict:
+    """The `ruinscore-report-v1` object of a 4x4 table from `confusion_matrix`
+    (rows = ground truth, columns = prediction); raises EmptyMatrix on total 0."""
+    total = sum(map(sum, m))
     if total == 0:
         raise EmptyMatrix()
     return {
         "format": REPORT_FORMAT,
         "config_tag": config_tag,
         "n": total,
-        "exact_accuracy": m.trace() / total,
-        "plus_minus_one_accuracy": m.within_one() / total,
+        "exact_accuracy": sum(m[i][i] for i in range(N_LEVELS)) / total,
+        "plus_minus_one_accuracy": sum(
+            m[i][j] for i in range(N_LEVELS) for j in range(N_LEVELS) if abs(i - j) <= 1
+        ) / total,
         "per_class": [
-            _class_metrics(lv, m.counts[lv][lv], m.col_sum(lv), m.row_sum(lv))
+            _class_metrics(lv, m[lv][lv], sum(row[lv] for row in m), sum(m[lv]))
             for lv in DamageLevel
         ],
-        "matrix": [list(row) for row in m.counts],
+        "matrix": [list(row) for row in m],
     }
 
 

@@ -186,7 +186,7 @@ def _parse_field(name: str, default, value):
             raise SchemaViolation(f"{name}.{sorted(unknown)[0]}", "unknown key")
         for key, v in value.items():
             check_number(v, f"{name}.{key}")
-        return type(default)(**value)
+        return type(default)(**{key: float(v) for key, v in value.items()})
     check_number(value, name)
     return float(value)
 

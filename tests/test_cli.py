@@ -1142,6 +1142,57 @@ class TestConfigHandling:
         assert config.decision_mode is DecisionMode.HYBRID
         assert config.hybrid_prob_gate == 0.8
 
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_section_numbers_grade_alike_in_either_spelling(self, fixture3, tmp_path, capsys,
+                                                             version):
+        sections = {
+            "weights": {"w_crack": 1, "w_spall": 2, "w_rebar": 3},
+            "thresholds": {"t_slight": 1, "t_medium": 4},
+            "v2": {"min_box_area": 0, "no_component_score_factor": 1},
+        }
+        outs = []
+        for spelling in ("int", "float"):
+            if spelling == "float":
+                sections = {k: {f: float(v) for f, v in sec.items()} for k, sec in sections.items()}
+            config = tmp_path / f"{spelling}.json"
+            config.write_text(json.dumps({"version": version, **sections}))
+            out_path = tmp_path / f"{spelling}.jsonl"
+            code, _, _ = run(capsys, "assess", "--manifest", str(fixture3), "--config",
+                             str(config), "--out", str(out_path))
+            assert code == 0
+            outs.append(out_path.read_bytes())
+        assert outs[0] == outs[1]
+        assert b'"score": 2.0' in outs[0]
+
+    @pytest.mark.parametrize(
+        "section, field, detail",
+        [
+            ({"command": "prog"}, "backend.command", "must be a nonempty list of strings"),
+            ({"command": []}, "backend.command", "must be a nonempty list of strings"),
+            ({"command": ["prog", 1]}, "backend.command", "must be a nonempty list of strings"),
+            ({"timeout_s": 0}, "backend.timeout_s", "must be a positive number"),
+            ({"timeout_s": -1}, "backend.timeout_s", "must be a positive number"),
+            ({"timeout_s": "5"}, "backend.timeout_s", "must be a number"),
+            ({"timeout_s": True}, "backend.timeout_s", "must be a number"),
+            (None, "backend", "expected an object"),
+            ([], "backend", "expected an object"),
+        ],
+    )
+    def test_bad_backend_section_is_structured_error(self, fixture3, tmp_path, capsys,
+                                                    section, field, detail):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": section}))
+        code, out, err = run(
+            capsys, "assess", "--manifest", str(fixture3), "--config", str(config)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "SchemaViolation",
+            "detail": f"schema violation at {field}: {detail}",
+        }
+
 
 DEEP = "[" * 100_000 + "]" * 100_000
 

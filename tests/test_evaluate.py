@@ -8,7 +8,6 @@ import pytest
 from ruinscore.dataset_io import DamageLevel
 from ruinscore.errors import EmptyMatrix
 from ruinscore.evaluate import (
-    ConfusionMatrix,
     compute_metrics,
     confusion_matrix,
     render_report,
@@ -21,19 +20,19 @@ Z, S, M, H = DamageLevel
 
 def test_empty_pairs_all_zero_matrix():
     m = confusion_matrix([])
-    assert m.total == 0
-    assert m.counts == ((0,) * 4,) * 4
+    assert sum(map(sum, m)) == 0
+    assert m == ((0,) * 4,) * 4
 
 
 def test_perfect_pairs_on_diagonal():
     m = confusion_matrix([(Z, Z), (H, H)])
-    assert [m.counts[i][i] for i in range(4)] == [1, 0, 0, 1]
+    assert [m[i][i] for i in range(4)] == [1, 0, 0, 1]
 
 
 def test_hand_counted_cells():
     m = confusion_matrix([(M, S), (M, S), (M, M)])
-    assert m.counts[2][1] == 2
-    assert m.counts[2][2] == 1
+    assert m[2][1] == 2
+    assert m[2][2] == 1
 
 
 def test_empty_matrix_rejected():
