@@ -48,6 +48,9 @@ DEFAULT_TIMEOUT_S = 30.0
 # bytes of one unfinished reply line past which a child is no longer read, so
 # a child writing without a newline holds this much memory until its deadline
 MAX_REPLY_BYTES = 1 << 24
+# the longest one selector wait, well under epoll's ~24.8 days: a longer
+# timeout_s wakes the loop this often to re-check its deadlines
+_MAX_WAIT_S = 3600.0
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -263,7 +266,8 @@ class ExternalBackend:
                 sel.register(child.proc.stdout, selectors.EVENT_READ, child)
                 sel.register(child.proc.stdin, selectors.EVENT_WRITE, child)
             while busy := [c for c in self._children if c is not None and c.owed]:
-                events = sel.select(max(min(c.deadline for c in busy) - time.monotonic(), 0.0))
+                wait = min(c.deadline for c in busy) - time.monotonic()
+                events = sel.select(min(max(wait, 0.0), _MAX_WAIT_S))
                 for key, mask in events:
                     child = key.data
                     if child not in self._children:

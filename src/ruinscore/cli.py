@@ -137,10 +137,10 @@ def _assessment_record(out, rule, probs, final) -> dict:
         "image_id": out.image_id,
         "scene": {"class": out.scene.cls.value, "confidence": out.scene.confidence},
         "counts": {
-            "n_crack": rule.counts.n_crack,
-            "n_spall": rule.counts.n_spall,
-            "n_rebar_raw": rule.counts.n_rebar_raw,
-            "n_rebar_valid": rule.counts.n_rebar_valid,
+            "n_crack": rule.n_crack,
+            "n_spall": rule.n_spall,
+            "n_rebar_raw": rule.n_rebar_raw,
+            "n_rebar_valid": rule.n_rebar_valid,
         },
         "rule": {
             "level": rule.level.label,
@@ -335,13 +335,12 @@ def _cmd_fuse(args) -> int:
         args.detections, scene_override=SceneClass(args.scene), damage_file=args.detections
     )
     rule = rule_fusion(run_cascade(entry, FileBackend(DatasetManifest((entry,)))), config)
-    c = rule.counts
     why = "rebar_forced" if rule.rebar_forced else f"S={rule.score}"
     _write(
         sys.stdout,
         f"{rule.level.label} ({why})\n"
-        f"counts: crack={c.n_crack} spall={c.n_spall} "
-        f"rebar_raw={c.n_rebar_raw} rebar_valid={c.n_rebar_valid}\n"
+        f"counts: crack={rule.n_crack} spall={rule.n_spall} "
+        f"rebar_raw={rule.n_rebar_raw} rebar_valid={rule.n_rebar_valid}\n"
         f"filters: {', '.join(rule.applied_filters) or 'none'}\n",
         "fusion result to stdout",
     )

@@ -1,11 +1,12 @@
 """Core data model plus manifest and detection-file parsing.
 
-Detections use normalized center-format boxes (cx, cy, w, h as fractions of
-the image); one `Detection` type serves both detectors, its `cls` a
-DamageClass or ComponentClass member. Two on-disk conventions are supported:
-a line-based box text format (`class_id cx cy w h [conf]`, `#` comments) and
-a JSON schema with class names, resolved against the file's class enum. All
-values are immutable and safe to share across threads.
+A `Detection` holds its class, its normalized center-format box (cx, cy, w,
+h as fractions of the image) and a confidence; the one type serves both
+detectors, its `cls` a DamageClass or ComponentClass member. Two on-disk
+conventions are supported: a line-based box text format (`class_id cx cy w h
+[conf]`, `#` comments) and a JSON schema with class names, resolved against
+the file's class enum. All values are immutable and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -99,47 +100,6 @@ def slot_setters(cls: type) -> tuple:
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BoundingBox:
-    """Normalized center-format box. Degenerate boxes are rejected, not clamped."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __init__(self, cx: float, cy: float, w: float, h: float) -> None:
-        # one comparison passes every valid float box; the rest words the error
-        if not (
-            type(cx) is type(cy) is type(w) is type(h) is float
-            and 0.0 <= cx <= 1.0
-            and 0.0 <= cy <= 1.0
-            and 0.0 < w <= 1.0
-            and 0.0 < h <= 1.0
-        ):
-            _check_box(cx, cy, w, h)
-        set_cx, set_cy, set_w, set_h = _BOX_SETTERS
-        set_cx(self, cx)
-        set_cy(self, cy)
-        set_w(self, w)
-        set_h(self, h)
-
-    def area(self) -> float:
-        return self.w * self.h
-
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) edges; may extend past the frame."""
-        return (
-            self.cx - self.w / 2.0,
-            self.cy - self.h / 2.0,
-            self.cx + self.w / 2.0,
-            self.cy + self.h / 2.0,
-        )
-
-
-_BOX_SETTERS = slot_setters(BoundingBox)
-
-
 def _check_box(cx: float, cy: float, w: float, h: float) -> None:
     """The box checks in full, in the order that words the first error."""
     for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
@@ -169,20 +129,51 @@ def _check_confidence(value: float) -> None:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Detection:
-    """One box with its class and a confidence in [0, 1]: a DamageClass `cls`
-    for damage, a ComponentClass one for a structural component."""
+    """One normalized center-format box (cx, cy, w, h) with its class and a
+    confidence in [0, 1]: a DamageClass `cls` for damage, a ComponentClass one
+    for a structural component. Degenerate boxes are rejected, not clamped."""
 
     cls: DamageClass | ComponentClass
-    box: BoundingBox
+    cx: float
+    cy: float
+    w: float
+    h: float
     confidence: float
 
-    def __init__(self, cls: Enum, box: BoundingBox, confidence: float) -> None:
-        if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
+    def __init__(
+        self, cls: Enum, cx: float, cy: float, w: float, h: float, confidence: float
+    ) -> None:
+        # one comparison passes every valid float detection; the rest words the
+        # error, the box before the confidence
+        if not (
+            type(cx) is type(cy) is type(w) is type(h) is type(confidence) is float
+            and 0.0 <= cx <= 1.0
+            and 0.0 <= cy <= 1.0
+            and 0.0 < w <= 1.0
+            and 0.0 < h <= 1.0
+            and 0.0 <= confidence <= 1.0
+        ):
+            _check_box(cx, cy, w, h)
             _check_confidence(confidence)
-        set_cls, set_box, set_confidence = _DETECTION_SETTERS
+        set_cls, set_cx, set_cy, set_w, set_h, set_confidence = _DETECTION_SETTERS
         set_cls(self, cls)
-        set_box(self, box)
+        set_cx(self, cx)
+        set_cy(self, cy)
+        set_w(self, w)
+        set_h(self, h)
         set_confidence(self, confidence)
+
+    def area(self) -> float:
+        return self.w * self.h
+
+    def corners(self) -> tuple[float, float, float, float]:
+        """(x0, y0, x1, y1) edges; may extend past the frame."""
+        return (
+            self.cx - self.w / 2.0,
+            self.cy - self.h / 2.0,
+            self.cx + self.w / 2.0,
+            self.cy + self.h / 2.0,
+        )
 
 
 _DETECTION_SETTERS = slot_setters(Detection)
@@ -491,9 +482,7 @@ def parse_box_text(text: str, class_map: Mapping[int, Enum]):
             try:
                 append(Detection(
                     class_map[int(fields[0])],
-                    BoundingBox(
-                        float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
-                    ),
+                    float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4]),
                     float(fields[5]) if n == 6 else 1.0,
                 ))
                 continue
@@ -522,7 +511,7 @@ def _checked_box_line(line_no: int, fields: list[str], class_map: Mapping[int, E
     except ValueError:
         raise BadLine(line_no, "non-numeric field") from None
     try:
-        return Detection(cls, BoundingBox(cx, cy, w, h), conf)
+        return Detection(cls, cx, cy, w, h, conf)
     except ValueError as exc:
         raise BadLine(line_no, str(exc)) from None
 
@@ -555,7 +544,7 @@ def _detection_from_obj(obj: object, by_name: dict, index: int):
             raise SchemaViolation(f"detections[{index}].box[{i}]", "must be a number")
     cx, cy, w, h = box
     try:
-        return Detection(cls, BoundingBox(float(cx), float(cy), float(w), float(h)), float(conf))
+        return Detection(cls, float(cx), float(cy), float(w), float(h), float(conf))
     except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for float
         raise SchemaViolation(f"detections[{index}]", str(exc)) from None
 
@@ -590,7 +579,7 @@ def detections_to_json(detections: Iterable[Detection]) -> str:
     items = [
         {
             "class": d.cls.value,
-            "box": [d.box.cx, d.box.cy, d.box.w, d.box.h],
+            "box": [d.cx, d.cy, d.w, d.h],
             "confidence": d.confidence,
         }
         for d in detections
@@ -606,8 +595,7 @@ def detections_to_box_text(
     inverse = {cls: class_id for class_id, cls in class_map.items()}
     lines = []
     for d in detections:
-        b = d.box
         lines.append(
-            f"{inverse[d.cls]} {b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f} {d.confidence:.6f}"
+            f"{inverse[d.cls]} {d.cx:.6f} {d.cy:.6f} {d.w:.6f} {d.h:.6f} {d.confidence:.6f}"
         )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Sequence
 
 from .dataset_io import (
-    BoundingBox,
     DamageClass,
     DamageLevel,
     Detection,
@@ -192,32 +191,11 @@ def _parse_field(name: str, default, value):
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class RuleCounts:
-    """Detection counts after filtering; rebar split into raw and validated."""
-
-    n_crack: int = 0
-    n_spall: int = 0
-    n_rebar_raw: int = 0
-    n_rebar_valid: int = 0
-
-    def __init__(
-        self, n_crack: int = 0, n_spall: int = 0, n_rebar_raw: int = 0, n_rebar_valid: int = 0
-    ) -> None:
-        set_crack, set_spall, set_rebar_raw, set_rebar_valid = _COUNTS_SETTERS
-        set_crack(self, n_crack)
-        set_spall(self, n_spall)
-        set_rebar_raw(self, n_rebar_raw)
-        set_rebar_valid(self, n_rebar_valid)
-
-
-_COUNTS_SETTERS = slot_setters(RuleCounts)
-
-
-@dataclass(frozen=True, slots=True, init=False)
 class RuleDecision:
     """Rule outcome plus its own explanation.
 
-    `score` always equals
+    The counts are of the detections the filters kept, rebar split into raw
+    and validated. `score` always equals
     weighted_score(n_crack, n_spall, n_rebar_raw - n_rebar_valid) times the
     no-component factor when (and only when) the "ambiguity-bias" tag is
     present, so the decision can be audited from its counts alone.
@@ -227,7 +205,10 @@ class RuleDecision:
 
     level: DamageLevel
     score: float
-    counts: RuleCounts = RuleCounts()
+    n_crack: int = 0
+    n_spall: int = 0
+    n_rebar_raw: int = 0
+    n_rebar_valid: int = 0
     rebar_forced: bool = False
     applied_filters: tuple[str, ...] = ()
     survivors: tuple[Detection, ...] = ()
@@ -236,7 +217,10 @@ class RuleDecision:
         self,
         level: DamageLevel,
         score: float,
-        counts: RuleCounts = RuleCounts(),
+        n_crack: int = 0,
+        n_spall: int = 0,
+        n_rebar_raw: int = 0,
+        n_rebar_valid: int = 0,
         rebar_forced: bool = False,
         applied_filters: tuple[str, ...] = (),
         survivors: tuple[Detection, ...] = (),
@@ -245,12 +229,14 @@ class RuleDecision:
             raise ValueError("rebar_forced implies level HEAVY")
         if score < 0:
             raise ValueError("score must be >= 0")
-        set_level, set_score, set_counts, set_forced, set_filters, set_survivors = (
-            _DECISION_SETTERS
-        )
+        (set_level, set_score, set_crack, set_spall, set_rebar_raw, set_rebar_valid,
+         set_forced, set_filters, set_survivors) = _DECISION_SETTERS
         set_level(self, level)
         set_score(self, score)
-        set_counts(self, counts)
+        set_crack(self, n_crack)
+        set_spall(self, n_spall)
+        set_rebar_raw(self, n_rebar_raw)
+        set_rebar_valid(self, n_rebar_valid)
         set_forced(self, rebar_forced)
         set_filters(self, applied_filters)
         set_survivors(self, survivors)
@@ -259,7 +245,7 @@ class RuleDecision:
 _DECISION_SETTERS = slot_setters(RuleDecision)
 
 
-def _intersection(a: BoundingBox, b: BoundingBox) -> float:
+def _intersection(a: Detection, b: Detection) -> float:
     """The area two boxes share; 0.0 for disjoint or edge-touching boxes."""
     ax0, ay0, ax1, ay1 = a.corners()
     bx0, by0, bx1, by1 = b.corners()
@@ -268,13 +254,13 @@ def _intersection(a: BoundingBox, b: BoundingBox) -> float:
     return iw * ih if iw > 0.0 and ih > 0.0 else 0.0
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; 0.0 for disjoint or edge-touching boxes."""
+def iou(a: Detection, b: Detection) -> float:
+    """Intersection over union of two boxes; 0.0 for disjoint or edge-touching boxes."""
     inter = _intersection(a, b)
     return inter / (a.area() + b.area() - inter) if inter else 0.0
 
 
-def containment_ratio(inner: BoundingBox, outer: BoundingBox) -> float:
+def containment_ratio(inner: Detection, outer: Detection) -> float:
     """Intersection area over the inner box's own area (1.0 when fully contained)."""
     inter = _intersection(inner, outer)
     return inter / inner.area() if inter else 0.0
@@ -309,7 +295,7 @@ def _filter_with_tags(
             if tag not in tags:
                 tags.append(tag)
             continue
-        if v2 and det.box.area() < min_area:
+        if v2 and det.area() < min_area:
             if TAG_MIN_AREA not in tags:
                 tags.append(TAG_MIN_AREA)
             continue
@@ -355,10 +341,10 @@ def validate_rebar(
     if rebar.confidence < config.v2.rebar_conf_min:
         return False
     for spall in spalls:
-        if iou(rebar.box, spall.box) >= config.v2.rebar_iou_min:
+        if iou(rebar, spall) >= config.v2.rebar_iou_min:
             return True
     for comp in components:
-        if containment_ratio(rebar.box, comp.box) >= config.v2.rebar_containment_min:
+        if containment_ratio(rebar, comp) >= config.v2.rebar_containment_min:
             return True
     return False
 
@@ -417,22 +403,14 @@ def rule_fusion(out, config: FusionConfig) -> RuleDecision:
         else:
             level = DamageLevel.MEDIUM
     return RuleDecision(
-        level,
-        score,
-        RuleCounts(n_crack, n_spall, n_rebar, n_valid),
-        n_valid > 0,
-        tuple(tags),
-        tuple(kept),
+        level, score, n_crack, n_spall, n_rebar, n_valid, n_valid > 0, tuple(tags), tuple(kept)
     )
 
 
 def recompute_score(decision: RuleDecision, config: FusionConfig) -> float:
     """Rebuild the score from the decision's own counts and tags (audit path)."""
     base = weighted_score(
-        decision.counts.n_crack,
-        decision.counts.n_spall,
-        decision.counts.n_rebar_raw - decision.counts.n_rebar_valid,
-        config,
+        decision.n_crack, decision.n_spall, decision.n_rebar_raw - decision.n_rebar_valid, config
     )
     if TAG_AMBIGUITY_BIAS in decision.applied_filters:
         base *= config.v2.no_component_score_factor

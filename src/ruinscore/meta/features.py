@@ -45,10 +45,10 @@ _COMPONENT_ORDER = (ComponentClass.BEAM, ComponentClass.COLUMN, ComponentClass.W
 def extract_features(out: CascadeOutput, rule: RuleDecision) -> np.ndarray:
     """Assemble the feature vector for one image from its rule decision."""
     x = np.zeros(FEATURE_DIM, dtype=np.float64)
-    x[0] = rule.counts.n_crack
-    x[1] = rule.counts.n_spall
-    x[2] = rule.counts.n_rebar_raw
-    x[3] = rule.counts.n_rebar_valid
+    x[0] = rule.n_crack
+    x[1] = rule.n_spall
+    x[2] = rule.n_rebar_raw
+    x[3] = rule.n_rebar_valid
 
     area = 0.0
     for det in rule.survivors:
@@ -56,7 +56,7 @@ def extract_features(out: CascadeOutput, rule: RuleDecision) -> np.ndarray:
         x[4 + slot] += det.confidence
         if det.confidence > x[7 + slot]:
             x[7 + slot] = det.confidence
-        area += det.box.area()
+        area += det.area()
     x[10] = min(area, 1.0)
 
     x[11] = 1.0 if out.scene.cls is SceneClass.INSIDE else 0.0

@@ -32,9 +32,15 @@ def model_to_json(model: LogRegModel | GbdtModel) -> str:
 
 
 def predict_batch(model: LogRegModel | GbdtModel, X) -> np.ndarray:
-    """(rows, 4) class probabilities of either model kind."""
+    """(rows, 4) class probabilities of either model kind. A model file of
+    finite values can still overflow (a huge learning rate, a tiny std): a
+    probability that is not finite raises SchemaViolation, not a grade."""
     predict = predict_logreg_batch if isinstance(model, LogRegModel) else predict_gbdt_batch
-    return predict(model, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = predict(model, X)
+    if not np.isfinite(P).all():
+        raise SchemaViolation("$", "model file gives a non-finite probability")
+    return P
 
 
 def save_model(model: LogRegModel | GbdtModel, path: str | Path) -> None:

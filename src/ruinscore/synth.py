@@ -25,7 +25,6 @@ from pathlib import Path
 from .dataset_io import (
     DEFAULT_COMPONENT_CLASS_MAP,
     DEFAULT_DAMAGE_CLASS_MAP,
-    BoundingBox,
     DamageClass,
     DamageLevel,
     DatasetManifest,
@@ -124,17 +123,18 @@ def _draw_level(rng: XorShift64Star, priors) -> DamageLevel:
     return DamageLevel.HEAVY
 
 
-def _random_box(rng: XorShift64Star, smin: float = 0.05, smax: float = 0.30) -> BoundingBox:
-    return BoundingBox(
-        cx=rng.uniform(0.15, 0.85),
-        cy=rng.uniform(0.15, 0.85),
-        w=rng.uniform(smin, smax),
-        h=rng.uniform(smin, smax),
+def _random_box(rng: XorShift64Star) -> tuple[float, float, float, float]:
+    """(cx, cy, w, h), drawn in that order."""
+    return (
+        rng.uniform(0.15, 0.85),
+        rng.uniform(0.15, 0.85),
+        rng.uniform(0.05, 0.30),
+        rng.uniform(0.05, 0.30),
     )
 
 
 def _damage(rng: XorShift64Star, cls: DamageClass, lo: float, hi: float) -> Detection:
-    return Detection(cls, _random_box(rng), rng.uniform(lo, hi))
+    return Detection(cls, *_random_box(rng), rng.uniform(lo, hi))
 
 
 def _clean_damages(rng: XorShift64Star, level: DamageLevel) -> list[Detection]:
@@ -144,18 +144,11 @@ def _clean_damages(rng: XorShift64Star, level: DamageLevel) -> list[Detection]:
             return [_damage(rng, DamageClass.CRACK, 0.05, 0.20)]
         return []
     if level is DamageLevel.HEAVY:
-        rebar_box = BoundingBox(
-            cx=rng.uniform(0.25, 0.75),
-            cy=rng.uniform(0.25, 0.75),
-            w=rng.uniform(0.08, 0.25),
-            h=rng.uniform(0.08, 0.25),
-        )
-        spall_box = BoundingBox(
-            cx=rebar_box.cx, cy=rebar_box.cy, w=rebar_box.w * 1.5, h=rebar_box.h * 1.5
-        )
+        cx, cy = rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75)
+        w, h = rng.uniform(0.08, 0.25), rng.uniform(0.08, 0.25)
         dets = [
-            Detection(DamageClass.EXPOSED_REBAR, rebar_box, rng.uniform(0.6, 0.95)),
-            Detection(DamageClass.SPALLING, spall_box, rng.uniform(0.6, 0.95)),
+            Detection(DamageClass.EXPOSED_REBAR, cx, cy, w, h, rng.uniform(0.6, 0.95)),
+            Detection(DamageClass.SPALLING, cx, cy, w * 1.5, h * 1.5, rng.uniform(0.6, 0.95)),
         ]
         for _ in range(rng.randint(3)):
             dets.append(_damage(rng, DamageClass.CRACK, 0.5, 0.95))
@@ -176,7 +169,7 @@ def _apply_noise(
             continue
         if noise.confidence_jitter_sd > 0.0:
             conf = det.confidence + noise.confidence_jitter_sd * rng.gauss()
-            det = Detection(det.cls, det.box, min(1.0, max(0.01, conf)))
+            det = Detection(det.cls, det.cx, det.cy, det.w, det.h, min(1.0, max(0.01, conf)))
         out.append(det)
     if noise.false_positive_rate > 0.0 and rng.random() < noise.false_positive_rate:
         cls = DEFAULT_DAMAGE_CLASS_MAP[rng.randint(3)]
@@ -204,7 +197,9 @@ def gen_synthetic(spec: SynthSpec, out_dir: str | Path) -> DatasetManifest:
 
         components = [
             Detection(
-                DEFAULT_COMPONENT_CLASS_MAP[rng.randint(3)], _random_box(rng), rng.uniform(0.5, 1.0)
+                DEFAULT_COMPONENT_CLASS_MAP[rng.randint(3)],
+                *_random_box(rng),
+                rng.uniform(0.5, 1.0),
             )
             for _ in range(rng.randint(3))
         ]

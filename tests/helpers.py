@@ -13,7 +13,6 @@ from pathlib import Path
 
 from ruinscore.backend import CascadeOutput, cascade_tasks
 from ruinscore.dataset_io import (
-    BoundingBox,
     ComponentClass,
     DamageClass,
     DamageLevel,
@@ -30,25 +29,26 @@ DAMAGE_CLASSES = (DamageClass.CRACK, DamageClass.SPALLING, DamageClass.EXPOSED_R
 COMPONENT_CLASSES = (ComponentClass.BEAM, ComponentClass.COLUMN, ComponentClass.WALL)
 
 
-def rand_box(rng: random.Random) -> BoundingBox:
-    return BoundingBox(
-        cx=rng.uniform(0.1, 0.9),
-        cy=rng.uniform(0.1, 0.9),
-        w=rng.uniform(0.02, 0.4),
-        h=rng.uniform(0.02, 0.4),
+def rand_box(rng: random.Random) -> tuple[float, float, float, float]:
+    """(cx, cy, w, h), drawn in that order."""
+    return (
+        rng.uniform(0.1, 0.9),
+        rng.uniform(0.1, 0.9),
+        rng.uniform(0.02, 0.4),
+        rng.uniform(0.02, 0.4),
     )
 
 
 def rand_damage(rng: random.Random, cls: DamageClass | None = None) -> Detection:
     return Detection(
         cls if cls is not None else rng.choice(DAMAGE_CLASSES),
-        rand_box(rng),
+        *rand_box(rng),
         rng.uniform(0.0, 1.0),
     )
 
 
 def rand_component(rng: random.Random) -> Detection:
-    return Detection(rng.choice(COMPONENT_CLASSES), rand_box(rng), rng.uniform(0.0, 1.0))
+    return Detection(rng.choice(COMPONENT_CLASSES), *rand_box(rng), rng.uniform(0.0, 1.0))
 
 
 def rand_cascade(rng: random.Random, image_id: str = "img") -> CascadeOutput:

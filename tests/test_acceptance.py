@@ -23,7 +23,7 @@ import pytest
 import ruinscore
 from ruinscore.backend import CascadeOutput, ExternalBackend, run_cascade
 from ruinscore.cli import main
-from ruinscore.dataset_io import BoundingBox, DamageClass, DamageLevel, Detection
+from ruinscore.dataset_io import DamageClass, DamageLevel, Detection
 from ruinscore.errors import ProtocolViolation, Timeout
 from ruinscore.evaluate import compute_metrics, confusion_matrix, render_report
 from ruinscore.fusion import (
@@ -85,10 +85,10 @@ def test_criterion_1_rule_semantics_properties():
     # exact threshold boundaries: S == t_slight -> SLIGHT, S == t_medium -> MEDIUM
     def with_score(n_crack, n_spall):
         dets = tuple(
-            Detection(DamageClass.CRACK, BoundingBox(0.5, 0.5, 0.1, 0.1), 0.9)
+            Detection(DamageClass.CRACK, 0.5, 0.5, 0.1, 0.1, 0.9)
             for _ in range(n_crack)
         ) + tuple(
-            Detection(DamageClass.SPALLING, BoundingBox(0.5, 0.5, 0.1, 0.1), 0.9)
+            Detection(DamageClass.SPALLING, 0.5, 0.5, 0.1, 0.1, 0.9)
             for _ in range(n_spall)
         )
         return CascadeOutput("b", outputs[0].scene, (), dets)
@@ -107,9 +107,9 @@ def test_criterion_2_fusion_oracle_equivalence():
     agreements = 0
     for n_crack, n_spall, n_rebar in itertools.product(range(6), repeat=3):
         damages = tuple(
-            [Detection(DamageClass.CRACK, BoundingBox(0.3, 0.3, 0.1, 0.1), 0.8)] * n_crack
-            + [Detection(DamageClass.SPALLING, BoundingBox(0.6, 0.6, 0.1, 0.1), 0.8)] * n_spall
-            + [Detection(DamageClass.EXPOSED_REBAR, BoundingBox(0.5, 0.5, 0.1, 0.1), 0.8)]
+            [Detection(DamageClass.CRACK, 0.3, 0.3, 0.1, 0.1, 0.8)] * n_crack
+            + [Detection(DamageClass.SPALLING, 0.6, 0.6, 0.1, 0.1, 0.8)] * n_spall
+            + [Detection(DamageClass.EXPOSED_REBAR, 0.5, 0.5, 0.1, 0.1, 0.8)]
             * n_rebar
         )
         out = CascadeOutput("o", rand_cascade(random.Random(1)).scene, (), damages)

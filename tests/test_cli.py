@@ -140,6 +140,24 @@ class TestAssess:
         assert record["scene"]["class"] == "outside"
         assert record["counts"]["n_crack"] == 1
 
+    @pytest.mark.parametrize("timeout_s", [3e6, 1e300])
+    def test_external_timeout_past_the_selector_limit_grades_as_the_default(
+        self, tmp_path, stub, capsys, timeout_s
+    ):
+        path = write_dataset(
+            tmp_path / "d", [{"id": f"img{i}", "image_path": f"img{i}.jpg"} for i in range(3)]
+        )
+        command = [sys.executable, stub("echo_backend")]
+        config = tmp_path / "config.json"
+        outs = []
+        for backend in ({"command": command}, {"command": command, "timeout_s": timeout_s}):
+            config.write_text(json.dumps({"backend": backend}))
+            code, out, err = run(capsys, "assess", "--manifest", str(path), "--backend",
+                                 "external", "--config", str(config))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[1] == outs[0] and len(outs[0].splitlines()) == 3
+
     def test_external_jobs_capped_at_chunk_size(self, tmp_path, stub, monkeypatch, capsys):
         images = [{"id": f"img{i}", "image_path": f"img{i}.jpg"} for i in range(3)]
         path = write_dataset(tmp_path / "d", images)
@@ -241,6 +259,34 @@ class TestAssess:
         error = json.loads(err.strip())
         assert error["error"] == "SchemaViolation"
         assert error["detail"].startswith(f"schema violation at {field}:")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"format": "ruinscore-gbdt-v1", "feature_layout": "v1", "dim": 18,
+             "learning_rate": 1e300, "max_depth": 1, "degenerate": False,
+             "base_scores": [0.0, 0.0, 0.0, 0.0],
+             "trees": [[{"value": 1e10}, {"value": -1e10}, {"value": 1e10}, {"value": -1e10}]]},
+            {"format": "ruinscore-logreg-v1", "feature_layout": "v1", "dim": 18,
+             "weights": [[1e10] * 19, [-1e10] * 19, [0.0] * 19, [0.0] * 19],
+             "mean": [0.0] * 18, "std": [1e-300] * 18,
+             "trained": {"iterations": 1, "final_loss": 1.0}},
+        ],
+        ids=["gbdt", "logreg"],
+    )
+    def test_model_overflowing_to_nan_is_schema_error(self, fixture3, tmp_path, capsys, payload):
+        # every value in the file is finite; the probabilities it gives are not
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, "assess", "--manifest", str(fixture3), "--meta-model", str(model)
+        )
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "SchemaViolation",
+            "detail": "schema violation at $: model file gives a non-finite probability",
+        }
 
     def test_model_dimension_checked_before_any_image(self, fixture3, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -1541,6 +1587,24 @@ class TestCommandImports:
                  "--out", str(tmp_path / "m.json"), "--iterations", "3"]
         result = import_probe([train], NOT_ON_FILE_ASSESS)
         assert result == {"codes": [0], "threads": 1, "loaded": ["ruinscore.meta.hyper"]}
+
+    def test_cli_import_builds_eleven_dataclasses(self):
+        # dataclass processing is a fixed cost of every command's start-up
+        probe = (
+            "import dataclasses, json\n"
+            "built = []\n"
+            "process = dataclasses._process_class\n"
+            "def counting(cls, *args, **kwargs):\n"
+            "    built.append(cls.__qualname__)\n"
+            "    return process(cls, *args, **kwargs)\n"
+            "dataclasses._process_class = counting\n"
+            "import ruinscore.cli\n"
+            "print(json.dumps(built))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)) == 11, proc.stdout
 
     def test_external_assess_loads_subprocess(self, tmp_path, stub):
         path = write_dataset(tmp_path / "d", [{"id": "img0", "image_path": "img0.jpg"}])

@@ -17,7 +17,6 @@ from ruinscore.cli import main
 from ruinscore.dataset_io import (
     DEFAULT_COMPONENT_CLASS_MAP,
     DEFAULT_DAMAGE_CLASS_MAP,
-    BoundingBox,
     ComponentClass,
     DamageClass,
     DamageLevel,
@@ -44,45 +43,44 @@ from ruinscore.errors import (
     SchemaViolation,
     UnknownClass,
 )
-from ruinscore.fusion import RuleCounts, RuleDecision
+from ruinscore.fusion import RuleDecision
 
 from helpers import write_dataset
 
 
 class TestBoundingBox:
+    """A detection's box: its checks and its area."""
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="w must be > 0"):
-            BoundingBox(0.5, 0.5, 0.0, 0.1)
+            Detection(DamageClass.CRACK, 0.5, 0.5, 0.0, 0.1, 0.9)
         with pytest.raises(ValueError, match="cx"):
-            BoundingBox(1.2, 0.5, 0.1, 0.1)
+            Detection(DamageClass.CRACK, 1.2, 0.5, 0.1, 0.1, 0.9)
         with pytest.raises(ValueError, match="h must be <= 1"):
-            BoundingBox(0.5, 0.5, 0.1, 1.5)
+            Detection(DamageClass.CRACK, 0.5, 0.5, 0.1, 1.5, 0.9)
 
     def test_area(self):
-        assert BoundingBox(0.5, 0.5, 0.25, 0.5).area() == pytest.approx(0.125)
+        detection = Detection(DamageClass.CRACK, 0.5, 0.5, 0.25, 0.5, 0.9)
+        assert detection.area() == pytest.approx(0.125)
 
     def test_int_fields_pass_the_full_checks(self):
-        box = BoundingBox(0, 1, 1, 1)
-        assert Detection(DamageClass.CRACK, box, 1).confidence == 1
+        assert Detection(DamageClass.CRACK, 0, 1, 1, 1, 1).confidence == 1
         with pytest.raises(ValueError, match="cx must be a finite number"):
-            BoundingBox("0.5", 0.5, 0.1, 0.1)
+            Detection(DamageClass.CRACK, "0.5", 0.5, 0.1, 0.1, 0.9)
 
 
 def _values():
     """One maker per per-image value type: each call builds a new, equal value."""
-    box = lambda: BoundingBox(0.5, 0.5, 0.25, 0.5)
-    crack = lambda: Detection(DamageClass.CRACK, box(), 0.75)
-    beam = lambda: Detection(ComponentClass.BEAM, box(), 0.5)
+    crack = lambda: Detection(DamageClass.CRACK, 0.5, 0.5, 0.25, 0.5, 0.75)
+    beam = lambda: Detection(ComponentClass.BEAM, 0.5, 0.5, 0.25, 0.5, 0.5)
     scene = lambda: SceneLabel(SceneClass.INSIDE, 0.9)
     return [
-        box,
         crack,
         beam,
         scene,
         lambda: ImageEntry("a", None, DamageLevel.SLIGHT, SceneClass.OUTSIDE, "d.txt", None),
         lambda: CascadeOutput("a", scene(), (beam(),), (crack(), crack())),
-        lambda: RuleCounts(2, 1, 1, 0),
-        lambda: RuleDecision(DamageLevel.SLIGHT, 2.0, RuleCounts(n_crack=2), False,
+        lambda: RuleDecision(DamageLevel.SLIGHT, 2.0, 2, 0, 0, 0, False,
                              ("conf-floor",), (crack(),)),
     ]
 
@@ -357,7 +355,7 @@ class TestParseBoxText:
         assert len(dets) == 1
         det = dets[0]
         assert det.cls is DamageClass.EXPOSED_REBAR
-        assert (det.box.cx, det.box.cy, det.box.w, det.box.h) == (0.5, 0.5, 0.2, 0.1)
+        assert (det.cx, det.cy, det.w, det.h) == (0.5, 0.5, 0.2, 0.1)
         assert det.confidence == 0.9
 
     def test_conf_defaults_to_one(self):
@@ -488,7 +486,7 @@ def _parse_box_lines(text, class_map):
         except ValueError:
             raise BadLine(line_no, "non-numeric field") from None
         try:
-            out.append(Detection(cls, BoundingBox(cx, cy, w, h), conf))
+            out.append(Detection(cls, cx, cy, w, h, conf))
         except ValueError as exc:
             raise BadLine(line_no, str(exc)) from None
     return out
@@ -569,17 +567,13 @@ class TestParseJsonDetections:
         assert "detections[0]" in exc.value.field
 
 
-boxes = st.builds(
-    BoundingBox,
+damage_detections = st.builds(
+    Detection,
+    cls=st.sampled_from(list(DamageClass)),
     cx=st.floats(0.0, 1.0),
     cy=st.floats(0.0, 1.0),
     w=st.floats(0.001, 1.0),
     h=st.floats(0.001, 1.0),
-)
-damage_detections = st.builds(
-    Detection,
-    cls=st.sampled_from(list(DamageClass)),
-    box=boxes,
     confidence=st.floats(0.0, 1.0),
 )
 

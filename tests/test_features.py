@@ -7,7 +7,6 @@ import pytest
 
 from ruinscore.backend import CascadeOutput
 from ruinscore.dataset_io import (
-    BoundingBox,
     ComponentClass,
     DamageClass,
     Detection,
@@ -42,10 +41,10 @@ def test_empty_output_all_zero_except_scene_and_level():
 
 def test_hand_assembled_example():
     cracks = (
-        Detection(DamageClass.CRACK, BoundingBox(0.3, 0.3, 0.1, 0.1), 0.8),
-        Detection(DamageClass.CRACK, BoundingBox(0.6, 0.6, 0.2, 0.1), 0.6),
+        Detection(DamageClass.CRACK, 0.3, 0.3, 0.1, 0.1, 0.8),
+        Detection(DamageClass.CRACK, 0.6, 0.6, 0.2, 0.1, 0.6),
     )
-    column = Detection(ComponentClass.COLUMN, BoundingBox(0.5, 0.5, 0.4, 0.8), 0.9)
+    column = Detection(ComponentClass.COLUMN, 0.5, 0.5, 0.4, 0.8, 0.9)
     out = CascadeOutput("x", INSIDE, (column,), cracks)
     x, rule = features_for(out)
     assert rule.level.value == 1 and rule.score == 2.0
@@ -62,7 +61,7 @@ def test_hand_assembled_example():
 
 def test_area_clamped_to_one():
     big = tuple(
-        Detection(DamageClass.SPALLING, BoundingBox(0.5, 0.5, 0.9, 0.9), 0.9)
+        Detection(DamageClass.SPALLING, 0.5, 0.5, 0.9, 0.9, 0.9)
         for _ in range(2)
     )
     out = CascadeOutput("x", OUTSIDE, (), big)
@@ -77,10 +76,10 @@ def test_consistency_with_rule_decision(config):
         out = rand_cascade(rng)
         rule = rule_fusion(out, config)
         x = extract_features(out, rule)
-        assert x[0] == rule.counts.n_crack
-        assert x[1] == rule.counts.n_spall
-        assert x[2] == rule.counts.n_rebar_raw
-        assert x[3] == rule.counts.n_rebar_valid
+        assert x[0] == rule.n_crack
+        assert x[1] == rule.n_spall
+        assert x[2] == rule.n_rebar_raw
+        assert x[3] == rule.n_rebar_valid
         assert x[16] == rule.score == recompute_score(rule, config)
         assert x[17] == rule.level.value / 3.0
         assert np.isfinite(x).all()

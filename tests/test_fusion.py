@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ruinscore.backend import CascadeOutput
 from ruinscore.dataset_io import (
-    BoundingBox,
     ComponentClass,
     DamageClass,
     DamageLevel,
@@ -30,7 +29,6 @@ from ruinscore.fusion import (
     RuleDecision,
     Thresholds,
     V2Params,
-    RuleCounts,
     Weights,
     containment_ratio,
     filter_detections,
@@ -50,11 +48,17 @@ INSIDE = SceneLabel(SceneClass.INSIDE, 1.0)
 
 
 def box(cx, cy, w, h):
-    return BoundingBox(cx, cy, w, h)
+    """A box as the four numbers a Detection takes."""
+    return cx, cy, w, h
 
 
 def dmg(cls, b, conf):
-    return Detection(cls, b, conf)
+    return Detection(cls, *b, conf)
+
+
+def boxed(cx, cy, w, h):
+    """A detection that stands for its box alone."""
+    return dmg(DamageClass.CRACK, box(cx, cy, w, h), 1.0)
 
 
 def cascade(damages=(), components=(), scene=OUTSIDE):
@@ -63,22 +67,22 @@ def cascade(damages=(), components=(), scene=OUTSIDE):
 
 class TestIou:
     def test_identity(self):
-        b = box(0.4, 0.4, 0.2, 0.3)
+        b = boxed(0.4, 0.4, 0.2, 0.3)
         assert iou(b, b) == 1.0
 
     def test_touching_edges_are_disjoint(self):
-        a = box(0.25, 0.5, 0.5, 0.5)
-        b = box(0.75, 0.5, 0.5, 0.5)
+        a = boxed(0.25, 0.5, 0.5, 0.5)
+        b = boxed(0.75, 0.5, 0.5, 0.5)
         assert iou(a, b) == 0.0
 
     def test_containment_case(self):
-        a = box(0.5, 0.5, 0.5, 0.5)
-        b = box(0.5, 0.5, 0.25, 0.25)
+        a = boxed(0.5, 0.5, 0.5, 0.5)
+        b = boxed(0.5, 0.5, 0.25, 0.25)
         assert iou(a, b) == pytest.approx(0.25)
 
     def test_containment_ratio(self):
-        inner = box(0.5, 0.5, 0.2, 0.2)
-        outer = box(0.5, 0.5, 0.6, 0.6)
+        inner = boxed(0.5, 0.5, 0.2, 0.2)
+        outer = boxed(0.5, 0.5, 0.6, 0.6)
         assert containment_ratio(inner, outer) == pytest.approx(1.0)
         assert containment_ratio(outer, inner) == pytest.approx(0.04 / 0.36)
 
@@ -131,11 +135,11 @@ class TestValidateRebar:
 
     def test_v2_spall_overlap(self):
         spall = dmg(DamageClass.SPALLING, box(0.55, 0.5, 0.2, 0.2), 0.8)
-        assert iou(self.rebar().box, spall.box) >= 0.1
+        assert iou(self.rebar(), spall) >= 0.1
         assert validate_rebar(self.rebar(), [spall], [], V2_CONFIG) is True
 
     def test_v2_component_containment(self):
-        column = Detection(ComponentClass.COLUMN, box(0.5, 0.5, 0.5, 0.9), 0.9)
+        column = dmg(ComponentClass.COLUMN, box(0.5, 0.5, 0.5, 0.9), 0.9)
         assert validate_rebar(self.rebar(), [], [column], V2_CONFIG) is True
 
     def test_v2_low_conf_fails_despite_evidence(self):
@@ -186,11 +190,11 @@ class TestRuleFusion:
     def test_demoted_rebar_still_scores(self):
         # v2, lone rebar without co-evidence: no force, w_rebar counts in S
         rebar = dmg(DamageClass.EXPOSED_REBAR, box(0.5, 0.5, 0.2, 0.2), 0.9)
-        column = Detection(ComponentClass.COLUMN, box(0.1, 0.1, 0.05, 0.05), 0.9)
+        column = dmg(ComponentClass.COLUMN, box(0.1, 0.1, 0.05, 0.05), 0.9)
         decision = rule_fusion(cascade([rebar], [column]), V2_CONFIG)
         assert not decision.rebar_forced
-        assert decision.counts.n_rebar_raw == 1
-        assert decision.counts.n_rebar_valid == 0
+        assert decision.n_rebar_raw == 1
+        assert decision.n_rebar_valid == 0
         assert decision.score == 3.0
         assert decision.level is DamageLevel.SLIGHT
         assert "rebar-demoted" in decision.applied_filters
@@ -200,7 +204,7 @@ class TestRuleFusion:
         decision = rule_fusion(cascade(cracks), V2_CONFIG)
         assert decision.score == 1.0  # 2.0 halved, no confident component
         assert "ambiguity-bias" in decision.applied_filters
-        column = Detection(ComponentClass.COLUMN, box(0.5, 0.5, 0.4, 0.8), 0.9)
+        column = dmg(ComponentClass.COLUMN, box(0.5, 0.5, 0.4, 0.8), 0.9)
         decision = rule_fusion(cascade(cracks, [column]), V2_CONFIG)
         assert decision.score == 2.0
         assert "ambiguity-bias" not in decision.applied_filters
@@ -431,7 +435,7 @@ def _multi_pass_filter(damages, scene, config):
             if tag not in tags:
                 tags.append(tag)
             continue
-        if config.version is FusionVersion.V2 and det.box.area() < config.v2.min_box_area:
+        if config.version is FusionVersion.V2 and det.area() < config.v2.min_box_area:
             if TAG_MIN_AREA not in tags:
                 tags.append(TAG_MIN_AREA)
             continue
@@ -445,17 +449,9 @@ def _multi_pass_rule_fusion(out, config):
     spalls = [d for d in filtered if d.cls is DamageClass.SPALLING]
     rebars = [d for d in filtered if d.cls is DamageClass.EXPOSED_REBAR]
     valid_rebars = [r for r in rebars if validate_rebar(r, spalls, out.components, config)]
-    counts = RuleCounts(
-        n_crack=len(cracks),
-        n_spall=len(spalls),
-        n_rebar_raw=len(rebars),
-        n_rebar_valid=len(valid_rebars),
-    )
     if rebars and len(valid_rebars) < len(rebars):
         tags.append(TAG_REBAR_DEMOTED)
-    score = weighted_score(
-        counts.n_crack, counts.n_spall, counts.n_rebar_raw - counts.n_rebar_valid, config
-    )
+    score = weighted_score(len(cracks), len(spalls), len(rebars) - len(valid_rebars), config)
     if valid_rebars:
         level = DamageLevel.HEAVY
     else:
@@ -473,7 +469,10 @@ def _multi_pass_rule_fusion(out, config):
     return RuleDecision(
         level=level,
         score=score,
-        counts=counts,
+        n_crack=len(cracks),
+        n_spall=len(spalls),
+        n_rebar_raw=len(rebars),
+        n_rebar_valid=len(valid_rebars),
         rebar_forced=bool(valid_rebars),
         applied_filters=tuple(tags),
         survivors=tuple(filtered),

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import filecmp
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from ruinscore.backend import FileBackend, run_cascade
+from ruinscore.cli import main
 from ruinscore.dataset_io import DamageLevel
 from ruinscore.fusion import DEFAULT_CONFIG, rule_fusion
 from ruinscore.synth import NoiseSpec, SynthSpec, XorShift64Star, gen_synthetic
@@ -68,6 +70,22 @@ class TestGenSynthetic:
         assert a_files == b_files and a_files
         for rel in a_files + [Path("manifest.json")]:
             assert filecmp.cmp(tmp_path / "a" / rel, tmp_path / "b" / rel, shallow=False), rel
+
+    def test_seeded_noisy_tree_digest(self, tmp_path, capsys):
+        # the benchmark's noise knobs; every file's path and bytes are pinned
+        out = tmp_path / "d"
+        assert main(["gen-synthetic", "--seed", "7", "--n", "200", "--out", str(out),
+                     "--false-positive-rate", "0.2", "--confidence-jitter-sd", "0.1",
+                     "--drop-rate", "0.1"]) == 0
+        digest = hashlib.sha256()
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        for path in files:
+            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+        assert len(files) == 343
+        assert digest.hexdigest() == (
+            "bb1ae6ad333216cf57727da63e29c35b8601dd8de9f51f6f9c84c3a9413c21b7"
+        )
 
     def test_ground_truth_covers_all_levels(self, tmp_path):
         manifest = gen_synthetic(SynthSpec(seed=5, n_images=100), tmp_path / "d")
