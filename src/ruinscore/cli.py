@@ -32,7 +32,7 @@ import gc
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import dataset_io, fusion
 from .backend import (
@@ -112,6 +112,12 @@ def load_config_file(path: str | os.PathLike | None) -> tuple[FusionConfig, Back
 
 def _config_path(args) -> str | None:
     return getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR) or None
+
+
+def _given(args, spec) -> dict:
+    """The fields of dataclass `spec` that the command line set."""
+    names = {f.name for f in fields(spec)}
+    return {name: value for name, value in vars(args).items() if name in names}
 
 
 def _write(stream, text: str, what: str) -> None:
@@ -232,7 +238,8 @@ def _cmd_assess(args) -> int:
 def read_assessments(path: str | os.PathLike) -> dict[str, DamageLevel]:
     """Each record's image id and final level, checked line by line."""
     levels = {}
-    for line_no, line in enumerate(dataset_io.read_text(path).splitlines(), start=1):
+    # JSON strings may hold U+2028, U+2029 and U+0085 raw, so only "\n" ends a line
+    for line_no, line in enumerate(dataset_io.read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -297,18 +304,9 @@ def _cmd_train_meta(args) -> int:
             X[row] = meta.extract_features(out, rule_fusion(out, config))
     y = [entry.ground_truth_level for entry in labeled]
 
-    if args.kind == "logreg":
-        hp = LogRegHyper(learning_rate=args.learning_rate, l2=args.l2, iterations=args.iterations)
-        model = meta.train_logreg(X, y, hp)
-    else:
-        hp = GbdtHyper(
-            rounds=args.rounds,
-            learning_rate=args.learning_rate,
-            max_depth=args.max_depth,
-            min_leaf=args.min_leaf,
-            lam=args.reg_lambda,
-        )
-        model = meta.train_gbdt(X, y, hp)
+    hyper = LogRegHyper if args.kind == "logreg" else GbdtHyper
+    train = meta.train_logreg if args.kind == "logreg" else meta.train_gbdt
+    model = train(X, y, hyper(**_given(args, hyper)))
     # the trainer's own probabilities of its rows: no second predict
     hits = sum(p == t for p, t in zip(model.training_probs.argmax(axis=1).tolist(), y))
     accuracy = hits / len(y)
@@ -350,23 +348,17 @@ def _cmd_fuse(args) -> int:
 def _cmd_gen_synthetic(args) -> int:
     from . import synth
 
+    given = _given(args, synth.SynthSpec)
+    if "level_priors" in given:
+        try:
+            priors = tuple(float(v) for v in given["level_priors"].split(","))
+        except ValueError:  # a part that is not a number
+            priors = ()
+        if len(priors) != 4:
+            raise SchemaViolation("level_priors", "expected 4 comma-separated numbers")
+        given["level_priors"] = priors
     try:
-        priors = tuple(float(v) for v in args.level_priors.split(","))
-    except ValueError:  # a part that is not a number
-        priors = ()
-    if len(priors) != 4:
-        raise SchemaViolation("level_priors", "expected 4 comma-separated numbers")
-    try:
-        spec = synth.SynthSpec(
-            seed=args.seed,
-            n_images=args.n,
-            noise=synth.NoiseSpec(
-                false_positive_rate=args.false_positive_rate,
-                confidence_jitter_sd=args.confidence_jitter_sd,
-                drop_rate=args.drop_rate,
-            ),
-            level_priors=priors,
-        )
+        spec = synth.SynthSpec(**given)
     except ValueError as exc:
         raise SchemaViolation("$", str(exc)) from None
     manifest = synth.gen_synthetic(spec, args.out)
@@ -413,18 +405,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", default="assess")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("train-meta", help="train a meta-model on a labeled manifest")
+    # train-meta and gen-synthetic set only the flags given: every other
+    # field keeps the default its library type declares
+    p = sub.add_parser(
+        "train-meta",
+        help="train a meta-model on a labeled manifest",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", help=f"JSON config (fallback: ${CONFIG_ENV_VAR})")
     p.add_argument("--kind", choices=["logreg", "gbdt"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--learning-rate", type=bounded(float, 0, strict=True), default=0.1)
-    p.add_argument("--l2", type=bounded(float, 0), default=1e-3)
-    p.add_argument("--iterations", type=bounded(int, 0), default=500)
-    p.add_argument("--rounds", type=bounded(int, 0), default=50)
-    p.add_argument("--max-depth", type=bounded(int, 1), default=3)
-    p.add_argument("--min-leaf", type=bounded(int, 1), default=5)
-    p.add_argument("--reg-lambda", type=bounded(float, 0, strict=True), default=1.0)
+    p.add_argument("--learning-rate", type=bounded(float, 0, strict=True))
+    p.add_argument("--l2", type=bounded(float, 0))
+    p.add_argument("--iterations", type=bounded(int, 0))
+    p.add_argument("--rounds", type=bounded(int, 0))
+    p.add_argument("--max-depth", type=bounded(int, 1))
+    p.add_argument("--min-leaf", type=bounded(int, 1))
+    p.add_argument(
+        "--reg-lambda", dest="lam", metavar="REG_LAMBDA", type=bounded(float, 0, strict=True)
+    )
     p.set_defaults(func=_cmd_train_meta)
 
     p = sub.add_parser("fuse", help="fuse one detection file into a level with explanation")
@@ -434,14 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=f"JSON config (fallback: ${CONFIG_ENV_VAR})")
     p.set_defaults(func=_cmd_fuse)
 
-    p = sub.add_parser("gen-synthetic", help="generate a deterministic synthetic dataset")
+    p = sub.add_parser(
+        "gen-synthetic",
+        help="generate a deterministic synthetic dataset",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", dest="n_images", metavar="N", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--false-positive-rate", type=float, default=0.0)
-    p.add_argument("--confidence-jitter-sd", type=float, default=0.0)
-    p.add_argument("--drop-rate", type=float, default=0.0)
-    p.add_argument("--level-priors", default="0.25,0.25,0.25,0.25")
+    p.add_argument("--false-positive-rate", type=float)
+    p.add_argument("--confidence-jitter-sd", type=float)
+    p.add_argument("--drop-rate", type=float)
+    p.add_argument("--level-priors")
     p.set_defaults(func=_cmd_gen_synthetic)
 
     return parser

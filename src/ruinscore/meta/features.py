@@ -14,7 +14,6 @@ from ..backend import CascadeOutput
 from ..dataset_io import ComponentClass, DamageClass, SceneClass
 from ..fusion import RuleDecision
 
-FEATURE_DIM = 18
 FEATURE_LAYOUT = "v1"
 
 FEATURE_NAMES = (
@@ -37,6 +36,7 @@ FEATURE_NAMES = (
     "rule_score",
     "rule_level_scaled",
 )
+FEATURE_DIM = len(FEATURE_NAMES)
 
 _DAMAGE_ORDER = (DamageClass.CRACK, DamageClass.SPALLING, DamageClass.EXPOSED_REBAR)
 _COMPONENT_ORDER = (ComponentClass.BEAM, ComponentClass.COLUMN, ComponentClass.WALL)

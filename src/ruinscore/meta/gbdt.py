@@ -28,19 +28,15 @@ import numpy as np
 from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
 from ..fusion import check_number
 from .features import FEATURE_LAYOUT
-from .logreg import _as_matrix, _finite_array, _json_int, _log_loss, _one_hot
+from .logreg import N_CLASSES, _as_matrix, _finite_array, _json_int, _log_loss, _one_hot
 from .logreg import _training_matrix, softmax_rows
 
 if TYPE_CHECKING:
     from .hyper import GbdtHyper
 
-N_CLASSES = 4
 GBDT_FORMAT = "ruinscore-gbdt-v1"
 _PRIOR_FLOOR = 1e-12  # keeps log priors finite (and JSON-serializable) for absent classes
 NO_SPLIT = (-1, 0, 0.0)
-# rows walked through the forest at once: bounds predict's (rows, trees)
-# temporaries whatever the batch size
-_ROWS_PER_WALK = 64
 
 
 @dataclass(frozen=True)
@@ -469,17 +465,15 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
 def predict_gbdt_batch(model: GbdtModel, X) -> np.ndarray:
     """(rows, 4) class probabilities: softmax over the base scores plus the
     scaled outputs of every tree, added round by round so each margin sums
-    in the same order as when the model was trained."""
+    in the same order as when the model was trained. The whole batch is
+    walked at once; commands hand it at most one chunk."""
     X = _as_matrix(X)
     if X.shape[1] != model.dim:
         raise DimensionMismatch(model.dim, X.shape[1])
     F = np.tile(model.base_scores, (X.shape[0], 1))
-    for start in range(0, X.shape[0], _ROWS_PER_WALK):
-        block = F[start : start + _ROWS_PER_WALK]
-        leaves = model.forest.leaf_values(X[start : start + _ROWS_PER_WALK])
-        leaves = leaves.reshape(block.shape[0], model.rounds, N_CLASSES)
-        for r in range(model.rounds):
-            block += model.learning_rate * leaves[:, r, :]
+    leaves = model.forest.leaf_values(X).reshape(X.shape[0], model.rounds, N_CLASSES)
+    for r in range(model.rounds):
+        F += model.learning_rate * leaves[:, r, :]
     return softmax_rows(F)
 
 

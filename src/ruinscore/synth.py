@@ -79,10 +79,13 @@ class XorShift64Star:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class SynthSpec:
+    seed: int
+    n_images: int
     false_positive_rate: float = 0.0
     confidence_jitter_sd: float = 0.0
     drop_rate: float = 0.0
+    level_priors: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.false_positive_rate <= 1.0:
@@ -91,16 +94,6 @@ class NoiseSpec:
             raise ValueError("confidence_jitter_sd must be finite and >= 0")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    seed: int
-    n_images: int
-    noise: NoiseSpec = NoiseSpec()
-    level_priors: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-
-    def __post_init__(self) -> None:
         # the generator seeds from the value modulo 2**64, so a seed outside
         # that range would alias one inside it
         if not 0 <= self.seed <= _MASK64:
@@ -160,18 +153,16 @@ def _clean_damages(rng: XorShift64Star, level: DamageLevel) -> list[Detection]:
     return dets
 
 
-def _apply_noise(
-    rng: XorShift64Star, dets: list[Detection], noise: NoiseSpec
-) -> list[Detection]:
+def _apply_noise(rng: XorShift64Star, dets: list[Detection], spec: SynthSpec) -> list[Detection]:
     out = []
     for det in dets:
-        if noise.drop_rate > 0.0 and rng.random() < noise.drop_rate:
+        if spec.drop_rate > 0.0 and rng.random() < spec.drop_rate:
             continue
-        if noise.confidence_jitter_sd > 0.0:
-            conf = det.confidence + noise.confidence_jitter_sd * rng.gauss()
+        if spec.confidence_jitter_sd > 0.0:
+            conf = det.confidence + spec.confidence_jitter_sd * rng.gauss()
             det = Detection(det.cls, det.cx, det.cy, det.w, det.h, min(1.0, max(0.01, conf)))
         out.append(det)
-    if noise.false_positive_rate > 0.0 and rng.random() < noise.false_positive_rate:
+    if spec.false_positive_rate > 0.0 and rng.random() < spec.false_positive_rate:
         cls = DEFAULT_DAMAGE_CLASS_MAP[rng.randint(3)]
         out.append(_damage(rng, cls, 0.3, 0.9))
     return out
@@ -203,7 +194,7 @@ def gen_synthetic(spec: SynthSpec, out_dir: str | Path) -> DatasetManifest:
             )
             for _ in range(rng.randint(3))
         ]
-        damages = _apply_noise(rng, _clean_damages(rng, level), spec.noise)
+        damages = _apply_noise(rng, _clean_damages(rng, level), spec)
 
         damage_rel = f"labels/{image_id}.txt"
         entry = {

@@ -41,7 +41,7 @@ from ruinscore.errors import (
     Timeout,
     UnknownClass,
 )
-from ruinscore.synth import NoiseSpec, SynthSpec, gen_synthetic
+from ruinscore.synth import SynthSpec, gen_synthetic
 
 from helpers import reference_file_cascade, write_dataset
 
@@ -133,8 +133,9 @@ class TestFileCascadeMatchesReference:
     """FileBackend.cascade against the task-by-task reference in helpers."""
 
     def test_every_entry_of_a_seeded_noisy_corpus(self, tmp_path):
-        noise = NoiseSpec(false_positive_rate=0.2, confidence_jitter_sd=0.1, drop_rate=0.1)
-        manifest = gen_synthetic(SynthSpec(seed=7, n_images=300, noise=noise), tmp_path / "d")
+        spec = SynthSpec(seed=7, n_images=300, false_positive_rate=0.2,
+                         confidence_jitter_sd=0.1, drop_rate=0.1)
+        manifest = gen_synthetic(spec, tmp_path / "d")
         backend = FileBackend(manifest)
         outs = [backend.cascade(entry) for entry in manifest.images]
         assert outs == [reference_file_cascade(entry, manifest) for entry in manifest.images]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import io
@@ -13,19 +14,21 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ruinscore
-from ruinscore import cli, meta
+from ruinscore import cli, meta, synth
 from ruinscore.backend import FileBackend, run_cascade
-from ruinscore.cli import load_config_file, main
+from ruinscore.cli import BackendSettings, load_config_file, main
 from ruinscore.dataset_io import LEVEL_BY_LABEL, load_manifest
 from ruinscore.errors import SchemaViolation
 from ruinscore.evaluate import compute_metrics, confusion_matrix
 from ruinscore.fusion import DecisionMode, FusionConfig, final_decision, rule_fusion
+from ruinscore.meta import hyper
 from ruinscore.meta.hyper import GbdtHyper, LogRegHyper
 
 from helpers import write_dataset
@@ -741,6 +744,21 @@ class TestEvaluate:
             "detail": "schema violation at line 2: unknown level name 'bogus'",
         }
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"],
+                             ids=["U+2028", "U+2029", "U+0085"])
+    def test_raw_line_separator_inside_a_string_is_one_record(self, tmp_path, capsys, char):
+        # JSON allows these raw inside a string; only "\n" ends a record
+        path = write_dataset(tmp_path / "d", [{"id": "a", "gt": 1, "scene": "outside",
+                                               "damage": ""}])
+        a = tmp_path / "a.jsonl"
+        record = {"image_id": "a", "final": "slight", "note": f"x{char}y"}
+        a.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert char in a.read_text(encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--assessments", str(a), "--manifest", str(path),
+                             "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 1
+
     def test_no_ground_truth_anywhere(self, tmp_path, capsys):
         path = write_dataset(tmp_path / "d", [{"id": "a", "scene": "outside", "damage": ""}])
         a = tmp_path / "a.jsonl"
@@ -942,6 +960,22 @@ class TestTrainMeta:
             return usage.ru_minflt
 
         assert abs(minor_faults(50) - minor_faults(1)) < 2000
+
+    @pytest.mark.parametrize("flags, rounds", [([], 2), (["--rounds", "3"], 3)])
+    def test_unset_flags_take_the_hyper_defaults(self, tmp_path, capsys, monkeypatch,
+                                                 flags, rounds):
+        @dataclass(frozen=True)
+        class TwoRounds(GbdtHyper):
+            rounds: int = 2
+
+        monkeypatch.setattr(hyper, "GbdtHyper", TwoRounds)
+        data = tmp_path / "d"
+        assert run(capsys, "gen-synthetic", "--seed", "3", "--n", "40", "--out", str(data))[0] == 0
+        model = tmp_path / "m.json"
+        code, _, err = run(capsys, "train-meta", "--manifest", str(data / "manifest.json"),
+                           "--kind", "gbdt", "--out", str(model), *flags)
+        assert (code, err) == (0, "")
+        assert len(json.loads(model.read_text())["trees"]) == rounds
 
     def test_bad_kind_is_usage_error(self, fixture3, capsys):
         code, _, err = run(
@@ -1149,6 +1183,16 @@ class TestConfigHandling:
         assert config.conf_floor == 0.1
         assert backend_cfg.command == ("prog", "arg")
         assert backend_cfg.timeout_s == 5.0
+
+    def test_readme_config_block_is_the_declared_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("**Config JSON** (all keys optional; defaults shown):")[1]
+        block = block.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "config.json"
+        path.write_text(block)
+        assert load_config_file(path) == (
+            FusionConfig(), BackendSettings(("python", "my_detector.py"), 30.0)
+        )
 
     def test_unknown_backend_key_rejected(self, tmp_path):
         p = tmp_path / "config.json"
@@ -1663,8 +1707,38 @@ class TestGenSynthetic:
         assert json.loads(line)["error"] == "SchemaViolation"
         assert not out_dir.exists()
 
+    def test_unset_flags_take_the_spec_defaults(self, tmp_path, capsys, monkeypatch):
+        @dataclass(frozen=True)
+        class DropAll(synth.SynthSpec):
+            drop_rate: float = 1.0
+
+        monkeypatch.setattr(synth, "SynthSpec", DropAll)
+        out_dir = tmp_path / "d"
+        code, _, err = run(capsys, "gen-synthetic", "--seed", "1", "--n", "20",
+                           "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        labels = sorted((out_dir / "labels").glob("*.txt"))
+        assert len(labels) == 20
+        assert all(label.read_text() == "" for label in labels)
+
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "gen-synthetic", "--seed", "1")[0] == 2
         assert run(capsys, "no-such-command")[0] == 2
         for jobs in ("0", "-3"):
             assert run(capsys, "assess", "--manifest", "m.json", "--jobs", jobs)[0] == 2
+
+
+class TestSpecFlags:
+    """train-meta and gen-synthetic flags fill library specs whose fields
+    declare the defaults; a flag that restated one could drift from it."""
+
+    SPECS = {"train-meta": (LogRegHyper, GbdtHyper), "gen-synthetic": (synth.SynthSpec,)}
+
+    @pytest.mark.parametrize("command", sorted(SPECS))
+    def test_every_field_is_a_flag_without_a_default(self, command):
+        actions = cli.build_parser()._actions
+        [sub] = (a for a in actions if isinstance(a, argparse._SubParsersAction))
+        names = {f.name for spec in self.SPECS[command] for f in fields(spec)}
+        defaults = {a.dest: a.default for a in sub.choices[command]._actions if a.dest in names}
+        assert set(defaults) == names
+        assert all(default is argparse.SUPPRESS for default in defaults.values()), defaults

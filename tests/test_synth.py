@@ -10,7 +10,7 @@ from ruinscore.backend import FileBackend, run_cascade
 from ruinscore.cli import main
 from ruinscore.dataset_io import DamageLevel
 from ruinscore.fusion import DEFAULT_CONFIG, rule_fusion
-from ruinscore.synth import NoiseSpec, SynthSpec, XorShift64Star, gen_synthetic
+from ruinscore.synth import SynthSpec, XorShift64Star, gen_synthetic
 
 
 def assess_levels(manifest) -> list[DamageLevel]:
@@ -62,7 +62,8 @@ class TestGenSynthetic:
             assert exact_accuracy(manifest) == 1.0, f"seed {seed}"
 
     def test_byte_identical_regeneration(self, tmp_path):
-        spec = SynthSpec(seed=11, n_images=40, noise=NoiseSpec(0.2, 0.05, 0.1))
+        spec = SynthSpec(seed=11, n_images=40, false_positive_rate=0.2,
+                         confidence_jitter_sd=0.05, drop_rate=0.1)
         gen_synthetic(spec, tmp_path / "a")
         gen_synthetic(spec, tmp_path / "b")
         a_files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.txt"))
@@ -105,9 +106,7 @@ class TestGenSynthetic:
         for rate in (0.0, 0.1, 0.3):
             accs = []
             for seed in range(5):
-                spec = SynthSpec(
-                    seed=seed, n_images=120, noise=NoiseSpec(false_positive_rate=rate)
-                )
+                spec = SynthSpec(seed=seed, n_images=120, false_positive_rate=rate)
                 manifest = gen_synthetic(spec, tmp_path / f"r{rate}_{seed}")
                 accs.append(exact_accuracy(manifest))
             means.append(sum(accs) / len(accs))
