@@ -1,14 +1,15 @@
 """Evidence sources for the cascade: scene label, components, damage boxes.
 
-Two backends implement the same `cascade(entry)` contract: one call per
-image, returning its `CascadeOutput`. FileBackend reads the detection files
-named in the manifest and never touches image bytes. ExternalBackend talks
-newline-delimited JSON to child processes, keeping the engine agnostic of
-whatever model they run: `exchange` asks for a chunk of images at once,
-`query` serves one image's answers in task order, and `cascade` assembles
-them. Task names belong to that wire alone. `subprocess` and `selectors`
-are imported by ExternalBackend's methods only, so the file backend runs
-without them.
+Two backends implement the same `cascade_chunk(entries)` contract: a
+generator that yields, in the entries' order, each image's `CascadeOutput`
+or the error it failed with, working on an entry only when the caller asks
+for it. FileBackend reads the detection files named in the manifest and
+never touches image bytes. ExternalBackend talks newline-delimited JSON to
+child processes, keeping the engine agnostic of whatever model they run:
+`exchange` asks for a chunk of images at once and returns each one's
+answers, and `cascade_chunk` assembles them. Task names belong to that wire
+alone. `subprocess` and `selectors` are imported by ExternalBackend's
+methods only, so the file backend runs without them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
 
 from . import dataset_io
 from .dataset_io import (
@@ -80,12 +81,15 @@ _CASCADE_SETTERS = slot_setters(CascadeOutput)
 # the scene of every image whose manifest entry overrides it; a value is
 # immutable, so one per class serves them all
 _OVERRIDE_SCENES = {cls: SceneLabel(cls, 1.0) for cls in SceneClass}
+# what a backend makes of one image: its evidence, or the error it failed with
+Outcome = CascadeOutput | RuinscoreError
 
 
 class Backend(Protocol):
-    def cascade(self, entry: ImageEntry) -> CascadeOutput:
-        """One image's evidence, or the error of its first failing stage in
-        cascade order: scene, components, damage."""
+    def cascade_chunk(self, entries: Sequence[ImageEntry]) -> Iterator[Outcome]:
+        """Each entry's evidence, or the error of its first failing stage in
+        cascade order (scene, components, damage), in the entries' order; an
+        entry is worked on only when the caller asks for its result."""
         ...
 
 
@@ -103,26 +107,28 @@ class FileBackend:
     def __init__(self, manifest: DatasetManifest):
         self._manifest = manifest
 
-    def cascade(self, entry: ImageEntry) -> CascadeOutput:
-        if entry.scene_override is None:
-            raise MissingEvidence(
-                "scene", f"entry {entry.id!r} has no 'scene' key in the manifest"
-            )
-        components = ()
-        if entry.components_file is not None:
-            components = tuple(
-                dataset_io.read_detections(
-                    entry.components_file, self._manifest.component_class_map, ComponentClass
+    def cascade_chunk(self, entries: Sequence[ImageEntry]) -> Iterator[Outcome]:
+        component_map = self._manifest.component_class_map
+        damage_map = self._manifest.damage_class_map
+        read = dataset_io.read_detections
+        for entry in entries:
+            try:
+                if entry.scene_override is None:
+                    raise MissingEvidence(
+                        "scene", f"entry {entry.id!r} has no 'scene' key in the manifest"
+                    )
+                components = ()
+                if entry.components_file is not None:
+                    components = tuple(read(entry.components_file, component_map, ComponentClass))
+                if entry.damage_file is None:
+                    raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
+                damages = tuple(read(entry.damage_file, damage_map, DamageClass))
+                result = CascadeOutput(
+                    entry.id, _OVERRIDE_SCENES[entry.scene_override], components, damages
                 )
-            )
-        if entry.damage_file is None:
-            raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
-        damages = tuple(
-            dataset_io.read_detections(
-                entry.damage_file, self._manifest.damage_class_map, DamageClass
-            )
-        )
-        return CascadeOutput(entry.id, _OVERRIDE_SCENES[entry.scene_override], components, damages)
+            except RuinscoreError as exc:
+                result = exc
+            yield result
 
 
 class _Child:
@@ -151,10 +157,10 @@ class ExternalBackend:
     that reads ahead. Replies are checked in order, so an image fails on its
     first failing task. A child silent for `timeout_s`, or sending a bad or
     unasked line, or closing its output is killed: the image it owed a reply
-    gets the error and its later images are left for `query` to ask again,
-    so no reply is read as another image's. Child 0 starts with the backend.
-    `cascade` assembles an image's `query` answers, under its
-    `cascade_tasks`, into the image's CascadeOutput.
+    gets the error and its later images are left unanswered, so no reply is
+    read as another image's. Child 0 starts with the backend.
+    `cascade_chunk` exchanges a chunk's `cascade_tasks` and assembles each
+    image's answers into its CascadeOutput.
     """
 
     def __init__(
@@ -168,7 +174,6 @@ class ExternalBackend:
         self.command = list(command)
         self.timeout_s = timeout_s
         self._children: list[_Child | None] = [self._spawn()] + [None] * (jobs - 1)
-        self._served: dict = {}
 
     def _spawn(self) -> _Child:
         import subprocess
@@ -196,12 +201,14 @@ class ExternalBackend:
             child.proc.wait()
         child.proc.stdout.close()
 
-    def exchange(self, batch: Sequence[tuple[ImageEntry, Sequence[str]]]) -> None:
-        """Ask for each (entry, tasks) of a chunk; `query` then serves each
-        image its evidence in task order, or the error it failed on."""
+    def exchange(self, batch: Sequence[tuple[ImageEntry, Sequence[str]]]) -> list:
+        """Ask for each (entry, tasks) of a chunk. Returns, aligned with
+        `batch`, each image's evidence in task order, the error it failed on,
+        or None for an image a failed child left unanswered. The first image
+        with an image_path always gets an answer or an error."""
         import selectors
 
-        results: dict[int, list | RuinscoreError] = {}  # by batch index; unserved: absent
+        results: dict[int, list | RuinscoreError] = {}  # by batch index; unanswered: absent
         requests: dict[int, bytes] = {}
         encode = dataset_io.encode_json_line
         for i, (entry, tasks) in enumerate(batch):
@@ -292,31 +299,26 @@ class ExternalBackend:
             for child in self._children:
                 if child is not None and child.owed:
                     self._drop(child)
-        for i, result in results.items():
-            self._served[batch[i][0].id, tuple(batch[i][1])] = result
+        return [results.get(i) for i in range(len(batch))]
 
-    def query(self, entry: ImageEntry, tasks: Sequence[str]) -> list:
-        """The evidence for `tasks` of an image an exchange has served; any
-        other image, such as one a failed child left, is exchanged alone."""
-        key = (entry.id, tuple(tasks))
-        if key not in self._served:
-            self.exchange([(entry, tasks)])
-        result = self._served.pop(key)
-        if isinstance(result, RuinscoreError):
-            raise result
-        return result
-
-    def cascade(self, entry: ImageEntry) -> CascadeOutput:
-        """One image's evidence from one `query` for its `cascade_tasks`; the
-        scene label never gates the later stages, it only conditions fusion,
-        so the requests do not depend on each other."""
-        answers = self.query(entry, cascade_tasks(entry))
-        if entry.scene_override is None:
+    def cascade_chunk(self, entries: Sequence[ImageEntry]) -> Iterator[Outcome]:
+        """One exchange for the entries' `cascade_tasks`; the scene label never
+        gates the later stages, it only conditions fusion, so the requests do
+        not depend on each other. An entry reached still unanswered, which a
+        failed child left, is exchanged again alone, from the first slot."""
+        batch = [(entry, cascade_tasks(entry)) for entry in entries]
+        results = self.exchange(batch)
+        for i, entry in enumerate(entries):
+            answers = results[i]
+            if answers is None:
+                [answers] = self.exchange([batch[i]])
+            if isinstance(answers, RuinscoreError):
+                yield answers
+                continue
+            if entry.scene_override is not None:
+                answers = [_OVERRIDE_SCENES[entry.scene_override], *answers]
             scene, components, damages = answers
-        else:
-            scene = _OVERRIDE_SCENES[entry.scene_override]
-            components, damages = answers
-        return CascadeOutput(entry.id, scene, tuple(components), tuple(damages))
+            yield CascadeOutput(entry.id, scene, tuple(components), tuple(damages))
 
     def close(self) -> None:
         """End every child's input, read each one's output to its end under one
@@ -400,11 +402,3 @@ def cascade_tasks(entry: ImageEntry) -> tuple[str, ...]:
     """The tasks a backend answers for `entry`, each once, in cascade order:
     a manifest scene override replaces the scene answer."""
     return TASKS if entry.scene_override is None else TASKS[1:]
-
-
-def run_cascade(entry: ImageEntry, backend: Backend) -> CascadeOutput:
-    """Gather one image's evidence in cascade order: scene, components, damage.
-
-    The backend is asked once per image, through its `cascade`.
-    """
-    return backend.cascade(entry)

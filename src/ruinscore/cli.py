@@ -5,17 +5,20 @@ manifest in fixed-size chunks, so corpora of any size process with bounded
 memory whatever --jobs is. Everything runs in the calling thread; --jobs N
 is the number of external backend children, capped at the chunk size (a
 chunk deals out no more images than that). Each chunk runs its stages in
-order, each over the whole chunk: one exchange with the children (external
-backend only), the cascade, rule fusion, feature extraction and one batch
-meta predict (hybrid only), then one write of the chunk's records. A failing
-image ends the cascade stage, so the records before it are written before
-its error is raised; under --keep-going it is skipped instead, and its
-error goes to stderr as the same JSON line a fatal failure prints. train-meta
-runs the same cascade stage chunk by chunk, and fuse runs one detection file
-through it as a one-entry manifest. Exit codes: 0 success, 1 runtime failure
-(structured JSON error on stderr), 2 usage error. Every command writes its
-stdout through one helper, so a stdout whose reader is gone is an IoFailure
-like any other failed write.
+order, each over the whole chunk: the cascade, which the backend's
+`cascade_chunk` yields image by image (the external backend exchanges the
+whole chunk with its children first), rule fusion, feature extraction and
+one batch meta predict (hybrid only), then one write of the chunk's
+records. A failing image ends the cascade stage, so the records before it
+are written before its error is raised and no image after it is read or
+asked for again; under --keep-going it is skipped instead, and its error
+goes to stderr as the same JSON line a fatal failure prints. train-meta
+runs the same cascade stage chunk by chunk, and fuse takes its one
+detection file's result from the file backend's `cascade_chunk`, as a
+one-entry manifest. Exit codes: 0 success, 1 runtime failure (structured
+JSON error on stderr), 2 usage error. Every command writes its stdout
+through one helper, so a stdout whose reader is gone is an IoFailure like
+any other failed write.
 
 Each command imports only what it runs: numpy and the meta package load only
 in the commands that load or train a meta-model (and `meta.hyper` only in
@@ -35,13 +38,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from . import dataset_io, fusion
-from .backend import (
-    DEFAULT_TIMEOUT_S,
-    ExternalBackend,
-    FileBackend,
-    cascade_tasks,
-    run_cascade,
-)
+from .backend import DEFAULT_TIMEOUT_S, Backend, ExternalBackend, FileBackend
 from .dataset_io import LEVEL_BY_LABEL, DamageLevel, DatasetManifest, ImageEntry, SceneClass
 from .errors import (
     DegenerateData,
@@ -163,19 +160,21 @@ def _assessment_record(out, rule, probs, final) -> dict:
     }
 
 
-def _cascade_chunk(chunk, backend, keep_going: bool) -> tuple[list, RuinscoreError | None]:
+def _cascade_chunk(
+    chunk, backend: Backend, keep_going: bool
+) -> tuple[list, RuinscoreError | None]:
     """The cascade outputs of a chunk's entries in manifest order, and the
     failure, tagged with its image id, that ended the chunk early. Under
     `keep_going` a failing entry is skipped with its error line on stderr instead."""
     outs = []
-    for entry in chunk:
-        try:
-            outs.append(run_cascade(entry, backend))
-        except RuinscoreError as exc:
-            exc.image_id = entry.id
+    for entry, out in zip(chunk, backend.cascade_chunk(chunk)):
+        if isinstance(out, RuinscoreError):
+            out.image_id = entry.id
             if not keep_going:
-                return outs, exc
-            sys.stderr.write(_error_line(exc))
+                return outs, out
+            sys.stderr.write(_error_line(out))
+        else:
+            outs.append(out)
     return outs, None
 
 
@@ -208,8 +207,6 @@ def _cmd_assess(args) -> int:
             backend = ExternalBackend(backend_cfg.command, backend_cfg.timeout_s, jobs)
         for start in range(0, len(images), CHUNK_SIZE):
             chunk = images[start : start + CHUNK_SIZE]
-            if external:
-                backend.exchange([(entry, cascade_tasks(entry)) for entry in chunk])
             outs, failure = _cascade_chunk(chunk, backend, args.keep_going)
             rules = [rule_fusion(out, config) for out in outs]
             probs = [None] * len(outs)
@@ -332,7 +329,10 @@ def _cmd_fuse(args) -> int:
     entry = ImageEntry(
         args.detections, scene_override=SceneClass(args.scene), damage_file=args.detections
     )
-    rule = rule_fusion(run_cascade(entry, FileBackend(DatasetManifest((entry,)))), config)
+    [out] = FileBackend(DatasetManifest((entry,))).cascade_chunk((entry,))
+    if isinstance(out, RuinscoreError):
+        raise out
+    rule = rule_fusion(out, config)
     why = "rebar_forced" if rule.rebar_forced else f"S={rule.score}"
     _write(
         sys.stdout,

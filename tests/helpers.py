@@ -23,7 +23,7 @@ from ruinscore.dataset_io import (
     SceneLabel,
     read_detections,
 )
-from ruinscore.errors import MissingEvidence
+from ruinscore.errors import MissingEvidence, RuinscoreError
 
 DAMAGE_CLASSES = (DamageClass.CRACK, DamageClass.SPALLING, DamageClass.EXPOSED_REBAR)
 COMPONENT_CLASSES = (ComponentClass.BEAM, ComponentClass.COLUMN, ComponentClass.WALL)
@@ -61,8 +61,8 @@ def rand_cascade(rng: random.Random, image_id: str = "img") -> CascadeOutput:
 def reference_file_cascade(entry: ImageEntry, manifest: DatasetManifest) -> CascadeOutput:
     """The file backend's cascade answered task by task: one read per task of
     `cascade_tasks(entry)`, in order, then assembled with the manifest scene
-    override in place of a scene answer. `FileBackend.cascade` must match it,
-    output for output and error for error."""
+    override in place of a scene answer. `FileBackend.cascade_chunk` must
+    match it, output for output and error for error."""
 
     def read(task: str):
         if task == "scene":
@@ -91,6 +91,15 @@ def reference_file_cascade(entry: ImageEntry, manifest: DatasetManifest) -> Casc
         components=tuple(components),
         damages=tuple(damages),
     )
+
+
+def cascade_one(entry: ImageEntry, backend) -> CascadeOutput:
+    """`entry`'s evidence from a one-entry `backend.cascade_chunk`; its error
+    is raised."""
+    [out] = backend.cascade_chunk([entry])
+    if isinstance(out, RuinscoreError):
+        raise out
+    return out
 
 
 def oracle_v1_level(n_crack: int, n_spall: int, n_rebar: int) -> tuple[DamageLevel, float]:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import ruinscore
-from ruinscore.backend import CascadeOutput, ExternalBackend, run_cascade
+from ruinscore.backend import CascadeOutput, ExternalBackend
 from ruinscore.cli import main
 from ruinscore.dataset_io import DamageClass, DamageLevel, Detection
 from ruinscore.errors import ProtocolViolation, Timeout
@@ -42,6 +42,7 @@ from ruinscore.meta.hyper import GbdtHyper, LogRegHyper
 from ruinscore.meta.logreg import _loss_and_grad
 
 from helpers import (
+    cascade_one,
     finite_difference_grad,
     naive_metrics,
     oracle_v1_level,
@@ -286,15 +287,15 @@ def test_criterion_8_external_backend_protocol(stub, tmp_path):
 
     entry = ImageEntry(id="x", image_path="/fake.jpg")
     with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:
-        out = run_cascade(entry, backend)
+        out = cascade_one(entry, backend)
     assert out.scene.cls.value == "outside"
     assert len(out.damages) == 2
 
     with ExternalBackend([sys.executable, stub("malformed_backend")], timeout_s=10) as backend:
-        with pytest.raises(ProtocolViolation):
-            backend.query(entry, ["scene"])
+        [result] = backend.exchange([(entry, ["scene"])])
+    assert isinstance(result, ProtocolViolation)
 
     with ExternalBackend([sys.executable, stub("sleepy_backend")], timeout_s=2.0) as backend:
-        with pytest.raises(Timeout) as exc:
-            backend.query(entry, ["scene"])
-        assert exc.value.seconds == 2.0
+        [result] = backend.exchange([(entry, ["scene"])])
+    assert isinstance(result, Timeout)
+    assert result.seconds == 2.0

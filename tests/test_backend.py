@@ -17,7 +17,6 @@ from ruinscore.backend import (
     _evidence,
     _receive,
     cascade_tasks,
-    run_cascade,
 )
 from ruinscore.dataset_io import (
     ComponentClass,
@@ -43,16 +42,25 @@ from ruinscore.errors import (
 )
 from ruinscore.synth import SynthSpec, gen_synthetic
 
-from helpers import reference_file_cascade, write_dataset
+from helpers import cascade_one, reference_file_cascade, write_dataset
 
 
 def manifest_from(tmp_path, images):
     return load_manifest(write_dataset(tmp_path / "data", images))
 
 
+def answers(backend, entry: ImageEntry, tasks: list[str]) -> list:
+    """The backend's evidence for `tasks` of `entry` from a one-entry
+    exchange; its error is raised."""
+    [result] = backend.exchange([(entry, tasks)])
+    if isinstance(result, RuinscoreError):
+        raise result
+    return result
+
+
 def ask(backend, image: str, task: str):
     """The backend's evidence for one task of the image at path `image`."""
-    return backend.query(ImageEntry(id=image, image_path=image), [task])[0]
+    return answers(backend, ImageEntry(id=image, image_path=image), [task])[0]
 
 
 class TestFileBackend:
@@ -60,7 +68,7 @@ class TestFileBackend:
         manifest = manifest_from(
             tmp_path, [{"id": "a", "scene": "outside", "damage": "# nothing\n"}]
         )
-        out = run_cascade(manifest.images[0], FileBackend(manifest))
+        out = cascade_one(manifest.images[0], FileBackend(manifest))
         assert out.scene.cls is SceneClass.OUTSIDE
         assert out.scene.confidence == 1.0
         assert out.components == ()
@@ -78,7 +86,7 @@ class TestFileBackend:
                 }
             ],
         )
-        out = run_cascade(manifest.images[0], FileBackend(manifest))
+        out = cascade_one(manifest.images[0], FileBackend(manifest))
         assert len(out.damages) == 2
         assert {d.cls for d in out.damages} == {DamageClass.CRACK}
         assert len(out.components) == 1
@@ -86,13 +94,13 @@ class TestFileBackend:
     def test_missing_damage_file_key_is_error(self, tmp_path):
         manifest = manifest_from(tmp_path, [{"id": "a", "scene": "outside"}])
         with pytest.raises(MissingEvidence) as exc:
-            run_cascade(manifest.images[0], FileBackend(manifest))
+            cascade_one(manifest.images[0], FileBackend(manifest))
         assert exc.value.task == "damage"
 
     def test_missing_scene_key_is_error(self, tmp_path):
         manifest = manifest_from(tmp_path, [{"id": "a", "damage": ""}])
         with pytest.raises(MissingEvidence) as exc:
-            run_cascade(manifest.images[0], FileBackend(manifest))
+            cascade_one(manifest.images[0], FileBackend(manifest))
         assert exc.value.task == "scene"
 
     def test_json_detection_file(self, tmp_path):
@@ -105,7 +113,7 @@ class TestFileBackend:
             '{"images":[{"id":"a","scene":"outside","damage_file":"a.json"}]}'
         )
         manifest = load_manifest(root / "manifest.json")
-        out = run_cascade(manifest.images[0], FileBackend(manifest))
+        out = cascade_one(manifest.images[0], FileBackend(manifest))
         assert out.damages[0].cls is DamageClass.EXPOSED_REBAR
 
     def test_missing_file_is_reported_at_its_joined_path(self, tmp_path, monkeypatch):
@@ -116,7 +124,7 @@ class TestFileBackend:
         )
         manifest = load_manifest("d/manifest.json")
         with pytest.raises(MissingFile) as exc:
-            run_cascade(manifest.images[0], FileBackend(manifest))
+            cascade_one(manifest.images[0], FileBackend(manifest))
         assert exc.value.path == "d/./labels/x.txt"
 
 
@@ -130,14 +138,14 @@ def outcome(cascade, entry):
 
 
 class TestFileCascadeMatchesReference:
-    """FileBackend.cascade against the task-by-task reference in helpers."""
+    """FileBackend.cascade_chunk against the task-by-task reference in helpers."""
 
     def test_every_entry_of_a_seeded_noisy_corpus(self, tmp_path):
         spec = SynthSpec(seed=7, n_images=300, false_positive_rate=0.2,
                          confidence_jitter_sd=0.1, drop_rate=0.1)
         manifest = gen_synthetic(spec, tmp_path / "d")
         backend = FileBackend(manifest)
-        outs = [backend.cascade(entry) for entry in manifest.images]
+        outs = list(backend.cascade_chunk(manifest.images))
         assert outs == [reference_file_cascade(entry, manifest) for entry in manifest.images]
         # the corpus covers both branches of the components read
         assert any(entry.components_file is None for entry in manifest.images)
@@ -191,7 +199,7 @@ class TestFileCascadeMatchesReference:
         (tmp_path / "manifest.json").write_text(json.dumps({"images": [{"id": "a", **entry}]}))
         manifest = load_manifest(tmp_path / "manifest.json")
         loaded = manifest.images[0]
-        got = outcome(FileBackend(manifest).cascade, loaded)
+        got = outcome(lambda e: cascade_one(e, FileBackend(manifest)), loaded)
         assert got == outcome(lambda e: reference_file_cascade(e, manifest), loaded)
         if error is None:
             assert got.damages
@@ -202,23 +210,26 @@ class TestFileCascadeMatchesReference:
 
 
 class RecordingBackend(ExternalBackend):
-    """ExternalBackend whose wire is a log: each query's image and tasks are
-    recorded and answered with an outside scene and no detections, and no
-    child is started."""
+    """ExternalBackend whose wire is a log: each exchanged image's id and
+    tasks are recorded and answered with an outside scene and no
+    detections, and no child is started."""
 
     def __init__(self):
         self.queries: list[tuple[str, tuple[str, ...]]] = []
 
-    def query(self, entry, tasks):
-        self.queries.append((entry.id, tuple(tasks)))
-        return [SceneLabel(SceneClass.OUTSIDE, 0.9) if task == "scene" else [] for task in tasks]
+    def exchange(self, batch):
+        self.queries.extend((entry.id, tuple(tasks)) for entry, tasks in batch)
+        return [
+            [SceneLabel(SceneClass.OUTSIDE, 0.9) if task == "scene" else [] for task in tasks]
+            for _, tasks in batch
+        ]
 
 
 class TestRequestBudget:
     def test_at_most_one_request_per_task(self):
         backend = RecordingBackend()
         entry = ImageEntry(id="x")
-        out = run_cascade(entry, backend)
+        out = cascade_one(entry, backend)
         assert backend.queries == [("x", ("scene", "components", "damage"))] == [
             ("x", cascade_tasks(entry))
         ]
@@ -227,7 +238,7 @@ class TestRequestBudget:
     def test_override_skips_scene_query(self):
         backend = RecordingBackend()
         entry = ImageEntry(id="x", scene_override=SceneClass.INSIDE)
-        out = run_cascade(entry, backend)
+        out = cascade_one(entry, backend)
         assert backend.queries == [("x", ("components", "damage"))] == [
             ("x", cascade_tasks(entry))
         ]
@@ -245,7 +256,7 @@ class TestRequestBudget:
                 }
             ],
         )
-        out = run_cascade(manifest.images[0], FileBackend(manifest))
+        out = cascade_one(manifest.images[0], FileBackend(manifest))
         assert out.damages == ()
 
 
@@ -256,7 +267,7 @@ class TestSceneOverride:
             id="x", image_path="/dev/null", scene_override=SceneClass.INSIDE
         )
         with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:
-            out = run_cascade(entry, backend)
+            out = cascade_one(entry, backend)
         assert out.scene.cls is SceneClass.INSIDE
         assert out.scene.confidence == 1.0
 
@@ -265,7 +276,7 @@ class TestExternalBackend:
     def test_round_trip(self, stub):
         entry = ImageEntry(id="x", image_path="/some/image.jpg")
         with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:
-            out = run_cascade(entry, backend)
+            out = cascade_one(entry, backend)
         assert out.scene.cls is SceneClass.OUTSIDE
         assert out.scene.confidence == 1.0
         assert len(out.components) == 1
@@ -371,10 +382,10 @@ class TestExternalBackend:
         (tmp_path / "stall-never").touch()
         loaded = load_manifest(tmp_path / "manifest.json").images[0]
         with ExternalBackend(command, timeout_s=10) as backend:
-            assert backend.query(loaded, ["scene"])[0].cls is SceneClass.INSIDE
+            assert answers(backend, loaded, ["scene"])[0].cls is SceneClass.INSIDE
             # an entry not loaded from a manifest is sent as it is
             entry = ImageEntry(id="y", image_path="frames/x.jpg")
-            assert backend.query(entry, ["scene"])[0].cls is SceneClass.OUTSIDE
+            assert answers(backend, entry, ["scene"])[0].cls is SceneClass.OUTSIDE
 
     def test_child_is_sent_the_path_the_file_backend_opens(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -392,7 +403,7 @@ class TestExternalBackend:
             return []
 
         monkeypatch.setattr(backend_module.dataset_io, "read_detections", record)
-        FileBackend(manifest).cascade(entry)
+        cascade_one(entry, FileBackend(manifest))
         log, script = tmp_path / "images.log", tmp_path / "log_images.py"
         script.write_text(  # logs each request's image and answers no detections
             "import json, sys\n"
@@ -402,23 +413,26 @@ class TestExternalBackend:
             "    print(json.dumps({'detections': []}), flush=True)\n"
         )
         with ExternalBackend([sys.executable, str(script), str(log)], timeout_s=10) as backend:
-            backend.query(entry, ["damage"])
+            answers(backend, entry, ["damage"])
         assert opened == log.read_text().splitlines() == ["d/./frames/x.jpg"]
 
     def test_missing_image_path(self, stub):
         entry = ImageEntry(id="x")
         with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:
             with pytest.raises(MissingEvidence):
-                run_cascade(entry, backend)
+                cascade_one(entry, backend)
 
 
-def cascade_outcome(entry, backend):
-    """(id, scene, components, damages) of one image, or (id, error class)."""
-    try:
-        out = run_cascade(entry, backend)
-    except (ProcessExited, ProtocolViolation, Timeout) as exc:
-        return entry.id, type(exc).__name__
-    return entry.id, out.scene.cls.value, len(out.components), len(out.damages)
+def cascade_outcomes(entries, backend) -> list[tuple]:
+    """Per image of one `cascade_chunk`: (id, scene, components, damages),
+    or (id, error class)."""
+    outcomes = []
+    for entry, out in zip(entries, backend.cascade_chunk(entries)):
+        if isinstance(out, (ProcessExited, ProtocolViolation, Timeout)):
+            outcomes.append((entry.id, type(out).__name__))
+        else:
+            outcomes.append((entry.id, out.scene.cls.value, len(out.components), len(out.damages)))
+    return outcomes
 
 
 class TestPipelinedExchange:
@@ -429,11 +443,11 @@ class TestPipelinedExchange:
     )
     def test_one_exchange_per_chunk_lands_replies_on_their_image(self, stub, jobs, failed):
         # every child exits after answering its 4th request; the images dealt
-        # to it after the one that request belongs to are left unserved, and
-        # query asks for each alone from child 0's slot. One child fails bb,
-        # then its successor, asked for ccc and then dddd, fails dddd. With
-        # two, child 0 (a, ccc, eeeee) fails ccc and child 1 (bb, dddd) fails
-        # dddd; eeeee then goes to a fresh child 0.
+        # to it after the one that request belongs to are left unanswered,
+        # and cascade_chunk asks for each alone from child 0's slot. One
+        # child fails bb, then its successor, asked for ccc and then dddd,
+        # fails dddd. With two, child 0 (a, ccc, eeeee) fails ccc and child 1
+        # (bb, dddd) fails dddd; eeeee then goes to a fresh child 0.
         entries = [
             ImageEntry(id="a", image_path="a.jpg"),
             ImageEntry(id="bb", image_path="bb.jpg"),
@@ -449,8 +463,7 @@ class TestPipelinedExchange:
             "eeeee": ("eeeee", "inside", 2, 5),
         }
         with ExternalBackend([sys.executable, stub("keyed_backend")], timeout_s=10, jobs=jobs) as backend:
-            backend.exchange([(entry, cascade_tasks(entry)) for entry in entries])
-            outcomes = [cascade_outcome(entry, backend) for entry in entries]
+            outcomes = cascade_outcomes(entries, backend)
         assert outcomes == [
             (entry.id, "ProcessExited") if entry.id in failed else expected[entry.id]
             for entry in entries
@@ -479,8 +492,8 @@ class TestPipelinedExchange:
         entries = [ImageEntry(id=str(i), image_path=f"{'d' * 3000}/{400 + i}") for i in range(64)]
         start = time.monotonic()
         with ExternalBackend([sys.executable, str(script)], timeout_s=20.0, jobs=2) as backend:
-            backend.exchange([(entry, ["damage"]) for entry in entries])
-            counts = [len(backend.query(entry, ["damage"])[0]) for entry in entries]
+            results = backend.exchange([(entry, ["damage"]) for entry in entries])
+            counts = [len(damages) for [damages] in results]
         assert counts == [400 + i for i in range(64)]
         assert time.monotonic() - start < 10.0
 
@@ -496,7 +509,7 @@ class TestPipelinedExchange:
         ]
         command = [sys.executable, stub("keyed_backend"), str(tmp_path / "exited")]
         with ExternalBackend(command, timeout_s=10) as backend:
-            outcomes = [cascade_outcome(entry, backend) for entry in entries]
+            outcomes = cascade_outcomes(entries, backend)
         assert outcomes == [
             ("a", "inside", 1, 1),
             ("bb", "ProcessExited"),
@@ -525,7 +538,7 @@ class TestPipelinedExchange:
         )
         with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
             for name in ("a", "bb", "ccc"):
-                out = run_cascade(ImageEntry(id=name, image_path=name), backend)
+                out = cascade_one(ImageEntry(id=name, image_path=name), backend)
                 assert out.scene.confidence == 1.0 / len(name)
                 assert len(out.components) == len(out.damages) == len(name)
 
@@ -541,7 +554,7 @@ class TestPipelinedExchange:
         start = time.monotonic()
         with ExternalBackend([sys.executable, str(script)], timeout_s=5.0) as backend:
             with pytest.raises(ProtocolViolation, match="confidence"):
-                run_cascade(ImageEntry(id="x", image_path="x.jpg"), backend)
+                cascade_one(ImageEntry(id="x", image_path="x.jpg"), backend)
         assert time.monotonic() - start < 5.0
 
     def test_invalid_utf8_reply_is_protocol_violation(self, tmp_path):
@@ -662,28 +675,58 @@ class TestPipelinedExchange:
             assert ask(backend, "b.jpg", "scene").cls is SceneClass.INSIDE
             assert ask(backend, "c.jpg", "scene").cls is SceneClass.OUTSIDE
 
-    def test_child_that_cannot_start_fails_its_first_image(self, tmp_path):
-        # child 1 cannot start: its first image gets BackendUnavailable and
-        # its other image is asked for again from child 0
-        script = tmp_path / "echo_damage"
+    @staticmethod
+    def length_script(tmp_path):
+        """An executable child answering an outside scene, no components, and
+        as many cracks as its image's name has letters."""
+        script = tmp_path / "by_length"
         script.write_text(
             f"#!{sys.executable}\n"
             "import json, os, sys\n"
+            "crack = {'class': 'crack', 'box': [0.5, 0.5, 0.2, 0.2], 'confidence': 0.9}\n"
             "for line in sys.stdin:\n"
-            "    stem = os.path.basename(json.loads(line)['image'])\n"
-            "    crack = {'class': 'crack', 'box': [0.5, 0.5, 0.2, 0.2], 'confidence': 0.9}\n"
-            "    print(json.dumps({'detections': [crack] * len(stem)}), flush=True)\n"
+            "    request = json.loads(line)\n"
+            "    n = len(os.path.basename(request['image']))\n"
+            "    if request['task'] == 'scene':\n"
+            "        reply = {'scene': 'outside', 'confidence': 1.0}\n"
+            "    else:\n"
+            "        reply = {'detections': [crack] * n * (request['task'] == 'damage')}\n"
+            "    print(json.dumps(reply), flush=True)\n"
         )
         script.chmod(0o755)
+        return script
+
+    def test_child_that_cannot_start_fails_its_first_image(self, tmp_path):
+        # child 1 cannot start: its first image gets BackendUnavailable and
+        # its other image is left unanswered, then asked for again from child 0
+        script = self.length_script(tmp_path)
         entries = [ImageEntry(id=name, image_path=name) for name in ("a", "bb", "ccc", "dddd")]
         with ExternalBackend([str(script)], timeout_s=10, jobs=2) as backend:
             assert len(ask(backend, "zz", "damage")) == 2  # child 0 has read its script
             script.unlink()
-            backend.exchange([(entry, ["damage"]) for entry in entries])
-            with pytest.raises(BackendUnavailable):
-                backend.query(entries[1], ["damage"])
-            counts = [len(backend.query(entries[i], ["damage"])[0]) for i in (0, 2, 3)]
+            results = backend.exchange([(entry, ["damage"]) for entry in entries])
+            assert isinstance(results[1], BackendUnavailable)
+            assert results[3] is None
+            results[3] = answers(backend, entries[3], ["damage"])
+            counts = [len(results[i][0]) for i in (0, 2, 3)]
         assert counts == [1, 3, 4]
+
+    def test_cascade_chunk_with_a_slot_that_cannot_start_fails_only_its_first_image(
+        self, tmp_path
+    ):
+        # child 1 cannot start, so the chunk's exchange fails i1 and leaves
+        # i3, i5 and i7 unanswered; each is asked for again alone, which
+        # always goes to child 0's slot, so no other image fails
+        script = self.length_script(tmp_path)
+        entries = [ImageEntry(id=f"i{k}", image_path="x" * (k + 1)) for k in range(8)]
+        with ExternalBackend([str(script)], timeout_s=10, jobs=2) as backend:
+            assert len(ask(backend, "zz", "damage")) == 2  # child 0 has read its script
+            script.unlink()
+            outcomes = [
+                type(out).__name__ if isinstance(out, RuinscoreError) else len(out.damages)
+                for out in backend.cascade_chunk(entries)
+            ]
+        assert outcomes == [1, "BackendUnavailable", 3, 4, 5, 6, 7, 8]
 
 
 class TestClose:
@@ -700,8 +743,8 @@ class TestClose:
         )
         entries = [ImageEntry(id=name, image_path=name) for name in ("a", "b")]
         with ExternalBackend([sys.executable, str(script)], timeout_s=10.0, jobs=2) as backend:
-            backend.exchange([(entry, ["scene"]) for entry in entries])
-            assert [backend.query(entry, ["scene"])[0].cls for entry in entries] == [
+            results = backend.exchange([(entry, ["scene"]) for entry in entries])
+            assert [scene.cls for [scene] in results] == [
                 SceneClass.OUTSIDE, SceneClass.OUTSIDE
             ]
             procs = [child.proc for child in backend._children]

@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 import ruinscore
+from ruinscore import backend as backend_module
 from ruinscore import cli, meta, synth
-from ruinscore.backend import FileBackend, run_cascade
+from ruinscore.backend import FileBackend
 from ruinscore.cli import BackendSettings, load_config_file, main
 from ruinscore.dataset_io import LEVEL_BY_LABEL, load_manifest
 from ruinscore.errors import SchemaViolation
@@ -31,7 +32,7 @@ from ruinscore.fusion import DecisionMode, FusionConfig, final_decision, rule_fu
 from ruinscore.meta import hyper
 from ruinscore.meta.hyper import GbdtHyper, LogRegHyper
 
-from helpers import write_dataset
+from helpers import cascade_one, write_dataset
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -75,6 +76,31 @@ class TestAssess:
         assert payload["error"] == "MissingEvidence"
         assert payload["image_id"] == "broken"
 
+    def test_file_failure_without_keep_going_reads_no_later_entry(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        images = [
+            {"id": f"img{i}", "scene": "outside", "damage": "0 0.5 0.5 0.1 0.1 0.9\n"}
+            for i in range(5)
+        ]
+        path = write_dataset(tmp_path / "d", images)
+        (tmp_path / "d" / "labels" / "img1.txt").unlink()
+        read = backend_module.dataset_io.read_detections
+        opened = []
+
+        def counting_read(path, *args):
+            opened.append(os.path.basename(path))
+            return read(path, *args)
+
+        monkeypatch.setattr(backend_module.dataset_io, "read_detections", counting_read)
+        code, out, err = run(capsys, "assess", "--manifest", str(path))
+        assert code == 1
+        assert [json.loads(line)["image_id"] for line in out.splitlines()] == ["img0"]
+        error = json.loads(err.strip())
+        assert (error["error"], error["image_id"]) == ("MissingFile", "img1")
+        # the chunk's cascade ends at the failing entry: img2 to img4 are never opened
+        assert opened == ["img0.txt", "img1.txt"]
+
     def test_keep_going_skips_and_continues(self, tmp_path, capsys):
         path = write_dataset(
             tmp_path / "d",
@@ -111,12 +137,14 @@ class TestAssess:
         images = [{"id": f"img{i}", "scene": "outside", "damage": ""} for i in range(5)]
         path = write_dataset(tmp_path / "d", images)
         threads = set()
+        cascade_chunk = FileBackend.cascade_chunk
 
-        def recording_cascade(entry, backend):
-            threads.add(threading.current_thread())
-            return run_cascade(entry, backend)
+        def recording_cascade(backend, entries):
+            for out in cascade_chunk(backend, entries):
+                threads.add(threading.current_thread())
+                yield out
 
-        monkeypatch.setattr(cli, "run_cascade", recording_cascade)
+        monkeypatch.setattr(FileBackend, "cascade_chunk", recording_cascade)
         assert run(capsys, "assess", "--manifest", str(path), "--jobs", "4")[0] == 0
         assert threads == {threading.main_thread()}
 
@@ -242,6 +270,40 @@ class TestAssess:
         ]
         records = [json.loads(line) for line in out.splitlines()]
         assert [(r["image_id"], r["counts"]["n_crack"]) for r in records] == [("bb", 2), ("ccc", 3)]
+
+    def test_external_exit_asks_for_each_left_image_alone(
+        self, tmp_path, stub, monkeypatch, capsys
+    ):
+        names = ["a", "bb", "ccc", "dddd", "eeeee"]
+        path = write_dataset(tmp_path / "d", [{"id": i, "image_path": f"{i}.jpg"} for i in names])
+        command = [sys.executable, stub("misbehave_once_backend"), "exit", str(tmp_path / "seen")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"command": command, "timeout_s": 10.0}}))
+        batches = []
+        exchange = cli.ExternalBackend.exchange
+
+        def recording_exchange(backend, batch):
+            batches.append([entry.id for entry, _ in batch])
+            return exchange(backend, batch)
+
+        monkeypatch.setattr(cli.ExternalBackend, "exchange", recording_exchange)
+        code, out, err = run(
+            capsys, "assess", "--manifest", str(path), "--backend", "external",
+            "--config", str(config), "--jobs", "1", "--keep-going",
+        )
+        assert code == 0
+        # the child exits after a's scene reply, which fails a; each image it
+        # left is asked for again alone, so a slot that cannot start a child
+        # costs no image but the one it was dealt first
+        assert batches == [names] + [[name] for name in names[1:]]
+        assert err.splitlines() == [
+            '{"error": "ProcessExited", "detail": "backend process exited with code 0", '
+            '"image_id": "a"}'
+        ]
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["image_id"], r["counts"]["n_crack"]) for r in records] == [
+            ("bb", 2), ("ccc", 3), ("dddd", 4), ("eeeee", 5)
+        ]
 
     @pytest.mark.parametrize(
         "payload, field",
@@ -436,7 +498,7 @@ class TestChunkedAssess:
         backend = FileBackend(manifest)
         for line in out.splitlines():
             record = json.loads(line)
-            cascade = run_cascade(entries[record["image_id"]], backend)
+            cascade = cascade_one(entries[record["image_id"]], backend)
             rule = rule_fusion(cascade, config)
             probs = meta.predict_batch(model, [meta.extract_features(cascade, rule)])[0].tolist()
             assert record["meta"]["probs"] == probs
@@ -501,15 +563,17 @@ class TestChunkedAssess:
         ]
         path = write_dataset(tmp_path / "d", images)
         counts = count_in_flight(monkeypatch)
+        cascade_chunk = FileBackend.cascade_chunk
 
-        def counting_cascade(entry, backend):
-            counts["started"] += 1
-            counts["max_in_flight"] = max(
-                counts["max_in_flight"], counts["started"] - counts["written"]
-            )
-            return run_cascade(entry, backend)
+        def counting_cascade(backend, entries):
+            for out in cascade_chunk(backend, entries):
+                counts["started"] += 1
+                counts["max_in_flight"] = max(
+                    counts["max_in_flight"], counts["started"] - counts["written"]
+                )
+                yield out
 
-        monkeypatch.setattr(cli, "run_cascade", counting_cascade)
+        monkeypatch.setattr(FileBackend, "cascade_chunk", counting_cascade)
         assert main(["assess", "--manifest", str(path), "--jobs", jobs]) == 0
         assert counts["written"] == len(images)
         assert 1 <= counts["max_in_flight"] <= cli.CHUNK_SIZE
@@ -920,7 +984,7 @@ class TestTrainMeta:
         config = FusionConfig()
         X, y = [], []
         for entry in manifest.images:
-            cascade = run_cascade(entry, backend)
+            cascade = cascade_one(entry, backend)
             X.append(meta.extract_features(cascade, rule_fusion(cascade, config)))
             y.append(entry.ground_truth_level)
         if kind == "gbdt":

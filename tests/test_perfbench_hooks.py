@@ -23,11 +23,16 @@ TRACE = PERFBENCH / "trace.py"
 SETUP_PROBE = PERFBENCH / "setup_probe.py"
 # targets that no longer exist; each hook goes at the next benchmark change.
 # best_split's compiled kernel was removed; the one-row predicts were too, and
-# the meta.predict span still resolves through the `_batch` targets; the file
-# backend answers one `cascade` per image and has no per-task query, so its
-# time shows in the backend.cascade span alone
+# the meta.predict span still resolves through the `_batch` targets. Both
+# backends yield a chunk's results from one `cascade_chunk` generator, so
+# neither has a per-image query or cascade call: FileBackend.query,
+# ExternalBackend.query and run_cascade are gone, the backend.cascade and
+# backend.external_query spans read absent, and the cascade's time lands in
+# cli.self_s (ExternalBackend.exchange is still timed)
 KNOWN_ABSENT = {
+    ("ruinscore.backend", "ExternalBackend.query"),
     ("ruinscore.backend", "FileBackend.query"),
+    ("ruinscore.backend", "run_cascade"),
     ("ruinscore.meta._kernels", "best_split"),
     ("ruinscore.meta.gbdt", "predict_gbdt"),
     ("ruinscore.meta.logreg", "predict_logreg"),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ruinscore.backend import FileBackend, run_cascade
+from ruinscore.backend import FileBackend
 from ruinscore.cli import main
 from ruinscore.dataset_io import DamageLevel
 from ruinscore.fusion import DEFAULT_CONFIG, rule_fusion
@@ -14,11 +14,8 @@ from ruinscore.synth import SynthSpec, XorShift64Star, gen_synthetic
 
 
 def assess_levels(manifest) -> list[DamageLevel]:
-    backend = FileBackend(manifest)
-    return [
-        rule_fusion(run_cascade(entry, backend), DEFAULT_CONFIG).level
-        for entry in manifest.images
-    ]
+    outs = FileBackend(manifest).cascade_chunk(manifest.images)
+    return [rule_fusion(out, DEFAULT_CONFIG).level for out in outs]
 
 
 def exact_accuracy(manifest) -> float:
