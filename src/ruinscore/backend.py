@@ -1,4 +1,4 @@
-"""Evidence sources for the cascade: scene label, components, damage boxes.
+"""Evidence sources for the cascade: scene class, components, damage boxes.
 
 Two backends implement the same `cascade_chunk(entries)` contract: a
 generator that yields, in the entries' order, each image's `CascadeOutput`
@@ -28,7 +28,7 @@ from .dataset_io import (
     Detection,
     ImageEntry,
     SceneClass,
-    SceneLabel,
+    check_confidence,
     slot_setters,
 )
 from .errors import (
@@ -56,31 +56,34 @@ _MAX_WAIT_S = 3600.0
 
 @dataclass(frozen=True, slots=True, init=False)
 class CascadeOutput:
-    """Per-image bundle of everything the fusion stage consumes."""
+    """Per-image bundle of everything the fusion stage consumes: the scene
+    class with its confidence in [0, 1], the components and the damage boxes."""
 
     image_id: str
-    scene: SceneLabel
+    scene: SceneClass
+    scene_confidence: float
     components: tuple[Detection, ...]
     damages: tuple[Detection, ...]
 
     def __init__(
         self,
         image_id: str,
-        scene: SceneLabel,
+        scene: SceneClass,
+        scene_confidence: float,
         components: tuple[Detection, ...],
         damages: tuple[Detection, ...],
     ) -> None:
-        set_image_id, set_scene, set_components, set_damages = _CASCADE_SETTERS
+        if not (type(scene_confidence) is float and 0.0 <= scene_confidence <= 1.0):
+            check_confidence(scene_confidence)
+        set_image_id, set_scene, set_confidence, set_components, set_damages = _CASCADE_SETTERS
         set_image_id(self, image_id)
         set_scene(self, scene)
+        set_confidence(self, scene_confidence)
         set_components(self, components)
         set_damages(self, damages)
 
 
 _CASCADE_SETTERS = slot_setters(CascadeOutput)
-# the scene of every image whose manifest entry overrides it; a value is
-# immutable, so one per class serves them all
-_OVERRIDE_SCENES = {cls: SceneLabel(cls, 1.0) for cls in SceneClass}
 # what a backend makes of one image: its evidence, or the error it failed with
 Outcome = CascadeOutput | RuinscoreError
 
@@ -123,9 +126,7 @@ class FileBackend:
                 if entry.damage_file is None:
                     raise MissingEvidence("damage", f"entry {entry.id!r} names no damage_file")
                 damages = tuple(read(entry.damage_file, damage_map, DamageClass))
-                result = CascadeOutput(
-                    entry.id, _OVERRIDE_SCENES[entry.scene_override], components, damages
-                )
+                result = CascadeOutput(entry.id, entry.scene_override, 1.0, components, damages)
             except RuinscoreError as exc:
                 result = exc
             yield result
@@ -203,9 +204,10 @@ class ExternalBackend:
 
     def exchange(self, batch: Sequence[tuple[ImageEntry, Sequence[str]]]) -> list:
         """Ask for each (entry, tasks) of a chunk. Returns, aligned with
-        `batch`, each image's evidence in task order, the error it failed on,
-        or None for an image a failed child left unanswered. The first image
-        with an image_path always gets an answer or an error."""
+        `batch`, each image's evidence in task order (a scene's a (SceneClass,
+        confidence) pair), the error it failed on, or None for an image a
+        failed child left unanswered. The first image with an image_path
+        always gets an answer or an error."""
         import selectors
 
         results: dict[int, list | RuinscoreError] = {}  # by batch index; unanswered: absent
@@ -302,7 +304,7 @@ class ExternalBackend:
         return [results.get(i) for i in range(len(batch))]
 
     def cascade_chunk(self, entries: Sequence[ImageEntry]) -> Iterator[Outcome]:
-        """One exchange for the entries' `cascade_tasks`; the scene label never
+        """One exchange for the entries' `cascade_tasks`; the scene never
         gates the later stages, it only conditions fusion, so the requests do
         not depend on each other. An entry reached still unanswered, which a
         failed child left, is exchanged again alone, from the first slot."""
@@ -316,9 +318,9 @@ class ExternalBackend:
                 yield answers
                 continue
             if entry.scene_override is not None:
-                answers = [_OVERRIDE_SCENES[entry.scene_override], *answers]
-            scene, components, damages = answers
-            yield CascadeOutput(entry.id, scene, tuple(components), tuple(damages))
+                answers = [(entry.scene_override, 1.0), *answers]
+            (scene, confidence), components, damages = answers
+            yield CascadeOutput(entry.id, scene, confidence, tuple(components), tuple(damages))
 
     def close(self) -> None:
         """End every child's input, read each one's output to its end under one
@@ -379,7 +381,7 @@ def _evidence(task: str, response: dict):
 _SCENE_REPLY_KEYS = {"scene", "confidence"}
 
 
-def _scene_from_response(response: dict) -> SceneLabel:
+def _scene_from_response(response: dict) -> tuple[SceneClass, float]:
     if not response.keys() <= _SCENE_REPLY_KEYS:
         unknown = sorted(set(response) - _SCENE_REPLY_KEYS)[0]
         raise ProtocolViolation(f"unexpected scene response key {unknown!r}")
@@ -393,9 +395,11 @@ def _scene_from_response(response: dict) -> SceneLabel:
     if scene is None:
         raise ProtocolViolation(f"{name!r} is not a valid SceneClass")
     try:
-        return SceneLabel(scene, float(conf))
+        conf = float(conf)
+        check_confidence(conf)
     except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for float
         raise ProtocolViolation(str(exc)) from None
+    return scene, conf
 
 
 def cascade_tasks(entry: ImageEntry) -> tuple[str, ...]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import dataset_io, fusion
 from .backend import DEFAULT_TIMEOUT_S, Backend, ExternalBackend, FileBackend
-from .dataset_io import LEVEL_BY_LABEL, DamageLevel, DatasetManifest, ImageEntry, SceneClass
+from .dataset_io import DatasetManifest, ImageEntry, SceneClass
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -138,7 +138,7 @@ def _error_line(exc: RuinscoreError) -> str:
 def _assessment_record(out, rule, probs, final) -> dict:
     return {
         "image_id": out.image_id,
-        "scene": {"class": out.scene.cls.value, "confidence": out.scene.confidence},
+        "scene": {"class": out.scene.value, "confidence": out.scene_confidence},
         "counts": {
             "n_crack": rule.n_crack,
             "n_spall": rule.n_spall,
@@ -232,36 +232,11 @@ def _cmd_assess(args) -> int:
     return 0
 
 
-def read_assessments(path: str | os.PathLike) -> dict[str, DamageLevel]:
-    """Each record's image id and final level, checked line by line."""
-    levels = {}
-    # JSON strings may hold U+2028, U+2029 and U+0085 raw, so only "\n" ends a line
-    for line_no, line in enumerate(dataset_io.read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        rec = dataset_io.decode_json(line, f"line {line_no}")
-        if not isinstance(rec, dict) or "image_id" not in rec or "final" not in rec:
-            raise SchemaViolation(f"line {line_no}", "record needs image_id and final")
-        image_id = rec["image_id"]
-        if not isinstance(image_id, str):
-            raise SchemaViolation(f"line {line_no}", "image_id must be a string")
-        final = rec["final"]
-        if not isinstance(final, str):
-            raise SchemaViolation(f"line {line_no}", "final must be a string")
-        if final not in LEVEL_BY_LABEL:
-            raise SchemaViolation(f"line {line_no}", f"unknown level name {final!r}")
-        if image_id in levels:
-            raise SchemaViolation(f"line {line_no}", f"duplicate image_id {image_id!r}")
-        levels[image_id] = LEVEL_BY_LABEL[final]
-    return levels
-
-
 def _cmd_evaluate(args) -> int:
     from . import evaluate as evaluate_mod
 
     manifest = dataset_io.load_manifest(args.manifest)
-    predicted = read_assessments(args.assessments)
+    predicted = evaluate_mod.read_assessments(args.assessments)
     pairs = [
         (e.ground_truth_level, predicted[e.id])
         for e in manifest.images

@@ -5,8 +5,9 @@ h as fractions of the image) and a confidence; the one type serves both
 detectors, its `cls` a DamageClass or ComponentClass member. Two on-disk
 conventions are supported: a line-based box text format (`class_id cx cy w h
 [conf]`, `#` comments) and a JSON schema with class names, resolved against
-the file's class enum. All values are immutable and safe to share across
-threads.
+the file's class enum. `check_confidence` also checks the scene's confidence
+on `backend.CascadeOutput`. All values are immutable and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _check_box(cx: float, cy: float, w: float, h: float) -> None:
         raise ValueError("h must be <= 1")
 
 
-def _check_confidence(value: float) -> None:
+def check_confidence(value: float) -> None:
     """The confidence checks in full, for a value the range comparison failed."""
     if not isinstance(value, (int, float)) or value != value:
         raise ValueError("confidence must be a finite number")
@@ -154,7 +155,7 @@ class Detection:
             and 0.0 <= confidence <= 1.0
         ):
             _check_box(cx, cy, w, h)
-            _check_confidence(confidence)
+            check_confidence(confidence)
         set_cls, set_cx, set_cy, set_w, set_h, set_confidence = _DETECTION_SETTERS
         set_cls(self, cls)
         set_cx(self, cx)
@@ -177,24 +178,6 @@ class Detection:
 
 
 _DETECTION_SETTERS = slot_setters(Detection)
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class SceneLabel:
-    """The image's scene class with a confidence in [0, 1]."""
-
-    cls: SceneClass
-    confidence: float
-
-    def __init__(self, cls: SceneClass, confidence: float) -> None:
-        if not (type(confidence) is float and 0.0 <= confidence <= 1.0):
-            _check_confidence(confidence)
-        set_cls, set_confidence = _SCENE_SETTERS
-        set_cls(self, cls)
-        set_confidence(self, confidence)
-
-
-_SCENE_SETTERS = slot_setters(SceneLabel)
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -3,7 +3,8 @@
 The report is the `ruinscore-report-v1` object that `evaluate --json`
 prints: `compute_metrics` builds it as a plain dict in its printed key
 order, and `render_report` renders that dict as JSON or as the text table.
-Nothing reads a report back.
+Nothing reads a report back. Its input is `read_assessments`: each `assess`
+record's image id and final level, checked line by line.
 
 The matrix is a plain 4x4 table of counts, a tuple of 4 row tuples, in a
 fixed orientation: rows = ground truth, columns = prediction.
@@ -14,12 +15,39 @@ Rates that come out 0/0 (a class absent or never predicted) are reported as
 from __future__ import annotations
 
 import json
+import os
 
-from .dataset_io import DamageLevel
-from .errors import EmptyMatrix
+from . import dataset_io
+from .dataset_io import LEVEL_BY_LABEL, DamageLevel
+from .errors import EmptyMatrix, SchemaViolation
 
 REPORT_FORMAT = "ruinscore-report-v1"
 N_LEVELS = 4
+
+
+def read_assessments(path: str | os.PathLike) -> dict[str, DamageLevel]:
+    """Each record's image id and final level, checked line by line."""
+    levels = {}
+    # JSON strings may hold U+2028, U+2029 and U+0085 raw, so only "\n" ends a line
+    for line_no, line in enumerate(dataset_io.read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        rec = dataset_io.decode_json(line, f"line {line_no}")
+        if not isinstance(rec, dict) or "image_id" not in rec or "final" not in rec:
+            raise SchemaViolation(f"line {line_no}", "record needs image_id and final")
+        image_id = rec["image_id"]
+        if not isinstance(image_id, str):
+            raise SchemaViolation(f"line {line_no}", "image_id must be a string")
+        final = rec["final"]
+        if not isinstance(final, str):
+            raise SchemaViolation(f"line {line_no}", "final must be a string")
+        if final not in LEVEL_BY_LABEL:
+            raise SchemaViolation(f"line {line_no}", f"unknown level name {final!r}")
+        if image_id in levels:
+            raise SchemaViolation(f"line {line_no}", f"duplicate image_id {image_id!r}")
+        levels[image_id] = LEVEL_BY_LABEL[final]
+    return levels
 
 
 def confusion_matrix(pairs) -> tuple[tuple[int, ...], ...]:

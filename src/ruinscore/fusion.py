@@ -21,7 +21,6 @@ from .dataset_io import (
     DamageLevel,
     Detection,
     SceneClass,
-    SceneLabel,
     slot_setters,
 )
 from .errors import MissingMeta, SchemaViolation
@@ -268,7 +267,7 @@ def containment_ratio(inner: Detection, outer: Detection) -> float:
 
 def _filter_with_tags(
     damages: Sequence[Detection],
-    scene: SceneLabel,
+    scene: SceneClass,
     config: FusionConfig,
 ) -> tuple[list[Detection], list[Detection], list[Detection], list[str]]:
     """The survivors, their spalls and their rebars (each in input order), and
@@ -277,7 +276,7 @@ def _filter_with_tags(
     (test_every_damage_class_is_a_crack_a_spall_or_a_rebar)."""
     floor = config.conf_floor
     v2 = config.version is FusionVersion.V2
-    inside_v2 = v2 and scene.cls is SceneClass.INSIDE
+    inside_v2 = v2 and scene is SceneClass.INSIDE
     if inside_v2:
         floor = max(floor, config.v2.inside_conf_floor)
     min_area = config.v2.min_box_area
@@ -311,7 +310,7 @@ def _filter_with_tags(
 
 def filter_detections(
     damages: Sequence[Detection],
-    scene: SceneLabel,
+    scene: SceneClass,
     config: FusionConfig,
 ) -> list[Detection]:
     """Confidence and (v2) area filtering; input order is preserved.

@@ -59,7 +59,7 @@ def extract_features(out: CascadeOutput, rule: RuleDecision) -> np.ndarray:
         area += det.area()
     x[10] = min(area, 1.0)
 
-    x[11] = 1.0 if out.scene.cls is SceneClass.INSIDE else 0.0
+    x[11] = 1.0 if out.scene is SceneClass.INSIDE else 0.0
     for comp in out.components:
         x[12 + _COMPONENT_ORDER.index(comp.cls)] = 1.0
     x[15] = len(out.components)

@@ -37,6 +37,8 @@ if TYPE_CHECKING:
 GBDT_FORMAT = "ruinscore-gbdt-v1"
 _PRIOR_FLOOR = 1e-12  # keeps log priors finite (and JSON-serializable) for absent classes
 NO_SPLIT = (-1, 0, 0.0)
+_LEAF_KEYS = frozenset({"value"})
+_SPLIT_KEYS = frozenset({"feature", "threshold", "left", "right"})
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,8 @@ class Forest:
     @classmethod
     def from_trees(cls, trees: list[list[dict]], max_depth: int, dim: int) -> "Forest":
         """Flatten rounds of nested-dict trees. A malformed node raises
-        SchemaViolation at its path, e.g. trees[3][1].left.threshold.
+        SchemaViolation at its path, e.g. trees[3][1].left.threshold. A node
+        holding "value" is a leaf; a key a leaf or split does not take fails first.
 
         Nodes are numbered as they are reached, both children of a split at
         once, and walked right child first. A finite float value or threshold
@@ -91,7 +94,11 @@ class Forest:
                         raise SchemaViolation(where, f"node deeper than max_depth {max_depth}")
                     if level > depth:
                         depth = level
-                    if "value" in node:
+                    keys = _LEAF_KEYS if "value" in node else _SPLIT_KEYS
+                    if not node.keys() <= keys:
+                        unknown = sorted(set(node) - keys)[0]
+                        raise SchemaViolation(f"{where}.{unknown}", "unknown key")
+                    if keys is _LEAF_KEYS:
                         v = node["value"]
                         if type(v) is not float or not -top <= v <= top:
                             check_number(v, where + ".value")

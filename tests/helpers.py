@@ -20,7 +20,6 @@ from ruinscore.dataset_io import (
     Detection,
     ImageEntry,
     SceneClass,
-    SceneLabel,
     read_detections,
 )
 from ruinscore.errors import MissingEvidence, RuinscoreError
@@ -52,10 +51,17 @@ def rand_component(rng: random.Random) -> Detection:
 
 
 def rand_cascade(rng: random.Random, image_id: str = "img") -> CascadeOutput:
-    scene = SceneLabel(rng.choice((SceneClass.INSIDE, SceneClass.OUTSIDE)), rng.uniform(0.5, 1.0))
+    scene = rng.choice((SceneClass.INSIDE, SceneClass.OUTSIDE))
+    confidence = rng.uniform(0.5, 1.0)
     components = tuple(rand_component(rng) for _ in range(rng.randint(0, 3)))
     damages = tuple(rand_damage(rng) for _ in range(rng.randint(0, 6)))
-    return CascadeOutput(image_id=image_id, scene=scene, components=components, damages=damages)
+    return CascadeOutput(
+        image_id=image_id,
+        scene=scene,
+        scene_confidence=confidence,
+        components=components,
+        damages=damages,
+    )
 
 
 def reference_file_cascade(entry: ImageEntry, manifest: DatasetManifest) -> CascadeOutput:
@@ -81,13 +87,14 @@ def reference_file_cascade(entry: ImageEntry, manifest: DatasetManifest) -> Casc
 
     answers = [read(task) for task in cascade_tasks(entry)]
     if entry.scene_override is None:
-        scene, components, damages = answers
+        (scene, confidence), components, damages = answers
     else:
-        scene = SceneLabel(entry.scene_override, 1.0)
+        scene, confidence = entry.scene_override, 1.0
         components, damages = answers
     return CascadeOutput(
         image_id=entry.id,
         scene=scene,
+        scene_confidence=confidence,
         components=tuple(components),
         damages=tuple(damages),
     )

@@ -75,11 +75,17 @@ def test_criterion_1_rule_semantics_properties():
             if has_valid_rebar:
                 assert decision.level is DamageLevel.HEAVY and decision.rebar_forced
 
-            stripped = CascadeOutput(out.image_id, out.scene, out.components, ())
+            stripped = CascadeOutput(
+                out.image_id, out.scene, out.scene_confidence, out.components, ()
+            )
             assert rule_fusion(stripped, config).level is DamageLevel.ZERO
 
             grown = CascadeOutput(
-                out.image_id, out.scene, out.components, out.damages + (rand_damage(rng),)
+                out.image_id,
+                out.scene,
+                out.scene_confidence,
+                out.components,
+                out.damages + (rand_damage(rng),),
             )
             assert rule_fusion(grown, config).level >= decision.level
 
@@ -92,7 +98,7 @@ def test_criterion_1_rule_semantics_properties():
             Detection(DamageClass.SPALLING, 0.5, 0.5, 0.1, 0.1, 0.9)
             for _ in range(n_spall)
         )
-        return CascadeOutput("b", outputs[0].scene, (), dets)
+        return CascadeOutput("b", outputs[0].scene, outputs[0].scene_confidence, (), dets)
 
     assert rule_fusion(with_score(1, 0), DEFAULT_CONFIG).level is DamageLevel.SLIGHT
     assert rule_fusion(with_score(0, 2), DEFAULT_CONFIG).level is DamageLevel.MEDIUM
@@ -113,7 +119,8 @@ def test_criterion_2_fusion_oracle_equivalence():
             + [Detection(DamageClass.EXPOSED_REBAR, 0.5, 0.5, 0.1, 0.1, 0.8)]
             * n_rebar
         )
-        out = CascadeOutput("o", rand_cascade(random.Random(1)).scene, (), damages)
+        first = rand_cascade(random.Random(1))
+        out = CascadeOutput("o", first.scene, first.scene_confidence, (), damages)
         decision = rule_fusion(out, DEFAULT_CONFIG)
         level, score = oracle_v1_level(n_crack, n_spall, n_rebar)
         assert decision.level is level
@@ -288,7 +295,7 @@ def test_criterion_8_external_backend_protocol(stub, tmp_path):
     entry = ImageEntry(id="x", image_path="/fake.jpg")
     with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:
         out = cascade_one(entry, backend)
-    assert out.scene.cls.value == "outside"
+    assert out.scene.value == "outside"
     assert len(out.damages) == 2
 
     with ExternalBackend([sys.executable, stub("malformed_backend")], timeout_s=10) as backend:

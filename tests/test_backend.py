@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from ruinscore import backend as backend_module
 from ruinscore.backend import (
     TASKS,
+    CascadeOutput,
     ExternalBackend,
     FileBackend,
     _evidence,
@@ -25,7 +26,6 @@ from ruinscore.dataset_io import (
     Detection,
     ImageEntry,
     SceneClass,
-    SceneLabel,
     load_manifest,
 )
 from ruinscore.errors import (
@@ -69,8 +69,8 @@ class TestFileBackend:
             tmp_path, [{"id": "a", "scene": "outside", "damage": "# nothing\n"}]
         )
         out = cascade_one(manifest.images[0], FileBackend(manifest))
-        assert out.scene.cls is SceneClass.OUTSIDE
-        assert out.scene.confidence == 1.0
+        assert out.scene is SceneClass.OUTSIDE
+        assert out.scene_confidence == 1.0
         assert out.components == ()
         assert out.damages == ()
 
@@ -220,7 +220,7 @@ class RecordingBackend(ExternalBackend):
     def exchange(self, batch):
         self.queries.extend((entry.id, tuple(tasks)) for entry, tasks in batch)
         return [
-            [SceneLabel(SceneClass.OUTSIDE, 0.9) if task == "scene" else [] for task in tasks]
+            [(SceneClass.OUTSIDE, 0.9) if task == "scene" else [] for task in tasks]
             for _, tasks in batch
         ]
 
@@ -233,7 +233,7 @@ class TestRequestBudget:
         assert backend.queries == [("x", ("scene", "components", "damage"))] == [
             ("x", cascade_tasks(entry))
         ]
-        assert out.scene == SceneLabel(SceneClass.OUTSIDE, 0.9)
+        assert (out.scene, out.scene_confidence) == (SceneClass.OUTSIDE, 0.9)
 
     def test_override_skips_scene_query(self):
         backend = RecordingBackend()
@@ -242,7 +242,7 @@ class TestRequestBudget:
         assert backend.queries == [("x", ("components", "damage"))] == [
             ("x", cascade_tasks(entry))
         ]
-        assert out.scene.cls is SceneClass.INSIDE
+        assert out.scene is SceneClass.INSIDE
 
     def test_file_backend_ignores_image_bytes(self, tmp_path):
         manifest = manifest_from(
@@ -268,8 +268,8 @@ class TestSceneOverride:
         )
         with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:
             out = cascade_one(entry, backend)
-        assert out.scene.cls is SceneClass.INSIDE
-        assert out.scene.confidence == 1.0
+        assert out.scene is SceneClass.INSIDE
+        assert out.scene_confidence == 1.0
 
 
 class TestExternalBackend:
@@ -277,8 +277,8 @@ class TestExternalBackend:
         entry = ImageEntry(id="x", image_path="/some/image.jpg")
         with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:
             out = cascade_one(entry, backend)
-        assert out.scene.cls is SceneClass.OUTSIDE
-        assert out.scene.confidence == 1.0
+        assert out.scene is SceneClass.OUTSIDE
+        assert out.scene_confidence == 1.0
         assert len(out.components) == 1
         assert len(out.damages) == 2
         assert out.damages[0].cls is DamageClass.CRACK
@@ -357,8 +357,8 @@ class TestExternalBackend:
             with pytest.raises(ProtocolViolation):
                 ask(backend, "a.jpg", "scene")
             # the reply queued behind the stray line died with its child
-            assert ask(backend, "b.jpg", "scene").cls is SceneClass.INSIDE
-            assert ask(backend, "c.jpg", "scene").cls is SceneClass.OUTSIDE
+            assert ask(backend, "b.jpg", "scene")[0] is SceneClass.INSIDE
+            assert ask(backend, "c.jpg", "scene")[0] is SceneClass.OUTSIDE
 
     @pytest.mark.parametrize("mode, error", [("exit", ProcessExited), ("deep", ProtocolViolation)])
     def test_exit_or_deep_reply_restarts_the_child(self, stub, tmp_path, mode, error):
@@ -382,10 +382,10 @@ class TestExternalBackend:
         (tmp_path / "stall-never").touch()
         loaded = load_manifest(tmp_path / "manifest.json").images[0]
         with ExternalBackend(command, timeout_s=10) as backend:
-            assert answers(backend, loaded, ["scene"])[0].cls is SceneClass.INSIDE
+            assert answers(backend, loaded, ["scene"])[0][0] is SceneClass.INSIDE
             # an entry not loaded from a manifest is sent as it is
             entry = ImageEntry(id="y", image_path="frames/x.jpg")
-            assert answers(backend, entry, ["scene"])[0].cls is SceneClass.OUTSIDE
+            assert answers(backend, entry, ["scene"])[0][0] is SceneClass.OUTSIDE
 
     def test_child_is_sent_the_path_the_file_backend_opens(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -431,7 +431,7 @@ def cascade_outcomes(entries, backend) -> list[tuple]:
         if isinstance(out, (ProcessExited, ProtocolViolation, Timeout)):
             outcomes.append((entry.id, type(out).__name__))
         else:
-            outcomes.append((entry.id, out.scene.cls.value, len(out.components), len(out.damages)))
+            outcomes.append((entry.id, out.scene.value, len(out.components), len(out.damages)))
     return outcomes
 
 
@@ -539,7 +539,7 @@ class TestPipelinedExchange:
         with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
             for name in ("a", "bb", "ccc"):
                 out = cascade_one(ImageEntry(id=name, image_path=name), backend)
-                assert out.scene.confidence == 1.0 / len(name)
+                assert out.scene_confidence == 1.0 / len(name)
                 assert len(out.components) == len(out.damages) == len(name)
 
     def test_bad_scene_reply_is_raised_before_a_stalled_one(self, tmp_path):
@@ -575,7 +575,7 @@ class TestPipelinedExchange:
         with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
             with pytest.raises(ProtocolViolation, match="UTF-8"):
                 ask(backend, "a.jpg", "scene")
-            assert ask(backend, "b.jpg", "scene").cls is SceneClass.INSIDE
+            assert ask(backend, "b.jpg", "scene")[0] is SceneClass.INSIDE
 
     def test_child_closing_stdout_but_alive_is_killed_after_timeout(self):
         # a child whose output is closed can never reply, so it is killed at
@@ -652,7 +652,7 @@ class TestPipelinedExchange:
         )
         # this half times the child's start-up too, so its bound is far above it
         with ExternalBackend([sys.executable, str(script)], timeout_s=10.0) as backend:
-            assert ask(backend, "x", "scene").cls is SceneClass.OUTSIDE
+            assert ask(backend, "x", "scene")[0] is SceneClass.OUTSIDE
         monkeypatch.setattr(backend_module, "MAX_REPLY_BYTES", 1000)
         with ExternalBackend([sys.executable, str(script)], timeout_s=0.5) as backend:
             with pytest.raises(Timeout):
@@ -671,9 +671,9 @@ class TestPipelinedExchange:
             f"    os.write(1, reply + b'\\n' + {stray!r})\n"
         )
         with ExternalBackend([sys.executable, str(script)], timeout_s=10) as backend:
-            assert ask(backend, "a.jpg", "scene").cls is SceneClass.OUTSIDE
-            assert ask(backend, "b.jpg", "scene").cls is SceneClass.INSIDE
-            assert ask(backend, "c.jpg", "scene").cls is SceneClass.OUTSIDE
+            assert ask(backend, "a.jpg", "scene")[0] is SceneClass.OUTSIDE
+            assert ask(backend, "b.jpg", "scene")[0] is SceneClass.INSIDE
+            assert ask(backend, "c.jpg", "scene")[0] is SceneClass.OUTSIDE
 
     @staticmethod
     def length_script(tmp_path):
@@ -744,7 +744,7 @@ class TestClose:
         entries = [ImageEntry(id=name, image_path=name) for name in ("a", "b")]
         with ExternalBackend([sys.executable, str(script)], timeout_s=10.0, jobs=2) as backend:
             results = backend.exchange([(entry, ["scene"]) for entry in entries])
-            assert [scene.cls for [scene] in results] == [
+            assert [scene for [(scene, _)] in results] == [
                 SceneClass.OUTSIDE, SceneClass.OUTSIDE
             ]
             procs = [child.proc for child in backend._children]
@@ -771,7 +771,9 @@ def decoded(line: bytes, task: str):
     except ProtocolViolation:
         return None
     if task == "scene":
-        assert isinstance(evidence, SceneLabel)
+        scene, confidence = evidence
+        assert type(scene) is SceneClass
+        assert type(confidence) is float and 0.0 <= confidence <= 1.0
     else:
         enum_cls = DamageClass if task == "damage" else ComponentClass
         assert all(type(d) is Detection and type(d.cls) is enum_cls for d in evidence)
@@ -819,12 +821,35 @@ detection_replies = st.fixed_dictionaries(
 )
 
 
+class TestCascadeOutput:
+    @pytest.mark.parametrize(
+        "confidence, message",
+        [
+            (1.5, "confidence must be in [0, 1]"),
+            (float("nan"), "confidence must be a finite number"),
+            ("0.9", "confidence must be a finite number"),
+        ],
+    )
+    def test_scene_confidence_is_checked(self, confidence, message):
+        with pytest.raises(ValueError) as exc:
+            CascadeOutput("a", SceneClass.INSIDE, confidence, (), ())
+        assert str(exc.value) == message
+
+    def test_int_scene_confidence_passes_the_full_checks(self):
+        assert CascadeOutput("a", SceneClass.INSIDE, 1, (), ()).scene_confidence == 1
+
+
 class TestReplyDecoding:
     """Whatever a child writes becomes evidence or a ProtocolViolation."""
 
     def test_scene_confidence_too_large_for_a_float(self):
         with pytest.raises(ProtocolViolation):
             _evidence("scene", {"scene": "outside", "confidence": 10**400})
+
+    def test_scene_confidence_out_of_range(self):
+        with pytest.raises(ProtocolViolation) as exc:
+            _evidence("scene", {"scene": "inside", "confidence": 1.5})
+        assert exc.value.detail == "confidence must be in [0, 1]"
 
     @pytest.mark.parametrize("task, name", [("components", "crack"), ("damage", "beam")])
     def test_class_of_the_other_detector_is_protocol_violation(self, task, name):

@@ -326,6 +326,41 @@ class TestAssess:
         assert error["detail"].startswith(f"schema violation at {field}:")
 
     @pytest.mark.parametrize(
+        "node, field",
+        [
+            # a split that also carries a value was read as a leaf, its subtree dropped
+            ({"feature": 0, "threshold": 0.5, "left": {"value": 0.1},
+              "right": {"value": 0.2}, "value": 0.0}, "trees[0][1].right.feature"),
+            ({"value": 0.0, "feture": 3}, "trees[0][1].right.feture"),
+            ({"feature": 0, "threshold": 0.5, "treshold": 0.5, "left": {"value": 0.1},
+              "right": {"value": 0.2}}, "trees[0][1].right.treshold"),
+        ],
+        ids=["split-with-value", "leaf-with-typo", "split-with-typo"],
+    )
+    def test_tree_node_with_an_unknown_key_is_schema_error(
+        self, fixture3, tmp_path, capsys, node, field
+    ):
+        leaf = {"value": 0.0}
+        payload = {
+            "format": "ruinscore-gbdt-v1", "feature_layout": "v1", "dim": 18,
+            "learning_rate": 0.1, "max_depth": 2, "degenerate": False,
+            "base_scores": [0.0, 0.0, 0.0, 0.0],
+            "trees": [[leaf, {"feature": 16, "threshold": 1.5, "left": leaf, "right": node},
+                       leaf, leaf]],
+        }
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, "assess", "--manifest", str(fixture3), "--meta-model", str(model)
+        )
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "SchemaViolation",
+            "detail": f"schema violation at {field}: unknown key",
+        }
+
+    @pytest.mark.parametrize(
         "payload",
         [
             {"format": "ruinscore-gbdt-v1", "feature_layout": "v1", "dim": 18,
@@ -1189,6 +1224,25 @@ class TestFuse:
         assert first.startswith("slight")
         assert "rebar-demoted" in out
 
+    @pytest.mark.parametrize(
+        "scene, expected",
+        [
+            ("inside", ["zero (S=0.0)", "counts: crack=0 spall=0 rebar_raw=0 rebar_valid=0",
+                        "filters: inside-conf-floor, ambiguity-bias"]),
+            ("outside", ["slight (S=1.0)", "counts: crack=2 spall=0 rebar_raw=0 rebar_valid=0",
+                         "filters: ambiguity-bias"]),
+        ],
+    )
+    def test_v2_scene_flag_sets_the_inside_floor(self, tmp_path, capsys, scene, expected):
+        # two cracks at 0.3: above the v1 floor, below v2's inside floor
+        f = tmp_path / "d.txt"
+        f.write_text("0 0.5 0.5 0.2 0.2 0.3\n0 0.3 0.3 0.2 0.2 0.3\n")
+        code, out, _ = run(
+            capsys, "fuse", "--detections", str(f), "--version", "v2", "--scene", scene
+        )
+        assert code == 0
+        assert out.splitlines() == expected
+
     def test_json_detections(self, tmp_path, capsys):
         f = tmp_path / "d.json"
         f.write_text(
@@ -1696,8 +1750,9 @@ class TestCommandImports:
         result = import_probe([train], NOT_ON_FILE_ASSESS)
         assert result == {"codes": [0], "threads": 1, "loaded": ["ruinscore.meta.hyper"]}
 
-    def test_cli_import_builds_eleven_dataclasses(self):
-        # dataclass processing is a fixed cost of every command's start-up
+    def test_cli_import_builds_ten_dataclasses(self):
+        # dataclass processing is a fixed cost of every command's start-up;
+        # the names, in build order, say which class a change added or removed
         probe = (
             "import dataclasses, json\n"
             "built = []\n"
@@ -1712,7 +1767,10 @@ class TestCommandImports:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env=package_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert len(json.loads(proc.stdout)) == 11, proc.stdout
+        assert json.loads(proc.stdout) == [
+            "Detection", "ImageEntry", "DatasetManifest", "Weights", "Thresholds",
+            "V2Params", "FusionConfig", "RuleDecision", "CascadeOutput", "BackendSettings",
+        ]
 
     def test_external_assess_loads_subprocess(self, tmp_path, stub):
         path = write_dataset(tmp_path / "d", [{"id": "img0", "image_path": "img0.jpg"}])

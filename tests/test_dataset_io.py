@@ -25,7 +25,6 @@ from ruinscore.dataset_io import (
     LEVEL_BY_LABEL,
     LEVEL_LABELS,
     SceneClass,
-    SceneLabel,
     decode_json,
     detections_from_obj,
     detections_to_json,
@@ -73,13 +72,11 @@ def _values():
     """One maker per per-image value type: each call builds a new, equal value."""
     crack = lambda: Detection(DamageClass.CRACK, 0.5, 0.5, 0.25, 0.5, 0.75)
     beam = lambda: Detection(ComponentClass.BEAM, 0.5, 0.5, 0.25, 0.5, 0.5)
-    scene = lambda: SceneLabel(SceneClass.INSIDE, 0.9)
     return [
         crack,
         beam,
-        scene,
         lambda: ImageEntry("a", None, DamageLevel.SLIGHT, SceneClass.OUTSIDE, "d.txt", None),
-        lambda: CascadeOutput("a", scene(), (beam(),), (crack(), crack())),
+        lambda: CascadeOutput("a", SceneClass.INSIDE, 0.9, (beam(),), (crack(), crack())),
         lambda: RuleDecision(DamageLevel.SLIGHT, 2.0, 2, 0, 0, 0, False,
                              ("conf-floor",), (crack(),)),
     ]

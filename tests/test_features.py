@@ -11,15 +11,14 @@ from ruinscore.dataset_io import (
     DamageClass,
     Detection,
     SceneClass,
-    SceneLabel,
 )
 from ruinscore.fusion import DEFAULT_CONFIG, FusionConfig, recompute_score, rule_fusion
 from ruinscore.meta import FEATURE_DIM, FEATURE_NAMES, extract_features
 
 from helpers import rand_cascade
 
-INSIDE = SceneLabel(SceneClass.INSIDE, 1.0)
-OUTSIDE = SceneLabel(SceneClass.OUTSIDE, 1.0)
+INSIDE = SceneClass.INSIDE
+OUTSIDE = SceneClass.OUTSIDE
 
 
 def features_for(out, config=DEFAULT_CONFIG):
@@ -32,7 +31,7 @@ def test_layout_names_match_dim():
 
 
 def test_empty_output_all_zero_except_scene_and_level():
-    out = CascadeOutput("x", INSIDE, (), ())
+    out = CascadeOutput("x", INSIDE, 1.0, (), ())
     x, _ = features_for(out)
     expected = np.zeros(18)
     expected[11] = 1.0
@@ -45,7 +44,7 @@ def test_hand_assembled_example():
         Detection(DamageClass.CRACK, 0.6, 0.6, 0.2, 0.1, 0.6),
     )
     column = Detection(ComponentClass.COLUMN, 0.5, 0.5, 0.4, 0.8, 0.9)
-    out = CascadeOutput("x", INSIDE, (column,), cracks)
+    out = CascadeOutput("x", INSIDE, 1.0, (column,), cracks)
     x, rule = features_for(out)
     assert rule.level.value == 1 and rule.score == 2.0
     assert x[0] == 2 and x[1] == 0 and x[2] == 0 and x[3] == 0
@@ -64,7 +63,7 @@ def test_area_clamped_to_one():
         Detection(DamageClass.SPALLING, 0.5, 0.5, 0.9, 0.9, 0.9)
         for _ in range(2)
     )
-    out = CascadeOutput("x", OUTSIDE, (), big)
+    out = CascadeOutput("x", OUTSIDE, 1.0, (), big)
     x, _ = features_for(out)
     assert x[10] == 1.0
 

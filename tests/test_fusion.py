@@ -13,7 +13,6 @@ from ruinscore.dataset_io import (
     DamageLevel,
     Detection,
     SceneClass,
-    SceneLabel,
 )
 from ruinscore.errors import MissingMeta, SchemaViolation
 from ruinscore.fusion import (
@@ -43,8 +42,8 @@ from ruinscore.fusion import (
 from helpers import oracle_v1_level, rand_cascade, rand_damage
 
 V2_CONFIG = FusionConfig.from_dict({"version": "v2"})
-OUTSIDE = SceneLabel(SceneClass.OUTSIDE, 1.0)
-INSIDE = SceneLabel(SceneClass.INSIDE, 1.0)
+OUTSIDE = SceneClass.OUTSIDE
+INSIDE = SceneClass.INSIDE
 
 
 def box(cx, cy, w, h):
@@ -62,7 +61,7 @@ def boxed(cx, cy, w, h):
 
 
 def cascade(damages=(), components=(), scene=OUTSIDE):
-    return CascadeOutput("t", scene, tuple(components), tuple(damages))
+    return CascadeOutput("t", scene, 1.0, tuple(components), tuple(damages))
 
 
 class TestIou:
@@ -410,7 +409,9 @@ def test_property_monotone_under_added_detection(out, config, seed):
     rng = random.Random(seed)
     added = rand_damage(rng)
     before = rule_fusion(out, config).level
-    grown = CascadeOutput(out.image_id, out.scene, out.components, out.damages + (added,))
+    grown = CascadeOutput(
+        out.image_id, out.scene, out.scene_confidence, out.components, out.damages + (added,)
+    )
     after = rule_fusion(grown, config).level
     assert after >= before
 
@@ -421,7 +422,7 @@ def test_property_monotone_under_added_detection(out, config, seed):
 
 def _multi_pass_filter(damages, scene, config):
     floor = config.conf_floor
-    inside_v2 = config.version is FusionVersion.V2 and scene.cls is SceneClass.INSIDE
+    inside_v2 = config.version is FusionVersion.V2 and scene is SceneClass.INSIDE
     if inside_v2:
         floor = max(floor, config.v2.inside_conf_floor)
     kept, tags = [], []
@@ -497,7 +498,7 @@ STRICT_V2_CONFIG = FusionConfig.from_dict({
 )
 def test_property_one_pass_equals_multi_pass(out, config, scene, with_components):
     out = CascadeOutput(
-        out.image_id, scene, out.components if with_components else (), out.damages
+        out.image_id, scene, 1.0, out.components if with_components else (), out.damages
     )
     one_pass = rule_fusion(out, config)
     # whole decisions: level, score, counts, tags in order and survivors
