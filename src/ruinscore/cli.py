@@ -53,7 +53,6 @@ from .fusion import (
     DecisionMode,
     FusionConfig,
     FusionVersion,
-    check_number,
     meta_argmax,
     rule_fusion,
 )
@@ -79,17 +78,9 @@ def load_config_file(path: str | os.PathLike | None) -> tuple[FusionConfig, Back
     if path is None:
         return FusionConfig(), BackendSettings()
     raw = dataset_io.decode_json(dataset_io.read_text(path))
-    if not isinstance(raw, dict):
-        raise SchemaViolation("$", "config must be an object")
-
     backend_cfg = BackendSettings()
-    if "backend" in raw:
-        section = raw.pop("backend")
-        if not isinstance(section, dict):
-            raise SchemaViolation("backend", "expected an object")
-        unknown = set(section) - {"command", "timeout_s"}
-        if unknown:
-            raise SchemaViolation(f"backend.{sorted(unknown)[0]}", "unknown key")
+    if isinstance(raw, dict) and "backend" in raw:  # FusionConfig.from_dict words a non-object
+        section = dataset_io.check_object(raw.pop("backend"), {"command", "timeout_s"}, "backend")
         command = section.get("command")
         if command is not None and (
             not isinstance(command, list)
@@ -98,7 +89,7 @@ def load_config_file(path: str | os.PathLike | None) -> tuple[FusionConfig, Back
         ):
             raise SchemaViolation("backend.command", "must be a nonempty list of strings")
         timeout_s = section.get("timeout_s", DEFAULT_TIMEOUT_S)
-        check_number(timeout_s, "backend.timeout_s")
+        dataset_io.check_number(timeout_s, "backend.timeout_s")
         if timeout_s <= 0:
             raise SchemaViolation("backend.timeout_s", "must be a positive number")
         backend_cfg = BackendSettings(
@@ -258,6 +249,14 @@ def _cmd_train_meta(args) -> int:
     from . import meta
     from .meta.hyper import GbdtHyper, LogRegHyper
 
+    hyper, other = (LogRegHyper, GbdtHyper) if args.kind == "logreg" else (GbdtHyper, LogRegHyper)
+    # a flag of the other kind alone is a usage error, not silently dropped
+    if stray := sorted(_given(args, other).keys() - _given(args, hyper).keys()):
+        flag = "--reg-lambda" if stray[0] == "lam" else "--" + stray[0].replace("_", "-")
+        kind = "gbdt" if args.kind == "logreg" else "logreg"
+        print(f"ruinscore train-meta: error: {flag} is a {kind} flag; --kind is {args.kind}",
+              file=sys.stderr)
+        return 2
     manifest = dataset_io.load_manifest(args.manifest)
     config, _ = load_config_file(_config_path(args))
     backend = FileBackend(manifest)
@@ -276,7 +275,6 @@ def _cmd_train_meta(args) -> int:
             X[row] = meta.extract_features(out, rule_fusion(out, config))
     y = [entry.ground_truth_level for entry in labeled]
 
-    hyper = LogRegHyper if args.kind == "logreg" else GbdtHyper
     train = meta.train_logreg if args.kind == "logreg" else meta.train_gbdt
     model = train(X, y, hyper(**_given(args, hyper)))
     # the trainer's own probabilities of its rows: no second predict

@@ -6,8 +6,9 @@ detectors, its `cls` a DamageClass or ComponentClass member. Two on-disk
 conventions are supported: a line-based box text format (`class_id cx cy w h
 [conf]`, `#` comments) and a JSON schema with class names, resolved against
 the file's class enum. `check_confidence` also checks the scene's confidence
-on `backend.CascadeOutput`. All values are immutable and safe to share
-across threads.
+on `backend.CascadeOutput`; `check_object` and `check_number` check every
+strict JSON object and number the engine reads. All values are immutable and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import errno
 import json
 import json.encoder
 import os
+import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Sequence
@@ -298,6 +300,29 @@ def decode_json(text: str, field: str = "$", invalid: str = "not valid JSON") ->
         raise SchemaViolation(field, f"{invalid} (integer too long)") from None
 
 
+def check_object(raw: object, keys, where: str = "$", what: str = "expected an object") -> dict:
+    """`raw` when it is a JSON object whose keys lie within the set `keys`.
+    A non-object raises SchemaViolation at `where` with `what`; an object
+    fails at its first other key in sorted order, `unknown key` at
+    `where.key` (the bare key when `where` is the top level, "$")."""
+    if not isinstance(raw, dict):
+        raise SchemaViolation(where, what)
+    if not raw.keys() <= keys:
+        key = min(raw.keys() - keys)
+        raise SchemaViolation(key if where == "$" else f"{where}.{key}", "unknown key")
+    return raw
+
+
+def check_number(value: object, where: str) -> None:
+    """The one number check for config and model files: an int or float, not
+    a bool, and finite as a float (an int beyond the float range is not).
+    Raises SchemaViolation at `where` otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaViolation(where, "must be a number")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN compares false
+        raise SchemaViolation(where, "must be finite")
+
+
 # json.dumps with its default arguments, as one C encoder built once: json.dumps
 # builds a new one per call. It keeps no circular-reference markers: every
 # value it is given is a fresh tree, and markers kept across calls could hold
@@ -353,11 +378,8 @@ def _parse_class_map(raw: object, enum_cls: type[Enum], where: str) -> dict:
 
 def _parse_entry(raw: object, index: int, prefix: str) -> ImageEntry:
     """One manifest entry; its field path images[index] is formatted only for an error."""
-    if not isinstance(raw, dict):
-        raise SchemaViolation(f"images[{index}]", "expected an object")
-    if not raw.keys() <= _ENTRY_KEYS:
-        unknown = sorted(set(raw) - _ENTRY_KEYS)[0]
-        raise SchemaViolation(f"images[{index}].{unknown}", "unknown key")
+    if not (type(raw) is dict and raw.keys() <= _ENTRY_KEYS):
+        check_object(raw, _ENTRY_KEYS, f"images[{index}]")
     image_id = raw.get("id")
     if not isinstance(image_id, str) or not image_id:
         if "id" not in raw:
@@ -406,23 +428,14 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     Absent class_maps take the default integer mappings.
     """
     raw = decode_json(read_text(path))
-    if not isinstance(raw, dict):
-        raise SchemaViolation("$", "top level must be an object")
-    unknown = set(raw) - _MANIFEST_KEYS
-    if unknown:
-        raise SchemaViolation(sorted(unknown)[0], "unknown key")
+    raw = check_object(raw, _MANIFEST_KEYS, what="top level must be an object")
     if "images" not in raw or not isinstance(raw["images"], list):
         raise SchemaViolation("images", "must be an array")
 
     damage_map = dict(DEFAULT_DAMAGE_CLASS_MAP)
     component_map = dict(DEFAULT_COMPONENT_CLASS_MAP)
     if "class_maps" in raw:
-        cm = raw["class_maps"]
-        if not isinstance(cm, dict):
-            raise SchemaViolation("class_maps", "expected an object")
-        unknown = set(cm) - {"damage", "component"}
-        if unknown:
-            raise SchemaViolation(f"class_maps.{sorted(unknown)[0]}", "unknown key")
+        cm = check_object(raw["class_maps"], {"damage", "component"}, "class_maps")
         if "damage" in cm:
             damage_map = _parse_class_map(cm["damage"], DamageClass, "class_maps.damage")
         if "component" in cm:
@@ -505,11 +518,8 @@ _DETECTION_KEYS = {"class", "box", "confidence"}
 def _detection_from_obj(obj: object, by_name: dict, index: int):
     """One detection object, its class name resolved through `by_name`; its
     field path detections[index] is formatted only for an error."""
-    if not isinstance(obj, dict):
-        raise SchemaViolation(f"detections[{index}]", "expected an object")
-    if not obj.keys() <= _DETECTION_KEYS:
-        unknown = sorted(set(obj) - _DETECTION_KEYS)[0]
-        raise SchemaViolation(f"detections[{index}].{unknown}", "unknown key")
+    if not (type(obj) is dict and obj.keys() <= _DETECTION_KEYS):
+        check_object(obj, _DETECTION_KEYS, f"detections[{index}]")
     name = obj.get("class")
     if not isinstance(name, str):
         raise SchemaViolation(f"detections[{index}].class", "must be a class name string")
@@ -536,11 +546,7 @@ def detections_from_obj(obj: object, enum_cls: type[Enum]):
     """Parse the already-decoded `{"detections": [...]}` object of a .json
     file or a child reply; a class name `enum_cls` (DamageClass for damage,
     ComponentClass for components) lacks raises UnknownClass."""
-    if not isinstance(obj, dict):
-        raise SchemaViolation("$", "top level must be an object")
-    unknown = set(obj) - {"detections"}
-    if unknown:
-        raise SchemaViolation(sorted(unknown)[0], "unknown key")
+    obj = check_object(obj, {"detections"}, what="top level must be an object")
     dets = obj.get("detections")
     if not isinstance(dets, list):
         raise SchemaViolation("detections", "must be an array")

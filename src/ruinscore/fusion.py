@@ -6,12 +6,12 @@ confidence floors, a minimum box area, rebar co-evidence validation, and a
 score discount when no structural component was seen with confidence.
 
 All functions here are pure; the config carries every weight, threshold and
-toggle, serialized as a strict JSON file (unknown keys rejected).
+toggle, serialized as a strict JSON file whose objects and numbers
+`dataset_io.check_object` and `check_number` check (unknown keys rejected).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -21,6 +21,8 @@ from .dataset_io import (
     DamageLevel,
     Detection,
     SceneClass,
+    check_number,
+    check_object,
     slot_setters,
 )
 from .errors import MissingMeta, SchemaViolation
@@ -133,11 +135,7 @@ class FusionConfig:
     def from_dict(raw: dict) -> "FusionConfig":
         """Build a config from a JSON object; absent keys keep their defaults,
         unknown keys raise SchemaViolation."""
-        if not isinstance(raw, dict):
-            raise SchemaViolation("$", "config must be an object")
-        unknown = set(raw) - {f.name for f in fields(FusionConfig)}
-        if unknown:
-            raise SchemaViolation(sorted(unknown)[0], "unknown key")
+        check_object(raw, {f.name for f in fields(FusionConfig)}, what="config must be an object")
         # enums first, then sections, then scalars: the order errors are reported in
         order = sorted(
             fields(FusionConfig),
@@ -156,16 +154,6 @@ class FusionConfig:
         return config
 
 
-def check_number(value: object, where: str) -> None:
-    """The one number check for config files: an int or float, not a bool,
-    and finite as a float (an int beyond the float range is not). Raises
-    SchemaViolation at `where` otherwise."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SchemaViolation(where, "must be a number")
-    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN compares false
-        raise SchemaViolation(where, "must be finite")
-
-
 def _parse_field(name: str, default, value):
     """One top-level config value, typed after the field's default."""
     if isinstance(default, Enum):
@@ -177,11 +165,7 @@ def _parse_field(name: str, default, value):
                 name, f"must be {', '.join(names[:-1])} or {names[-1]}"
             ) from None
     if is_dataclass(default):
-        if not isinstance(value, dict):
-            raise SchemaViolation(name, "expected an object")
-        unknown = set(value) - {f.name for f in fields(default)}
-        if unknown:
-            raise SchemaViolation(f"{name}.{sorted(unknown)[0]}", "unknown key")
+        check_object(value, {f.name for f in fields(default)}, name)
         for key, v in value.items():
             check_number(v, f"{name}.{key}")
         return type(default)(**{key: float(v) for key, v in value.items()})

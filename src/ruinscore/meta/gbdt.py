@@ -2,9 +2,11 @@
 
 Per round and per class a tree is fit to the negative gradient with Newton
 leaf values sum(g)/(sum(h)+lam). Splits are exact greedy over sorted unique
-feature values (no histogram binning), ties broken by lowest feature index
-then lowest threshold, which together with zero-randomness training makes
-serialized models bit-reproducible.
+feature values (no histogram binning). Among bit-equal float gains the
+lowest feature index, then the lowest threshold, wins; splits that make the
+same cut tie in exact arithmetic, but the prefix sums' rounding can still
+set their float gains apart and so decide. With zero-randomness training
+this makes serialized models bit-reproducible.
 
 The scan only compares neighbouring sorted values and reads one threshold
 per split, so a fit turns each feature's values into dense integer ranks
@@ -25,8 +27,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..dataset_io import check_number, check_object
 from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
-from ..fusion import check_number
 from .features import FEATURE_LAYOUT
 from .logreg import N_CLASSES, _as_matrix, _finite_array, _json_int, _log_loss, _one_hot
 from .logreg import _training_matrix, softmax_rows
@@ -39,6 +41,8 @@ _PRIOR_FLOOR = 1e-12  # keeps log priors finite (and JSON-serializable) for abse
 NO_SPLIT = (-1, 0, 0.0)
 _LEAF_KEYS = frozenset({"value"})
 _SPLIT_KEYS = frozenset({"feature", "threshold", "left", "right"})
+_FILE_KEYS = frozenset({"format", "feature_layout", "dim", "learning_rate", "max_depth",
+                        "degenerate", "base_scores", "trees"})
 
 
 @dataclass(frozen=True)
@@ -88,16 +92,12 @@ class Forest:
                 pending = [(idx, tree, 0, f"trees[{r}][{c}]")]  # (index, node, level, path)
                 while pending:
                     idx, node, level, where = pending.pop()
-                    if not isinstance(node, dict):
-                        raise SchemaViolation(where, "tree node must be an object")
+                    keys = _LEAF_KEYS if type(node) is dict and "value" in node else _SPLIT_KEYS
+                    check_object(node, keys, where, "tree node must be an object")
                     if level > max_depth:
                         raise SchemaViolation(where, f"node deeper than max_depth {max_depth}")
                     if level > depth:
                         depth = level
-                    keys = _LEAF_KEYS if "value" in node else _SPLIT_KEYS
-                    if not node.keys() <= keys:
-                        unknown = sorted(set(node) - keys)[0]
-                        raise SchemaViolation(f"{where}.{unknown}", "unknown key")
                     if keys is _LEAF_KEYS:
                         v = node["value"]
                         if type(v) is not float or not -top <= v <= top:
@@ -220,8 +220,10 @@ def best_split(
     returns NO_SPLIT when no candidate has positive gain.
 
     The result is deterministic: prefix sums accumulate sequentially left to
-    right (np.cumsum), and the argmax scans feature-major, so ties go to the
-    lowest feature, then the lowest threshold. One complex cumsum advances
+    right (np.cumsum), and the argmax scans feature-major, so bit-equal gains
+    go to the lowest feature, then the lowest threshold. Candidates that make
+    the same cut have equal exact gains but may differ in rounding, and then
+    the larger float gain wins whatever its feature. One complex cumsum advances
     the gradient and hessian sums together; its real and imaginary parts
     are bit for bit the two float cumsums, and complex subtraction is
     componentwise. Gains are computed at the candidate boundaries only;
@@ -498,6 +500,7 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
 
 
 def gbdt_from_dict(raw: dict) -> GbdtModel:
+    check_object(raw, _FILE_KEYS)
     check_number(raw["learning_rate"], "learning_rate")
     if not raw["learning_rate"] > 0:
         raise SchemaViolation("learning_rate", "must be > 0")

@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..dataset_io import check_number, check_object
 from ..errors import DegenerateData, DimensionMismatch, NonFiniteLoss, SchemaViolation
-from ..fusion import check_number
 from .features import FEATURE_LAYOUT
 
 if TYPE_CHECKING:
@@ -22,6 +22,8 @@ if TYPE_CHECKING:
 
 N_CLASSES = 4
 LOGREG_FORMAT = "ruinscore-logreg-v1"
+_FILE_KEYS = frozenset({"format", "feature_layout", "dim", "weights", "mean", "std", "trained"})
+_TRAINED_KEYS = frozenset({"iterations", "final_loss"})
 
 
 @dataclass
@@ -195,8 +197,9 @@ def logreg_to_dict(model: LogRegModel) -> dict:
 
 
 def logreg_from_dict(raw: dict) -> LogRegModel:
+    check_object(raw, _FILE_KEYS)
     dim = _json_int(raw["dim"], "dim")
-    trained = raw["trained"]
+    trained = check_object(raw["trained"], _TRAINED_KEYS, "trained")
     check_number(trained["final_loss"], "trained.final_loss")
     iterations = _json_int(trained["iterations"], "trained.iterations")
     if iterations < 0:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataset_io import decode_json, read_text
+from ..dataset_io import check_object, decode_json, read_text
 from ..errors import IoFailure, SchemaViolation
 from .features import FEATURE_LAYOUT
 from .gbdt import GBDT_FORMAT, GbdtModel, gbdt_from_dict, gbdt_to_dict, predict_gbdt_batch
@@ -51,12 +51,12 @@ def save_model(model: LogRegModel | GbdtModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LogRegModel | GbdtModel:
-    """Load either model kind; rejects unknown formats, missing or mistyped
-    keys and layout mismatches with SchemaViolation. Read failures are
+    """Load either model kind; rejects unknown formats, unknown, missing or
+    mistyped keys and layout mismatches with SchemaViolation. Read failures are
     dataset_io.read_text's: MissingFile, IoFailure or SchemaViolation."""
     raw = decode_json(read_text(path), invalid="model file is not valid JSON")
-    if not isinstance(raw, dict):
-        raise SchemaViolation("$", "model file must be an object")
+    if type(raw) is not dict:  # each format's from_dict checks its own keys
+        check_object(raw, set(), what="model file must be an object")
     fmt = raw.get("format")
     if fmt == LOGREG_FORMAT:
         from_dict = logreg_from_dict

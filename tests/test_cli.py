@@ -361,6 +361,70 @@ class TestAssess:
         }
 
     @pytest.mark.parametrize(
+        "document, at, field",
+        [
+            (None, (), None),
+            ("manifest", (), "extra"),
+            ("manifest", ("class_maps",), "class_maps.extra"),
+            ("manifest", ("images", 1), "images[1].extra"),
+            ("detections", (), "extra"),
+            ("detections", ("detections", 0), "detections[0].extra"),
+            ("config", (), "extra"),
+            ("config", ("weights",), "weights.extra"),
+            ("config", ("backend",), "backend.extra"),
+            ("gbdt", (), "extra"),
+            ("gbdt", ("trees", 0, 0), "trees[0][0].extra"),
+            ("logreg", (), "extra"),
+            ("logreg", ("trained",), "trained.extra"),
+        ],
+        ids=["no-extra-key", "manifest", "class-maps", "image", "detection-file", "detection",
+             "config", "config-weights", "config-backend", "gbdt", "gbdt-node", "logreg",
+             "logreg-trained"],
+    )
+    def test_unknown_key_in_a_strict_object_is_schema_error(
+        self, fixture3, tmp_path, capsys, document, at, field
+    ):
+        # every strict JSON object of every input; only `document` gets the key
+        data = tmp_path / "d"
+        shutil.copytree(fixture3.parent, data)
+        leaf = {"value": 0.0}
+        documents = {
+            "manifest": json.loads(fixture3.read_text()),
+            "detections": {"detections": [{"class": "crack", "box": [0.5, 0.5, 0.2, 0.2]}]},
+            "config": {"version": "v2", "weights": {"w_crack": 1.0}, "backend": {"timeout_s": 5}},
+            "gbdt": {"format": "ruinscore-gbdt-v1", "feature_layout": "v1", "dim": 18,
+                     "learning_rate": 0.1, "max_depth": 1, "degenerate": False,
+                     "base_scores": [0.0, 0.0, 0.0, 0.0],
+                     "trees": [[{"feature": 16, "threshold": 1.5, "left": leaf, "right": leaf},
+                                leaf, leaf, leaf]]},
+            "logreg": {"format": "ruinscore-logreg-v1", "feature_layout": "v1", "dim": 18,
+                       "weights": [[0.0] * 19] * 4, "mean": [0.0] * 18, "std": [1.0] * 18,
+                       "trained": {"iterations": 1, "final_loss": 1.0}},
+        }
+        documents["manifest"]["images"][0]["damage_file"] = "detections.json"
+        if document is not None:
+            target = documents[document]
+            for step in at:
+                target = target[step]
+            target["extra"] = 1
+        paths = {name: data / f"{name}.json" for name in documents}
+        for name, doc in documents.items():
+            paths[name].write_text(json.dumps(doc))
+        argv = ["assess", "--manifest", str(paths["manifest"]), "--config", str(paths["config"])]
+        if document in ("gbdt", "logreg"):
+            argv += ["--meta-model", str(paths[document])]
+        code, out, err = run(capsys, *argv)
+        if document is None:
+            assert (code, len(out.splitlines()), err) == (0, 3, "")
+            return
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["detail"]) == (
+            "SchemaViolation", f"schema violation at {field}: unknown key"
+        )
+
+    @pytest.mark.parametrize(
         "payload",
         [
             {"format": "ruinscore-gbdt-v1", "feature_layout": "v1", "dim": 18,
@@ -1107,6 +1171,27 @@ class TestTrainMeta:
         assert code == 2
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "kind, flag, value, owner",
+        [
+            ("logreg", "--rounds", "7", "gbdt"),
+            ("logreg", "--max-depth", "9", "gbdt"),
+            ("logreg", "--min-leaf", "2", "gbdt"),
+            ("logreg", "--reg-lambda", "2", "gbdt"),
+            ("gbdt", "--iterations", "9", "logreg"),
+            ("gbdt", "--l2", "5", "logreg"),
+        ],
+    )
+    def test_a_flag_of_the_other_kind_is_usage_error(self, fixture3, tmp_path, capsys,
+                                                     kind, flag, value, owner):
+        # it was dropped: the model bytes equaled a run without it
+        model = tmp_path / "m.json"
+        code, out, err = run(capsys, "train-meta", "--manifest", str(fixture3), "--kind", kind,
+                             "--out", str(model), flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"ruinscore train-meta: error: {flag} is a {owner} flag; --kind is {kind}\n"
+        assert not model.exists()
 
     def test_hyperparameter_bounds_are_accepted(self):
         args = cli.build_parser().parse_args(

@@ -6,7 +6,9 @@ import json
 import os
 import pickle
 import platform
+import re
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +27,7 @@ from ruinscore.dataset_io import (
     LEVEL_BY_LABEL,
     LEVEL_LABELS,
     SceneClass,
+    check_object,
     decode_json,
     detections_from_obj,
     detections_to_json,
@@ -185,6 +188,35 @@ class TestEncodeJsonLine:
         # the json.dumps fallback is for interpreters without json's C accelerator
         assert isinstance(dataset_io._ENCODE, json.encoder.c_make_encoder)
         assert "_ENCODE" in dataset_io.encode_json_line.__code__.co_names
+
+
+class TestCheckObject:
+    @pytest.mark.parametrize(
+        "raw, where, field, detail",
+        [
+            ([], "$", "$", "expected an object"),
+            (None, "images[3]", "images[3]", "expected an object"),
+            ({"b": 1, "zz": 2, "c": 3}, "$", "c", "unknown key"),
+            ({"b": 1, "zz": 2, "c": 3}, "backend", "backend.c", "unknown key"),
+        ],
+    )
+    def test_a_non_object_fails_at_where_and_an_object_at_its_first_other_key(
+        self, raw, where, field, detail
+    ):
+        ok = {"a": 1}
+        assert check_object(ok, {"a", "b"}, where) is ok
+        with pytest.raises(SchemaViolation) as exc:
+            check_object(raw, {"a", "b"}, where)
+        assert (exc.value.field, str(exc.value)) == (field, f"schema violation at {field}: {detail}")
+
+    def test_only_dataset_io_words_an_unknown_key(self):
+        # the rule is written once; a copy in another module could drift from it
+        package = Path(dataset_io.__file__).parent
+        holders = sorted(
+            path.relative_to(package).as_posix() for path in package.rglob("*.py")
+            if re.search(r"[\"']unknown key[\"']", path.read_text(encoding="utf-8"))
+        )
+        assert holders == ["dataset_io.py"]
 
 
 class TestReadText:

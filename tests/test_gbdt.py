@@ -291,6 +291,11 @@ def _node(raw) -> dict:
         (lambda raw: _node(raw).pop("right"), "trees[1][2].right"),
         (lambda raw: _node(raw).update(left=[]), "trees[1][2].left"),
         (lambda raw: raw.update(max_depth=1), "trees[1][2].right.right"),
+        # an unknown key fails first: before a missing key, a node's depth or its fields
+        (lambda raw: raw.update(weights=[[0.0]]), "weights"),  # a logreg key
+        (lambda raw: (raw.pop("dim"), raw.update(extra=1)), "extra"),
+        (lambda raw: (raw.update(max_depth=1), _node(raw)["right"]["right"].update(extra=1)),
+         "trees[1][2].right.right.extra"),
         (lambda raw: raw["trees"][0].__setitem__(3, "leaf"), "trees[0][3]"),
         (lambda raw: raw.update(base_scores=[0.0, 0.0, 0.0]), "base_scores"),
         (lambda raw: raw.update(base_scores=[0.0, 0.0, float("nan"), 0.0]), "base_scores"),

@@ -158,6 +158,10 @@ def test_softmax_rows_stable_for_large_logits():
         ("trained.iterations", -7),  # train-meta never writes a negative count
         ("trained.final_loss", "nan"),
         ("trained.final_loss", float("nan")),
+        # unknown keys at the top level and in `trained`, and a `trained` that is no object
+        ("extra", 1),
+        ("trained.x", 2),
+        ("trained", [1, 1.0]),
     ],
 )
 def test_malformed_arrays_rejected_at_load(tmp_path, key, value):
