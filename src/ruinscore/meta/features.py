@@ -8,8 +8,6 @@ and areas are taken over the detections its filters kept (`rule.survivors`).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..backend import CascadeOutput
 from ..dataset_io import ComponentClass, DamageClass, SceneClass
 from ..fusion import RuleDecision
@@ -42,27 +40,33 @@ _DAMAGE_ORDER = (DamageClass.CRACK, DamageClass.SPALLING, DamageClass.EXPOSED_RE
 _COMPONENT_ORDER = (ComponentClass.BEAM, ComponentClass.COLUMN, ComponentClass.WALL)
 
 
-def extract_features(out: CascadeOutput, rule: RuleDecision) -> np.ndarray:
-    """Assemble the feature vector for one image from its rule decision."""
-    x = np.zeros(FEATURE_DIM, dtype=np.float64)
-    x[0] = rule.n_crack
-    x[1] = rule.n_spall
-    x[2] = rule.n_rebar_raw
-    x[3] = rule.n_rebar_valid
-
+def extract_features(out: CascadeOutput, rule: RuleDecision) -> list[float]:
+    """The feature vector for one image from its rule decision: FEATURE_DIM
+    Python floats in FEATURE_NAMES order."""
+    sums = [0.0, 0.0, 0.0]
+    peaks = [0.0, 0.0, 0.0]
     area = 0.0
     for det in rule.survivors:
         slot = _DAMAGE_ORDER.index(det.cls)
-        x[4 + slot] += det.confidence
-        if det.confidence > x[7 + slot]:
-            x[7 + slot] = det.confidence
+        conf = float(det.confidence)
+        sums[slot] += conf
+        if conf > peaks[slot]:
+            peaks[slot] = conf
         area += det.area()
-    x[10] = min(area, 1.0)
-
-    x[11] = 1.0 if out.scene is SceneClass.INSIDE else 0.0
+    has = [0.0, 0.0, 0.0]
     for comp in out.components:
-        x[12 + _COMPONENT_ORDER.index(comp.cls)] = 1.0
-    x[15] = len(out.components)
-    x[16] = rule.score
-    x[17] = rule.level.value / 3.0
-    return x
+        has[_COMPONENT_ORDER.index(comp.cls)] = 1.0
+    return [
+        float(rule.n_crack),
+        float(rule.n_spall),
+        float(rule.n_rebar_raw),
+        float(rule.n_rebar_valid),
+        *sums,
+        *peaks,
+        min(area, 1.0),
+        1.0 if out.scene is SceneClass.INSIDE else 0.0,
+        *has,
+        float(len(out.components)),
+        float(rule.score),
+        rule.level.value / 3.0,
+    ]

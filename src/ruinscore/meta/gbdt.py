@@ -182,26 +182,32 @@ class GbdtModel:
         return len(self.trees)
 
 
-def split_candidates(xs: np.ndarray, min_leaf: int) -> tuple[np.ndarray, np.ndarray]:
+def split_candidates(
+    xs: np.ndarray, min_leaf: int, flags: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Where one node may split: (feat, at), both empty when nowhere.
 
     at holds the flat index, in the node's (d, n) prefix sums, of every
     boundary between distinct consecutive sorted values that leaves min_leaf
     samples on both sides, feature-major; feat holds each one's feature. xs
     may hold the values or their ranks: only equality is read. It depends on
-    xs and min_leaf only, so a fit builds the root's once.
+    xs and min_leaf only, so a fit builds the root's once. flags: a flat
+    bool buffer of at least xs.size entries, overwritten; the boundaries are
+    flagged there in a (d, n) view, so a flagged flat index is already the
+    prefix sums' index.
     """
-    n = xs.shape[1]
+    d, n = xs.shape
     if n < 2 * min_leaf or n < 2:
         none = np.empty(0, dtype=np.intp)
         return none, none
     # the boundary after sorted position k sends k + 1 samples left
     lo, hi = min_leaf - 1, n - min_leaf
-    at = np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1])  # feature-major
-    width = hi - lo
-    feat = at // width
-    at += feat * (n - width) + lo  # flat index of (feature, k) in the (d, n) sums
-    return feat, at
+    bound = flags[: d * n].reshape(d, n)
+    bound[:, :lo] = False
+    bound[:, hi:] = False
+    np.not_equal(xs[:, lo:hi], xs[:, lo + 1 : hi + 1], out=bound[:, lo:hi])
+    at = bound.ravel().nonzero()[0]  # feature-major
+    return at // n, at
 
 
 def best_split(
@@ -232,12 +238,12 @@ def best_split(
     feat, at = cands
     if at.size == 0:
         return NO_SPLIT
-    cs = np.cumsum(ghs, axis=1, out=ghs)
+    cs = ghs.cumsum(axis=1, out=ghs)
     total = cs[:, -1]
     term = total.real * total.real
     term /= total.imag + lam  # gt * gt / (ht + lam), once per feature
-    left = cs.ravel()[at]
-    right = total[feat]
+    left = cs.take(at)
+    right = total.take(feat)
     right -= left
     # gl * gl / (hl + lam) + gr * gr / (hr + lam) - gt * gt / (ht + lam)
     gl, hl = left.real, left.imag
@@ -249,9 +255,9 @@ def best_split(
     hr += lam
     gr /= hr
     gain += gr
-    gain -= term[feat]
+    gain -= term.take(feat)
 
-    best = int(np.argmax(gain))
+    best = int(gain.argmax())
     if gain[best] <= 0.0:
         return NO_SPLIT
     f = int(feat[best])
@@ -290,25 +296,40 @@ class _Workspace:
     at the node's base and the right child straight after it, so a subtree
     writes only inside its own root's range, the pending right sibling
     survives its left sibling's subtree, and two pairs serve any max_depth.
-    Per cell that is 16 B of gather and 2 x (rank + 8 B of order).
+
+    flags: flat (d * n,) bool. A scanning node flags its split candidates'
+    boundaries there, then a split writes its children's partition mask
+    over them and, last, its row mask. All are read before the children
+    start, so every node reuses the same entries.
+
+    goes_left: (n,) bool, all False between splits. A split marks the
+    samples it sends left, partitions by the mark and clears it again
+    before its children start.
+
+    Per cell that is 16 B of gather, 2 x (rank + 8 B of order) and 1 B of
+    flags, plus 1 B per sample of goes_left.
     """
 
-    __slots__ = ("gather", "cells")
+    __slots__ = ("gather", "cells", "flags", "goes_left")
 
     def __init__(self, d: int, n: int, max_depth: int, rank_type: np.dtype) -> None:
         size = d * n
         pairs = min(max_depth - 1, 2)  # depths 1 .. max_depth - 1 scan from cells
-        # the orders before the ranks, so every view is aligned to its item
+        # the widest items first, so every view is aligned to its item
         orders_at = 16 * size
         ranks_at = orders_at + 8 * size * pairs
-        block = np.empty(ranks_at + rank_type.itemsize * size * pairs, dtype=np.uint8)
+        flags_at = ranks_at + rank_type.itemsize * size * pairs
+        block = np.empty(flags_at + size + n, dtype=np.uint8)
         self.gather = block[:orders_at].view(np.complex128)
         orders = block[orders_at:ranks_at].view(np.intp)
-        ranks = block[ranks_at:].view(rank_type)
+        ranks = block[ranks_at:flags_at].view(rank_type)
         self.cells = [
             (ranks[p * size : (p + 1) * size], orders[p * size : (p + 1) * size])
             for p in range(pairs)
         ]
+        self.flags = block[flags_at : flags_at + size].view(bool)
+        self.goes_left = block[flags_at + size :].view(bool)
+        self.goes_left[:] = False
 
 
 def _cells(
@@ -321,7 +342,7 @@ def _cells(
     """The kept cells of each feature row, in their sorted order (a stable
     partition), written to the flat ranks_out and order_out, which hold
     exactly as many cells; returned as (d, kept per row) views of them."""
-    at = np.flatnonzero(keep)  # row-major: each row's kept cells in their order
+    at = keep.ravel().nonzero()[0]  # row-major: each row's kept cells in their order
     d = ranks.shape[0]
     return (
         ranks.take(at, out=ranks_out, mode="clip").reshape(d, -1),
@@ -356,47 +377,56 @@ def _build_tree(
     gradient (real part) and hessian (imaginary part); it is only read. Each
     leaf's value is written to leaf_of_row at its samples.
 
-    ws: the fit's workspace. The node gathers into ws.gather and writes the
+    ws: the fit's workspace. The node gathers into ws.gather, flags its
+    candidates and its children's masks in ws.flags, marks its left samples
+    in ws.goes_left (cleared before the children start), and writes the
     cells of the children that scan into ws.cells at base, the offset of
     the node's own cells (0 at the root, whose cells are the fit's presorted
-    arrays). The only node-sized arrays a node still allocates are the
-    flatnonzero indices of its children's cells and the scan's candidate
-    arrays. cands: the root's split_candidates, built once per fit; every
-    other node builds its own.
+    arrays). The only node-sized arrays a node still allocates are its
+    children's rows, the flat nonzero indices of their cells, the scan's
+    candidate and gain arrays and a leaf's gathered gradients. cands: the
+    root's split_candidates, built once per fit; every other node builds
+    its own.
     """
     if ranks is not None:
         d, m = ranks.shape
         ghs = gh.take(order, out=ws.gather[: d * m].reshape(d, m), mode="clip")
         if cands is None:
-            cands = split_candidates(ranks, hp.min_leaf)
+            cands = split_candidates(ranks, hp.min_leaf, ws.flags)
         feat, n_left, _ = best_split(ghs, cands, hp.lam)
         if feat >= 0:
-            goes_left = np.zeros(leaf_of_row.size, dtype=bool)
-            goes_left[order[feat, :n_left]] = True
-            in_left = goes_left[rows]
+            goes_left = ws.goes_left
+            sent = order[feat, :n_left]
+            goes_left[sent] = True
             mid = base + d * n_left
             left = right = (None, None)
             if depth + 1 < hp.max_depth:
                 ranks_out, order_out = ws.cells[(depth + 1) % len(ws.cells)]
-                keep = goes_left[order]
+                keep = goes_left.take(order, out=ws.flags[: d * m].reshape(d, m), mode="clip")
                 if n_left >= 2 * hp.min_leaf:
                     left = _cells(ranks, order, keep, ranks_out[base:mid], order_out[base:mid])
                 if m - n_left >= 2 * hp.min_leaf:
                     end = base + d * m
-                    right = _cells(ranks, order, ~keep, ranks_out[mid:end], order_out[mid:end])
+                    np.logical_not(keep, out=keep)
+                    right = _cells(ranks, order, keep, ranks_out[mid:end], order_out[mid:end])
+            in_left = goes_left.take(rows, out=ws.flags[:m], mode="clip")
+            left_rows = rows.compress(in_left)
+            right_rows = rows.compress(np.logical_not(in_left, out=in_left))
+            goes_left[sent] = False
             return {  # the threshold is read before the subtrees reuse this node's cells
                 "feature": feat,
                 "threshold": float(X[order[feat, n_left - 1], feat]),
                 "left": _build_tree(
-                    X, *left, rows[in_left], gh, depth + 1, hp, leaf_of_row, ws, base
+                    X, *left, left_rows, gh, depth + 1, hp, leaf_of_row, ws, base
                 ),
                 "right": _build_tree(
-                    X, *right, rows[~in_left], gh, depth + 1, hp, leaf_of_row, ws, mid
+                    X, *right, right_rows, gh, depth + 1, hp, leaf_of_row, ws, mid
                 ),
             }
     # float sums over the samples in their original order: a complex sum
     # would group the additions differently
-    value = float(gh.real[rows].sum()) / (float(gh.imag[rows].sum()) + hp.lam)
+    leaf = gh.take(rows)
+    value = float(leaf.real.sum()) / (float(leaf.imag.sum()) + hp.lam)
     leaf_of_row[rows] = value
     return {"value": value}
 
@@ -437,8 +467,8 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
 
     ranks, order = _presort(X)
     rows = np.arange(n)
-    root = split_candidates(ranks, hp.min_leaf)
     ws = _Workspace(d, n, hp.max_depth, ranks.dtype)
+    root = split_candidates(ranks, hp.min_leaf, ws.flags)
     leaf_of_row = np.empty(n, dtype=np.float64)
     gh = np.empty(n, dtype=np.complex128)
 

@@ -126,7 +126,8 @@ def test_split_tie_breaks_lowest_feature_and_threshold():
     xs = np.take_along_axis(X.T, order, axis=1)
     gh = np.empty(6, dtype=np.complex128)
     gh.real, gh.imag = g, h
-    feat, n_left, gain = best_split(gh[order], split_candidates(xs, 1), 1.0)
+    cands = split_candidates(xs, 1, np.empty(xs.size, dtype=bool))
+    feat, n_left, gain = best_split(gh[order], cands, 1.0)
     assert feat == 0
     # the splits after x=0 and after x=1 have equal gain; the lower threshold wins
     assert (n_left, xs[feat, n_left - 1]) == (2, 0.0)
@@ -565,7 +566,8 @@ def test_best_split_matches_reference_scan(data):
     gh = np.empty(n, dtype=np.complex128)
     gh.real, gh.imag = g, h
 
-    feat, n_left, gain = best_split(gh[order], split_candidates(xs, min_leaf), lam)
+    cands = split_candidates(xs, min_leaf, np.empty(xs.size, dtype=bool))
+    feat, n_left, gain = best_split(gh[order], cands, lam)
     want = reference_best_split(
         np.ascontiguousarray(xs.T), g[order].T.copy(), h[order].T.copy(), lam, min_leaf
     )
@@ -594,6 +596,31 @@ def test_fit_leaves_its_inputs_unchanged(data):
     ws = gbdt_module._Workspace(X.shape[1], n, hp.max_depth, ranks.dtype)
     gbdt_module._build_tree(X, ranks, order, np.arange(n), gh, 0, hp, leaf_of_row, ws)
     assert gh.tobytes() == kept.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=tied_training_sets(), seed=st.integers(0, 2**32 - 1))
+def test_shared_workspace_leaves_no_mark_behind(data, seed):
+    # every tree of a fit reuses one workspace, so each split clears its
+    # goes_left mark before the next node reads it
+    X, _, hp = data
+    n, d = X.shape
+    ranks, order = gbdt_module._presort(X)
+    rng = np.random.default_rng(seed)
+    shared = gbdt_module._Workspace(d, n, hp.max_depth, ranks.dtype)
+    for _ in range(4):
+        gh = np.empty(n, dtype=np.complex128)
+        gh.real = rng.normal(size=n)
+        gh.imag = rng.uniform(0.05, 0.25, size=n)
+        built = []
+        for ws in (shared, gbdt_module._Workspace(d, n, hp.max_depth, ranks.dtype)):
+            leaf_of_row = np.empty(n)
+            tree = gbdt_module._build_tree(
+                X, ranks, order, np.arange(n), gh, 0, hp, leaf_of_row, ws
+            )
+            assert not ws.goes_left.any()
+            built.append((tree, leaf_of_row.tobytes()))
+        assert built[0] == built[1]
 
 
 # mixed magnitudes, signed zeros and subnormals; bounded so no sum overflows
