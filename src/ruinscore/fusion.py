@@ -12,6 +12,7 @@ toggle, serialized as a strict JSON file whose objects and numbers
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -56,8 +57,10 @@ class Weights:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if not 0 <= value < math.inf:  # a chained comparison, so NaN fails it
+                bound = "finite and >= 0" if value >= 0 else ">= 0"
+                raise ValueError(f"{f.name} must be {bound}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class V2Params:
         ):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.min_box_area < 0:
+        if not self.min_box_area >= 0:  # NaN fails too
             raise ValueError("min_box_area must be >= 0")
         if not 0.0 < self.no_component_score_factor <= 1.0:
             raise ValueError("no_component_score_factor must be in (0, 1]")
@@ -117,7 +120,7 @@ class FusionConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.conf_floor <= 1.0:
             raise ValueError("conf_floor must be in [0, 1]")
-        if self.hybrid_prob_gate < 0.0:
+        if not self.hybrid_prob_gate >= 0.0:  # NaN fails too
             raise ValueError("hybrid_prob_gate must be >= 0")
 
     def to_dict(self) -> dict:

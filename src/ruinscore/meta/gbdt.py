@@ -13,9 +13,10 @@ per split, so a fit turns each feature's values into dense integer ranks
 once (`_presort`), in the narrowest unsigned type that holds n - 1: equal
 ranks mean equal values, -0.0 == 0.0 included. Every node holds ranks, and
 a split's threshold is read from the training matrix through its sample
-index. A fit allocates one scratch workspace (`_Workspace`) and every node
-of every tree gathers and partitions into it, so the scan's node-sized
-arrays are not freed and faulted back in from tree to tree.
+index. A fit is one `_Fit` object, which holds the training matrix, the
+gradients, the leaf values and one scratch block; every node of every tree
+gathers and partitions into that block, so the scan's node-sized arrays
+are not freed and faulted back in from tree to tree.
 """
 
 from __future__ import annotations
@@ -167,12 +168,6 @@ class GbdtModel:
     # (n, 4) training rows' probabilities from train_gbdt; not serialized
     training_probs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.trees, list) or not all(
-            isinstance(r, list) and len(r) == N_CLASSES for r in self.trees
-        ):
-            raise SchemaViolation("trees", f"must be an array of rounds of {N_CLASSES} tree objects")
-
     @cached_property
     def forest(self) -> Forest:
         return Forest.from_trees(self.trees, self.max_depth, self.dim)
@@ -219,7 +214,7 @@ def best_split(
     ascending order of feature j, each packing a gradient (real part) and a
     hessian (imaginary part). The scan overwrites ghs with its prefix sums
     (np.cumsum in place, no new (d, n) array), so pass a gather made for the
-    scan (in a fit, the workspace's). cands is the node's
+    scan (in a fit, its gather). cands is the node's
     split_candidates(xs, min_leaf). Returns (feature, n_left, gain): the
     n_left lowest samples of that feature go left, so the threshold is the
     value at sorted position n_left - 1 and x <= threshold routes left. It
@@ -279,10 +274,38 @@ def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, order
 
 
-class _Workspace:
-    """One fit's scratch arrays, allocated as a single block (so the whole
-    of it goes back to the OS when the fit ends) and reused by every node of
-    every tree. It is passed down explicitly: two fits never share one.
+def _cells(
+    ranks: np.ndarray,
+    order: np.ndarray,
+    keep: np.ndarray,
+    ranks_out: np.ndarray,
+    order_out: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kept cells of each feature row, in their sorted order (a stable
+    partition), written to the flat ranks_out and order_out, which hold
+    exactly as many cells; returned as (d, kept per row) views of them."""
+    at = keep.ravel().nonzero()[0]  # row-major: each row's kept cells in their order
+    d = ranks.shape[0]
+    return (
+        ranks.take(at, out=ranks_out, mode="clip").reshape(d, -1),
+        order.take(at, out=order_out, mode="clip").reshape(d, -1),
+    )
+
+
+class _Fit:
+    """The state of one gbdt fit; two fits never share one.
+
+    X: the (n, d) training matrix; a split's threshold is read from it
+    through the sample index, X[order[f, n_left - 1], f], which is the float
+    the sorted values held, signed zero included. ranks, order: the root's
+    presorted (d, n) cells (`_presort`), and root their split_candidates,
+    which every tree's root scan reuses. rows: every sample index. gh: (n,)
+    every sample's gradient (real part) and hessian (imaginary part), which
+    the trainer writes before each tree and a tree only reads. leaf_of_row:
+    (n,) the value of the leaf each sample reached in the last tree grown.
+
+    The scratch, reused by every node of every tree, is one block (so the
+    whole of it goes back to the OS when the fit ends), viewed as:
 
     gather: flat (d * n,) complex128. A scanning node of m samples gathers
     its packed gradients into the first d * m entries, and the scan's prefix
@@ -310,12 +333,19 @@ class _Workspace:
     flags, plus 1 B per sample of goes_left.
     """
 
-    __slots__ = ("gather", "cells", "flags", "goes_left")
+    __slots__ = ("X", "hp", "ranks", "order", "rows", "root", "gh", "leaf_of_row",
+                 "gather", "cells", "flags", "goes_left")
 
-    def __init__(self, d: int, n: int, max_depth: int, rank_type: np.dtype) -> None:
+    def __init__(self, X: np.ndarray, hp: GbdtHyper) -> None:
+        n, d = X.shape
+        self.X = X
+        self.hp = hp
+        self.ranks, self.order = _presort(X)
+        self.rows = np.arange(n)
         size = d * n
-        pairs = min(max_depth - 1, 2)  # depths 1 .. max_depth - 1 scan from cells
+        pairs = min(hp.max_depth - 1, 2)  # depths 1 .. max_depth - 1 scan from cells
         # the widest items first, so every view is aligned to its item
+        rank_type = self.ranks.dtype
         orders_at = 16 * size
         ranks_at = orders_at + 8 * size * pairs
         flags_at = ranks_at + rank_type.itemsize * size * pairs
@@ -330,105 +360,69 @@ class _Workspace:
         self.flags = block[flags_at : flags_at + size].view(bool)
         self.goes_left = block[flags_at + size :].view(bool)
         self.goes_left[:] = False
+        self.root = split_candidates(self.ranks, hp.min_leaf, self.flags)
+        self.leaf_of_row = np.empty(n, dtype=np.float64)
+        self.gh = np.empty(n, dtype=np.complex128)
 
+    def tree(self) -> dict:
+        """Grow one tree over every sample from the current gh."""
+        return self.grow(self.ranks, self.order, self.rows, 0, 0)
 
-def _cells(
-    ranks: np.ndarray,
-    order: np.ndarray,
-    keep: np.ndarray,
-    ranks_out: np.ndarray,
-    order_out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The kept cells of each feature row, in their sorted order (a stable
-    partition), written to the flat ranks_out and order_out, which hold
-    exactly as many cells; returned as (d, kept per row) views of them."""
-    at = keep.ravel().nonzero()[0]  # row-major: each row's kept cells in their order
-    d = ranks.shape[0]
-    return (
-        ranks.take(at, out=ranks_out, mode="clip").reshape(d, -1),
-        order.take(at, out=order_out, mode="clip").reshape(d, -1),
-    )
+    def grow(self, ranks: np.ndarray | None, order: np.ndarray | None, rows: np.ndarray,
+             depth: int, base: int) -> dict:
+        """Grow the subtree over one node's samples.
 
+        rows: (m,) the node's sample indices in ascending order. order,
+        ranks: (d, m) the same samples per feature, sorted by value with ties
+        in sample order, and the dense ranks of their values; None when the
+        node does not scan (at max_depth, or under 2 * min_leaf samples),
+        where only rows are read. A split partitions both stably, so each
+        child's rows are what a fresh stable argsort of its samples would
+        give. base: the offset of the node's own cells in cells (0 at the
+        root, whose cells are the presorted arrays). Each leaf's value is
+        written to leaf_of_row at its samples.
 
-def _build_tree(
-    X: np.ndarray,
-    ranks: np.ndarray | None,
-    order: np.ndarray | None,
-    rows: np.ndarray,
-    gh: np.ndarray,
-    depth: int,
-    hp,
-    leaf_of_row: np.ndarray,
-    ws: _Workspace,
-    base: int = 0,
-    cands: tuple[np.ndarray, np.ndarray] | None = None,
-) -> dict:
-    """Grow the subtree over one node's samples.
-
-    X: the fit's (n, d) training matrix; a split's threshold is read from it
-    through the sample index, X[order[f, n_left - 1], f], which is the float
-    the sorted values held, signed zero included. rows: (m,) the node's
-    sample indices in ascending order. order, ranks: (d, m) the same samples
-    per feature, sorted by value with ties in sample order, and the dense
-    ranks of their values (`_presort`); None when the node does not scan (at
-    max_depth, or under 2 * min_leaf samples), where only rows are read. A
-    split partitions both stably, so each child's rows are what a fresh
-    stable argsort of its samples would give. gh: (n,) every sample's
-    gradient (real part) and hessian (imaginary part); it is only read. Each
-    leaf's value is written to leaf_of_row at its samples.
-
-    ws: the fit's workspace. The node gathers into ws.gather, flags its
-    candidates and its children's masks in ws.flags, marks its left samples
-    in ws.goes_left (cleared before the children start), and writes the
-    cells of the children that scan into ws.cells at base, the offset of
-    the node's own cells (0 at the root, whose cells are the fit's presorted
-    arrays). The only node-sized arrays a node still allocates are its
-    children's rows, the flat nonzero indices of their cells, the scan's
-    candidate and gain arrays and a leaf's gathered gradients. cands: the
-    root's split_candidates, built once per fit; every other node builds
-    its own.
-    """
-    if ranks is not None:
-        d, m = ranks.shape
-        ghs = gh.take(order, out=ws.gather[: d * m].reshape(d, m), mode="clip")
-        if cands is None:
-            cands = split_candidates(ranks, hp.min_leaf, ws.flags)
-        feat, n_left, _ = best_split(ghs, cands, hp.lam)
-        if feat >= 0:
-            goes_left = ws.goes_left
-            sent = order[feat, :n_left]
-            goes_left[sent] = True
-            mid = base + d * n_left
-            left = right = (None, None)
-            if depth + 1 < hp.max_depth:
-                ranks_out, order_out = ws.cells[(depth + 1) % len(ws.cells)]
-                keep = goes_left.take(order, out=ws.flags[: d * m].reshape(d, m), mode="clip")
-                if n_left >= 2 * hp.min_leaf:
-                    left = _cells(ranks, order, keep, ranks_out[base:mid], order_out[base:mid])
-                if m - n_left >= 2 * hp.min_leaf:
-                    end = base + d * m
-                    np.logical_not(keep, out=keep)
-                    right = _cells(ranks, order, keep, ranks_out[mid:end], order_out[mid:end])
-            in_left = goes_left.take(rows, out=ws.flags[:m], mode="clip")
-            left_rows = rows.compress(in_left)
-            right_rows = rows.compress(np.logical_not(in_left, out=in_left))
-            goes_left[sent] = False
-            return {  # the threshold is read before the subtrees reuse this node's cells
-                "feature": feat,
-                "threshold": float(X[order[feat, n_left - 1], feat]),
-                "left": _build_tree(
-                    X, *left, left_rows, gh, depth + 1, hp, leaf_of_row, ws, base
-                ),
-                "right": _build_tree(
-                    X, *right, right_rows, gh, depth + 1, hp, leaf_of_row, ws, mid
-                ),
-            }
-    # float sums over the samples in their original order: a complex sum
-    # would group the additions differently
-    leaf = gh.take(rows)
-    value = float(leaf.real.sum()) / (float(leaf.imag.sum()) + hp.lam)
-    leaf_of_row[rows] = value
-    return {"value": value}
+        The only node-sized arrays a node allocates are its children's rows,
+        the flat nonzero indices of their cells, the scan's candidate and
+        gain arrays and a leaf's gathered gradients.
+        """
+        hp, gh = self.hp, self.gh
+        if ranks is not None:
+            d, m = ranks.shape
+            ghs = gh.take(order, out=self.gather[: d * m].reshape(d, m), mode="clip")
+            cands = self.root if depth == 0 else split_candidates(ranks, hp.min_leaf, self.flags)
+            feat, n_left, _ = best_split(ghs, cands, hp.lam)
+            if feat >= 0:
+                goes_left = self.goes_left
+                sent = order[feat, :n_left]
+                goes_left[sent] = True
+                mid = base + d * n_left
+                left = right = (None, None)
+                if depth + 1 < hp.max_depth:
+                    ranks_out, order_out = self.cells[(depth + 1) % len(self.cells)]
+                    keep = goes_left.take(order, out=self.flags[: d * m].reshape(d, m), mode="clip")
+                    if n_left >= 2 * hp.min_leaf:
+                        left = _cells(ranks, order, keep, ranks_out[base:mid], order_out[base:mid])
+                    if m - n_left >= 2 * hp.min_leaf:
+                        end = base + d * m
+                        np.logical_not(keep, out=keep)
+                        right = _cells(ranks, order, keep, ranks_out[mid:end], order_out[mid:end])
+                in_left = goes_left.take(rows, out=self.flags[:m], mode="clip")
+                left_rows = rows.compress(in_left)
+                right_rows = rows.compress(np.logical_not(in_left, out=in_left))
+                goes_left[sent] = False
+                return {  # the threshold is read before the subtrees reuse this node's cells
+                    "feature": feat,
+                    "threshold": float(self.X[order[feat, n_left - 1], feat]),
+                    "left": self.grow(*left, left_rows, depth + 1, base),
+                    "right": self.grow(*right, right_rows, depth + 1, mid),
+                }
+        # float sums over the samples in their original order: a complex sum
+        # would group the additions differently
+        leaf = gh.take(rows)
+        value = float(leaf.real.sum()) / (float(leaf.imag.sum()) + hp.lam)
+        self.leaf_of_row[rows] = value
+        return {"value": value}
 
 
 def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
@@ -440,7 +434,7 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
     histogram bins); nodes partition those orders instead of sorting again.
     The root's split candidates, which depend on the ranks only, are
     likewise found once per fit and reused by every tree's root scan, and
-    one workspace per fit holds every node's gather and child cells.
+    one `_Fit` per fit holds them with every node's gather and child cells.
 
     The model carries the training rows' final probabilities in
     training_probs; they equal predict_gbdt_batch(model, X) bit for bit,
@@ -465,13 +459,7 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
     trace: list[float] = []
     trees: list[list[dict]] = []
 
-    ranks, order = _presort(X)
-    rows = np.arange(n)
-    ws = _Workspace(d, n, hp.max_depth, ranks.dtype)
-    root = split_candidates(ranks, hp.min_leaf, ws.flags)
-    leaf_of_row = np.empty(n, dtype=np.float64)
-    gh = np.empty(n, dtype=np.complex128)
-
+    fit = _Fit(X, hp)
     rounds = 0 if degenerate else hp.rounds
     P = softmax_rows(F)  # of the margins a round starts from
     trace.append(_log_loss(P, Y))
@@ -479,12 +467,10 @@ def train_gbdt(X, y, hp: GbdtHyper) -> GbdtModel:
         round_trees = []
         for c in range(N_CLASSES):
             # assigned, not g + 1j * h, which can flip the sign of a zero
-            gh.real = Y[:, c] - P[:, c]
-            gh.imag = P[:, c] * (1.0 - P[:, c])
-            round_trees.append(
-                _build_tree(X, ranks, order, rows, gh, 0, hp, leaf_of_row, ws, 0, root)
-            )
-            F[:, c] += hp.learning_rate * leaf_of_row
+            fit.gh.real = Y[:, c] - P[:, c]
+            fit.gh.imag = P[:, c] * (1.0 - P[:, c])
+            round_trees.append(fit.tree())
+            F[:, c] += hp.learning_rate * fit.leaf_of_row
         trees.append(round_trees)
         P = softmax_rows(F)
         trace.append(_log_loss(P, Y))
@@ -548,5 +534,9 @@ def gbdt_from_dict(raw: dict) -> GbdtModel:
         degenerate=raw["degenerate"],
         feature_layout=str(raw["feature_layout"]),
     )
+    if not isinstance(model.trees, list) or not all(
+        isinstance(r, list) and len(r) == N_CLASSES for r in model.trees
+    ):
+        raise SchemaViolation("trees", f"must be an array of rounds of {N_CLASSES} tree objects")
     model.forest  # flattened at load, so every node is checked here
     return model

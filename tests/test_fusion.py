@@ -370,6 +370,24 @@ class TestFusionConfigIo:
         # a finite gate above 1 still disables the hybrid override
         assert FusionConfig.from_dict({"hybrid_prob_gate": 1.01}).hybrid_prob_gate == 1.01
 
+    @pytest.mark.parametrize(
+        "make, detail",
+        [
+            (lambda: Weights(w_crack=float("nan")), "w_crack must be >= 0"),
+            (lambda: Weights(w_spall=float("inf")), "w_spall must be finite and >= 0"),
+            (lambda: Weights(w_rebar=-1.0), "w_rebar must be >= 0"),
+            (lambda: V2Params(min_box_area=float("nan")), "min_box_area must be >= 0"),
+            (lambda: FusionConfig(hybrid_prob_gate=float("nan")),
+             "hybrid_prob_gate must be >= 0"),
+        ],
+    )
+    def test_settings_built_in_code_reject_nan(self, make, detail):
+        # the JSON path's number check never lets these through; a caller
+        # building the settings directly meets the dataclasses' own checks
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == detail
+
 
 # quantified properties over generated evidence
 

@@ -48,6 +48,24 @@ def test_hyperparameters_reject_non_finite_and_out_of_range(make, value):
         make(value)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: GbdtHyper(rounds=v),
+        lambda v: GbdtHyper(max_depth=v),
+        lambda v: GbdtHyper(min_leaf=v),
+        lambda v: LogRegHyper(iterations=v),
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_integer_hyperparameters_reject_bools_and_floats(make, value):
+    # a float would fail inside the fit's slicing or range(); True trains as 1
+    make(2)
+    make(np.int64(2))  # a numpy integer constructs too
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(value)
+
+
 def test_all_labels_identical_gives_flagged_priors_model():
     X = np.random.default_rng(0).normal(size=(30, 5))
     y = [DamageLevel.MEDIUM] * 30
@@ -298,6 +316,8 @@ def _node(raw) -> dict:
         (lambda raw: (raw.update(max_depth=1), _node(raw)["right"]["right"].update(extra=1)),
          "trees[1][2].right.right.extra"),
         (lambda raw: raw["trees"][0].__setitem__(3, "leaf"), "trees[0][3]"),
+        (lambda raw: raw["trees"][0].pop(), "trees"),
+        (lambda raw: raw.update(trees={}), "trees"),
         (lambda raw: raw.update(base_scores=[0.0, 0.0, 0.0]), "base_scores"),
         (lambda raw: raw.update(base_scores=[0.0, 0.0, float("nan"), 0.0]), "base_scores"),
         (lambda raw: raw.update(learning_rate=float("inf")), "learning_rate"),
@@ -585,41 +605,34 @@ def test_fit_leaves_its_inputs_unchanged(data):
     train_gbdt(X, y, hp)
     assert X.tobytes() == before.tobytes()
 
-    # the scan's in-place prefix sums run on a gather, never on the caller's gh
+    # the scan's in-place prefix sums run on a gather, never on the fit's gh
     n = X.shape[0]
-    ranks, order = gbdt_module._presort(X)
-    gh = np.empty(n, dtype=np.complex128)
-    gh.real = np.linspace(-1.0, 1.0, n)
-    gh.imag = np.linspace(0.1, 0.3, n)
-    kept = gh.copy()
-    leaf_of_row = np.empty(n)
-    ws = gbdt_module._Workspace(X.shape[1], n, hp.max_depth, ranks.dtype)
-    gbdt_module._build_tree(X, ranks, order, np.arange(n), gh, 0, hp, leaf_of_row, ws)
-    assert gh.tobytes() == kept.tobytes()
+    fit = gbdt_module._Fit(X, hp)
+    fit.gh.real = np.linspace(-1.0, 1.0, n)
+    fit.gh.imag = np.linspace(0.1, 0.3, n)
+    kept = fit.gh.copy()
+    fit.tree()
+    assert fit.gh.tobytes() == kept.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=tied_training_sets(), seed=st.integers(0, 2**32 - 1))
 def test_shared_workspace_leaves_no_mark_behind(data, seed):
-    # every tree of a fit reuses one workspace, so each split clears its
+    # every tree of a fit reuses one scratch block, so each split clears its
     # goes_left mark before the next node reads it
     X, _, hp = data
-    n, d = X.shape
-    ranks, order = gbdt_module._presort(X)
+    n = X.shape[0]
     rng = np.random.default_rng(seed)
-    shared = gbdt_module._Workspace(d, n, hp.max_depth, ranks.dtype)
+    shared = gbdt_module._Fit(X, hp)
     for _ in range(4):
-        gh = np.empty(n, dtype=np.complex128)
-        gh.real = rng.normal(size=n)
-        gh.imag = rng.uniform(0.05, 0.25, size=n)
+        g = rng.normal(size=n)
+        h = rng.uniform(0.05, 0.25, size=n)
         built = []
-        for ws in (shared, gbdt_module._Workspace(d, n, hp.max_depth, ranks.dtype)):
-            leaf_of_row = np.empty(n)
-            tree = gbdt_module._build_tree(
-                X, ranks, order, np.arange(n), gh, 0, hp, leaf_of_row, ws
-            )
-            assert not ws.goes_left.any()
-            built.append((tree, leaf_of_row.tobytes()))
+        for fit in (shared, gbdt_module._Fit(X, hp)):
+            fit.gh.real, fit.gh.imag = g, h
+            tree = fit.tree()
+            assert not fit.goes_left.any()
+            built.append((tree, fit.leaf_of_row.tobytes()))
         assert built[0] == built[1]
 
 
@@ -649,20 +662,18 @@ def test_packed_cumsum_parts_equal_float_cumsums_bit_for_bit(shape, data):
 def test_recorded_leaves_equal_forest_walk(data):
     X, y, hp = data
     built = []
-    build = gbdt_module._build_tree
+    grow_tree = gbdt_module._Fit.tree
 
-    def recording(*args):
-        depth, leaf_of_row = args[5], args[7]
-        tree = build(*args)
-        if depth == 0:
-            built.append((tree, leaf_of_row.copy()))
+    def recording(fit):
+        tree = grow_tree(fit)
+        built.append((tree, fit.leaf_of_row.copy()))
         return tree
 
-    gbdt_module._build_tree = recording
+    gbdt_module._Fit.tree = recording
     try:
         model = train_gbdt(X, y, hp)
     finally:
-        gbdt_module._build_tree = build
+        gbdt_module._Fit.tree = grow_tree
     assert len(built) == 4 * model.rounds
     for tree, leaves in built:
         walked = gbdt_module.Forest.from_trees([[tree]], hp.max_depth, X.shape[1])
