@@ -9,16 +9,17 @@ order, each over the whole chunk: the cascade, which the backend's
 `cascade_chunk` yields image by image (the external backend exchanges the
 whole chunk with its children first), rule fusion, feature extraction and
 one batch meta predict (hybrid only), then one write of the chunk's
-records. A failing image ends the cascade stage, so the records before it
-are written before its error is raised and no image after it is read or
-asked for again; under --keep-going it is skipped instead, and its error
-goes to stderr as the same JSON line a fatal failure prints. train-meta
-runs the same cascade stage chunk by chunk, and fuse takes its one
-detection file's result from the file backend's `cascade_chunk`, as a
-one-entry manifest. Exit codes: 0 success, 1 runtime failure (structured
-JSON error on stderr), 2 usage error. Every command writes its stdout
-through one helper, so a stdout whose reader is gone is an IoFailure like
-any other failed write.
+records. One generator, `_graded`, runs the cascade and rule fusion for
+assess and train-meta alike. A failing image ends its chunk's cascade, so no
+image after it is read or asked for again, and its error is raised once the
+chunk's records are written; under --keep-going it is skipped instead, and
+its error goes to stderr as the same JSON line a fatal failure prints.
+train-meta writes each image's features into its training matrix. fuse does
+not chunk: it takes its one detection file's result from the file backend's
+`cascade_chunk`, as a one-entry manifest. Exit codes: 0 success, 1
+runtime failure (structured JSON error on stderr), 2 usage error. Every
+command writes its stdout through one helper, so a stdout whose reader is
+gone is an IoFailure like any other failed write.
 
 Each command imports only what it runs: numpy and the meta package load only
 in the commands that load or train a meta-model (and `meta.hyper` only in
@@ -151,22 +152,26 @@ def _assessment_record(out, rule, probs, final) -> dict:
     }
 
 
-def _cascade_chunk(
-    chunk, backend: Backend, keep_going: bool
-) -> tuple[list, RuinscoreError | None]:
-    """The cascade outputs of a chunk's entries in manifest order, and the
-    failure, tagged with its image id, that ended the chunk early. Under
-    `keep_going` a failing entry is skipped with its error line on stderr instead."""
-    outs = []
-    for entry, out in zip(chunk, backend.cascade_chunk(chunk)):
-        if isinstance(out, RuinscoreError):
-            out.image_id = entry.id
-            if not keep_going:
-                return outs, out
-            sys.stderr.write(_error_line(out))
-        else:
-            outs.append(out)
-    return outs, None
+def _graded(entries, backend: Backend, config: FusionConfig, keep_going: bool):
+    """Each CHUNK_SIZE slice of `entries` as `(outs, rules)`: the cascade
+    outputs served, in manifest order, and their rule fusion decisions. A
+    failing entry gets its image id and, under `keep_going`, a stderr line;
+    otherwise it ends the chunk, raised once the caller asks for the next."""
+    for start in range(0, len(entries), CHUNK_SIZE):
+        chunk = entries[start : start + CHUNK_SIZE]
+        outs, failure = [], None
+        for entry, out in zip(chunk, backend.cascade_chunk(chunk)):
+            if isinstance(out, RuinscoreError):
+                out.image_id = entry.id
+                if not keep_going:
+                    failure = out
+                    break
+                sys.stderr.write(_error_line(out))
+            else:
+                outs.append(out)
+        yield outs, [rule_fusion(out, config) for out in outs]
+        if failure is not None:
+            raise failure
 
 
 def _cmd_assess(args) -> int:
@@ -196,10 +201,7 @@ def _cmd_assess(args) -> int:
             # a chunk's images go to at most CHUNK_SIZE children; more never get one
             jobs = min(args.jobs, CHUNK_SIZE)
             backend = ExternalBackend(backend_cfg.command, backend_cfg.timeout_s, jobs)
-        for start in range(0, len(images), CHUNK_SIZE):
-            chunk = images[start : start + CHUNK_SIZE]
-            outs, failure = _cascade_chunk(chunk, backend, args.keep_going)
-            rules = [rule_fusion(out, config) for out in outs]
+        for outs, rules in _graded(images, backend, config, args.keep_going):
             probs = [None] * len(outs)
             if model is not None and outs:
                 rows = [meta.extract_features(out, rule) for out, rule in zip(outs, rules)]
@@ -213,8 +215,6 @@ def _cmd_assess(args) -> int:
                 "".join(map(dataset_io.encode_json_line, records)),
                 f"assessments to {args.out or 'stdout'}",
             )
-            if failure is not None:
-                raise failure
     finally:
         if args.out:
             out_stream.close()
@@ -266,13 +266,11 @@ def _cmd_train_meta(args) -> int:
         raise DegenerateData("no manifest entry carries ground_truth_level")
     # the one training matrix: each image's features are written into it
     X = np.empty((len(labeled), meta.FEATURE_DIM), dtype=np.float64)
-    for start in range(0, len(labeled), CHUNK_SIZE):
-        chunk = labeled[start : start + CHUNK_SIZE]
-        outs, failure = _cascade_chunk(chunk, backend, keep_going=False)
-        if failure is not None:
-            raise failure
-        for row, out in enumerate(outs, start):
-            X[row] = meta.extract_features(out, rule_fusion(out, config))
+    row = 0
+    for outs, rules in _graded(labeled, backend, config, keep_going=False):
+        for out, rule in zip(outs, rules):
+            X[row] = meta.extract_features(out, rule)
+            row += 1
     y = [entry.ground_truth_level for entry in labeled]
 
     train = meta.train_logreg if args.kind == "logreg" else meta.train_gbdt

@@ -7,8 +7,9 @@ conventions are supported: a line-based box text format (`class_id cx cy w h
 [conf]`, `#` comments) and a JSON schema with class names, resolved against
 the file's class enum. `check_confidence` also checks the scene's confidence
 on `backend.CascadeOutput`; `check_object` and `check_number` check every
-strict JSON object and number the engine reads. All values are immutable and
-safe to share across threads.
+strict JSON object and number the engine reads, and `check_count` every
+integer setting of the library API. All values are immutable and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum, IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     BadLine,
@@ -313,6 +314,15 @@ def check_object(raw: object, keys, where: str = "$", what: str = "expected an o
     return raw
 
 
+def check_count(value: object, name: str, low: int) -> None:
+    """An integer >= `low`, not a bool (numpy integers pass); ValueError otherwise."""
+    import numbers  # here, so the commands that build no setting never load it
+
+    # a bool would count as 0 or 1, a float fail deep inside its consumer
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value >= low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+
+
 def check_number(value: object, where: str) -> None:
     """The one number check for config and model files: an int or float, not
     a bool, and finite as a float (an int beyond the float range is not).
@@ -561,19 +571,6 @@ def read_detections(path: str | os.PathLike, class_map: Mapping[int, Enum], enum
     if os.fspath(path).endswith(".json"):
         return detections_from_obj(decode_json(text), enum_cls)
     return parse_box_text(text, class_map)
-
-
-def detections_to_json(detections: Iterable[Detection]) -> str:
-    """Serialize detections to the JSON schema; detections_from_obj inverts this."""
-    items = [
-        {
-            "class": d.cls.value,
-            "box": [d.cx, d.cy, d.w, d.h],
-            "confidence": d.confidence,
-        }
-        for d in detections
-    ]
-    return json.dumps({"detections": items})
 
 
 def detections_to_box_text(

@@ -13,7 +13,7 @@ toggle, serialized as a strict JSON file whose objects and numbers
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -122,17 +122,6 @@ class FusionConfig:
             raise ValueError("conf_floor must be in [0, 1]")
         if not self.hybrid_prob_gate >= 0.0:  # NaN fails too
             raise ValueError("hybrid_prob_gate must be >= 0")
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Enum):
-                value = value.value
-            elif is_dataclass(value):
-                value = asdict(value)
-            out[f.name] = value
-        return out
 
     @staticmethod
     def from_dict(raw: dict) -> "FusionConfig":
@@ -295,19 +284,6 @@ def _filter_with_tags(
     return kept, spalls, rebars, tags
 
 
-def filter_detections(
-    damages: Sequence[Detection],
-    scene: SceneClass,
-    config: FusionConfig,
-) -> list[Detection]:
-    """Confidence and (v2) area filtering; input order is preserved.
-
-    v1 keeps detections with confidence >= conf_floor. v2 raises the floor to
-    inside_conf_floor indoors and drops boxes smaller than min_box_area.
-    """
-    return _filter_with_tags(damages, scene, config)[0]
-
-
 def validate_rebar(
     rebar: Detection,
     spalls: Sequence[Detection],
@@ -391,16 +367,6 @@ def rule_fusion(out, config: FusionConfig) -> RuleDecision:
     return RuleDecision(
         level, score, n_crack, n_spall, n_rebar, n_valid, n_valid > 0, tuple(tags), tuple(kept)
     )
-
-
-def recompute_score(decision: RuleDecision, config: FusionConfig) -> float:
-    """Rebuild the score from the decision's own counts and tags (audit path)."""
-    base = weighted_score(
-        decision.n_crack, decision.n_spall, decision.n_rebar_raw - decision.n_rebar_valid, config
-    )
-    if TAG_AMBIGUITY_BIAS in decision.applied_filters:
-        base *= config.v2.no_component_score_factor
-    return base
 
 
 def meta_argmax(probs: Sequence[float]) -> DamageLevel:

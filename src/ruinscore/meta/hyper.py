@@ -7,14 +7,9 @@ values and the training data fix the model bytes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-
-def _check_count(value: object, name: str, low: int) -> None:
-    # a bool would train as 0 or 1, a float fail deep inside the fit
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value >= low:
-        raise ValueError(f"{name} must be an integer >= {low}")
+from ..dataset_io import check_count
 
 
 @dataclass(frozen=True)
@@ -29,7 +24,7 @@ class LogRegHyper:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0 <= self.l2 < math.inf:
             raise ValueError("l2 must be finite and >= 0")
-        _check_count(self.iterations, "iterations", 0)
+        check_count(self.iterations, "iterations", 0)
 
 
 @dataclass(frozen=True)
@@ -41,11 +36,11 @@ class GbdtHyper:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_count(self.rounds, "rounds", 0)
+        check_count(self.rounds, "rounds", 0)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
-        _check_count(self.max_depth, "max_depth", 1)
-        _check_count(self.min_leaf, "min_leaf", 1)
+        check_count(self.max_depth, "max_depth", 1)
+        check_count(self.min_leaf, "min_leaf", 1)
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be finite and > 0")
 

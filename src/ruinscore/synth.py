@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .dataset_io import (
     DamageLevel,
     DatasetManifest,
     Detection,
+    check_count,
     detections_to_box_text,
     load_manifest,
 )
@@ -46,7 +48,8 @@ class XorShift64Star:
     """xorshift64* stream seeded through splitmix64; see the module docstring."""
 
     def __init__(self, seed: int):
-        z = (seed + 0x9E3779B97F4A7C15) & _MASK64
+        # as a Python int: a numpy integer would overflow its fixed width here
+        z = (operator.index(seed) + 0x9E3779B97F4A7C15) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         z ^= z >> 31
@@ -100,6 +103,9 @@ class SynthSpec:
             raise ValueError("seed must be in [0, 2**64)")
         if self.n_images < 0:
             raise ValueError("n_images must be >= 0")
+        # after the range checks, whose words an out-of-range integer keeps
+        check_count(self.seed, "seed", 0)
+        check_count(self.n_images, "n_images", 0)
         if len(self.level_priors) != 4 or any(not 0 <= p <= 1 for p in self.level_priors):
             raise ValueError("level_priors must be 4 numbers in [0, 1]")
         if abs(sum(self.level_priors) - 1.0) > 1e-9:

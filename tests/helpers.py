@@ -1,4 +1,5 @@
-"""Shared test utilities: random evidence generators and independent oracles.
+"""Shared test utilities: random evidence generators, independent oracles
+and the serializers only tests need.
 
 The oracles here deliberately avoid the library's own helpers so they stay
 independent checks: the rule oracle hardcodes the default v1 constants and
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import asdict, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 from ruinscore.backend import CascadeOutput, cascade_tasks
@@ -23,6 +26,7 @@ from ruinscore.dataset_io import (
     read_detections,
 )
 from ruinscore.errors import MissingEvidence, RuinscoreError
+from ruinscore.fusion import TAG_AMBIGUITY_BIAS, FusionConfig, RuleDecision, weighted_score
 
 DAMAGE_CLASSES = (DamageClass.CRACK, DamageClass.SPALLING, DamageClass.EXPOSED_REBAR)
 COMPONENT_CLASSES = (ComponentClass.BEAM, ComponentClass.COLUMN, ComponentClass.WALL)
@@ -123,6 +127,42 @@ def oracle_v1_level(n_crack: int, n_spall: int, n_rebar: int) -> tuple[DamageLev
     if score >= 1.0:
         return DamageLevel.SLIGHT, score
     return DamageLevel.ZERO, score
+
+
+def recompute_score(decision: RuleDecision, config: FusionConfig) -> float:
+    """Rebuild the score from the decision's own counts and tags."""
+    base = weighted_score(
+        decision.n_crack, decision.n_spall, decision.n_rebar_raw - decision.n_rebar_valid, config
+    )
+    if TAG_AMBIGUITY_BIAS in decision.applied_filters:
+        base *= config.v2.no_component_score_factor
+    return base
+
+
+def config_to_dict(config: FusionConfig) -> dict:
+    """The JSON object `FusionConfig.from_dict` reads back as `config`."""
+    out: dict = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif is_dataclass(value):
+            value = asdict(value)
+        out[f.name] = value
+    return out
+
+
+def detections_to_json(detections) -> str:
+    """Detections in the JSON schema; `dataset_io.detections_from_obj` inverts this."""
+    items = [
+        {
+            "class": d.cls.value,
+            "box": [d.cx, d.cy, d.w, d.h],
+            "confidence": d.confidence,
+        }
+        for d in detections
+    ]
+    return json.dumps({"detections": items})
 
 
 def naive_metrics(pairs) -> dict:

@@ -29,7 +29,7 @@ from ruinscore.evaluate import compute_metrics, confusion_matrix, render_report
 from ruinscore.fusion import (
     DEFAULT_CONFIG,
     FusionConfig,
-    filter_detections,
+    _filter_with_tags,
     rule_fusion,
     validate_rebar,
 )
@@ -65,7 +65,7 @@ def test_criterion_1_rule_semantics_properties():
         for out in outputs:
             decision = rule_fusion(out, config)
 
-            filtered = filter_detections(out.damages, out.scene, config)
+            filtered = _filter_with_tags(out.damages, out.scene, config)[0]
             spalls = [d for d in filtered if d.cls is DamageClass.SPALLING]
             has_valid_rebar = any(
                 d.cls is DamageClass.EXPOSED_REBAR

@@ -1075,6 +1075,41 @@ class TestTrainMeta:
         assert out == f"trained {kind}: n=300 {printed} model={model}\n"
         assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
 
+    def test_training_rows_equal_the_rows_assess_predicts_on(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # a noisy v2 corpus over three chunks: train-meta's matrix and the
+        # rows assess hands the meta-model come from the same chunk pipeline
+        n = 2 * cli.CHUNK_SIZE + 22
+        assert main(["gen-synthetic", "--seed", "4", "--n", str(n), "--out", str(tmp_path / "d"),
+                     "--false-positive-rate", "0.2", "--confidence-jitter-sd", "0.1",
+                     "--drop-rate", "0.1"]) == 0
+        manifest, model = str(tmp_path / "d" / "manifest.json"), str(tmp_path / "m.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": "v2"}))
+        trained, predicted = [], []
+        train_logreg, predict_batch = meta.train_logreg, meta.predict_batch
+
+        def capture_train(X, y, hp):
+            trained.append(X.copy())
+            return train_logreg(X, y, hp)
+
+        def capture_predict(model, X):
+            predicted.append(np.asarray(X, dtype=np.float64))
+            return predict_batch(model, X)
+
+        monkeypatch.setattr(meta, "train_logreg", capture_train)
+        monkeypatch.setattr(meta, "predict_batch", capture_predict)
+        code, _, _ = run(capsys, "train-meta", "--manifest", manifest, "--config", str(config),
+                         "--kind", "logreg", "--iterations", "5", "--out", model)
+        assert code == 0
+        code, _, _ = run(capsys, "assess", "--manifest", manifest, "--config", str(config),
+                         "--meta-model", model)
+        assert code == 0
+        [X] = trained
+        assert X.shape == (n, meta.FEATURE_DIM)
+        assert [len(rows) for rows in predicted] == [cli.CHUNK_SIZE, cli.CHUNK_SIZE, 22]
+        assert np.concatenate(predicted).tobytes() == X.tobytes()
+
     @pytest.mark.parametrize("kind", ["logreg", "gbdt"])
     def test_training_probs_equal_a_fresh_predict(self, noisy_corpus, kind):
         # train-meta's accuracy reads the trainer's own probabilities of its rows
@@ -1691,8 +1726,9 @@ class TestNumpyImport:
             ["assess", "--manifest", str(fixture3), "--out", out],
             ["evaluate", "--assessments", out, "--manifest", str(fixture3)],
             ["fuse", "--detections", str(fixtures_dir / "fixture3" / "labels" / "img_c.txt")],
+            ["gen-synthetic", "--seed", "1", "--n", "3", "--out", str(tmp_path / "synth")],
         )
-        assert result == {"codes": [0, 0, 0], "numpy": False, "threads": 1, "futures": False}
+        assert result == {"codes": [0, 0, 0, 0], "numpy": False, "threads": 1, "futures": False}
 
     def test_meta_model_commands_import_numpy(self, fixture3, tmp_path):
         model, out = str(tmp_path / "m.json"), tmp_path / "a.jsonl"

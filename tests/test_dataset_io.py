@@ -30,7 +30,6 @@ from ruinscore.dataset_io import (
     check_object,
     decode_json,
     detections_from_obj,
-    detections_to_json,
     load_manifest,
     parse_box_text,
     read_detections,
@@ -47,7 +46,7 @@ from ruinscore.errors import (
 )
 from ruinscore.fusion import RuleDecision
 
-from helpers import write_dataset
+from helpers import detections_to_json, write_dataset
 
 
 class TestBoundingBox:

@@ -12,11 +12,11 @@ from ruinscore.dataset_io import (
     Detection,
     SceneClass,
 )
-from ruinscore.fusion import DEFAULT_CONFIG, FusionConfig, recompute_score, rule_fusion
+from ruinscore.fusion import DEFAULT_CONFIG, FusionConfig, rule_fusion
 from ruinscore.meta import FEATURE_DIM, FEATURE_NAMES, extract_features
 from ruinscore.synth import SynthSpec, gen_synthetic
 
-from helpers import rand_cascade
+from helpers import rand_cascade, recompute_score
 
 INSIDE = SceneClass.INSIDE
 OUTSIDE = SceneClass.OUTSIDE

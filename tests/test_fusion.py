@@ -29,17 +29,16 @@ from ruinscore.fusion import (
     Thresholds,
     V2Params,
     Weights,
+    _filter_with_tags,
     containment_ratio,
-    filter_detections,
     final_decision,
     iou,
-    recompute_score,
     rule_fusion,
     validate_rebar,
     weighted_score,
 )
 
-from helpers import oracle_v1_level, rand_cascade, rand_damage
+from helpers import config_to_dict, oracle_v1_level, rand_cascade, rand_damage, recompute_score
 
 V2_CONFIG = FusionConfig.from_dict({"version": "v2"})
 OUTSIDE = SceneClass.OUTSIDE
@@ -62,6 +61,11 @@ def boxed(cx, cy, w, h):
 
 def cascade(damages=(), components=(), scene=OUTSIDE):
     return CascadeOutput("t", scene, 1.0, tuple(components), tuple(damages))
+
+
+def survivors(damages, scene, config):
+    """The damages rule fusion kept through its filters, in input order."""
+    return list(rule_fusion(cascade(damages, scene=scene), config).survivors)
 
 
 class TestIou:
@@ -88,14 +92,14 @@ class TestIou:
 
 class TestFilterDetections:
     def test_empty(self):
-        assert filter_detections([], OUTSIDE, DEFAULT_CONFIG) == []
+        assert survivors([], OUTSIDE, DEFAULT_CONFIG) == []
 
     def test_v1_conf_floor(self):
         dets = [
             dmg(DamageClass.CRACK, box(0.5, 0.5, 0.1, 0.1), 0.2),
             dmg(DamageClass.CRACK, box(0.5, 0.5, 0.1, 0.1), 0.3),
         ]
-        kept = filter_detections(dets, OUTSIDE, DEFAULT_CONFIG)
+        kept = survivors(dets, OUTSIDE, DEFAULT_CONFIG)
         assert [d.confidence for d in kept] == [0.3]
 
     def test_v2_inside_floor(self):
@@ -103,21 +107,21 @@ class TestFilterDetections:
             dmg(DamageClass.SPALLING, box(0.5, 0.5, 0.1, 0.1), 0.3),
             dmg(DamageClass.SPALLING, box(0.5, 0.5, 0.1, 0.1), 0.5),
         ]
-        kept = filter_detections(dets, INSIDE, V2_CONFIG)
+        kept = survivors(dets, INSIDE, V2_CONFIG)
         assert [d.confidence for d in kept] == [0.5]
         # outside, the base floor applies and both survive
-        assert len(filter_detections(dets, OUTSIDE, V2_CONFIG)) == 2
+        assert len(survivors(dets, OUTSIDE, V2_CONFIG)) == 2
 
     def test_v2_min_area(self):
         tiny = dmg(DamageClass.CRACK, box(0.5, 0.5, 0.01, 0.01), 0.9)  # area 1e-4
         big = dmg(DamageClass.CRACK, box(0.5, 0.5, 0.1, 0.1), 0.9)
-        assert filter_detections([tiny, big], OUTSIDE, V2_CONFIG) == [big]
-        assert filter_detections([tiny, big], OUTSIDE, DEFAULT_CONFIG) == [tiny, big]
+        assert survivors([tiny, big], OUTSIDE, V2_CONFIG) == [big]
+        assert survivors([tiny, big], OUTSIDE, DEFAULT_CONFIG) == [tiny, big]
 
     def test_order_preserved(self):
         rng = random.Random(5)
         dets = [rand_damage(rng) for _ in range(20)]
-        kept = filter_detections(dets, OUTSIDE, DEFAULT_CONFIG)
+        kept = survivors(dets, OUTSIDE, DEFAULT_CONFIG)
         assert kept == [d for d in dets if d.confidence >= 0.25]
 
 
@@ -300,7 +304,7 @@ class TestFinalDecision:
 
 class TestFusionConfigIo:
     def test_defaults_round_trip(self):
-        assert FusionConfig.from_dict(DEFAULT_CONFIG.to_dict()) == DEFAULT_CONFIG
+        assert FusionConfig.from_dict(config_to_dict(DEFAULT_CONFIG)) == DEFAULT_CONFIG
         # a config with every field changed keeps the field-derived keys complete
         config = FusionConfig(
             version=FusionVersion.V2,
@@ -319,10 +323,10 @@ class TestFusionConfigIo:
             decision_mode=DecisionMode.HYBRID,
             hybrid_prob_gate=0.7,
         )
-        raw = config.to_dict()
+        raw = config_to_dict(config)
         assert FusionConfig.from_dict(raw) == config
         # every field, nested ones included, differs from its default
-        defaults = DEFAULT_CONFIG.to_dict()
+        defaults = config_to_dict(DEFAULT_CONFIG)
         for key, value in raw.items():
             if isinstance(value, dict):
                 assert all(value[k] != defaults[key][k] for k in value), key
@@ -401,7 +405,7 @@ def cascades(draw):
 @settings(max_examples=150, deadline=None)
 @given(cascades(), st.sampled_from([DEFAULT_CONFIG, V2_CONFIG]))
 def test_property_rebar_dominance(out, config):
-    filtered = filter_detections(out.damages, out.scene, config)
+    filtered = _filter_with_tags(out.damages, out.scene, config)[0]
     spalls = [d for d in filtered if d.cls is DamageClass.SPALLING]
     has_valid_rebar = any(
         d.cls is DamageClass.EXPOSED_REBAR
@@ -412,13 +416,6 @@ def test_property_rebar_dominance(out, config):
     if has_valid_rebar:
         assert decision.level is DamageLevel.HEAVY
         assert decision.rebar_forced
-
-
-@settings(max_examples=150, deadline=None)
-@given(cascades(), st.sampled_from([DEFAULT_CONFIG, V2_CONFIG]))
-def test_property_survivors_are_the_filtered_detections(out, config):
-    decision = rule_fusion(out, config)
-    assert decision.survivors == tuple(filter_detections(out.damages, out.scene, config))
 
 
 @settings(max_examples=150, deadline=None)

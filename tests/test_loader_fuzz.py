@@ -22,7 +22,7 @@ from ruinscore.dataset_io import DEFAULT_COMPONENT_CLASS_MAP, DEFAULT_DAMAGE_CLA
 from ruinscore.fusion import FusionConfig, FusionVersion
 from ruinscore.meta import FEATURE_DIM
 
-from helpers import write_dataset
+from helpers import config_to_dict, write_dataset
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -220,7 +220,7 @@ def test_nul_in_a_detection_path_skips_only_its_image(tmp_path):
 
 # every config key, backend section included; assess runs on the file backend
 CONFIG = {
-    **FusionConfig(version=FusionVersion.V2).to_dict(),
+    **config_to_dict(FusionConfig(version=FusionVersion.V2)),
     "backend": {"command": ["detector"], "timeout_s": 5},
 }
 

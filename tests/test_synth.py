@@ -4,6 +4,7 @@ import filecmp
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ruinscore.backend import FileBackend
@@ -97,6 +98,22 @@ class TestGenSynthetic:
     def test_invalid_priors_rejected(self):
         with pytest.raises(ValueError):
             SynthSpec(seed=1, n_images=1, level_priors=(0.5, 0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "seed, n_images, name",
+        [(1, 2.5, "n_images"), (1.5, 2, "seed"), (True, True, "seed")],
+    )
+    def test_integer_fields_reject_bools_and_floats(self, seed, n_images, name):
+        # each used to construct, then fail in gen_synthetic or run from seed 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0$"):
+            SynthSpec(seed=seed, n_images=n_images)
+
+    def test_numpy_integers_generate_as_python_ints(self, tmp_path):
+        gen_synthetic(SynthSpec(seed=np.int64(11), n_images=np.int64(6)), tmp_path / "a")
+        gen_synthetic(SynthSpec(seed=11, n_images=6), tmp_path / "b")
+        for rel in ["manifest.json", *(p.relative_to(tmp_path / "b")
+                                       for p in (tmp_path / "b").rglob("*.txt"))]:
+            assert filecmp.cmp(tmp_path / "a" / rel, tmp_path / "b" / rel, shallow=False), rel
 
     def test_monotone_degradation_with_false_positives(self, tmp_path):
         means = []
