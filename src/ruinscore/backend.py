@@ -172,6 +172,7 @@ class ExternalBackend:
     ):
         if not command:
             raise BackendUnavailable("external backend command is empty")
+        dataset_io.check_count(jobs, "jobs", 1)
         self.command = list(command)
         self.timeout_s = timeout_s
         self._children: list[_Child | None] = [self._spawn()] + [None] * (jobs - 1)
@@ -389,15 +390,15 @@ def _scene_from_response(response: dict) -> tuple[SceneClass, float]:
     conf = response.get("confidence")
     if not isinstance(name, str):
         raise ProtocolViolation("scene response misses a 'scene' name")
-    if not isinstance(conf, (int, float)) or isinstance(conf, bool):
-        raise ProtocolViolation("scene response misses a numeric 'confidence'")
     scene = dataset_io.CLASS_BY_NAME[SceneClass].get(name)
     if scene is None:
         raise ProtocolViolation(f"{name!r} is not a valid SceneClass")
     try:
-        conf = float(conf)
+        if type(conf) is not float:
+            dataset_io.check_number(conf, "confidence")
+            conf = float(conf)
         check_confidence(conf)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for float
+    except (SchemaViolation, ValueError) as exc:
         raise ProtocolViolation(str(exc)) from None
     return scene, conf
 

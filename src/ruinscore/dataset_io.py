@@ -6,10 +6,10 @@ detectors, its `cls` a DamageClass or ComponentClass member. Two on-disk
 conventions are supported: a line-based box text format (`class_id cx cy w h
 [conf]`, `#` comments) and a JSON schema with class names, resolved against
 the file's class enum. `check_confidence` also checks the scene's confidence
-on `backend.CascadeOutput`; `check_object` and `check_number` check every
-strict JSON object and number the engine reads, and `check_count` every
-integer setting of the library API. All values are immutable and safe to
-share across threads.
+on `backend.CascadeOutput`; `check_object`, `check_number` and `check_int`
+check every strict JSON object, number and integer the engine reads, and
+`check_count` every integer setting of the library API. All values are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -333,6 +333,16 @@ def check_number(value: object, where: str) -> None:
         raise SchemaViolation(where, "must be finite")
 
 
+def check_int(value: object, where: str, low: int, high: int | None = None) -> int:
+    """The one integer check for JSON inputs: `value` when it is an int, not
+    a bool, >= `low` and, when `high` is given, <= `high`; SchemaViolation
+    at `where` otherwise."""
+    if type(value) is int and low <= value and (high is None or value <= high):
+        return value
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise SchemaViolation(where, f"must be an integer {bound}")
+
+
 # json.dumps with its default arguments, as one C encoder built once: json.dumps
 # builds a new one per call. It keeps no circular-reference markers: every
 # value it is given is a fresh tree, and markers kept across calls could hold
@@ -398,10 +408,8 @@ def _parse_entry(raw: object, index: int, prefix: str) -> ImageEntry:
 
     level = raw.get("ground_truth_level")
     if level is not None:
-        if not isinstance(level, int) or isinstance(level, bool) or level not in (0, 1, 2, 3):
-            raise SchemaViolation(
-                f"images[{index}].ground_truth_level", "must be an integer in 0..3"
-            )
+        if not (type(level) is int and 0 <= level <= 3):
+            check_int(level, f"images[{index}].ground_truth_level", 0, 3)
         level = _LEVELS[level]
 
     scene = raw.get("scene")
@@ -540,15 +548,15 @@ def _detection_from_obj(obj: object, by_name: dict, index: int):
     if not isinstance(box, list) or len(box) != 4:
         raise SchemaViolation(f"detections[{index}].box", "must be [cx, cy, w, h]")
     conf = obj.get("confidence", 1.0)
-    if not isinstance(conf, (int, float)) or isinstance(conf, bool):
-        raise SchemaViolation(f"detections[{index}].confidence", "must be a number")
+    if type(conf) is not float:
+        check_number(conf, f"detections[{index}].confidence")
     for i, v in enumerate(box):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaViolation(f"detections[{index}].box[{i}]", "must be a number")
+        if type(v) is not float:
+            check_number(v, f"detections[{index}].box[{i}]")
     cx, cy, w, h = box
     try:
         return Detection(cls, float(cx), float(cy), float(w), float(h), float(conf))
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for float
+    except ValueError as exc:
         raise SchemaViolation(f"detections[{index}]", str(exc)) from None
 
 

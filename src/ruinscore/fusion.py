@@ -118,6 +118,11 @@ class FusionConfig:
     hybrid_prob_gate: float = 0.6
 
     def __post_init__(self) -> None:
+        # a plain string would pass some `is` tests of the enum and fail others
+        if not isinstance(self.version, FusionVersion):
+            raise ValueError(f"version must be a FusionVersion, not {self.version!r}")
+        if not isinstance(self.decision_mode, DecisionMode):
+            raise ValueError(f"decision_mode must be a DecisionMode, not {self.decision_mode!r}")
         if not 0.0 <= self.conf_floor <= 1.0:
             raise ValueError("conf_floor must be in [0, 1]")
         if not self.hybrid_prob_gate >= 0.0:  # NaN fails too

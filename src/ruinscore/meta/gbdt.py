@@ -28,10 +28,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..dataset_io import check_number, check_object
+from ..dataset_io import check_int, check_number, check_object
 from ..errors import DegenerateData, DimensionMismatch, SchemaViolation
 from .features import FEATURE_LAYOUT
-from .logreg import N_CLASSES, _as_matrix, _finite_array, _json_int, _log_loss, _one_hot
+from .logreg import N_CLASSES, _as_matrix, _finite_array, _log_loss, _one_hot
 from .logreg import _training_matrix, softmax_rows
 
 if TYPE_CHECKING:
@@ -106,11 +106,7 @@ class Forest:
                             v = float(v)
                         value[idx] = v
                         continue
-                    feat = node.get("feature")
-                    if not isinstance(feat, int) or isinstance(feat, bool) or not 0 <= feat < dim:
-                        raise SchemaViolation(
-                            where + ".feature", f"must be an integer in [0, {dim})"
-                        )
+                    feat = check_int(node.get("feature"), where + ".feature", 0, dim - 1)
                     thr = node.get("threshold")
                     if type(thr) is not float or not -top <= thr <= top:
                         check_number(thr, where + ".threshold")
@@ -520,9 +516,7 @@ def gbdt_from_dict(raw: dict) -> GbdtModel:
     check_number(raw["learning_rate"], "learning_rate")
     if not raw["learning_rate"] > 0:
         raise SchemaViolation("learning_rate", "must be > 0")
-    max_depth = _json_int(raw["max_depth"], "max_depth")
-    if max_depth < 1:
-        raise SchemaViolation("max_depth", "must be >= 1")
+    max_depth = check_int(raw["max_depth"], "max_depth", 1)
     if not isinstance(raw["degenerate"], bool):
         raise SchemaViolation("degenerate", "must be true or false")
     model = GbdtModel(
@@ -530,7 +524,7 @@ def gbdt_from_dict(raw: dict) -> GbdtModel:
         base_scores=_finite_array(raw, "base_scores", (N_CLASSES,)),
         learning_rate=float(raw["learning_rate"]),
         max_depth=max_depth,
-        dim=_json_int(raw["dim"], "dim"),
+        dim=check_int(raw["dim"], "dim", 0),
         degenerate=raw["degenerate"],
         feature_layout=str(raw["feature_layout"]),
     )

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..dataset_io import check_number, check_object
+from ..dataset_io import check_int, check_number, check_object
 from ..errors import DegenerateData, DimensionMismatch, NonFiniteLoss, SchemaViolation
 from .features import FEATURE_LAYOUT
 
@@ -74,13 +74,6 @@ def _finite_array(raw: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     for v in value if len(shape) == 1 else itertools.chain.from_iterable(value):
         check_number(v, key)
     return arr
-
-
-def _json_int(value: object, where: str) -> int:
-    """A model file's integer field: a JSON integer, not a bool or a float."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaViolation(where, "must be an integer")
-    return value
 
 
 def _one_hot(y, n: int) -> np.ndarray:
@@ -198,12 +191,10 @@ def logreg_to_dict(model: LogRegModel) -> dict:
 
 def logreg_from_dict(raw: dict) -> LogRegModel:
     check_object(raw, _FILE_KEYS)
-    dim = _json_int(raw["dim"], "dim")
+    dim = check_int(raw["dim"], "dim", 0)
     trained = check_object(raw["trained"], _TRAINED_KEYS, "trained")
     check_number(trained["final_loss"], "trained.final_loss")
-    iterations = _json_int(trained["iterations"], "trained.iterations")
-    if iterations < 0:
-        raise SchemaViolation("trained.iterations", "must be >= 0")
+    iterations = check_int(trained["iterations"], "trained.iterations", 0)
     model = LogRegModel(
         weights=_finite_array(raw, "weights", (N_CLASSES, dim + 1)),
         mean=_finite_array(raw, "mean", (dim,)),

@@ -273,6 +273,15 @@ class TestSceneOverride:
 
 
 class TestExternalBackend:
+    @pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
+    def test_jobs_not_a_count_raises_before_any_child_starts(self, monkeypatch, jobs):
+        spawned = []
+        monkeypatch.setattr(ExternalBackend, "_spawn", lambda self: spawned.append(self))
+        with pytest.raises(ValueError) as exc:
+            ExternalBackend([sys.executable, "-c", "pass"], timeout_s=10, jobs=jobs)
+        assert str(exc.value) == "jobs must be an integer >= 1"
+        assert spawned == []
+
     def test_round_trip(self, stub):
         entry = ImageEntry(id="x", image_path="/some/image.jpg")
         with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:
@@ -864,6 +873,7 @@ class TestReplyDecoding:
     @example(line=b'{"scene": "outside", "confidence": NaN}\n', task="scene")
     @example(line=b'{"scene": "outside", "confidence": Infinity}\n', task="scene")
     @example(line=b'{"scene": "outside", "confidence": ' + b"1" * 400 + b"}\n", task="scene")
+    @example(line=b'{"scene": "outside", "confidence": "0.9"}\n', task="scene")
     @example(line=b"1" * 5000 + b"\n", task="damage")
     @example(line=DEEP + b"\n", task="scene")
     @example(line=b'{"detections": ' + DEEP + b"}\n", task="damage")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -388,6 +389,25 @@ class TestFusionConfigIo:
     def test_settings_built_in_code_reject_nan(self, make, detail):
         # the JSON path's number check never lets these through; a caller
         # building the settings directly meets the dataclasses' own checks
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == detail
+
+    @pytest.mark.parametrize(
+        "make, detail",
+        [
+            (lambda: FusionConfig(version="v2"), "version must be a FusionVersion, not 'v2'"),
+            (lambda: FusionConfig(version="v1"), "version must be a FusionVersion, not 'v1'"),
+            (lambda: replace(FusionConfig(), version="v1"),
+             "version must be a FusionVersion, not 'v1'"),
+            (lambda: FusionConfig(decision_mode="hybrid"),
+             "decision_mode must be a DecisionMode, not 'hybrid'"),
+        ],
+        ids=["version-v2", "version-v1", "replace-version-v1", "decision_mode-hybrid"],
+    )
+    def test_enum_fields_take_only_their_members(self, make, detail):
+        # a string would pass some of fusion's `is` tests of the enum and fail
+        # others, grading with v1 filters and v2 rebar validation at once
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == detail

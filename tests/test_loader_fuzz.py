@@ -1,5 +1,5 @@
 """Fuzzing of the input loaders through `cli.main`: model files, manifests,
-config files and evaluate's assessment records.
+JSON detection files, config files and evaluate's assessment records.
 
 Valid documents get up to three mutations: a value replaced by an arbitrary
 JSON value, a key or item deleted, or one added. Whatever comes out, the
@@ -139,6 +139,12 @@ FUZZ = settings(
 @example(model={**LOGREG, "dim": 10**400})
 @example(model={**GBDT, "learning_rate": 10**400})
 @example(model={**GBDT, "trees": [[{"value": 10**400}] * 4]})
+@example(model={**LOGREG, "dim": -1})
+@example(model={**LOGREG, "trained": {"iterations": True, "final_loss": 1.2}})
+@example(model={**GBDT, "dim": -1, "trees": []})
+@example(model={**GBDT, "max_depth": 0})
+@example(model={**GBDT, "trees": [[{"feature": FEATURE_DIM, "threshold": 0.5, "left": _leaf(0.0),
+                                    "right": _leaf(0.1)}] + [_leaf(0.0)] * 3]})
 def test_mutated_model_file_ends_in_a_clean_exit(tmp_path_factory, model):
     root = tmp_path_factory.getbasetemp() / "model_fuzz"
     manifest = root / "manifest.json"
@@ -181,6 +187,7 @@ def manifest_documents(draw):
 @given(manifest=manifest_documents() | st.binary(max_size=60))
 @example(manifest=b"\xff")
 @example(manifest={"images": [{"id": "a", "ground_truth_level": 10**400}]})
+@example(manifest={"images": [{"id": "a", "ground_truth_level": 4}]})
 @example(manifest={"class_maps": {"damage": {"1" * 400: "crack"}}, "images": []})
 @example(manifest={"images": [{"id": "a", "scene": "inside", "damage_file": "labels/a\u0000.txt"}]})
 def test_mutated_manifest_ends_in_a_clean_exit(tmp_path_factory, manifest):
@@ -216,6 +223,46 @@ def test_nul_in_a_detection_path_skips_only_its_image(tmp_path):
     assert [json.loads(line)["image_id"] for line in out.read_text().splitlines()] == ["c"]
     code, err = run_main(["assess", "--manifest", str(path)])
     assert (code, json.loads(err)["error"]) == (1, "MissingFile")
+
+
+# a JSON detection file, the damage evidence of the one image of its manifest
+DETECTIONS = {"detections": [
+    {"class": "crack", "box": [0.5, 0.5, 0.2, 0.2], "confidence": 0.9},
+    {"class": "spalling", "box": [0.4, 0.4, 0.1, 0.1]},
+]}
+
+
+@FUZZ
+@given(detections=mutated(DETECTIONS) | st.binary(max_size=60))
+@example(detections={"detections": [{"class": "crack", "box": [0.5, 0.5, 0.2, 0.2],
+                                     "confidence": 10**400}]})
+@example(detections={"detections": [{"class": "crack", "box": [0.5, 0.5, "0.1", 0.2]}]})
+def test_mutated_detection_file_ends_in_a_clean_exit(tmp_path_factory, detections):
+    root = tmp_path_factory.getbasetemp() / "detections_fuzz"
+    manifest = root / "manifest.json"
+    if not manifest.exists():
+        root.mkdir()
+        manifest.write_text(json.dumps(
+            {"images": [{"id": "a", "scene": "inside", "damage_file": "a.json"}]}
+        ))
+    path = root / "a.json"
+    if isinstance(detections, bytes):
+        path.write_bytes(detections)
+    else:
+        path.write_text(json.dumps(detections))
+    for argv in (["assess", "--manifest", str(manifest), "--keep-going"],
+                 ["assess", "--manifest", str(manifest)]):
+        assert_clean_exit(*run_main(argv))
+
+
+def test_valid_detection_file_assesses(tmp_path):
+    # the fuzz base itself: exit 0, so mutations start from a working file
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"images": [{"id": "a", "scene": "inside", "damage_file": "a.json"}]}
+    ))
+    (tmp_path / "a.json").write_text(json.dumps(DETECTIONS))
+    assert run_main(["assess", "--manifest", str(manifest)]) == (0, "")
 
 
 # every config key, backend section included; assess runs on the file backend
