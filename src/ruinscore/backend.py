@@ -162,6 +162,11 @@ class ExternalBackend:
     read as another image's. Child 0 starts with the backend.
     `cascade_chunk` exchanges a chunk's `cascade_tasks` and assembles each
     image's answers into its CascadeOutput.
+
+    Arguments are checked before any child starts: `command` must be a
+    non-empty list of str, bytes or path-like arguments (BackendUnavailable
+    when empty; ValueError for a bare string or any other element),
+    `timeout_s` a finite number > 0 and `jobs` an integer >= 1 (ValueError).
     """
 
     def __init__(
@@ -172,7 +177,12 @@ class ExternalBackend:
     ):
         if not command:
             raise BackendUnavailable("external backend command is empty")
+        if isinstance(command, (str, bytes)) or not all(
+            isinstance(arg, (str, bytes, os.PathLike)) for arg in command
+        ):
+            raise ValueError("command must be a list of strings")
         dataset_io.check_count(jobs, "jobs", 1)
+        dataset_io.check_real(timeout_s, "timeout_s", 0, above=True)
         self.command = list(command)
         self.timeout_s = timeout_s
         self._children: list[_Child | None] = [self._spawn()] + [None] * (jobs - 1)

@@ -8,8 +8,8 @@ conventions are supported: a line-based box text format (`class_id cx cy w h
 the file's class enum. `check_confidence` also checks the scene's confidence
 on `backend.CascadeOutput`; `check_object`, `check_number` and `check_int`
 check every strict JSON object, number and integer the engine reads, and
-`check_count` every integer setting of the library API. All values are
-immutable and safe to share across threads.
+`check_count` and `check_real` every integer and real setting of the library
+API. All values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import errno
 import json
 import json.encoder
+import math
 import os
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
@@ -321,6 +322,28 @@ def check_count(value: object, name: str, low: int) -> None:
     # a bool would count as 0 or 1, a float fail deep inside its consumer
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value >= low:
         raise ValueError(f"{name} must be an integer >= {low}")
+
+
+def check_real(value: object, name: str, low: float | None = None, high: float | None = None,
+               *, above: bool = False, finite: bool = True) -> None:
+    """A real number, not a bool (numpy numbers pass); with `low`, one in
+    [low, high], or (low, high] if `above`, and without `high` one >= `low`
+    (> `low` if `above`) that is finite unless `finite` is off. NaN fails
+    every bound. ValueError otherwise; with no `low` only the type is checked."""
+    import numbers
+
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number")
+    if low is None:
+        return
+    op = ">" if above else ">="
+    if high is not None:
+        if not (low < value <= high if above else low <= value <= high):
+            raise ValueError(f"{name} must be in {'(' if above else '['}{low}, {high}]")
+    elif not (value > low if above else value >= low):
+        raise ValueError(f"{name} must be {op} {low}")
+    elif finite and value == math.inf:
+        raise ValueError(f"{name} must be finite and {op} {low}")
 
 
 def check_number(value: object, where: str) -> None:

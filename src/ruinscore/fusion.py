@@ -12,7 +12,6 @@ toggle, serialized as a strict JSON file whose objects and numbers
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -24,6 +23,7 @@ from .dataset_io import (
     SceneClass,
     check_number,
     check_object,
+    check_real,
     slot_setters,
 )
 from .errors import MissingMeta, SchemaViolation
@@ -57,10 +57,7 @@ class Weights:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 <= value < math.inf:  # a chained comparison, so NaN fails it
-                bound = "finite and >= 0" if value >= 0 else ">= 0"
-                raise ValueError(f"{f.name} must be {bound}")
+            check_real(getattr(self, f.name), f.name, 0)
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,8 @@ class Thresholds:
     t_medium: float = 4.0
 
     def __post_init__(self) -> None:
+        check_real(self.t_slight, "t_slight")
+        check_real(self.t_medium, "t_medium")
         if not 0 <= self.t_slight <= self.t_medium:
             raise ValueError("thresholds must satisfy 0 <= t_slight <= t_medium")
 
@@ -95,12 +94,9 @@ class V2Params:
             "rebar_containment_min",
             "component_conf_min",
         ):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not self.min_box_area >= 0:  # NaN fails too
-            raise ValueError("min_box_area must be >= 0")
-        if not 0.0 < self.no_component_score_factor <= 1.0:
-            raise ValueError("no_component_score_factor must be in (0, 1]")
+            check_real(getattr(self, name), name, 0, 1)
+        check_real(self.min_box_area, "min_box_area", 0, finite=False)  # inf, like 2, keeps no box
+        check_real(self.no_component_score_factor, "no_component_score_factor", 0, 1, above=True)
 
 
 @dataclass(frozen=True)
@@ -123,10 +119,8 @@ class FusionConfig:
             raise ValueError(f"version must be a FusionVersion, not {self.version!r}")
         if not isinstance(self.decision_mode, DecisionMode):
             raise ValueError(f"decision_mode must be a DecisionMode, not {self.decision_mode!r}")
-        if not 0.0 <= self.conf_floor <= 1.0:
-            raise ValueError("conf_floor must be in [0, 1]")
-        if not self.hybrid_prob_gate >= 0.0:  # NaN fails too
-            raise ValueError("hybrid_prob_gate must be >= 0")
+        check_real(self.conf_floor, "conf_floor", 0, 1)
+        check_real(self.hybrid_prob_gate, "hybrid_prob_gate", 0, finite=False)
 
     @staticmethod
     def from_dict(raw: dict) -> "FusionConfig":

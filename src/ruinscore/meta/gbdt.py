@@ -14,8 +14,8 @@ once (`_presort`), in the narrowest unsigned type that holds n - 1: equal
 ranks mean equal values, -0.0 == 0.0 included. Every node holds ranks, and
 a split's threshold is read from the training matrix through its sample
 index. A fit is one `_Fit` object, which holds the training matrix, the
-gradients, the leaf values and one scratch block; every node of every tree
-gathers and partitions into that block, so the scan's node-sized arrays
+gradients, the leaf values and the scratch arrays; every node of every
+tree gathers and partitions into those, so the scan's node-sized arrays
 are not freed and faulted back in from tree to tree.
 """
 
@@ -300,8 +300,7 @@ class _Fit:
     the trainer writes before each tree and a tree only reads. leaf_of_row:
     (n,) the value of the leaf each sample reached in the last tree grown.
 
-    The scratch, reused by every node of every tree, is one block (so the
-    whole of it goes back to the OS when the fit ends), viewed as:
+    The scratch arrays, reused by every node of every tree:
 
     gather: flat (d * n,) complex128. A scanning node of m samples gathers
     its packed gradients into the first d * m entries, and the scan's prefix
@@ -340,22 +339,11 @@ class _Fit:
         self.rows = np.arange(n)
         size = d * n
         pairs = min(hp.max_depth - 1, 2)  # depths 1 .. max_depth - 1 scan from cells
-        # the widest items first, so every view is aligned to its item
-        rank_type = self.ranks.dtype
-        orders_at = 16 * size
-        ranks_at = orders_at + 8 * size * pairs
-        flags_at = ranks_at + rank_type.itemsize * size * pairs
-        block = np.empty(flags_at + size + n, dtype=np.uint8)
-        self.gather = block[:orders_at].view(np.complex128)
-        orders = block[orders_at:ranks_at].view(np.intp)
-        ranks = block[ranks_at:flags_at].view(rank_type)
-        self.cells = [
-            (ranks[p * size : (p + 1) * size], orders[p * size : (p + 1) * size])
-            for p in range(pairs)
-        ]
-        self.flags = block[flags_at : flags_at + size].view(bool)
-        self.goes_left = block[flags_at + size :].view(bool)
-        self.goes_left[:] = False
+        self.gather = np.empty(size, dtype=np.complex128)
+        self.cells = [(np.empty(size, dtype=self.ranks.dtype), np.empty(size, dtype=np.intp))
+                      for _ in range(pairs)]
+        self.flags = np.empty(size, dtype=bool)
+        self.goes_left = np.zeros(n, dtype=bool)
         self.root = split_candidates(self.ranks, hp.min_leaf, self.flags)
         self.leaf_of_row = np.empty(n, dtype=np.float64)
         self.gh = np.empty(n, dtype=np.complex128)

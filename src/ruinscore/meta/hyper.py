@@ -6,10 +6,9 @@ values and the training data fix the model bytes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..dataset_io import check_count
+from ..dataset_io import check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -19,11 +18,8 @@ class LogRegHyper:
     iterations: int = 500
 
     def __post_init__(self) -> None:
-        # chained comparisons, so NaN and infinities fail them
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and > 0")
-        if not 0 <= self.l2 < math.inf:
-            raise ValueError("l2 must be finite and >= 0")
+        check_real(self.learning_rate, "learning_rate", 0, above=True)
+        check_real(self.l2, "l2", 0)
         check_count(self.iterations, "iterations", 0)
 
 
@@ -37,10 +33,8 @@ class GbdtHyper:
 
     def __post_init__(self) -> None:
         check_count(self.rounds, "rounds", 0)
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and > 0")
+        check_real(self.learning_rate, "learning_rate", 0, above=True)
         check_count(self.max_depth, "max_depth", 1)
         check_count(self.min_leaf, "min_leaf", 1)
-        if not 0 < self.lam < math.inf:
-            raise ValueError("lam must be finite and > 0")
+        check_real(self.lam, "lam", 0, above=True)
 

@@ -31,6 +31,7 @@ from .dataset_io import (
     DatasetManifest,
     Detection,
     check_count,
+    check_real,
     detections_to_box_text,
     load_manifest,
 )
@@ -91,12 +92,9 @@ class SynthSpec:
     level_priors: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.false_positive_rate <= 1.0:
-            raise ValueError("false_positive_rate must be in [0, 1]")
-        if not 0.0 <= self.confidence_jitter_sd < math.inf:  # NaN fails too
-            raise ValueError("confidence_jitter_sd must be finite and >= 0")
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError("drop_rate must be in [0, 1]")
+        check_real(self.false_positive_rate, "false_positive_rate", 0, 1)
+        check_real(self.confidence_jitter_sd, "confidence_jitter_sd", 0)
+        check_real(self.drop_rate, "drop_rate", 0, 1)
         # the generator seeds from the value modulo 2**64, so a seed outside
         # that range would alias one inside it
         if not 0 <= self.seed <= _MASK64:

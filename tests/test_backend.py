@@ -282,6 +282,31 @@ class TestExternalBackend:
         assert str(exc.value) == "jobs must be an integer >= 1"
         assert spawned == []
 
+    @pytest.mark.parametrize(
+        "command, timeout_s, detail",
+        [
+            ("python", 10, "command must be a list of strings"),
+            ([sys.executable, 5], 10, "command must be a list of strings"),
+            ([sys.executable], float("nan"), "timeout_s must be > 0"),
+            ([sys.executable], float("inf"), "timeout_s must be finite and > 0"),
+            ([sys.executable], 0.0, "timeout_s must be > 0"),
+            ([sys.executable], -1.0, "timeout_s must be > 0"),
+            ([sys.executable], "5", "timeout_s must be a number"),
+            ([sys.executable], True, "timeout_s must be a number"),
+        ],
+    )
+    def test_bad_command_or_timeout_raises_before_any_child_starts(
+        self, monkeypatch, command, timeout_s, detail
+    ):
+        import subprocess
+
+        started = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: started.append(args))
+        with pytest.raises(ValueError) as exc:
+            ExternalBackend(command, timeout_s=timeout_s)
+        assert str(exc.value) == detail
+        assert started == []
+
     def test_round_trip(self, stub):
         entry = ImageEntry(id="x", image_path="/some/image.jpg")
         with ExternalBackend([sys.executable, stub("echo_backend")], timeout_s=10) as backend:

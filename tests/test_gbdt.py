@@ -546,6 +546,28 @@ def test_benchmark_scale_fit_holds_ranks_and_builds_no_forest():
     assert probs.tobytes() == model.training_probs.tobytes()
 
 
+def test_fit_scratch_arrays_are_their_own_allocations_reused_by_every_tree():
+    X, _ = benchmark_shaped(3, n=300)
+    n, d = X.shape
+    fit = gbdt_module._Fit(X, GbdtHyper(max_depth=4, min_leaf=3))
+    assert len(fit.cells) == 2  # min(max_depth - 1, 2) depth-parity pairs
+    scratch = [fit.gather, *(a for pair in fit.cells for a in pair), fit.flags, fit.goes_left]
+    rank, size = np.min_scalar_type(n - 1), d * n
+    assert [(a.dtype, a.shape) for a in scratch] == [
+        (np.complex128, (size,)), (rank, (size,)), (np.intp, (size,)), (rank, (size,)),
+        (np.intp, (size,)), (np.bool_, (size,)), (np.bool_, (n,)),
+    ]
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        fit.gh.real = rng.normal(size=n)
+        fit.gh.imag = rng.uniform(0.05, 0.25, size=n)
+        fit.tree()
+    after = [fit.gather, *(a for pair in fit.cells for a in pair), fit.flags, fit.goes_left]
+    assert all(a is b for a, b in zip(after, scratch))
+    assert all(a.base is None for a in after)
+    assert not fit.goes_left.any()
+
+
 def test_fits_leave_no_state_for_the_next():
     # two shapes and depths, fitted alone, one after the other and at once in
     # two threads: each fit's workspace is its own
@@ -618,8 +640,8 @@ def test_fit_leaves_its_inputs_unchanged(data):
 @settings(max_examples=40, deadline=None)
 @given(data=tied_training_sets(), seed=st.integers(0, 2**32 - 1))
 def test_shared_workspace_leaves_no_mark_behind(data, seed):
-    # every tree of a fit reuses one scratch block, so each split clears its
-    # goes_left mark before the next node reads it
+    # every tree of a fit reuses the same scratch arrays, so each split clears
+    # its goes_left mark before the next node reads it
     X, _, hp = data
     n = X.shape[0]
     rng = np.random.default_rng(seed)
